@@ -9,7 +9,6 @@ from .core import (
     Message,
     RoundRecord,
     RoundTrace,
-    Word,
     components_oracle,
     gen_graph,
     load_graph,
@@ -55,7 +54,7 @@ from .algorithms import (
 
 __all__ = [
     "Graph", "GraphFormatError", "Message", "RoundRecord", "RoundTrace",
-    "Word", "components_oracle", "gen_graph", "load_graph", "word_width",
+    "components_oracle", "gen_graph", "load_graph", "word_width",
     "EngineContractError", "ModelKind", "ModelParams", "NodeProgram",
     "RoundLimitError", "RunResult", "Violation", "check_trace",
     "distribute_edges", "run_clique", "run_congest", "run_mpc", "words_in",

@@ -32,7 +32,7 @@ from .engines import (
     run_congest,
     run_mpc,
 )
-from .routing import DemandMatrix, Schedule, plan_routing
+from .routing import DemandMatrix, Relay, Schedule, plan_routing
 
 
 class SimulationRefused(RuntimeError):
@@ -123,6 +123,28 @@ class SimulationReport:
         return doc
 
 
+def _run_native(run, label: str, *args) -> RunResult:
+    """Run the source program in its own model; an unclean run is refused."""
+    native = run(*args)
+    if not native.clean:
+        raise SimulationRefused(
+            f"native {label} run violated its own model: {native.violations[0]}")
+    return native
+
+
+def _initial_inputs(g: Graph, machines: int, seed: int,
+                    initial_edges: list[list[tuple[int, int]]] | None
+                    ) -> list[list[int]]:
+    """Edge words per machine: the given placement, or a seeded shuffle."""
+    if initial_edges is None:
+        return distribute_edges(g, machines, seed)
+    inputs = [[w for (u, v) in machine_edges for w in (u, v)]
+              for machine_edges in initial_edges]
+    if len(inputs) != machines:
+        raise SimulationRefused(f"initial placement must cover {machines} machines")
+    return inputs
+
+
 # ---------------------------------------------------------------------------
 # Clique -> semi-MPC
 # ---------------------------------------------------------------------------
@@ -196,10 +218,7 @@ def simulate_cc_on_semimpc(prog: NodeProgram, g: Graph,
     n = g.n
     if clique_params is None:
         clique_params = ModelParams.clique(n, c_space=c_space, c_traffic=c_traffic)
-    native = run_clique(prog, g, clique_params)
-    if not native.clean:
-        raise SimulationRefused(
-            f"native clique run violated its own model: {native.violations[0]}")
+    native = _run_native(run_clique, "clique", prog, g, clique_params)
 
     space_budget = c_space * n
     peaks = native.trace.space_high_water()
@@ -209,13 +228,7 @@ def simulate_cc_on_semimpc(prog: NodeProgram, g: Graph,
             f"native node memory {worst} words exceeds the {space_budget}-word"
             " hypothesis; simulation refused")
 
-    if initial_edges is None:
-        inputs = distribute_edges(g, n, seed)
-    else:
-        inputs = [[w for (u, v) in machine_edges for w in (u, v)]
-                  for machine_edges in initial_edges]
-        if len(inputs) != n:
-            raise SimulationRefused(f"initial placement must cover {n} machines")
+    inputs = _initial_inputs(g, n, seed, initial_edges)
     for i, words in enumerate(inputs):
         if len(words) > space_budget:
             raise SimulationRefused(
@@ -290,71 +303,56 @@ class _RecordingProgram(NodeProgram):
         return self.inner.output(state)
 
 
-@dataclass(frozen=True)
-class _Episode:
-    """One semi-MPC round's worth of routed traffic on the clique."""
-
-    native_round: int
-    base: int              # first engine round of this episode
-    schedule: Schedule
-    streams: dict          # (src, dst) -> tuple of (value, starts_message)
-
-    @property
-    def rounds(self) -> int:
-        return self.schedule.num_rounds
-
-    @property
-    def end(self) -> int:
-        return self.base + self.rounds - 1
-
-    def phase_of(self, engine_round: int) -> str:
-        if self.base <= engine_round < self.base + self.schedule.phase_a_rounds:
-            return "A"
-        return "B"
-
-
-class _SemiMpcOnClique(NodeProgram):
+class _SemiMpcOnClique(Relay):
     """Clique node i < p hosts machine i; nodes p..n-1 only relay.
 
     Every semi-MPC round with cross-machine traffic becomes one routing
     episode.  At an episode's first engine round the hosted machine catches
     up through the native rounds up to and including the episode's round
-    (intervening rounds sent nothing between machines), emitting its words
-    into the episode's scheduled phase-A slots; relay nodes forward them in
-    their phase-B slots.  Each transferred word packs (counterpart, sequence,
-    value, starts-message flag) so receivers can reassemble the original
-    multi-word messages in canonical order.  One trailing engine round
-    absorbs the final deliveries; remaining native rounds are message-free
-    and are drained when outputs are read.
+    (intervening rounds sent nothing between machines) and queues its words
+    for the episode's scheduled phase-A slots.  Each relayed word carries
+    (value, starts-message flag) so receivers can reassemble the original
+    multi-word messages in canonical order.  Native rounds after the last
+    episode are message-free and are drained when outputs are read.
     """
 
-    def __init__(self, inner: NodeProgram, p: int, n: int, native_rounds: int,
-                 episodes: list[_Episode], widths: tuple[int, int, int, int],
-                 machine_inputs: list):
+    def __init__(self, inner: NodeProgram, p: int, native_rounds: int,
+                 episodes: list[tuple[int, int, Schedule, dict]],
+                 widths: tuple[int, int, int, int], machine_inputs: list):
+        # episode = (native round, base engine round, schedule, streams),
+        # streams = the dry run's (src, dst) -> tuple of (value, starts_message)
+        super().__init__([(base, sched) for _r, base, sched, _s in episodes],
+                         widths)
         self.inner = inner
         self.p = p
-        self.n = n
         self.native_rounds = native_rounds
-        self.episodes = episodes
-        self.widths = widths
+        self.native_round_of = [r for r, _b, _s, _st in episodes]
+        self.streams = [streams for _r, _b, _s, streams in episodes]
+        self.by_base = {base: idx for idx, (_r, base, _s, _st) in enumerate(episodes)}
         self.machine_inputs = [tuple(words) for words in machine_inputs]
-        self.total_rounds = (episodes[-1].end + 1) if episodes else 0
-        self.immediate_halt = self.total_rounds == 0
-        self.by_base = {ep.base: ep for ep in episodes}
-        self.phase_table = {}
-        for idx, ep in enumerate(episodes):
-            for r in range(ep.base, ep.end + 1):
-                self.phase_table[r] = (idx, ep.phase_of(r))
 
-    def init(self, pid, local_input):
+    def _host_init(self, pid, local_input):
         # the clique's own local input (placeholder graph) is irrelevant: the
         # hosted machine starts from its semi-MPC input words
         machine_state = (self.inner.init(pid, self.machine_inputs[pid])
                          if pid < self.p else None)
-        # state: (pid, engine round, machine state, next native round,
-        #         arrivals target round, arrivals, self-inbox target round,
-        #         self-inbox payloads, to-forward, outgoing)
-        return (pid, 1, machine_state, 1, 0, (), 0, (), (), ())
+        # host: (machine state, next native round, arrivals target round,
+        #        arrivals, self-inbox target round, self-inbox payloads)
+        return (machine_state, 1, 0, (), 0, ())
+
+    def _deliver(self, host, words, episode):
+        machine_state, next_native, target, arrivals, self_target, self_msgs = host
+        if not arrivals:
+            # deliveries of an episode feed the following native round
+            target = self.native_round_of[episode] + 1
+        return (machine_state, next_native, target, arrivals + tuple(words),
+                self_target, self_msgs)
+
+    def _emit(self, pid, host, round_no):
+        episode = self.by_base.get(round_no)
+        if episode is None or pid >= self.p:
+            return host, ()
+        return self._advance(pid, host, self.native_round_of[episode], episode)
 
     # -- native-round helpers ------------------------------------------------
 
@@ -386,10 +384,11 @@ class _SemiMpcOnClique(NodeProgram):
         messages.sort(key=lambda m: m.src)
         return messages
 
-    def _advance(self, pid, machine_state, next_native, arrivals_target,
-                 arrivals, self_target, self_msgs, until, episode):
-        """Run native rounds next_native..until; returns the new machine
-        bookkeeping plus the outgoing slot list for the episode (if any)."""
+    def _advance(self, pid, host, until, episode):
+        """Run native rounds up to `until`; returns the new host state plus
+        the phase-A entries of the episode (if any) that ends the run."""
+        (machine_state, next_native, arrivals_target, arrivals,
+         self_target, self_msgs) = host
         outgoing = []
         for r in range(next_native, until + 1):
             inbox = []
@@ -408,14 +407,15 @@ class _SemiMpcOnClique(NodeProgram):
                 if m.dst == pid:
                     new_self.append(tuple(m.payload))
                     continue
-                if episode is None or r != episode.native_round:
+                if episode is None or r != until:
                     raise RuntimeError(
                         "dry run and live run disagree about message rounds")
+                base, schedule = self.episodes[episode]
                 for j, value in enumerate(m.payload):
                     seq = seq_per_dst.get(m.dst, 0)
                     seq_per_dst[m.dst] = seq + 1
-                    mid, ra, rb = episode.schedule.assignment[(pid, m.dst, seq)]
-                    outgoing.append((episode.base + ra - 1, mid, m.dst, seq,
+                    mid, ra, _rb = schedule.assignment[(pid, m.dst, seq)]
+                    outgoing.append((base + ra - 1, mid, m.dst, seq,
                                      value, 1 if j == 0 else 0))
             if new_self:
                 self_msgs, self_target = tuple(new_self), r + 1
@@ -424,81 +424,25 @@ class _SemiMpcOnClique(NodeProgram):
             live = {}
             for _ra, _mid, dst, seq, value, flag in outgoing:
                 live.setdefault((pid, dst), []).append((seq, value, flag))
+            streams = self.streams[episode]
             for (src, dst), entries in live.items():
-                recorded = episode.streams.get((src, dst))
                 got = tuple((v, f) for _q, v, f in sorted(entries))
-                if recorded != got:
+                if streams.get((src, dst)) != got:
                     raise RuntimeError("dry run and live run diverged")
-            for (src, dst) in episode.streams:
+            for (src, dst) in streams:
                 if src == pid and (src, dst) not in live:
                     raise RuntimeError("dry run and live run diverged")
-        return machine_state, until + 1, arrivals_target, arrivals, \
-            self_target, self_msgs, tuple(outgoing)
-
-    def on_round(self, state, inbox):
-        (pid, round_no, machine_state, next_native, arrivals_target, arrivals,
-         self_target, self_msgs, to_forward, outgoing) = state
-
-        new_arrivals = list(arrivals)
-        forward = list(to_forward)
-        for msg in inbox:
-            ep_idx, phase = self.phase_table[msg.round]
-            ep = self.episodes[ep_idx]
-            for word in msg.payload:
-                counterpart, seq, value, flag = unpack_fields(word, self.widths)
-                if phase == "A":
-                    _mid, _ra, rb = ep.schedule.assignment[(msg.src, counterpart, seq)]
-                    forward.append((ep.base + rb - 1, counterpart, msg.src,
-                                    seq, value, flag))
-                else:
-                    new_arrivals.append((counterpart, seq, value, flag))
-        if new_arrivals and not arrivals:
-            # deliveries of episode ep feed the following native round
-            ep_idx, _phase = self.phase_table[inbox[0].round]
-            arrivals_target = self.episodes[ep_idx].native_round + 1
-
-        episode = self.by_base.get(round_no)
-        if episode is not None and pid < self.p:
-            (machine_state, next_native, arrivals_target, new_arrivals_t,
-             self_target, self_msgs, fresh) = self._advance(
-                pid, machine_state, next_native, arrivals_target,
-                tuple(new_arrivals), self_target, self_msgs,
-                episode.native_round, episode)
-            new_arrivals = list(new_arrivals_t)
-            outgoing = outgoing + fresh
-
-        outbox = []
-        keep_out = []
-        for ra, mid, dst, seq, value, flag in outgoing:
-            if ra == round_no:
-                word = pack_fields((dst, seq, value, flag), self.widths)
-                outbox.append(Message(src=pid, dst=mid, payload=(word,)))
-            else:
-                keep_out.append((ra, mid, dst, seq, value, flag))
-        keep_fwd = []
-        for rb, dst, src, seq, value, flag in forward:
-            if rb == round_no:
-                word = pack_fields((src, seq, value, flag), self.widths)
-                outbox.append(Message(src=pid, dst=dst, payload=(word,)))
-            else:
-                keep_fwd.append((rb, dst, src, seq, value, flag))
-
-        halt = round_no >= self.total_rounds
-        new_state = (pid, round_no + 1, machine_state, next_native,
-                     arrivals_target, tuple(new_arrivals), self_target,
-                     self_msgs, tuple(keep_fwd), tuple(keep_out))
-        return new_state, outbox, halt
+        host = (machine_state, until + 1, arrivals_target, arrivals,
+                self_target, self_msgs)
+        return host, tuple(outgoing)
 
     def output(self, state):
-        (pid, _round_no, machine_state, next_native, arrivals_target, arrivals,
-         self_target, self_msgs, _fwd, _out) = state
+        pid, host = state[0], state[3:]
         if pid >= self.p:
             return []
-        if next_native <= self.native_rounds:
-            machine_state, *_rest = self._advance(
-                pid, machine_state, next_native, arrivals_target, arrivals,
-                self_target, self_msgs, self.native_rounds, None)
-        return self.inner.output(machine_state)
+        if host[1] <= self.native_rounds:
+            host, _ = self._advance(pid, host, self.native_rounds, None)
+        return self.inner.output(host[0])
 
 
 def simulate_semimpc_on_cc(prog: NodeProgram, inputs: list[list[int]],
@@ -522,13 +466,10 @@ def simulate_semimpc_on_cc(prog: NodeProgram, inputs: list[list[int]],
         raise SimulationRefused("need p <= n to map machines onto clique nodes")
 
     recorder = _RecordingProgram(prog, p)
-    native = run_mpc(recorder, inputs, params)
-    if not native.clean:
-        raise SimulationRefused(
-            f"native semi-MPC run violated its own model: {native.violations[0]}")
+    native = _run_native(run_mpc, "semi-MPC", recorder, inputs, params)
     t_native = native.rounds_used
 
-    episodes: list[_Episode] = []
+    episodes: list[tuple[int, int, Schedule, dict]] = []
     base = 1
     max_seq = 0
     for r in range(1, t_native + 1):
@@ -548,21 +489,18 @@ def simulate_semimpc_on_cc(prog: NodeProgram, inputs: list[list[int]],
             max_seq = max(max_seq, len(words) - 1)
         dm = DemandMatrix.from_rows(counts)
         schedule = plan_routing(dm, c_traffic=params.c_traffic)
-        episodes.append(_Episode(
-            native_round=r, base=base, schedule=schedule,
-            streams={k: tuple(v) for k, v in streams.items()}))
+        episodes.append((r, base, schedule,
+                         {k: tuple(v) for k, v in streams.items()}))
         base += schedule.num_rounds
 
     w_id = max(1, (n - 1).bit_length())
     w_seq = max(1, max_seq.bit_length())
     widths = (w_id, w_seq, params.word_width_bits, 1)
-    total = (episodes[-1].end + 1) if episodes else 0
+    wrapper = _SemiMpcOnClique(prog, p, t_native, episodes, widths, inputs)
     clique_params = ModelParams.clique(
         n, word_width_bits=sum(widths),
         c_space=params.c_space, c_traffic=params.c_traffic,
-        round_cap=total + 5)
-
-    wrapper = _SemiMpcOnClique(prog, p, n, t_native, episodes, widths, inputs)
+        round_cap=wrapper.last_round + 5)
     sim = run_clique(wrapper, Graph(n=n, edges=()), clique_params)
 
     allowed = (2 + surcharge) * t_native
@@ -590,7 +528,8 @@ def simulate_semimpc_on_cc(prog: NodeProgram, inputs: list[list[int]],
         target_model=ModelKind.CLIQUE.value,
         native=native, simulated=sim,
         bound_checks=bound_checks, measured_constants=measured,
-        extra={"episode_rounds": [[ep.native_round, ep.rounds] for ep in episodes]},
+        extra={"episode_rounds": [[r, sched.num_rounds]
+                                  for r, _b, sched, _s in episodes]},
     )
 
 
@@ -631,7 +570,12 @@ class _CongestOnSemiMpc(NodeProgram):
         self.n = n
         self.machines = machines
         self.widths = widths
-        # no edges: nothing to count or ship, one machine replays everything
+        # No edges: nothing to count or ship, and one machine replays every
+        # vertex.  The general path cannot take this case: besides the node
+        # states it keeps every vertex id twice (in the machine's vertex list
+        # and as node-state keys), which breaks the c_space * n budget at
+        # small n (flood on 5 isolated vertices holds 27 words against 20 in
+        # round 4).
         self.edgeless = edgeless
         self.immediate_halt = edgeless and inner.immediate_halt
 
@@ -895,10 +839,7 @@ def simulate_congest_on_semimpc(prog: NodeProgram, g: Graph,
     if congest_params is None:
         congest_params = ModelParams.congest(n, c_space=c_space,
                                              c_traffic=c_traffic)
-    native = run_congest(prog, g, congest_params)
-    if not native.clean:
-        raise SimulationRefused(
-            f"native CONGEST run violated its own model: {native.violations[0]}")
+    native = _run_native(run_congest, "CONGEST", prog, g, congest_params)
     t_native = native.rounds_used
     t_budget = round_budget if round_budget is not None else t_native
     if t_budget < t_native:
@@ -913,14 +854,7 @@ def simulate_congest_on_semimpc(prog: NodeProgram, g: Graph,
 
     machines = min(max(1, -(-c_machines * t_budget * g.m // n)), n)
 
-    if initial_edges is None:
-        inputs = distribute_edges(g, machines, seed)
-    else:
-        inputs = [[w for (u, v) in machine_edges for w in (u, v)]
-                  for machine_edges in initial_edges]
-        if len(inputs) != machines:
-            raise SimulationRefused(
-                f"initial placement must cover {machines} machines")
+    inputs = _initial_inputs(g, machines, seed, initial_edges)
 
     w_id = max(1, (n - 1).bit_length())
     widths = (2, w_id, w_id, congest_params.word_width_bits)

@@ -7,19 +7,8 @@ checked against the same ground truth (components_oracle).
 
 from __future__ import annotations
 
-from .core import Message, UnionFind
+from .core import Graph, Message, UnionFind, components_by_union_find
 from .engines import NodeProgram
-
-
-def component_labels_from_edges(n: int, edges) -> list[int]:
-    """Min-id component labels of an edge set over vertices 0..n-1."""
-    uf = UnionFind(n)
-    for u, v in edges:
-        uf.union(u, v)
-    smallest: dict[int, int] = {}
-    for v in range(n):
-        smallest.setdefault(uf.find(v), v)
-    return [smallest[uf.find(v)] for v in range(n)]
 
 
 def spanning_forest(n: int, edges) -> tuple[tuple[int, int], ...]:
@@ -208,7 +197,7 @@ class ForestMergeConnectivity(NodeProgram):
         pid, _round_no, forest = state
         if pid != 0:
             return []
-        return component_labels_from_edges(self.n, forest)
+        return components_by_union_find(Graph(n=self.n, edges=forest))
 
 
 def cc_boruvka_connectivity(n: int) -> BoruvkaConnectivity:

@@ -13,7 +13,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 class GraphFormatError(ValueError):
@@ -37,25 +37,6 @@ def word_width(n: int) -> int:
 
 def fits_word(value: int, width_bits: int) -> bool:
     return 0 <= value < (1 << width_bits)
-
-
-@dataclass(frozen=True)
-class Word:
-    """A single fixed-width accounting unit.
-
-    Engines carry payloads as raw ints for speed; this type centralizes the
-    width check they apply and the pack/unpack helpers used when several small
-    fields travel as one word.
-    """
-
-    width_bits: int
-    payload: int
-
-    def __post_init__(self):
-        if not fits_word(self.payload, self.width_bits):
-            raise ValueError(
-                f"payload {self.payload} does not fit in {self.width_bits} bits"
-            )
 
 
 def pack_fields(values: Sequence[int], widths: Sequence[int]) -> int:
@@ -138,10 +119,6 @@ class Graph:
         lines = [f"{self.n} {self.m}"]
         lines.extend(f"{u} {v}" for u, v in sorted(self.edges))
         return "\n".join(lines) + "\n"
-
-
-def normalize_edges(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    return tuple(sorted((min(u, v), max(u, v)) for u, v in pairs))
 
 
 def load_graph(source: str) -> Graph:

@@ -13,7 +13,8 @@ constructively by alternating-path recoloring.
 
 The schedule is computed by a central planner with global knowledge of the
 demand matrix and then replayed through the constraint-checked clique engine,
-which re-verifies the per-pair capacity on every round.
+which re-verifies the per-pair capacity on every round.  The replaying node
+program, Relay, also carries the semi-MPC -> clique adapter's episodes.
 """
 
 from __future__ import annotations
@@ -242,75 +243,115 @@ class DeliveryRecord:
     # delivered[dst] = sorted (src, seq, value) triples
 
 
-class _RoutingProgram(NodeProgram):
-    """Clique node that plays its part of a fixed two-phase schedule.
+class Relay(NodeProgram):
+    """Clique node that relays words along a sequence of routing episodes.
 
-    Each transferred word packs (counterpart id, seq, value) into a single
-    engine word: in phase A the counterpart field carries the final
-    destination, in phase B the original source.  One extra receive-only
-    round after the last phase-B round absorbs the final deliveries.
+    Each episode is a (base engine round, Schedule) pair: the schedule's
+    round k runs in engine round base + k - 1.  Every relayed word packs
+    (counterpart, seq, *fields) into one engine word; the counterpart is the
+    final destination in phase A and the original source in phase B.  One
+    extra receive-only round after the last episode absorbs the final
+    deliveries.
+
+    The program hosted on a node (subclasses) supplies three hooks over its
+    own state, which is kept flat at the end of the relay state:
+
+      _host_init(pid, local_input) -> host
+      _emit(pid, host, round_no) -> (host, phase-A entries to queue)
+      _deliver(host, words, episode index) -> host   (phase-B arrivals)
+
+    A queued entry is (engine round, next hop, counterpart, seq, *fields).
     """
+
+    def __init__(self, episodes: list[tuple[int, Schedule]],
+                 widths: tuple[int, ...]):
+        self.episodes = episodes
+        self.widths = widths
+        self.immediate_halt = not episodes
+        # engine round -> (episode index, whether it is a phase-A round)
+        self.phase_of: dict[int, tuple[int, bool]] = {}
+        for idx, (base, sched) in enumerate(episodes):
+            for r in range(base, base + sched.num_rounds):
+                self.phase_of[r] = (idx, r < base + sched.phase_a_rounds)
+        # the receive-only absorb round after the last episode
+        self.last_round = max((b + s.num_rounds for b, s in episodes), default=0)
+
+    def init(self, pid: int, local_input):
+        # state: (pid, this round number, queued entries, *host state)
+        return (pid, 1, ()) + self._host_init(pid, local_input)
+
+    def on_round(self, state, inbox):
+        pid, round_no = state[0], state[1]
+        queue = list(state[2])
+        host = state[3:]
+        if inbox:
+            # every inbox word was sent in the previous engine round
+            idx, phase_a = self.phase_of[round_no - 1]
+            base, sched = self.episodes[idx]
+            arrived = []
+            for msg in inbox:
+                for word in msg.payload:
+                    fields = unpack_fields(word, self.widths)
+                    if phase_a:
+                        # at the intermediate; counterpart is the destination
+                        mid, _ra, rb = sched.assignment[(msg.src, fields[0], fields[1])]
+                        if mid != pid:
+                            raise RuntimeError("schedule routed a word to the wrong node")
+                        queue.append((base + rb - 1, fields[0], msg.src) + fields[1:])
+                    else:
+                        arrived.append(fields)
+            if arrived:
+                host = self._deliver(host, arrived, idx)
+
+        host, fresh = self._emit(pid, host, round_no)
+        queue.extend(fresh)
+        outbox = []
+        keep = []
+        for entry in queue:
+            if entry[0] == round_no:
+                word = pack_fields(entry[2:], self.widths)
+                outbox.append(Message(src=pid, dst=entry[1], payload=(word,)))
+            else:
+                keep.append(entry)
+        halt = round_no >= self.last_round
+        return (pid, round_no + 1, tuple(keep)) + host, outbox, halt
+
+    def _host_init(self, pid: int, local_input) -> tuple:
+        raise NotImplementedError
+
+    def _emit(self, pid: int, host: tuple, round_no: int):
+        raise NotImplementedError
+
+    def _deliver(self, host: tuple, words: list, episode: int) -> tuple:
+        raise NotImplementedError
+
+
+class _ScheduleHost(Relay):
+    """Plays a single schedule: each source sends its payload words in their
+    phase-A rounds and each destination keeps the sorted (src, seq, value)
+    triples it received.  Pending payloads live on the program, so only the
+    words due in a round enter the node state."""
 
     def __init__(self, schedule: Schedule, payloads: dict,
                  widths: tuple[int, int, int]):
-        self.schedule = schedule
-        self.widths = widths
-        self.immediate_halt = schedule.num_rounds == 0
-        # per source: (round_a, mid, dst, seq, value), canonically ordered
-        self.outgoing: dict[int, list[tuple[int, int, int, int, int]]] = {}
+        super().__init__([(1, schedule)] if schedule.entries else [], widths)
+        # (source, round_a) -> entries due then, canonically ordered
+        self.outgoing: dict[tuple[int, int], list[tuple]] = {}
         for (s, d, q), (mid, ra, _rb) in sorted(schedule.assignment.items()):
-            self.outgoing.setdefault(s, []).append(
+            self.outgoing.setdefault((s, ra), []).append(
                 (ra, mid, d, q, payloads[(s, d, q)]))
 
-    def init(self, pid: int, local_input):
-        # state: (pid, this round number, to-forward words, delivered words)
-        return (pid, 1, (), ())
+    def _host_init(self, pid, local_input):
+        return ((),)
 
-    def on_round(self, state, inbox):
-        pid, round_no, to_forward, delivered = state
-        ra_rounds = self.schedule.phase_a_rounds
-        last_round = self.schedule.num_rounds + 1  # receive-only absorb round
+    def _emit(self, pid, host, round_no):
+        return host, self.outgoing.get((pid, round_no), ())
 
-        forward = list(to_forward)
-        arrived = list(delivered)
-        for msg in inbox:
-            for word in msg.payload:
-                counterpart, seq, value = unpack_fields(word, self.widths)
-                if msg.round <= ra_rounds:
-                    # phase-A arrival at the intermediate; counterpart is the
-                    # final destination, msg.src the original source
-                    mid, _ra, rb = self.schedule.assignment[(msg.src, counterpart, seq)]
-                    if mid != pid:
-                        raise RuntimeError("schedule routed a word to the wrong node")
-                    forward.append((rb, counterpart, msg.src, seq, value))
-                else:
-                    # phase-B arrival at the destination; counterpart is the src
-                    arrived.append((counterpart, seq, value))
-
-        outbox = []
-        if round_no <= ra_rounds:
-            for ra, mid, dst, seq, value in self.outgoing.get(pid, ()):
-                if ra == round_no:
-                    word = pack_fields((dst, seq, value), self.widths)
-                    outbox.append(Message(src=pid, dst=mid, payload=(word,)))
-        keep = []
-        for rb, dst, src, seq, value in forward:
-            if rb == round_no:
-                word = pack_fields((src, seq, value), self.widths)
-                outbox.append(Message(src=pid, dst=dst, payload=(word,)))
-            else:
-                keep.append((rb, dst, src, seq, value))
-
-        halt = round_no >= last_round
-        new_state = (pid, round_no + 1, tuple(keep), tuple(sorted(arrived)))
-        return new_state, outbox, halt
+    def _deliver(self, host, words, episode):
+        return (tuple(sorted(host[0] + tuple(words))),)
 
     def output(self, state) -> list[int]:
-        _pid, _round_no, _pending, delivered = state
-        out: list[int] = []
-        for src, seq, value in delivered:
-            out.extend((src, seq, value))
-        return out
+        return [w for triple in state[3] for w in triple]
 
 
 def _packing_widths(sched: Schedule, payloads: dict,
@@ -340,28 +381,17 @@ def execute_schedule(sched: Schedule, payloads: dict[tuple[int, int, int], int],
     if set(payloads) != expected:
         raise ValueError("payload keys do not match the scheduled words")
 
-    if not expected:
-        params = ModelParams.clique(sched.n)
-        prog = _RoutingProgram(sched, payloads, (1, 1, 1))
-        run = run_clique(prog, Graph(n=sched.n, edges=()), params)
-        return DeliveryRecord(schedule=sched, run=run,
-                              delivered=tuple(() for _ in range(sched.n)))
-
-    widths = _packing_widths(sched, payloads, value_width)
-    params = ModelParams.clique(sched.n, word_width_bits=sum(widths))
-    prog = _RoutingProgram(sched, payloads, widths)
-    run = run_clique(prog, Graph(n=sched.n, edges=()), params)
+    if expected:
+        widths = _packing_widths(sched, payloads, value_width)
+        params = ModelParams.clique(sched.n, word_width_bits=sum(widths))
+    else:  # nothing to route: zero rounds at the default word width
+        widths, params = (1, 1, 1), ModelParams.clique(sched.n)
+    run = run_clique(_ScheduleHost(sched, payloads, widths),
+                     Graph(n=sched.n, edges=()), params)
     if not run.clean:
         raise RuntimeError(f"schedule replay violated the model: {run.violations[0]}")
-
-    delivered = []
-    for dst in range(sched.n):
-        words = run.outputs[dst]
-        triples = tuple(
-            (words[i], words[i + 1], words[i + 2])
-            for i in range(0, len(words), 3)
-        )
-        delivered.append(triples)
+    delivered = [tuple(zip(words[0::3], words[1::3], words[2::3]))
+                 for words in run.outputs]
 
     for (s, d, q), value in payloads.items():
         if (s, q, value) not in delivered[d]:

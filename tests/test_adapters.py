@@ -251,6 +251,57 @@ def test_mpc_sim_random_corpus():
         assert rep.simulated.outputs[0] == components_oracle(g)
 
 
+
+class Scatter(NodeProgram):
+    """For three rounds every machine sends multi-word messages to up to
+    three other machines in descending id order (two messages to the first),
+    plus a self-message; it folds everything it hears, in inbox order, into
+    a word count and a hash."""
+
+    def __init__(self, p, rounds=3):
+        self.p = p
+        self.rounds = rounds
+
+    def init(self, pid, local_input):
+        return (pid, 1, 0, 0)
+
+    def on_round(self, state, inbox):
+        pid, r, count, h = state
+        for m in inbox:
+            for w in (m.src, len(m.payload), *m.payload):
+                count += 1
+                h = (h * 1000003 + w + 1) % 1000000007
+        outbox = []
+        if r <= self.rounds:
+            dsts = sorted({(pid + k) % self.p for k in range(1, self.p)},
+                          reverse=True)
+            for j, dst in enumerate(dsts[:3]):
+                size = 1 + (pid + r + j) % 3
+                outbox.append(Message(src=pid, dst=dst, payload=tuple(
+                    (5 * pid + r + j + i) % 32 for i in range(size))))
+                if j == 0:
+                    outbox.append(Message(src=pid, dst=dst, payload=(r + 7,)))
+            outbox.append(Message(src=pid, dst=pid, payload=(r, pid)))
+        return (pid, r + 1, count, h), outbox, r > self.rounds
+
+    def output(self, state):
+        return [state[2], state[3]]
+
+
+@pytest.mark.parametrize("p,n", [(4, 8), (5, 6), (3, 12)])
+def test_mpc_sim_multi_destination_messages_reassembled(p, n):
+    params = ModelParams.semi_mpc(n, p, ell=0)
+    rep = simulate_semimpc_on_cc(Scatter(p), [[]] * p, params)
+    assert rep.all_ok, rep.bound_checks
+    assert rep.native.rounds_used == 4
+    assert [r for r, _rounds in rep.extra["episode_rounds"]] == [1, 2, 3]
+    assert rep.simulated.outputs[:p] == rep.native.outputs
+    assert all(count > 0 for count, _h in rep.native.outputs)
+    for rec in rep.simulated.trace.rounds:
+        pairs = [(s, d) for s, d, w in rec.transfers for _ in range(w)]
+        assert len(pairs) == len(set(pairs))
+
+
 # -- CONGEST on semi-MPC ---------------------------------------------------------
 
 class TwoRoundGossip(NodeProgram):

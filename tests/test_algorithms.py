@@ -14,11 +14,8 @@ from distsim import (
     congest_flood_components,
     semimpc_forest_merge_connectivity,
 )
-from distsim.algorithms import (
-    BoruvkaConnectivity,
-    component_labels_from_edges,
-    spanning_forest,
-)
+from distsim.algorithms import BoruvkaConnectivity, spanning_forest
+from distsim.core import components_by_union_find
 
 from conftest import random_connected_graph, random_graph
 
@@ -180,7 +177,7 @@ def test_spanning_forest_properties():
         forest = spanning_forest(n, g.edges)
         assert len(forest) <= n - 1
         # acyclic: forest of k edges spans exactly n - k components
-        labels = component_labels_from_edges(n, forest)
+        labels = components_by_union_find(Graph(n=n, edges=forest))
         assert len(set(labels)) == n - len(forest)
         # connectivity preserved
         assert labels == components_oracle(g)
@@ -197,5 +194,5 @@ def test_spanning_forest_of_union_preserves_connectivity():
         merged = spanning_forest(n, list(fa) + list(fb))
         assert len(merged) <= n - 1
         combined = sorted(set(a.edges) | set(b.edges))
-        assert component_labels_from_edges(n, merged) == \
-            component_labels_from_edges(n, combined)
+        assert components_by_union_find(Graph(n=n, edges=merged)) == \
+            components_by_union_find(Graph(n=n, edges=tuple(combined)))

@@ -157,10 +157,3 @@ def test_pack_unpack_round_trip():
 def test_pack_overflow_rejected():
     with pytest.raises(ValueError):
         pack_fields((4,), (2,))
-
-
-def test_word_validates_payload_fit():
-    from distsim import Word
-    assert Word(width_bits=4, payload=15).payload == 15
-    with pytest.raises(ValueError):
-        Word(width_bits=4, payload=16)

@@ -215,3 +215,22 @@ def test_execute_random_demands_delivery_exact():
         if dm.total_words:
             # replay takes the two schedule rounds plus the absorb round
             assert record.run.rounds_used == sched.num_rounds + 1
+
+
+def test_execute_multi_round_phases_delivery_exact():
+    # 4 words per ordered pair of distinct nodes: every row and column sum is
+    # 20 > n, so each phase takes ceil(20 / 6) = 4 rounds
+    n = 6
+    rows = [[0 if s == d else 4 for d in range(n)] for s in range(n)]
+    sched = plan_routing(DemandMatrix.from_rows(rows))
+    assert sched.phase_a_rounds == sched.phase_b_rounds == 4
+    _assert_schedule_capacity(sched)
+    payloads = {(s, d, q): (7 * s + 3 * d + q) % 256
+                for (s, d, q) in sched.assignment}
+    record = execute_schedule(sched, payloads, value_width=8)
+    assert record.run.clean
+    assert record.run.rounds_used == 9  # 4 + 4 schedule rounds + absorb
+    for d in range(n):
+        assert record.delivered[d] == tuple(sorted(
+            (s, q, payloads[(s, d, q)])
+            for s in range(n) if s != d for q in range(4)))
