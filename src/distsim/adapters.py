@@ -191,9 +191,7 @@ class _CliqueOnSemiMpc(NodeProgram):
             node_state, outbox, halt = self.inner.on_round(node_state, [])
             return (pid, 2, (), node_state), list(outbox), halt
 
-        replayed = [Message(src=m.src, dst=m.dst, payload=m.payload,
-                            round=native_round - 1) for m in inbox]
-        node_state, outbox, halt = self.inner.on_round(node_state, replayed)
+        node_state, outbox, halt = self.inner.on_round(node_state, inbox)
         return (pid, native_round + 1, (), node_state), list(outbox), halt
 
     def output(self, state):
@@ -356,7 +354,7 @@ class _SemiMpcOnClique(Relay):
 
     # -- native-round helpers ------------------------------------------------
 
-    def _reconstruct(self, pid, arrivals, self_msgs, native_round):
+    def _reconstruct(self, pid, arrivals, self_msgs):
         messages = []
         by_src: dict[int, list] = {}
         for src, seq, value, flag in arrivals:
@@ -369,18 +367,13 @@ class _SemiMpcOnClique(Relay):
             payload: list[int] = []
             for seq, value, flag in entries:
                 if flag and payload:
-                    messages.append(Message(src=src, dst=pid,
-                                            payload=tuple(payload),
-                                            round=native_round - 1))
+                    messages.append(Message(src, pid, payload))
                     payload = []
                 payload.append(value)
             if payload:
-                messages.append(Message(src=src, dst=pid,
-                                        payload=tuple(payload),
-                                        round=native_round - 1))
+                messages.append(Message(src, pid, payload))
         for payload in self_msgs:
-            messages.append(Message(src=pid, dst=pid, payload=payload,
-                                    round=native_round - 1))
+            messages.append(Message(pid, pid, payload))
         messages.sort(key=lambda m: m.src)
         return messages
 
@@ -394,10 +387,10 @@ class _SemiMpcOnClique(Relay):
             inbox = []
             if arrivals and arrivals_target == r:
                 inbox = self._reconstruct(pid, arrivals, self_msgs
-                                          if self_target == r else (), r)
+                                          if self_target == r else ())
                 arrivals = ()
             elif self_target == r and self_msgs:
-                inbox = self._reconstruct(pid, (), self_msgs, r)
+                inbox = self._reconstruct(pid, (), self_msgs)
             if self_target == r:
                 self_msgs = ()
             machine_state, outbox, _halt = self.inner.on_round(machine_state, inbox)
@@ -602,8 +595,7 @@ class _CongestOnSemiMpc(NodeProgram):
         new_states = []
         new_internal = []
         for v, nstate in enumerate(node_states):
-            node_inbox = [Message(src=u, dst=v, payload=(value,),
-                                  round=round_no - 1)
+            node_inbox = [Message(u, v, (value,))
                           for u, value in sorted(per_vertex.get(v, ()))]
             nstate, outbox, node_halt = self.inner.on_round(nstate, node_inbox)
             new_states.append(nstate)
@@ -726,15 +718,13 @@ class _CongestOnSemiMpc(NodeProgram):
             }
             if self.inner.immediate_halt:
                 return (pid, 5, (), mine, location, node_states, ()), [], True
-            return self._replay(pid, 5, mine, location, node_states, (), [],
-                                native_round=1)
+            return self._replay(pid, 5, mine, location, node_states, (), [])
 
-        native_round = round_no - 3
         return self._replay(pid, round_no + 1, mine, location, node_states,
-                            internal, inbox, native_round=native_round)
+                            internal, inbox)
 
     def _replay(self, pid, next_round_no, mine, location, node_states,
-                internal, inbox, native_round):
+                internal, inbox):
         per_vertex: dict[int, list[tuple[int, int]]] = {v: [] for v in mine}
         for src_v, dst_v, value in internal:
             per_vertex[dst_v].append((src_v, value))
@@ -755,8 +745,7 @@ class _CongestOnSemiMpc(NodeProgram):
         by_machine: dict[int, list[int]] = {}
         halt = False
         for v in mine:
-            node_inbox = [Message(src=u, dst=v, payload=(value,),
-                                  round=native_round - 1)
+            node_inbox = [Message(u, v, (value,))
                           for u, value in sorted(per_vertex[v])]
             nstate, outbox, node_halt = self.inner.on_round(node_states[v],
                                                             node_inbox)

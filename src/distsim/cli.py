@@ -57,8 +57,55 @@ class UsageError(Exception):
     pass
 
 
+_encode_scalar = json.JSONEncoder().encode
+_encode_compact = json.JSONEncoder(separators=(",", ":")).encode
+_NUMBER_CHARS = str.maketrans("", "", "0123456789-,")
+
+
+def _indented_json(obj, pad: str) -> str:
+    """Exactly the text of json.dumps(obj, indent=2, sort_keys=True), nested
+    at the depth whose line prefix is `pad` (a newline plus spaces).
+
+    With indent set, json.dumps falls back to its pure-Python encoder, which
+    dominates the time of writing a large trace.  This writer keeps the
+    containers json.dumps would indent in Python but hands each ledger table
+    (a list of non-empty int lists, such as the transfers) to the C encoder
+    in one compact call and re-indents that text with str.replace.
+    """
+    inner = pad + "  "
+    kind = type(obj)
+    if kind is dict and all(type(key) is str for key in obj):
+        if not obj:
+            return "{}"
+        items = [f"{_encode_scalar(key)}: {_indented_json(obj[key], inner)}"
+                 for key in sorted(obj)]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        if all(type(x) is int for x in obj):
+            return "[" + inner + ("," + inner).join(map(str, obj)) + pad + "]"
+        first = type(obj[0])
+        if first is list or first is tuple:
+            compact = _encode_compact(obj)
+            # only ints leave nothing but one bracket pair per row once their
+            # digits, signs and commas are deleted; "[]" would be an empty row
+            if ("[]" not in compact and compact.translate(_NUMBER_CHARS)
+                    == "[" + "[]" * len(obj) + "]"):
+                row = inner + "  "
+                body = compact[2:-2].replace("],[", "\0").replace(",", "," + row)
+                body = body.replace("\0", inner + "]," + inner + "[" + row)
+                return "[" + inner + "[" + row + body + inner + "]" + pad + "]"
+        return ("[" + inner + ("," + inner).join(_indented_json(x, inner) for x in obj)
+                + pad + "]")
+    if kind in (str, int, float, bool) or obj is None:
+        return _encode_scalar(obj)
+    # anything else (non-str keys, subclasses) exactly as json.dumps spells it
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", pad)
+
+
 def _dump_json(doc: dict, path: str | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = _indented_json(doc, "\n") + "\n"
     if path:
         Path(path).write_text(text, encoding="utf-8")
     else:

@@ -13,6 +13,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Sequence
 
 
@@ -277,28 +278,42 @@ def components_oracle(g: Graph) -> list[int]:
 # Messages and traces
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Message:
+class Message(tuple):
     """One message between participants; payload length is its word cost.
 
-    Self-messages (src == dst) are allowed and cost nothing: budgets constrain
-    communication, not state a participant keeps for itself.
+    An immutable (src, dst, payload) tuple.  Engines deliver the very object
+    the sender emitted, so it carries no round: an inbox in round r holds
+    exactly the messages sent in round r - 1.  Self-messages (src == dst)
+    are allowed and cost nothing: budgets constrain communication, not state
+    a participant keeps for itself.
     """
 
-    src: int
-    dst: int
-    payload: tuple[int, ...]
-    round: int = 0
+    __slots__ = ()
+
+    def __new__(cls, src: int, dst: int, payload):
+        if type(payload) is not tuple:
+            payload = tuple(payload)
+        self = tuple.__new__(cls, (src, dst, payload))
+        self.__post_init__()
+        return self
 
     def __post_init__(self):
-        if not isinstance(self.payload, tuple):
-            object.__setattr__(self, "payload", tuple(self.payload))
-        if len(self.payload) < 1:
+        if not self[2]:
             raise ValueError("payload must contain at least one word")
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"Message(src={self[0]!r}, dst={self[1]!r}, payload={self[2]!r})"
+
+    src = property(itemgetter(0), doc="Sending participant.")
+    dst = property(itemgetter(1), doc="Receiving participant.")
+    payload = property(itemgetter(2), doc="The words, as a tuple of ints.")
 
     @property
     def words(self) -> int:
-        return len(self.payload)
+        return len(self[2])
 
 
 @dataclass(frozen=True)
@@ -367,9 +382,17 @@ class RoundTrace:
 
     @staticmethod
     def from_per_round_json(num_participants: int, per_round: list[dict]) -> "RoundTrace":
+        """Inverse of to_per_round_json.  Every round must carry one space
+        entry per participant: a missing entry is not read as zero words."""
         rounds = []
-        for rec in per_round:
+        for round_no, rec in enumerate(per_round, start=1):
             transfers = tuple((int(s), int(d), int(w)) for s, d, w in rec["transfers"])
-            space = tuple(int(x) for x in rec.get("space", [0] * num_participants))
+            if "space" not in rec:
+                raise ValueError(f"round {round_no} has no space entry")
+            space = tuple(int(x) for x in rec["space"])
+            if len(space) != num_participants:
+                raise ValueError(
+                    f"round {round_no} lists space for {len(space)} participants,"
+                    f" not {num_participants}")
             rounds.append(RoundRecord(transfers=transfers, space=space))
         return RoundTrace(num_participants=num_participants, rounds=tuple(rounds))

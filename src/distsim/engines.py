@@ -250,11 +250,15 @@ class NodeProgram:
       on_round(state, inbox) -> (state, outbox, halt)
       output(state) -> list of result words
 
-    The inbox is canonically ordered by (sender id, emission order).  Once any
-    participant returns halt=True, the whole run stops after that round; the
-    halting round's messages are recorded and budget-checked but never
-    delivered.  A program whose class sets immediate_halt=True runs zero
-    rounds: outputs come straight from the init states.
+    The outbox must hold Message objects.  Messages are immutable and are
+    delivered as built: the receiver gets the very object the sender emitted.
+    They carry no round field; the inbox of round r holds exactly the
+    messages sent in round r - 1, canonically ordered by (sender id,
+    emission order).  Once any participant returns halt=True, the whole run
+    stops after that round; the halting round's messages are recorded and
+    budget-checked but never delivered.  A program whose class sets
+    immediate_halt=True runs zero rounds: outputs come straight from the
+    init states.
 
     States must be built from ints and containers of ints (tuples, lists,
     dicts with int keys) so the engine can meter their size in words.
@@ -336,8 +340,7 @@ def _round_violations(round_no: int, transfers, space, params: ModelParams,
         pair_load: dict[tuple[int, int], int] = {}
         flagged: set[tuple[int, int]] = set()
         for s, d, w in transfers:
-            if params.kind == ModelKind.CONGEST and graph is not None \
-                    and not graph.has_edge(s, d):
+            if params.kind == ModelKind.CONGEST and not graph.has_edge(s, d):
                 if (s, d) not in flagged:
                     flagged.add((s, d))
                     out.append(Violation(rule="non-edge", round=round_no,
@@ -375,7 +378,11 @@ def check_trace(trace: RoundTrace, params: ModelParams,
                 graph: Graph | None = None) -> list[Violation]:
     """Recompute every budget from the raw transfers, independently of the
     engine.  A clean engine run re-checked here must come back empty; an
-    aborted run re-checked here reproduces the same violations."""
+    aborted run re-checked here reproduces the same violations.  A CONGEST
+    trace needs its graph, without which the non-edge rule cannot be
+    checked."""
+    if params.kind == ModelKind.CONGEST and graph is None:
+        raise ValueError("checking a CONGEST trace needs its graph")
     out = list(params.start_violations())
     for idx, rec in enumerate(trace.rounds):
         out.extend(_round_violations(idx + 1, rec.transfers, rec.space,
@@ -427,24 +434,24 @@ def _execute(prog: NodeProgram, local_inputs: list, params: ModelParams,
             space[i] = max(pre, words_in(state))
             halt = halt or halted
             for msg in outbox:
-                if msg.src != i:
+                if type(msg) is not Message:
                     raise EngineContractError(
-                        f"participant {i} emitted a message claiming src={msg.src}")
-                if not (0 <= msg.dst < p):
+                        f"participant {i} emitted {type(msg).__name__}, not a Message")
+                src, dst, payload = msg
+                if src != i:
                     raise EngineContractError(
-                        f"message to unknown participant {msg.dst}")
-                for value in msg.payload:
+                        f"participant {i} emitted a message claiming src={src}")
+                if not (0 <= dst < p):
+                    raise EngineContractError(
+                        f"message to unknown participant {dst}")
+                for value in payload:
                     if not fits_word(value, width):
                         raise EngineContractError(
                             f"payload word {value} overflows {width}-bit words")
-                delivered = Message(src=i, dst=msg.dst, payload=msg.payload,
-                                    round=round_no)
-                if msg.dst == i:
-                    # self-messages carry state across rounds, cost-free
-                    pending[i].append(delivered)
-                else:
-                    transfers.append((i, msg.dst, delivered.words))
-                    pending[msg.dst].append(delivered)
+                # messages are immutable, so the receiver gets the sender's object
+                pending[dst].append(msg)
+                if dst != i:  # self-messages carry state across rounds, cost-free
+                    transfers.append((i, dst, len(payload)))
 
         records.append(RoundRecord(transfers=tuple(transfers), space=tuple(space)))
         bad = _round_violations(round_no, transfers, space, params, graph)

@@ -393,8 +393,9 @@ def execute_schedule(sched: Schedule, payloads: dict[tuple[int, int, int], int],
     delivered = [tuple(zip(words[0::3], words[1::3], words[2::3]))
                  for words in run.outputs]
 
+    arrived = [set(triples) for triples in delivered]
     for (s, d, q), value in payloads.items():
-        if (s, q, value) not in delivered[d]:
+        if (s, q, value) not in arrived[d]:
             raise RuntimeError(
                 f"word ({s}->{d}, seq {q}) was not delivered intact")
     total = sum(len(t) for t in delivered)

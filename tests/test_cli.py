@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from distsim.cli import main
+from distsim.cli import _dump_json, main
 
 from conftest import random_connected_graph
 
@@ -195,3 +199,85 @@ def test_verify_truncated_file(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"model": "CLIQUE", "par')
     assert run_cli("verify", "--trace", str(bad)) == 2
+
+
+def test_verify_rejects_trace_without_space(graph_file, tmp_path, capsys):
+    out = tmp_path / "run.json"
+    run_cli("run", "--model", "clique", "--algorithm", "boruvka",
+            "--graph", graph_file, "--out", str(out))
+    doc = json.loads(out.read_text())
+    for change in ("drop", "shorten"):
+        rec = dict(doc["per_round"][0])
+        if change == "drop":
+            del rec["space"]
+        else:
+            rec["space"] = rec["space"][:-1]
+        broken = dict(doc, per_round=[rec] + doc["per_round"][1:])
+        path = tmp_path / f"{change}.json"
+        path.write_text(json.dumps(broken))
+        assert run_cli("verify", "--trace", str(path)) == 2, change
+        assert "malformed trace file" in capsys.readouterr().err
+
+
+# -- the JSON writer ----------------------------------------------------------------
+
+def _canonical(text: str) -> str:
+    return json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("run", "--model", "clique", "--algorithm", "boruvka"),
+    ("run", "--model", "congest", "--algorithm", "flood"),
+    ("run", "--model", "semimpc", "--algorithm", "forest-merge", "--machines", "3"),
+    ("simulate", "--from", "clique", "--to", "semimpc", "--algorithm", "boruvka"),
+    ("simulate", "--from", "congest", "--to", "semimpc", "--algorithm", "flood"),
+    ("simulate", "--from", "semimpc", "--to", "clique", "--algorithm",
+     "forest-merge", "--machines", "3"),
+])
+def test_written_files_are_indented_sorted_json(argv, graph_file, tmp_path):
+    out = tmp_path / "out.json"
+    assert run_cli(*argv, "--graph", graph_file, "--out", str(out)) == 0
+    text = out.read_text(encoding="utf-8")
+    assert text == _canonical(text)
+
+
+def test_written_route_file_is_indented_sorted_json(tmp_path):
+    demand = tmp_path / "demand.json"
+    demand.write_text("[[0, 2, 1], [1, 0, 0], [0, 1, 0]]")
+    out = tmp_path / "route.json"
+    assert run_cli("route", "--demand", str(demand), "--out", str(out)) == 0
+    text = out.read_text(encoding="utf-8")
+    assert text == _canonical(text)
+
+
+_scalars = st.one_of(
+    st.none(), st.booleans(),
+    st.integers(), st.sampled_from([-1, 2 ** 64, -(2 ** 70), 2 ** 200]),
+    st.floats(), st.sampled_from([-0.0, 1e300, 0.1, -1e-300]),
+    st.text(), st.sampled_from(['"', "\\", "\n\t\x00", "é", "雪", "\U0001f600"]),
+)
+_int_rows = st.lists(st.lists(st.integers(), max_size=4), max_size=5)
+
+
+def _containers(children):
+    return st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.lists(st.lists(children, max_size=3), max_size=4),
+        st.dictionaries(st.text(max_size=4), children, max_size=5),
+        st.dictionaries(st.integers(), children, max_size=3),
+    )
+
+
+_documents = st.recursive(st.one_of(_scalars, _int_rows,
+                                    _int_rows.map(lambda rows: [tuple(r) for r in rows])),
+                          _containers, max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_documents)
+def test_dump_json_matches_json_dumps(doc):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        _dump_json(doc, None)
+    assert buf.getvalue() == json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -1,6 +1,13 @@
 import pytest
 
-from distsim import Graph, GraphFormatError, components_oracle, gen_graph, load_graph
+from distsim import (
+    Graph,
+    GraphFormatError,
+    RoundTrace,
+    components_oracle,
+    gen_graph,
+    load_graph,
+)
 from distsim.core import (
     components_by_bfs,
     components_by_union_find,
@@ -157,3 +164,15 @@ def test_pack_unpack_round_trip():
 def test_pack_overflow_rejected():
     with pytest.raises(ValueError):
         pack_fields((4,), (2,))
+
+
+# -- traces read back from JSON -------------------------------------------------
+
+def test_per_round_json_rejects_missing_or_short_space():
+    with pytest.raises(ValueError, match="round 1 has no space entry"):
+        RoundTrace.from_per_round_json(2, [{"transfers": [[0, 1, 1]]}])
+    for space in ([], [1], [1, 2, 3]):
+        rounds = [{"transfers": [], "space": [0, 0]},
+                  {"transfers": [], "space": space}]
+        with pytest.raises(ValueError, match="round 2 lists space"):
+            RoundTrace.from_per_round_json(2, rounds)

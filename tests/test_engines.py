@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from distsim import (
@@ -279,6 +281,76 @@ def test_self_messages_are_free_and_delivered():
     assert all(not rec.transfers for rec in res.trace.rounds)
 
 
+def test_receiver_gets_the_senders_message_object():
+    class KeepsInbox(NodeProgram):
+        """Node 0 sends to node 1 in round 1; node 1 keeps its round-2 inbox."""
+
+        def __init__(self):
+            self.sent, self.received = [], []
+
+        def init(self, pid, local_input):
+            return pid
+
+        def on_round(self, state, inbox):
+            self.received.extend(inbox)
+            if state == 0 and not self.sent:
+                self.sent.append(Message(src=0, dst=1, payload=(3,)))
+                return state, list(self.sent), False
+            return state, [], bool(self.received)
+
+        def output(self, state):
+            return []
+
+    prog = KeepsInbox()
+    res = run_clique(prog, gen_graph("complete", 2))
+    assert res.clean and res.rounds_used == 2
+    assert len(prog.received) == 1 and prog.received[0] is prog.sent[0]
+
+
+def test_outbox_must_hold_messages():
+    class Impostor(NodeProgram):
+        def init(self, pid, local_input):
+            return pid
+
+        def on_round(self, state, inbox):
+            return state, [(state, 1 - state, (1,))], True
+
+        def output(self, state):
+            return []
+
+    with pytest.raises(EngineContractError, match="not a Message"):
+        run_clique(Impostor(), gen_graph("complete", 2))
+
+
+def test_message_rejects_empty_payload():
+    for empty in ((), []):
+        with pytest.raises(ValueError, match="at least one word"):
+            Message(src=0, dst=1, payload=empty)
+
+
+def test_message_list_payload_becomes_tuple():
+    msg = Message(src=0, dst=1, payload=[5, 6])
+    assert msg.payload == (5, 6) and type(msg.payload) is tuple
+    assert (msg.src, msg.dst, msg.words) == (0, 1, 2)
+
+
+def test_message_is_immutable():
+    msg = Message(src=0, dst=1, payload=(5,))
+    for attr in ("src", "dst", "payload", "round"):
+        with pytest.raises(AttributeError):
+            setattr(msg, attr, 2)
+    assert not hasattr(msg, "round")
+
+
+def test_equal_messages_compare_and_hash_equal():
+    a = Message(src=2, dst=0, payload=(7, 8))
+    b = Message(2, 0, [7, 8])
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != Message(src=2, dst=0, payload=(8, 7))
+    assert pickle.loads(pickle.dumps(a)) == a
+    assert repr(a) == "Message(src=2, dst=0, payload=(7, 8))"
+
+
 def test_immediate_halt_runs_zero_rounds():
     class Echo(NodeProgram):
         immediate_halt = True
@@ -341,6 +413,14 @@ def test_check_trace_flags_doctored_round():
                             space=rec.space),))
     bad = check_trace(doctored, res.params, g)
     assert bad and bad[0].rule == "pair-capacity" and bad[0].round == 1
+
+
+def test_check_trace_congest_requires_graph():
+    g = gen_graph("path", 4)
+    res = run_congest(FixedRoundFlood(2), g)
+    assert check_trace(res.trace, res.params, g) == []
+    with pytest.raises(ValueError, match="needs its graph"):
+        check_trace(res.trace, res.params)
 
 
 def test_check_trace_space_boundary():
