@@ -868,14 +868,14 @@ def simulate_congest_on_semimpc(prog: NodeProgram, g: Graph,
 
     assignment = compute_node_assignment(g.degrees, machines)
     dmax = max(g.degrees, default=0)
-    machines_allowed = min(max(1, -(-2 * t_budget * g.m // n)), n)
+    machines_allowed = min(max(1, -(-c_machines * t_budget * g.m // n)), n)
     outputs_ok = (sim_node_outputs is not None
                   and native.outputs is not None
                   and sim_node_outputs == {v: native.outputs[v] for v in range(n)})
     sim_peaks = sim.trace.space_high_water()
     bound_checks = {
         "rounds_ok": sim.rounds_used <= max(t_native, 1) + 3,
-        "machines_ok": machines <= machines_allowed,
+        "machines_ok": sim.params.p <= machines_allowed,
         "load_ok": load_bound_ok(assignment, g.degrees, c_load),
         "traffic_ok": sim.clean,
         "space_ok": sim.clean and max(sim_peaks, default=0) <= c_space * n,

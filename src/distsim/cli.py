@@ -25,8 +25,9 @@ from .algorithms import (
     congest_flood_components,
     semimpc_forest_merge_connectivity,
 )
-from .core import Graph, GraphFormatError, RoundTrace, gen_graph, load_graph
+from .core import Graph, RoundTrace, gen_graph, load_graph
 from .engines import (
+    EngineContractError,
     ModelKind,
     ModelParams,
     check_trace,
@@ -402,13 +403,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except GraphFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (UsageError, ValueError, OSError, EngineContractError) as exc:
+        # ValueError covers GraphFormatError and json.JSONDecodeError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SimulationRefused as exc:

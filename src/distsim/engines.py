@@ -261,7 +261,11 @@ class NodeProgram:
     init states.
 
     States must be built from ints and containers of ints (tuples, lists,
-    dicts with int keys) so the engine can meter their size in words.
+    dicts with int keys) so the engine can meter their size in words.  The
+    engine meters each state once, when init or on_round returns it, and
+    charges that size both after the round that returned it and before the
+    next one; a program must therefore not change a state after returning
+    it.
     """
 
     immediate_halt = False
@@ -411,6 +415,9 @@ def _execute(prog: NodeProgram, local_inputs: list, params: ModelParams,
         return RunResult(params=params, rounds_used=0, outputs=outputs,
                          trace=RoundTrace(p, ()), violations=[], graph=graph)
 
+    # each state is metered once, when init or on_round returns it: the
+    # state held after round r - 1 is the state held before round r
+    held = [words_in(s) for s in states]
     cap = params.effective_round_cap()
     pending: list[list[Message]] = [[] for _ in range(p)]
     records: list[RoundRecord] = []
@@ -428,10 +435,11 @@ def _execute(prog: NodeProgram, local_inputs: list, params: ModelParams,
 
         for i in range(p):
             inbox = inboxes[i]
-            pre = words_in(states[i]) + sum(m.words for m in inbox)
+            pre = held[i] + sum(m.words for m in inbox)
             state, outbox, halted = prog.on_round(states[i], inbox)
             states[i] = state
-            space[i] = max(pre, words_in(state))
+            held[i] = words_in(state)
+            space[i] = max(pre, held[i])
             halt = halt or halted
             for msg in outbox:
                 if type(msg) is not Message:

@@ -36,7 +36,7 @@ class DemandMatrix:
     def __post_init__(self):
         if len(self.counts) != self.n or any(len(row) != self.n for row in self.counts):
             raise ValueError("demand matrix must be n x n")
-        if any(c < 0 for row in self.counts for c in row):
+        if self.counts and min(map(min, self.counts)) < 0:
             raise ValueError("demand counts must be non-negative")
 
     @staticmethod
@@ -49,8 +49,7 @@ class DemandMatrix:
 
     @cached_property
     def col_sums(self) -> tuple[int, ...]:
-        return tuple(sum(self.counts[s][d] for s in range(self.n))
-                     for d in range(self.n))
+        return tuple(map(sum, zip(*self.counts)))
 
     @property
     def total_words(self) -> int:
@@ -65,9 +64,10 @@ class DemandMatrix:
     def words(self) -> list[tuple[int, int, int]]:
         """Every demanded word as (src, dst, seq), in canonical order."""
         out = []
-        for s in range(self.n):
-            for d in range(self.n):
-                out.extend((s, d, q) for q in range(self.counts[s][d]))
+        for s, row in enumerate(self.counts):
+            for d, count in enumerate(row):
+                if count:
+                    out.extend((s, d, q) for q in range(count))
         return out
 
 

@@ -2,7 +2,30 @@ import random
 
 import pytest
 
-from distsim import Graph
+from distsim import Graph, Message, NodeProgram
+
+
+class FixedRoundFlood(NodeProgram):
+    """Min-id flooding that halts after a preset number of rounds."""
+
+    def __init__(self, rounds):
+        self.rounds = rounds
+
+    def init(self, pid, local_input):
+        nbrs = tuple(sorted(u if u != pid else v for u, v in local_input))
+        return (pid, 1, pid, nbrs)
+
+    def on_round(self, state, inbox):
+        pid, r, best, nbrs = state
+        for m in inbox:
+            best = min(best, m.payload[0])
+        halt = r >= self.rounds
+        outbox = [] if halt else [Message(src=pid, dst=u, payload=(best,))
+                                  for u in nbrs]
+        return (pid, r + 1, best, nbrs), outbox, halt
+
+    def output(self, state):
+        return [state[2]]
 
 
 def random_connected_graph(n: int, extra: int, seed: int) -> Graph:

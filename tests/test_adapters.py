@@ -21,7 +21,7 @@ from distsim import (
 )
 from distsim.adapters import load_bound_ok
 
-from conftest import random_connected_graph, random_graph
+from conftest import FixedRoundFlood, random_connected_graph, random_graph
 
 
 # -- node assignment ------------------------------------------------------------
@@ -411,6 +411,20 @@ def test_congest_sim_outputs_identical_per_node():
         assert rep.all_ok, rep.bound_checks
         native = run_congest(TwoRoundGossip(), g)
         assert rep.native.outputs == native.outputs
+
+
+@pytest.mark.parametrize("c_machines, machines", [(2, 8), (3, 12)])
+def test_congest_sim_machines_ok_honours_c_machines(c_machines, machines):
+    # T = 4 rounds on n = 128: ceil(c * 4 * 127 / 128) = 4c machines, far
+    # below the cap n, so the O(Tm/n) machine bound is what is checked
+    g = gen_graph("path", 128)
+    rep = simulate_congest_on_semimpc(FixedRoundFlood(4), g,
+                                      c_machines=c_machines)
+    assert rep.native.rounds_used == 4
+    assert rep.simulated.params.p == rep.measured_constants["machines"] == machines
+    assert rep.simulated.clean
+    assert rep.bound_checks["machines_ok"]
+    assert rep.all_ok, rep.bound_checks
 
 
 def test_congest_sim_assignment_in_report():

@@ -96,6 +96,20 @@ def test_run_malformed_graph(tmp_path, capsys):
     assert "out of range" in capsys.readouterr().err
 
 
+def test_run_engine_contract_error_exits_2(graph_file, tmp_path, capsys):
+    # 20 vertices: Boruvka sends vertex ids up to 19, which overflow 3 bits
+    out = tmp_path / "run.json"
+    code = run_cli("run", "--model", "clique", "--algorithm", "boruvka",
+                   "--graph", graph_file, "--constants", "word_width=3",
+                   "--out", str(out))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: payload word ")
+    assert err.rstrip().endswith("overflows 3-bit words")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 # -- simulate ---------------------------------------------------------------------
 
 def test_simulate_cc_to_semimpc(graph_file, tmp_path):

@@ -18,7 +18,7 @@ from distsim import (
     words_in,
 )
 
-from conftest import random_graph
+from conftest import FixedRoundFlood, random_graph
 
 
 class SendIdToZero(NodeProgram):
@@ -51,29 +51,6 @@ class Blaster(NodeProgram):
 
     def output(self, state):
         return []
-
-
-class FixedRoundFlood(NodeProgram):
-    """Min-id flooding that halts after a preset number of rounds."""
-
-    def __init__(self, rounds):
-        self.rounds = rounds
-
-    def init(self, pid, local_input):
-        nbrs = tuple(sorted(u if u != pid else v for u, v in local_input))
-        return (pid, 1, pid, nbrs)
-
-    def on_round(self, state, inbox):
-        pid, r, best, nbrs = state
-        for m in inbox:
-            best = min(best, m.payload[0])
-        halt = r >= self.rounds
-        outbox = [] if halt else [Message(src=pid, dst=u, payload=(best,))
-                                  for u in nbrs]
-        return (pid, r + 1, best, nbrs), outbox, halt
-
-    def output(self, state):
-        return [state[2]]
 
 
 class OffGraphSender(NodeProgram):
@@ -431,6 +408,82 @@ def test_check_trace_space_boundary():
     assert check_trace(at_budget, params) == []
     bad = check_trace(over, params)
     assert bad and bad[0].rule == "space-budget"
+
+
+# -- state metering -------------------------------------------------------------
+
+class GrowShrink(NodeProgram):
+    """Machine states whose size rises and falls from round to round, with
+    inboxes of varying size.  Logs every transition for the tests to
+    recompute the space ledger from."""
+
+    def __init__(self, p, rounds):
+        self.p = p
+        self.rounds = rounds
+        self.log = []  # (round, pid, state before, inbox, state after)
+
+    def init(self, pid, local_input):
+        return (pid, 1, ())
+
+    def on_round(self, state, inbox):
+        pid, r, _junk = state
+        size = (3 * pid + 5 * r) % 7
+        junk = {0: tuple(range(size))} if r % 2 else tuple(range(size))
+        new = (pid, r + 1, junk)
+        out = [Message(src=pid, dst=(pid + 1) % self.p,
+                       payload=(pid,) * ((pid + r) % 4 + 1))]
+        self.log.append((r, pid, state, inbox, new))
+        return new, out, r >= self.rounds
+
+    def output(self, state):
+        return []
+
+
+def _grow_shrink_run(p=3, rounds=6):
+    prog = GrowShrink(p, rounds)
+    res = run_mpc(prog, [[]] * p, ModelParams.mpc(p=p, s=64, ell=0))
+    assert res.clean and res.rounds_used == rounds
+    return prog, res
+
+
+def test_space_is_max_of_before_plus_inbox_and_after():
+    prog, res = _grow_shrink_run()
+    before_wins = after_wins = 0
+    for r, pid, before, inbox, after in prog.log:
+        pre = words_in(before) + sum(len(m.payload) for m in inbox)
+        post = words_in(after)
+        assert res.trace.rounds[r - 1].space[pid] == max(pre, post)
+        before_wins += pre > post
+        after_wins += post > pre
+    # both sides of the max decide some round
+    assert before_wins and after_wins
+
+
+def test_each_state_is_metered_once(monkeypatch):
+    import distsim.engines as engines
+
+    real = engines.words_in
+    calls = depth = 0
+
+    def counting(obj):
+        # words_in recurses through the module global: count top-level calls
+        nonlocal calls, depth
+        calls += depth == 0
+        depth += 1
+        try:
+            return real(obj)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(engines, "words_in", counting)
+    p, rounds = 3, 6
+    _prog, res = _grow_shrink_run(p, rounds)
+    assert calls == p * (rounds + 1)
+
+    calls = 0
+    res = run_congest(FixedRoundFlood(4), gen_graph("path", 5))
+    assert res.rounds_used == 4
+    assert calls == 5 * (4 + 1)
 
 
 # -- words_in -----------------------------------------------------------------

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from distsim import (
     DemandMatrix,
@@ -72,6 +74,68 @@ def test_color_deterministic():
     a = edge_color_bipartite(4, 4, edges, max_colors=8)
     b = edge_color_bipartite(4, 4, edges, max_colors=8)
     assert a == b
+
+
+# -- demand matrix --------------------------------------------------------------
+
+def dense_words(n, counts):
+    """Reference: DemandMatrix.words as a scan of all n^2 cells."""
+    out = []
+    for s in range(n):
+        for d in range(n):
+            out.extend((s, d, q) for q in range(counts[s][d]))
+    return out
+
+
+def dense_col_sums(n, counts):
+    """Reference: column sums by indexing every cell."""
+    return tuple(sum(counts[s][d] for s in range(n)) for d in range(n))
+
+
+_sparse_rows = st.integers(0, 6).flatmap(lambda n: st.lists(
+    st.lists(st.sampled_from((0, 0, 0, 0, 0, 1, 2, 3)), min_size=n, max_size=n),
+    min_size=n, max_size=n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sparse_rows)
+@example([])
+@example([[0]])
+@example([[2]])
+@example([[0] * 5 for _ in range(5)])
+def test_demand_matrix_matches_dense_scan(rows):
+    n = len(rows)
+    dm = DemandMatrix.from_rows(rows)
+    assert dm.words() == dense_words(n, rows)
+    assert dm.row_sums == tuple(sum(row) for row in rows)
+    assert dm.col_sums == dense_col_sums(n, rows)
+    assert dm.total_words == sum(map(sum, rows))
+
+
+@pytest.mark.parametrize("rows", [
+    [[0, 1], [0]],
+    [[0, 1, 2]],
+    [[0], [0]],
+    [[0, 0]],
+])
+def test_demand_matrix_rejects_non_square(rows):
+    with pytest.raises(ValueError, match="^demand matrix must be n x n$"):
+        DemandMatrix.from_rows(rows)
+    with pytest.raises(ValueError, match="^demand matrix must be n x n$"):
+        DemandMatrix(n=2, counts=tuple(tuple(r) for r in rows))
+
+
+@pytest.mark.parametrize("rows", [[[-1]], [[0, 0], [0, -3]], [[5, -1], [0, 0]]])
+def test_demand_matrix_rejects_negative_counts(rows):
+    with pytest.raises(ValueError, match="^demand counts must be non-negative$"):
+        DemandMatrix.from_rows(rows)
+
+
+def test_empty_demand_matrix_constructs():
+    dm = DemandMatrix(n=0, counts=())
+    assert dm.words() == []
+    assert dm.row_sums == dm.col_sums == ()
+    assert dm.max_degree == 0
 
 
 # -- plan_routing -------------------------------------------------------------
