@@ -274,27 +274,25 @@ def simulate_cc_on_semimpc(prog: NodeProgram, g: Graph,
 # ---------------------------------------------------------------------------
 
 class _RecordingProgram(NodeProgram):
-    """Delegates to a program while logging every outbox, so an adapter can
-    plan message delivery from a dry run.  Relies on the engine calling
-    on_round participant-by-participant in id order within each round."""
+    """Delegates to a program and keeps, per sender, the messages to other
+    machines of every round in which it sent any, in emission order.  The
+    native ledger says which rounds those were."""
 
-    def __init__(self, inner: NodeProgram, p: int):
+    def __init__(self, inner: NodeProgram):
         self.inner = inner
-        self.p = p
         self.immediate_halt = inner.immediate_halt
-        self.calls = 0
-        self.log: list[list[list[Message]]] = []
+        self.sent: dict[int, list[tuple[Message, ...]]] = {}
 
     def init(self, pid, local_input):
         return self.inner.init(pid, local_input)
 
     def on_round(self, state, inbox):
-        pid = self.calls % self.p
-        if pid == 0:
-            self.log.append([[] for _ in range(self.p)])
-        self.calls += 1
         state, outbox, halt = self.inner.on_round(state, inbox)
-        self.log[-1][pid] = list(outbox)
+        outbox = tuple(outbox)
+        # an entry that is not a Message is left for the engine to refuse
+        cross = tuple(m for m in outbox if type(m) is Message and m.dst != m.src)
+        if cross:
+            self.sent.setdefault(cross[0].src, []).append(cross)
         return state, outbox, halt
 
     def output(self, state):
@@ -305,28 +303,29 @@ class _SemiMpcOnClique(Relay):
     """Clique node i < p hosts machine i; nodes p..n-1 only relay.
 
     Every semi-MPC round with cross-machine traffic becomes one routing
-    episode.  At an episode's first engine round the hosted machine catches
-    up through the native rounds up to and including the episode's round
-    (intervening rounds sent nothing between machines) and queues its words
-    for the episode's scheduled phase-A slots.  Each relayed word carries
-    (value, starts-message flag) so receivers can reassemble the original
-    multi-word messages in canonical order.  Native rounds after the last
-    episode are message-free and are drained when outputs are read.
+    episode, planned from that round of the native ledger.  At an episode's
+    first engine round the hosted machine catches up through the native
+    rounds up to and including the episode's round and queues its words for
+    the episode's scheduled phase-A slots.  In every native round the live
+    machine must resend exactly the native run's cross-machine messages
+    (same destinations and payloads, in emission order).  Each relayed word
+    carries (value, starts-message flag) so receivers can reassemble the
+    original multi-word messages in canonical order.  Native rounds after
+    the last episode are message-free and are drained when outputs are read.
     """
 
-    def __init__(self, inner: NodeProgram, p: int, native_rounds: int,
-                 episodes: list[tuple[int, int, Schedule, dict]],
+    def __init__(self, inner: NodeProgram, p: int,
+                 episodes: list[tuple[int, int, Schedule]],
+                 sent: list[dict[int, tuple[Message, ...]]],
                  widths: tuple[int, int, int, int], machine_inputs: list):
-        # episode = (native round, base engine round, schedule, streams),
-        # streams = the dry run's (src, dst) -> tuple of (value, starts_message)
-        super().__init__([(base, sched) for _r, base, sched, _s in episodes],
-                         widths)
+        # episode = (native round, base engine round, schedule); sent[r - 1]
+        # maps each machine to its native cross-machine messages of round r
+        super().__init__([(base, sched) for _r, base, sched in episodes], widths)
         self.inner = inner
         self.p = p
-        self.native_rounds = native_rounds
-        self.native_round_of = [r for r, _b, _s, _st in episodes]
-        self.streams = [streams for _r, _b, _s, streams in episodes]
-        self.by_base = {base: idx for idx, (_r, base, _s, _st) in enumerate(episodes)}
+        self.sent = sent
+        self.native_round_of = [r for r, _b, _s in episodes]
+        self.by_base = {base: idx for idx, (_r, base, _s) in enumerate(episodes)}
         self.machine_inputs = [tuple(words) for words in machine_inputs]
 
     def _host_init(self, pid, local_input):
@@ -382,7 +381,7 @@ class _SemiMpcOnClique(Relay):
         the phase-A entries of the episode (if any) that ends the run."""
         (machine_state, next_native, arrivals_target, arrivals,
          self_target, self_msgs) = host
-        outgoing = []
+        cross = ()
         for r in range(next_native, until + 1):
             inbox = []
             if arrivals and arrivals_target == r:
@@ -394,37 +393,25 @@ class _SemiMpcOnClique(Relay):
             if self_target == r:
                 self_msgs = ()
             machine_state, outbox, _halt = self.inner.on_round(machine_state, inbox)
-            new_self = []
+            outbox = tuple(outbox)
+            cross = tuple(m for m in outbox if m.dst != pid)
+            if cross != self.sent[r - 1].get(pid, ()):
+                raise RuntimeError(
+                    f"machine {pid} diverged from its native run in round {r}")
+            new_self = tuple(m.payload for m in outbox if m.dst == pid)
+            if new_self:
+                self_msgs, self_target = new_self, r + 1
+        outgoing = []
+        if episode is not None:
+            base, schedule = self.episodes[episode]
             seq_per_dst: dict[int, int] = {}
-            for m in outbox:
-                if m.dst == pid:
-                    new_self.append(tuple(m.payload))
-                    continue
-                if episode is None or r != until:
-                    raise RuntimeError(
-                        "dry run and live run disagree about message rounds")
-                base, schedule = self.episodes[episode]
+            for m in cross:
                 for j, value in enumerate(m.payload):
                     seq = seq_per_dst.get(m.dst, 0)
                     seq_per_dst[m.dst] = seq + 1
                     mid, ra, _rb = schedule.assignment[(pid, m.dst, seq)]
                     outgoing.append((base + ra - 1, mid, m.dst, seq,
                                      value, 1 if j == 0 else 0))
-            if new_self:
-                self_msgs, self_target = tuple(new_self), r + 1
-        # cross-check the live words against the dry run for this episode
-        if episode is not None:
-            live = {}
-            for _ra, _mid, dst, seq, value, flag in outgoing:
-                live.setdefault((pid, dst), []).append((seq, value, flag))
-            streams = self.streams[episode]
-            for (src, dst), entries in live.items():
-                got = tuple((v, f) for _q, v, f in sorted(entries))
-                if streams.get((src, dst)) != got:
-                    raise RuntimeError("dry run and live run diverged")
-            for (src, dst) in streams:
-                if src == pid and (src, dst) not in live:
-                    raise RuntimeError("dry run and live run diverged")
         host = (machine_state, until + 1, arrivals_target, arrivals,
                 self_target, self_msgs)
         return host, tuple(outgoing)
@@ -433,8 +420,8 @@ class _SemiMpcOnClique(Relay):
         pid, host = state[0], state[3:]
         if pid >= self.p:
             return []
-        if host[1] <= self.native_rounds:
-            host, _ = self._advance(pid, host, self.native_rounds, None)
+        if host[1] <= len(self.sent):
+            host, _ = self._advance(pid, host, len(self.sent), None)
         return self.inner.output(host[0])
 
 
@@ -443,13 +430,13 @@ def simulate_semimpc_on_cc(prog: NodeProgram, inputs: list[list[int]],
                            surcharge: int = 2) -> SimulationReport:
     """Simulate a semi-MPC algorithm on the n-node congested clique.
 
-    Machines map to clique nodes 0..p-1.  Each semi-MPC round's messages form
-    a demand matrix (every machine sends and receives at most s = O(n) words
-    in a clean run, so the routing precondition holds) that is planned and
-    replayed as a routing episode.  The clique run must stay within
-    (2 + surcharge) * T rounds; the surcharge covers the bookkeeping a
-    distributed schedule computation would add on top of the two delivery
-    phases per round.
+    Machines map to clique nodes 0..p-1.  Each semi-MPC round's transfers,
+    as the native ledger records them, form a demand matrix (every machine
+    sends and receives at most s = O(n) words in a clean run, so the routing
+    precondition holds) that is planned and replayed as a routing episode.
+    The clique run must stay within (2 + surcharge) * T rounds; the
+    surcharge covers the bookkeeping a distributed schedule computation
+    would add on top of the two delivery phases per round.
     """
     if params.kind != ModelKind.SEMI_MPC:
         raise SimulationRefused("source program must run under SEMI_MPC params")
@@ -458,38 +445,34 @@ def simulate_semimpc_on_cc(prog: NodeProgram, inputs: list[list[int]],
     if p > n:
         raise SimulationRefused("need p <= n to map machines onto clique nodes")
 
-    recorder = _RecordingProgram(prog, p)
+    recorder = _RecordingProgram(prog)
     native = _run_native(run_mpc, "semi-MPC", recorder, inputs, params)
     t_native = native.rounds_used
 
-    episodes: list[tuple[int, int, Schedule, dict]] = []
+    # the ledger names each round's senders; each takes its next recording
+    recorded = {src: iter(rounds) for src, rounds in recorder.sent.items()}
+    sent: list[dict[int, tuple[Message, ...]]] = []
+    episodes: list[tuple[int, int, Schedule]] = []
     base = 1
     max_seq = 0
-    for r in range(1, t_native + 1):
-        streams: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for src in range(p):
-            for m in recorder.log[r - 1][src]:
-                if m.dst == src:
-                    continue
-                stream = streams.setdefault((src, m.dst), [])
-                stream.extend((w, 1 if j == 0 else 0)
-                              for j, w in enumerate(m.payload))
-        if not streams:
+    for r, rec in enumerate(native.trace.rounds, 1):
+        senders = dict.fromkeys(src for src, _dst, _w in rec.transfers)
+        sent.append({src: next(recorded[src]) for src in senders})
+        if not senders:
             continue
         counts = [[0] * n for _ in range(n)]
-        for (src, dst), words in streams.items():
-            counts[src][dst] = len(words)
-            max_seq = max(max_seq, len(words) - 1)
-        dm = DemandMatrix.from_rows(counts)
-        schedule = plan_routing(dm, c_traffic=params.c_traffic)
-        episodes.append((r, base, schedule,
-                         {k: tuple(v) for k, v in streams.items()}))
+        for src, dst, words in rec.transfers:
+            counts[src][dst] += words
+        max_seq = max(max_seq, *(counts[s][d] - 1 for s, d, _w in rec.transfers))
+        schedule = plan_routing(DemandMatrix.from_rows(counts),
+                                c_traffic=params.c_traffic)
+        episodes.append((r, base, schedule))
         base += schedule.num_rounds
 
     w_id = max(1, (n - 1).bit_length())
     w_seq = max(1, max_seq.bit_length())
     widths = (w_id, w_seq, params.word_width_bits, 1)
-    wrapper = _SemiMpcOnClique(prog, p, t_native, episodes, widths, inputs)
+    wrapper = _SemiMpcOnClique(prog, p, episodes, sent, widths, inputs)
     clique_params = ModelParams.clique(
         n, word_width_bits=sum(widths),
         c_space=params.c_space, c_traffic=params.c_traffic,
@@ -522,7 +505,7 @@ def simulate_semimpc_on_cc(prog: NodeProgram, inputs: list[list[int]],
         native=native, simulated=sim,
         bound_checks=bound_checks, measured_constants=measured,
         extra={"episode_rounds": [[r, sched.num_rounds]
-                                  for r, _b, sched, _s in episodes]},
+                                  for r, _b, sched in episodes]},
     )
 
 
@@ -577,8 +560,8 @@ class _CongestOnSemiMpc(NodeProgram):
 
     def init(self, pid, input_words):
         if self.edgeless:
-            # replay-only state: (round no, per-vertex node states, internal)
-            return (1, tuple(self.inner.init(v, ()) for v in range(self.n)), ())
+            # replay-only state: (per-vertex node states, internal messages)
+            return (tuple(self.inner.init(v, ()) for v in range(self.n)), ())
         words = list(input_words)
         stored = tuple((words[i], words[i + 1]) for i in range(0, len(words), 2))
         # state: (pid, engine round, stored edges, my vertices,
@@ -587,7 +570,7 @@ class _CongestOnSemiMpc(NodeProgram):
         return (pid, 1, stored, (), {}, {}, ())
 
     def _on_round_edgeless(self, state, inbox):
-        round_no, node_states, internal = state
+        node_states, internal = state
         per_vertex: dict[int, list[tuple[int, int]]] = {}
         for src_v, dst_v, value in internal:
             per_vertex.setdefault(dst_v, []).append((src_v, value))
@@ -602,7 +585,7 @@ class _CongestOnSemiMpc(NodeProgram):
             halt = halt or node_halt
             # a single machine hosts every vertex, so all traffic is internal
             new_internal.extend((v, m.dst, m.payload[0]) for m in outbox)
-        return (round_no + 1, tuple(new_states), tuple(new_internal)), [], halt
+        return (tuple(new_states), tuple(new_internal)), [], halt
 
     def on_round(self, state, inbox):
         if self.edgeless:
@@ -770,7 +753,7 @@ class _CongestOnSemiMpc(NodeProgram):
 
     def output(self, state):
         if self.edgeless:
-            _round_no, node_states, _internal = state
+            node_states, _internal = state
             items = list(enumerate(node_states))
         else:
             (_pid, _round_no, _stored, mine, _location, node_states,
@@ -868,14 +851,13 @@ def simulate_congest_on_semimpc(prog: NodeProgram, g: Graph,
 
     assignment = compute_node_assignment(g.degrees, machines)
     dmax = max(g.degrees, default=0)
-    machines_allowed = min(max(1, -(-c_machines * t_budget * g.m // n)), n)
     outputs_ok = (sim_node_outputs is not None
                   and native.outputs is not None
                   and sim_node_outputs == {v: native.outputs[v] for v in range(n)})
     sim_peaks = sim.trace.space_high_water()
     bound_checks = {
         "rounds_ok": sim.rounds_used <= max(t_native, 1) + 3,
-        "machines_ok": sim.params.p <= machines_allowed,
+        "machines_ok": sim.params.p <= machines,
         "load_ok": load_bound_ok(assignment, g.degrees, c_load),
         "traffic_ok": sim.clean,
         "space_ok": sim.clean and max(sim_peaks, default=0) <= c_space * n,

@@ -99,11 +99,6 @@ class BoruvkaConnectivity(NodeProgram):
         return [state[2]]
 
     @staticmethod
-    def phases(rounds_used: int) -> int:
-        """Completed B/C phases in a run of the given length."""
-        return (rounds_used - 1) // 2
-
-    @staticmethod
     def merge_phases(rounds_used: int) -> int:
         """Phases that could merge components: the final phase only confirms
         that every announcement maps a label to itself."""

@@ -314,10 +314,6 @@ def cmd_verify(args) -> int:
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: malformed trace file: {exc}", file=sys.stderr)
         return 2
-    if params.kind == ModelKind.CONGEST and graph is None:
-        print("error: CONGEST trace lacks its graph", file=sys.stderr)
-        return 2
-
     violations = check_trace(trace, params, graph)
     print(f"model={params.kind.value} rounds={trace.num_rounds} "
           f"violations={len(violations)}")

@@ -20,6 +20,7 @@ from distsim import (
     semimpc_forest_merge_connectivity,
 )
 from distsim.adapters import load_bound_ok
+from distsim.engines import EngineContractError, run_mpc
 
 from conftest import FixedRoundFlood, random_connected_graph, random_graph
 
@@ -302,6 +303,101 @@ def test_mpc_sim_multi_destination_messages_reassembled(p, n):
         assert len(pairs) == len(set(pairs))
 
 
+class Diverging(NodeProgram):
+    """Machine 0 sends (5, 6) to machine 1 in rounds 1 and 3; the run halts
+    in round 4.  From its second execution on (the live run of the clique
+    simulation) it changes what it sends, as `change` says."""
+
+    def __init__(self, change):
+        self.change = change
+        self.executions = 0
+
+    def init(self, pid, local_input):
+        if pid == 0:
+            self.executions += 1
+        return (pid, 1)
+
+    def on_round(self, state, inbox):
+        pid, r = state
+        live = self.executions > 1
+        outbox = []
+        if pid == 0 and r in (1, 3):
+            dst, payload = 1, (5, 6)
+            if live and self.change == "value":
+                payload = (5, 7)
+            elif live and self.change == "length":
+                payload = (5,)
+            elif live and self.change == "destination":
+                dst = 2
+            outbox.append(Message(0, dst, payload))
+        if pid == 0 and live and (self.change, r) in (("quiet round", 2),
+                                                     ("after last episode", 4)):
+            outbox.append(Message(0, 1, (1,)))
+        return (pid, r + 1), outbox, r == 4
+
+    def output(self, state):
+        return [state[1]]
+
+
+def test_mpc_sim_replays_diverging_program_faithfully_when_unchanged():
+    rep = simulate_semimpc_on_cc(Diverging(None), [[]] * 3,
+                                 ModelParams.semi_mpc(8, 3, ell=0))
+    assert rep.all_ok
+    assert [r for r, _rounds in rep.extra["episode_rounds"]] == [1, 3]
+
+
+@pytest.mark.parametrize("change", ["value", "length", "destination",
+                                    "quiet round", "after last episode"])
+def test_mpc_sim_live_run_must_resend_native_messages(change):
+    with pytest.raises(RuntimeError, match="diverged from its native run"):
+        simulate_semimpc_on_cc(Diverging(change), [[]] * 3,
+                               ModelParams.semi_mpc(8, 3, ell=0))
+
+
+class GeneratorOutbox(NodeProgram):
+    """Machine 0 sends machine 1 the word 5 through a generator outbox."""
+
+    def init(self, pid, local_input):
+        return (pid, 1, 0)
+
+    def on_round(self, state, inbox):
+        pid, r, heard = state
+        heard += sum(m.payload[0] for m in inbox)
+        outbox = (Message(0, 1, (5,)) for _ in range(pid == 0 and r == 1))
+        return (pid, r + 1, heard), outbox, r == 2
+
+    def output(self, state):
+        return [state[2]]
+
+
+def test_mpc_sim_generator_outbox_reaches_native_run():
+    params = ModelParams.semi_mpc(8, 2, ell=0)
+    expected = run_mpc(GeneratorOutbox(), [[], []], params).outputs
+    assert expected == [[0], [5]]
+    rep = simulate_semimpc_on_cc(GeneratorOutbox(), [[], []], params)
+    assert rep.native.outputs == expected
+    assert rep.all_ok
+
+
+class PlainTupleOutbox(NodeProgram):
+    """Emits a plain (src, dst, payload) tuple instead of a Message."""
+
+    def init(self, pid, local_input):
+        return pid
+
+    def on_round(self, state, inbox):
+        return state, [(state, (state + 1) % 2, (5,))], True
+
+    def output(self, state):
+        return []
+
+
+def test_mpc_sim_plain_tuple_outbox_entry_is_a_contract_error():
+    with pytest.raises(EngineContractError, match="not a Message"):
+        simulate_semimpc_on_cc(PlainTupleOutbox(), [[], []],
+                               ModelParams.semi_mpc(8, 2, ell=0))
+
+
 # -- CONGEST on semi-MPC ---------------------------------------------------------
 
 class TwoRoundGossip(NodeProgram):
@@ -368,6 +464,16 @@ def test_congest_sim_edgeless_degenerate():
     assert rep.measured_constants["machines"] == 1
     assert rep.simulated.rounds_used <= rep.native.rounds_used + 3
     assert not rep.extra["high_degree_flag"]
+
+
+@pytest.mark.parametrize("n", [1, 5, 12])
+def test_congest_sim_edgeless_space_is_node_states_only(n):
+    # the single machine holds the n flood states (3 words each) and nothing
+    # else: no round counter, and no internal messages on an edgeless graph
+    rep = simulate_congest_on_semimpc(congest_flood_components(n),
+                                      Graph(n=n, edges=()))
+    assert rep.all_ok
+    assert rep.measured_constants["max_space_words"] == 3 * n
 
 
 def test_congest_sim_gossip_packs_vertices_per_machine():

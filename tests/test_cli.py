@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 
@@ -150,6 +151,32 @@ def test_simulate_unsupported_pair(graph_file, capsys):
     assert "unsupported pair" in capsys.readouterr().err
 
 
+# semi-MPC -> clique report files as written before the routing episodes were
+# planned from the native ledger; any change to them must be deliberate
+PINNED_SEMIMPC_TO_CLIQUE = {
+    ("gnp", 3): "736010b3d5101fb94650e37abc538c7a40ed7e8f227ae069c5b1a097d9434767",
+    ("gnp", 8): "7ed3503c27b865df3eaac701d9370c936fc61ef55c338e7cd91ee9e38509f926",
+    ("cycle", 3): "2fb49610c4db17dfaa316ab154c4ce211e7b18d213b609280d1870ffa6d16d2c",
+    ("cycle", 8): "a53bfe3e642bfd5ac80d9110b414ef1355174867cabacb6fce929318daea9055",
+}
+
+
+@pytest.mark.parametrize("kind,machines", sorted(PINNED_SEMIMPC_TO_CLIQUE))
+def test_simulate_semimpc_to_clique_bytes_pinned(kind, machines, tmp_path,
+                                                 monkeypatch):
+    # relative paths: the report records the graph path it was given
+    monkeypatch.chdir(tmp_path)
+    gen = {"gnp": ("--kind", "gnp", "--n", "48", "--p", "0.12", "--seed", "2"),
+           "cycle": ("--kind", "cycle", "--n", "33")}[kind]
+    assert run_cli("gen", *gen, "--out", "g.txt") == 0
+    assert run_cli("simulate", "--from", "semimpc", "--to", "clique",
+                   "--algorithm", "forest-merge", "--graph", "g.txt",
+                   "--machines", str(machines), "--seed", "5",
+                   "--out", "sim.json") == 0
+    digest = hashlib.sha256((tmp_path / "sim.json").read_bytes()).hexdigest()
+    assert digest == PINNED_SEMIMPC_TO_CLIQUE[(kind, machines)]
+
+
 # -- route ------------------------------------------------------------------------
 
 def test_route_demand(tmp_path):
@@ -231,6 +258,21 @@ def test_verify_rejects_trace_without_space(graph_file, tmp_path, capsys):
         path.write_text(json.dumps(broken))
         assert run_cli("verify", "--trace", str(path)) == 2, change
         assert "malformed trace file" in capsys.readouterr().err
+
+
+def test_verify_congest_trace_without_graph_exits_2(graph_file, tmp_path,
+                                                   capsys):
+    out = tmp_path / "run.json"
+    assert run_cli("run", "--model", "congest", "--algorithm", "flood",
+                   "--graph", graph_file, "--out", str(out)) == 0
+    doc = json.loads(out.read_text())
+    del doc["graph"]
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("verify", "--trace", str(bare)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "graph" in err
 
 
 # -- the JSON writer ----------------------------------------------------------------
