@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import Graph, Message, pack_fields, unpack_fields
+from .core import FieldCodec, Graph, Message
 from .engines import (
     ModelKind,
     ModelParams,
@@ -545,7 +545,7 @@ class _CongestOnSemiMpc(NodeProgram):
         self.inner = inner
         self.n = n
         self.machines = machines
-        self.widths = widths
+        self.codec = FieldCodec(widths)
         # No edges: nothing to count or ship, and one machine replays every
         # vertex.  The general path cannot take this case: besides the node
         # states it keeps every vertex id twice (in the machine's vertex list
@@ -556,7 +556,7 @@ class _CongestOnSemiMpc(NodeProgram):
         self.immediate_halt = edgeless and inner.immediate_halt
 
     def _pack(self, tag, a, b, c=0):
-        return pack_fields((tag, a, b, c), self.widths)
+        return self.codec.pack((tag, a, b, c))
 
     def init(self, pid, input_words):
         if self.edgeless:
@@ -621,7 +621,7 @@ class _CongestOnSemiMpc(NodeProgram):
                     degrees[v] += 1
                 for msg in inbox:
                     for word in msg.payload:
-                        tag, v, d, _x = unpack_fields(word, self.widths)
+                        tag, v, d, _x = self.codec.unpack(word)
                         if tag != _TAG_DEGREE:
                             raise RuntimeError("unexpected word during setup")
                         degrees[v] += d
@@ -645,11 +645,11 @@ class _CongestOnSemiMpc(NodeProgram):
             # the sorter ships every machine its vertex slice in parallel
             endpoint_machine: dict[int, int] = {}
             for word in location:  # the sorter's own stash of packed maps
-                _tag, a, b, _x = unpack_fields(word, self.widths)
+                _tag, a, b, _x = self.codec.unpack(word)
                 endpoint_machine[a] = b
             for msg in inbox:
                 for word in msg.payload:
-                    tag, a, b, _x = unpack_fields(word, self.widths)
+                    tag, a, b, _x = self.codec.unpack(word)
                     if tag != _TAG_MAP:
                         raise RuntimeError("unexpected word during setup")
                     endpoint_machine[a] = b
@@ -676,7 +676,7 @@ class _CongestOnSemiMpc(NodeProgram):
             arrivals = []
             for msg in inbox:
                 for word in msg.payload:
-                    tag, a, b, extra = unpack_fields(word, self.widths)
+                    tag, a, b, extra = self.codec.unpack(word)
                     if tag == _TAG_VERTEX:
                         my_vertices.append(a)
                     elif tag == _TAG_EDGE:
@@ -713,14 +713,14 @@ class _CongestOnSemiMpc(NodeProgram):
             per_vertex[dst_v].append((src_v, value))
         for msg in inbox:
             for word in msg.payload:
-                tag, src_v, dst_v, value = unpack_fields(word, self.widths)
+                tag, src_v, dst_v, value = self.codec.unpack(word)
                 if tag != _TAG_EDGE:
                     raise RuntimeError("unexpected word during replay")
                 per_vertex[dst_v].append((src_v, value))
 
         remote: dict[int, int] = {}
         for word in location:
-            _tag, v, host, _x = unpack_fields(word, self.widths)
+            _tag, v, host, _x = self.codec.unpack(word)
             remote[v] = host
 
         node_states = dict(node_states)

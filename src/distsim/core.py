@@ -1,10 +1,10 @@
 """Graph and message data model, word accounting, execution traces and oracles.
 
-Everything here is immutable after construction and safe to share between
-concurrently executing engine workers.  All communication and space accounting
-throughout the package is denominated in *words*: fixed-width integers whose
-default width is ceil(log2 n) + 2 bits, wide enough for a vertex id plus a
-couple of tag bits.
+Graphs, messages and traces are immutable after construction, so an engine
+and the adapters that wrap it can share them freely.  All communication and
+space accounting throughout the package is denominated in *words*: non-negative
+integers whose default width is ceil(log2 n) + 2 bits, wide enough for a vertex
+id plus a couple of tag bits.
 """
 
 from __future__ import annotations
@@ -36,28 +36,36 @@ def word_width(n: int) -> int:
     return max((n - 1).bit_length(), 0) + 2
 
 
-def fits_word(value: int, width_bits: int) -> bool:
-    return 0 <= value < (1 << width_bits)
+class FieldCodec:
+    """Packs a fixed tuple of small non-negative ints into one word, first
+    field most significant.  The shifts, masks and limits are computed once,
+    when the codec is built."""
 
+    __slots__ = ("widths", "_pack_spec", "_unpack_spec")
 
-def pack_fields(values: Sequence[int], widths: Sequence[int]) -> int:
-    """Pack small non-negative ints into one word, first field most significant."""
-    if len(values) != len(widths):
-        raise ValueError("values/widths length mismatch")
-    out = 0
-    for value, width in zip(values, widths):
-        if not fits_word(value, width):
-            raise ValueError(f"field {value} does not fit in {width} bits")
-        out = (out << width) | value
-    return out
+    def __init__(self, widths: Sequence[int]):
+        self.widths = tuple(widths)
+        shifts = []
+        shift = sum(self.widths)
+        for width in self.widths:
+            shift -= width
+            shifts.append(shift)
+        self._pack_spec = tuple(zip(shifts, [1 << w for w in self.widths],
+                                    self.widths))
+        self._unpack_spec = tuple(zip(shifts, [(1 << w) - 1 for w in self.widths]))
 
+    def pack(self, values: Sequence[int]) -> int:
+        if len(values) != len(self.widths):
+            raise ValueError("values/widths length mismatch")
+        out = 0
+        for value, (shift, limit, width) in zip(values, self._pack_spec):
+            if not 0 <= value < limit:
+                raise ValueError(f"field {value} does not fit in {width} bits")
+            out |= value << shift
+        return out
 
-def unpack_fields(word: int, widths: Sequence[int]) -> tuple[int, ...]:
-    out = []
-    for width in reversed(widths):
-        out.append(word & ((1 << width) - 1))
-        word >>= width
-    return tuple(reversed(out))
+    def unpack(self, word: int) -> tuple[int, ...]:
+        return tuple([(word >> shift) & mask for shift, mask in self._unpack_spec])
 
 
 # ---------------------------------------------------------------------------
@@ -105,11 +113,12 @@ class Graph:
         return tuple(len(a) for a in self.neighbors)
 
     @cached_property
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.edges)
+    def arcs(self) -> frozenset[tuple[int, int]]:
+        """Both orientations (u, v) and (v, u) of every edge."""
+        return frozenset(self.edges).union([(v, u) for u, v in self.edges])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edge_set
+        return (u, v) in self.arcs
 
     def incident_edges(self, v: int) -> tuple[tuple[int, int], ...]:
         """Sorted (u, w) pairs touching v; the per-node local input of the
@@ -383,10 +392,18 @@ class RoundTrace:
     @staticmethod
     def from_per_round_json(num_participants: int, per_round: list[dict]) -> "RoundTrace":
         """Inverse of to_per_round_json.  Every round must carry one space
-        entry per participant: a missing entry is not read as zero words."""
+        entry per participant: a missing entry is not read as zero words.  A
+        transfer must move at least one word between two distinct
+        participants in [0, num_participants), as every engine transfer does."""
         rounds = []
         for round_no, rec in enumerate(per_round, start=1):
             transfers = tuple((int(s), int(d), int(w)) for s, d, w in rec["transfers"])
+            for s, d, w in transfers:
+                if w < 1 or s == d or not (0 <= s < num_participants
+                                           and 0 <= d < num_participants):
+                    raise ValueError(
+                        f"round {round_no} lists an impossible transfer"
+                        f" [{s}, {d}, {w}] among {num_participants} participants")
             if "space" not in rec:
                 raise ValueError(f"round {round_no} has no space entry")
             space = tuple(int(x) for x in rec["space"])

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .core import Graph, Message, RoundRecord, RoundTrace, fits_word, word_width
+from .core import Graph, Message, RoundRecord, RoundTrace, word_width
 
 
 class ModelKind(str, Enum):
@@ -280,19 +280,66 @@ class NodeProgram:
         raise NotImplementedError
 
 
+# deeper nesting than this is taken for a cyclic state, which has no size
+_MAX_NESTING = 100_000
+
+
+def _meter_other(obj):
+    """words_in's rule for anything but an exact int, tuple, list or dict:
+    (words, iterator over contents or None).  Subclasses of int (bool
+    included) are one word, subclasses of the containers (Message,
+    namedtuples) and sets are their contents, None is free."""
+    if obj is None:
+        return 0, None
+    if isinstance(obj, int):
+        return 1, None
+    if isinstance(obj, (tuple, list, set, frozenset)):
+        return 0, iter(obj)
+    if isinstance(obj, dict):
+        return 0, iter(obj.items())
+    raise TypeError(f"cannot meter {type(obj).__name__} in program state")
+
+
 def words_in(obj) -> int:
     """Size of a program state in words.  Ints are one word each; containers
-    are the sum of their contents; anything else is rejected so programs
-    cannot hide data from the accounting."""
-    if obj is None:
-        return 0
-    if isinstance(obj, bool) or isinstance(obj, int):
-        return 1
-    if isinstance(obj, (tuple, list, set, frozenset)):
-        return sum(words_in(x) for x in obj)
-    if isinstance(obj, dict):
-        return sum(words_in(k) + words_in(v) for k, v in obj.items())
-    raise TypeError(f"cannot meter {type(obj).__name__} in program state")
+    are the sum of their contents (a dict's keys and values); anything else
+    is rejected so programs cannot hide data from the accounting.
+
+    One iterative depth-first pass over a stack of iterators, in the order a
+    recursive walk would take, so the first unmeterable value met is the one
+    named in the TypeError however deep it lies."""
+    total = 0
+    stack = []
+    it = iter((obj,))
+    while True:
+        for x in it:
+            t = type(x)
+            if t is int:
+                total += 1
+                continue
+            if t is tuple or t is list:
+                if not x:
+                    continue
+                sub = iter(x)
+            elif t is dict:
+                if not x:
+                    continue
+                sub = iter(x.items())
+            else:
+                words, sub = _meter_other(x)
+                total += words
+                if sub is None:
+                    continue
+            stack.append(it)
+            if len(stack) > _MAX_NESTING:
+                raise TypeError("cannot meter program state nested more than"
+                                f" {_MAX_NESTING} containers deep (is it cyclic?)")
+            it = sub
+            break
+        else:
+            if not stack:
+                return total
+            it = stack.pop()
 
 
 @dataclass
@@ -341,6 +388,12 @@ def _round_violations(round_no: int, transfers, space, params: ModelParams,
                       graph: Graph | None) -> list[Violation]:
     out: list[Violation] = []
     if params.kind in (ModelKind.CLIQUE, ModelKind.CONGEST):
+        # clean iff the one-word transfers alone have as many distinct
+        # (src, dst) pairs as the round has transfers, all of them edges
+        pairs = {(s, d) for s, d, w in transfers if w == 1}
+        if len(pairs) == len(transfers) and (
+                params.kind == ModelKind.CLIQUE or pairs <= graph.arcs):
+            return out
         pair_load: dict[tuple[int, int], int] = {}
         flagged: set[tuple[int, int]] = set()
         for s, d, w in transfers:
@@ -398,10 +451,22 @@ def check_trace(trace: RoundTrace, params: ModelParams,
 # The engine core
 # ---------------------------------------------------------------------------
 
+def _check_word(value, width: int) -> None:
+    """A payload word is an int (bool included, as in words_in) that fits
+    the model's word width; raise EngineContractError for anything else."""
+    if not isinstance(value, int):
+        raise EngineContractError(
+            f"payload word {value!r} is a {type(value).__name__}, not an int")
+    if not 0 <= value < (1 << width):
+        raise EngineContractError(
+            f"payload word {value} overflows {width}-bit words")
+
+
 def _execute(prog: NodeProgram, local_inputs: list, params: ModelParams,
              graph: Graph | None) -> RunResult:
     p = params.p
     width = params.word_width_bits
+    limit = 1 << width
 
     start = params.start_violations()
     if start:
@@ -420,6 +485,7 @@ def _execute(prog: NodeProgram, local_inputs: list, params: ModelParams,
     held = [words_in(s) for s in states]
     cap = params.effective_round_cap()
     pending: list[list[Message]] = [[] for _ in range(p)]
+    pending_words = [0] * p  # words in each pending inbox
     records: list[RoundRecord] = []
     round_no = 0
 
@@ -429,14 +495,14 @@ def _execute(prog: NodeProgram, local_inputs: list, params: ModelParams,
             raise RoundLimitError(
                 f"program did not halt within {cap} rounds")
         inboxes, pending = pending, [[] for _ in range(p)]
+        inbox_words, pending_words = pending_words, [0] * p
         transfers: list[tuple[int, int, int]] = []
         space = [0] * p
         halt = False
 
         for i in range(p):
-            inbox = inboxes[i]
-            pre = held[i] + sum(m.words for m in inbox)
-            state, outbox, halted = prog.on_round(states[i], inbox)
+            pre = held[i] + inbox_words[i]
+            state, outbox, halted = prog.on_round(states[i], inboxes[i])
             states[i] = state
             held[i] = words_in(state)
             space[i] = max(pre, held[i])
@@ -453,11 +519,11 @@ def _execute(prog: NodeProgram, local_inputs: list, params: ModelParams,
                     raise EngineContractError(
                         f"message to unknown participant {dst}")
                 for value in payload:
-                    if not fits_word(value, width):
-                        raise EngineContractError(
-                            f"payload word {value} overflows {width}-bit words")
+                    if type(value) is not int or not 0 <= value < limit:
+                        _check_word(value, width)
                 # messages are immutable, so the receiver gets the sender's object
                 pending[dst].append(msg)
+                pending_words[dst] += len(payload)
                 if dst != i:  # self-messages carry state across rounds, cost-free
                     transfers.append((i, dst, len(payload)))
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import Graph, Message, pack_fields, unpack_fields, word_width
+from .core import FieldCodec, Graph, Message, word_width
 from .engines import ModelParams, NodeProgram, RunResult, run_clique
 
 
@@ -266,7 +266,7 @@ class Relay(NodeProgram):
     def __init__(self, episodes: list[tuple[int, Schedule]],
                  widths: tuple[int, ...]):
         self.episodes = episodes
-        self.widths = widths
+        self.codec = FieldCodec(widths)
         self.immediate_halt = not episodes
         # engine round -> (episode index, whether it is a phase-A round)
         self.phase_of: dict[int, tuple[int, bool]] = {}
@@ -291,7 +291,7 @@ class Relay(NodeProgram):
             arrived = []
             for msg in inbox:
                 for word in msg.payload:
-                    fields = unpack_fields(word, self.widths)
+                    fields = self.codec.unpack(word)
                     if phase_a:
                         # at the intermediate; counterpart is the destination
                         mid, _ra, rb = sched.assignment[(msg.src, fields[0], fields[1])]
@@ -309,7 +309,7 @@ class Relay(NodeProgram):
         keep = []
         for entry in queue:
             if entry[0] == round_no:
-                word = pack_fields(entry[2:], self.widths)
+                word = self.codec.pack(entry[2:])
                 outbox.append(Message(src=pid, dst=entry[1], payload=(word,)))
             else:
                 keep.append(entry)

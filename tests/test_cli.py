@@ -260,6 +260,46 @@ def test_verify_rejects_trace_without_space(graph_file, tmp_path, capsys):
         assert "malformed trace file" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def semimpc_run_doc(tmp_path_factory):
+    """A forest-merge semi-MPC run with p = 48 machines and s = 1152 words."""
+    work = tmp_path_factory.mktemp("semimpc")
+    g = random_connected_graph(288, 900, 5)
+    (work / "g.txt").write_text(g.to_edge_list_text())
+    out = work / "run.json"
+    assert run_cli("run", "--model", "semimpc", "--algorithm", "forest-merge",
+                   "--machines", "48", "--graph", str(work / "g.txt"),
+                   "--out", str(out)) == 0
+    doc = json.loads(out.read_text())
+    assert (doc["params"]["p"], doc["params"]["s"]) == (48, 1152)
+    assert doc["per_round"][0]["transfers"]
+    return doc
+
+
+@pytest.mark.parametrize("extra", [
+    # cancelling entries: used to verify with 0 violations
+    [[1, 0, 1162], [1, 0, -1162]],
+    # a destination past the last machine: used to end in an IndexError
+    [[1, 48, 1]],
+    # a negative source: used to charge its load to machine 47
+    [[-1, 0, 1157]],
+    [[0, 0, 1]],
+    [[1, 0, 0]],
+])
+def test_verify_rejects_impossible_transfers(semimpc_run_doc, extra, tmp_path,
+                                             capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(semimpc_run_doc))
+    assert run_cli("verify", "--trace", str(path)) == 0
+    doc = json.loads(json.dumps(semimpc_run_doc))
+    doc["per_round"][0]["transfers"].extend(extra)
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("verify", "--trace", str(path)) == 2
+    err = capsys.readouterr().err
+    assert "malformed trace file" in err and "impossible transfer" in err
+
+
 def test_verify_congest_trace_without_graph_exits_2(graph_file, tmp_path,
                                                    capsys):
     out = tmp_path / "run.json"

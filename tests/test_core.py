@@ -9,10 +9,9 @@ from distsim import (
     load_graph,
 )
 from distsim.core import (
+    FieldCodec,
     components_by_bfs,
     components_by_union_find,
-    pack_fields,
-    unpack_fields,
     word_width,
 )
 
@@ -155,15 +154,23 @@ def test_word_width_default():
     assert word_width(256) == 10
 
 
-def test_pack_unpack_round_trip():
-    widths = (2, 5, 5, 8)
+def test_field_codec_round_trip():
+    codec = FieldCodec((2, 5, 5, 8))
     values = (3, 17, 30, 200)
-    assert unpack_fields(pack_fields(values, widths), widths) == values
+    word = codec.pack(values)
+    # first field most significant
+    assert word == ((((3 << 5) | 17) << 5 | 30) << 8) | 200
+    assert codec.unpack(word) == values
 
 
-def test_pack_overflow_rejected():
-    with pytest.raises(ValueError):
-        pack_fields((4,), (2,))
+def test_field_codec_overflow_rejected():
+    codec = FieldCodec((2,))
+    with pytest.raises(ValueError, match="field 4 does not fit in 2 bits"):
+        codec.pack((4,))
+    with pytest.raises(ValueError, match="field -1 does not fit in 2 bits"):
+        codec.pack((-1,))
+    with pytest.raises(ValueError, match="values/widths length mismatch"):
+        codec.pack((1, 1))
 
 
 # -- traces read back from JSON -------------------------------------------------

@@ -1,6 +1,10 @@
 import pickle
+from collections import namedtuple
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distsim import (
     EngineContractError,
@@ -17,6 +21,7 @@ from distsim import (
     run_mpc,
     words_in,
 )
+from distsim.engines import Violation, _round_violations
 
 from conftest import FixedRoundFlood, random_graph
 
@@ -232,6 +237,38 @@ def test_word_overflow_rejected():
 
     with pytest.raises(EngineContractError):
         run_clique(Wide(), gen_graph("complete", 3))
+
+
+class SendsWord(NodeProgram):
+    """Node 0 sends one given word to node 1, then everyone halts."""
+
+    def __init__(self, word):
+        self.word = word
+
+    def init(self, pid, local_input):
+        return pid
+
+    def on_round(self, state, inbox):
+        out = [Message(src=0, dst=1, payload=(self.word,))] if state == 0 else []
+        return state, out, True
+
+    def output(self, state):
+        return []
+
+
+@pytest.mark.parametrize("word", [0.123456789123, Fraction(1, 10 ** 30), 1.0,
+                                  "7", None])
+def test_payload_words_must_be_ints(word):
+    # a float or a Fraction below the width limit used to pass as one word
+    with pytest.raises(EngineContractError, match="not an int"):
+        run_clique(SendsWord(word), gen_graph("complete", 3))
+
+
+def test_bool_and_negative_payload_words():
+    res = run_clique(SendsWord(True), gen_graph("complete", 3))
+    assert res.clean and res.trace.rounds[0].transfers == ((0, 1, 1),)
+    with pytest.raises(EngineContractError, match="overflows"):
+        run_clique(SendsWord(-1), gen_graph("complete", 3))
 
 
 def test_self_messages_are_free_and_delivered():
@@ -499,3 +536,148 @@ def test_words_in_counts_structures():
 def test_words_in_rejects_opaque_state():
     with pytest.raises(TypeError):
         words_in("sneaky string")
+
+
+def reference_words_in(obj) -> int:
+    """The recursive metering words_in replaced, kept as its specification."""
+    if obj is None:
+        return 0
+    if isinstance(obj, bool) or isinstance(obj, int):
+        return 1
+    if isinstance(obj, (tuple, list, set, frozenset)):
+        return sum(reference_words_in(x) for x in obj)
+    if isinstance(obj, dict):
+        return sum(reference_words_in(k) + reference_words_in(v)
+                   for k, v in obj.items())
+    raise TypeError(f"cannot meter {type(obj).__name__} in program state")
+
+
+Pair = namedtuple("Pair", "left right")
+
+_ints = st.integers(-2 ** 70, 2 ** 70)
+_keys = st.one_of(_ints, st.booleans(), st.tuples(_ints, _ints))
+_leaves = st.one_of(_ints, st.booleans(), st.none(), st.frozensets(_keys, max_size=3))
+
+
+def _states(bad):
+    """Nested program states; with bad, a str or float may sit at any depth."""
+    leaves = st.one_of(_leaves, st.text(max_size=2), st.floats()) if bad else _leaves
+
+    def extend(children):
+        return st.one_of(
+            st.tuples(children, children),
+            st.lists(children, max_size=4),
+            st.lists(children, max_size=4).map(tuple),
+            st.dictionaries(_keys, children, max_size=3),
+            st.sets(_keys, max_size=3),
+            st.builds(Pair, children, children),
+            st.builds(Message, st.integers(0, 9), st.integers(0, 9),
+                      st.lists(_ints, min_size=1, max_size=3)),
+        )
+    return st.recursive(leaves, extend, max_leaves=25)
+
+
+def _metered(fn, state):
+    try:
+        return fn(state)
+    except TypeError as exc:
+        return ("TypeError", str(exc))
+
+
+@settings(max_examples=300, deadline=None)
+@given(state=st.one_of(_states(bad=False), _states(bad=True)))
+def test_words_in_matches_recursive_reference(state):
+    assert _metered(words_in, state) == _metered(reference_words_in, state)
+
+
+def test_words_in_meters_deep_nesting():
+    state = (7,)
+    for _ in range(10_000):
+        state = (state, [])
+    assert words_in(state) == 1
+    state = {1: state}
+    assert words_in(state) == 2
+
+
+def test_words_in_rejects_cyclic_state():
+    state = [1]
+    state.append(state)
+    with pytest.raises(TypeError, match="cyclic"):
+        words_in(state)
+
+
+# -- per-round budget checks -----------------------------------------------------
+
+def reference_round_violations(round_no, transfers, space, params, graph):
+    """The per-pair dict loop the engine used for every round, kept as the
+    specification of _round_violations."""
+    out = []
+    if params.kind in (ModelKind.CLIQUE, ModelKind.CONGEST):
+        pair_load = {}
+        flagged = set()
+        for s, d, w in transfers:
+            if params.kind == ModelKind.CONGEST and not graph.has_edge(s, d):
+                if (s, d) not in flagged:
+                    flagged.add((s, d))
+                    out.append(Violation(rule="non-edge", round=round_no,
+                                         src=s, dst=d, measured=w, allowed=0))
+                continue
+            load = pair_load.get((s, d), 0) + w
+            pair_load[(s, d)] = load
+            if load > 1 and (s, d) not in flagged:
+                flagged.add((s, d))
+                out.append(Violation(rule="pair-capacity", round=round_no,
+                                     src=s, dst=d, measured=load, allowed=1))
+    else:
+        sent = [0] * params.p
+        recv = [0] * params.p
+        for s, d, w in transfers:
+            sent[s] += w
+            recv[d] += w
+        for i in range(params.p):
+            if sent[i] > params.s:
+                out.append(Violation(rule="sent-budget", round=round_no,
+                                     participant=i, measured=sent[i],
+                                     allowed=params.s))
+            if recv[i] > params.s:
+                out.append(Violation(rule="recv-budget", round=round_no,
+                                     participant=i, measured=recv[i],
+                                     allowed=params.s))
+            if space[i] > params.s:
+                out.append(Violation(rule="space-budget", round=round_no,
+                                     participant=i, measured=space[i],
+                                     allowed=params.s))
+    return out
+
+
+@st.composite
+def _rounds(draw):
+    kind = draw(st.sampled_from([ModelKind.CLIQUE, ModelKind.CONGEST,
+                                 ModelKind.SEMI_MPC]))
+    n = draw(st.integers(2, 6))
+    if kind == ModelKind.SEMI_MPC:
+        p = draw(st.integers(1, n))
+        params = ModelParams.semi_mpc(n, p, ell=0, c_space=1)
+    else:
+        p = n
+        params = (ModelParams.clique(n) if kind == ModelKind.CLIQUE
+                  else ModelParams.congest(n))
+    all_edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    graph = Graph(n=n, edges=tuple(sorted(draw(st.sets(st.sampled_from(all_edges))))))
+    # few participants and multi-word entries, so pairs repeat and overflow
+    transfer = st.tuples(st.integers(0, p - 1), st.integers(0, p - 1),
+                         st.integers(1, 3))
+    transfers = draw(st.lists(transfer, max_size=12))
+    if draw(st.booleans()):  # clean-looking rounds: distinct one-word pairs
+        transfers = list(dict.fromkeys((s, d, 1) for s, d, _w in transfers))
+    space = draw(st.lists(st.integers(0, 2 * n), min_size=p, max_size=p))
+    return params, graph, transfers, space
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_rounds(), round_no=st.integers(1, 5))
+def test_round_violations_match_reference(case, round_no):
+    params, graph, transfers, space = case
+    assert (_round_violations(round_no, transfers, space, params, graph)
+            == reference_round_violations(round_no, transfers, space,
+                                          params, graph))
