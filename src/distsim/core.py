@@ -394,22 +394,32 @@ class RoundTrace:
         """Inverse of to_per_round_json.  Every round must carry one space
         entry per participant: a missing entry is not read as zero words.  A
         transfer must move at least one word between two distinct
-        participants in [0, num_participants), as every engine transfer does."""
+        participants in [0, num_participants), as every engine transfer does.
+        Every value must be an int (not a bool, float or string): nothing is
+        coerced, so a fractional word count cannot pass as a whole one."""
         rounds = []
         for round_no, rec in enumerate(per_round, start=1):
-            transfers = tuple((int(s), int(d), int(w)) for s, d, w in rec["transfers"])
-            for s, d, w in transfers:
+            transfers = []
+            for s, d, w in rec["transfers"]:
+                if not type(s) is type(d) is type(w) is int:
+                    raise ValueError(
+                        f"round {round_no} lists a transfer {[s, d, w]!r}"
+                        " with a value that is not an integer")
                 if w < 1 or s == d or not (0 <= s < num_participants
                                            and 0 <= d < num_participants):
                     raise ValueError(
                         f"round {round_no} lists an impossible transfer"
                         f" [{s}, {d}, {w}] among {num_participants} participants")
+                transfers.append((s, d, w))
             if "space" not in rec:
                 raise ValueError(f"round {round_no} has no space entry")
-            space = tuple(int(x) for x in rec["space"])
+            space = tuple(rec["space"])
             if len(space) != num_participants:
                 raise ValueError(
                     f"round {round_no} lists space for {len(space)} participants,"
                     f" not {num_participants}")
-            rounds.append(RoundRecord(transfers=transfers, space=space))
+            if space and set(map(type, space)) != {int}:
+                raise ValueError(
+                    f"round {round_no} lists a space value that is not an integer")
+            rounds.append(RoundRecord(transfers=tuple(transfers), space=space))
         return RoundTrace(num_participants=num_participants, rounds=tuple(rounds))

@@ -9,7 +9,9 @@ right, one parallel edge per word) guarantees that no ordered pair ever
 carries more than one word per round: words sharing a source have distinct
 colors, and so do words sharing a destination.  A proper coloring with at
 most max-degree colors always exists for bipartite multigraphs and is found
-constructively by alternating-path recoloring.
+constructively, one word at a time: first-fit takes the lowest color free at
+both endpoints, read off the endpoints' busy-color bitmasks in one step, and
+when there is none an alternating two-color path is flipped to free one.
 
 The schedule is computed by a central planner with global knowledge of the
 demand matrix and then replayed through the constraint-checked clique engine,
@@ -83,6 +85,12 @@ def edge_color_bipartite(n_left: int, n_right: int,
     two-color path from the right endpoint is flipped to free one up.
     Ties always break toward the smallest color index, so the result is
     deterministic in the input order.
+
+    Each node keeps an int bitmask of its busy colors, so the smallest
+    color free at both endpoints of (u, v) is the lowest zero bit of
+    busy_l[u] | busy_r[v], found in one step instead of a palette scan.
+    Per-node color -> edge dicts serve the path walk, so memory stays
+    O(edges).
     """
     deg_l = [0] * n_left
     deg_r = [0] * n_right
@@ -96,27 +104,35 @@ def edge_color_bipartite(n_left: int, n_right: int,
         raise ValueError(
             f"degree {max_degree} exceeds the {max_colors}-color budget")
 
-    palette = max_degree
+    limit = 1 << max_degree  # the palette is colors 0 .. max_degree - 1
     colors: list[int] = [-1] * len(edges)
+    busy_l = [0] * n_left
+    busy_r = [0] * n_right
     used_l: list[dict[int, int]] = [{} for _ in range(n_left)]  # color -> edge
     used_r: list[dict[int, int]] = [{} for _ in range(n_right)]
 
     for ei, (u, v) in enumerate(edges):
-        c = 0
-        while c < palette and (c in used_l[u] or c in used_r[v]):
-            c += 1
-        if c < palette:
+        busy = busy_l[u] | busy_r[v]
+        bit = (busy + 1) & ~busy  # the lowest zero bit
+        if bit < limit:
+            c = bit.bit_length() - 1
             colors[ei] = c
             used_l[u][c] = ei
             used_r[v][c] = ei
+            busy_l[u] |= bit
+            busy_r[v] |= bit
             continue
 
         # No shared free color: take a free at u, b free at v, flip the
         # maximal a/b-alternating path starting from v.  The path can never
         # reach u (left nodes are entered through a-colored edges and a is
-        # free at u), so after the flip a is free at both endpoints.
-        a = next(c for c in range(palette) if c not in used_l[u])
-        b = next(c for c in range(palette) if c not in used_r[v])
+        # free at u), so after the flip a is free at both endpoints.  Both
+        # lie below the palette, as u and v each have an uncolored edge, and
+        # the path is never empty: a is busy at v, or first-fit had taken it.
+        busy = busy_l[u]
+        a = ((busy + 1) & ~busy).bit_length() - 1
+        busy = busy_r[v]
+        b = ((busy + 1) & ~busy).bit_length() - 1
         path = []
         node, on_right, want = v, True, a
         while True:
@@ -129,18 +145,31 @@ def edge_color_bipartite(n_left: int, n_right: int,
             node = pu if on_right else pv
             on_right = not on_right
             want = b if want == a else a
+        # Colors alternate a, b, a, ... along the path, so the flip gives
+        # the i-th path edge b for even i and a for odd i.  Every interior
+        # node trades a for b on one path edge and b for a on the other, so
+        # only the two ends change their busy colors and lose an entry: v
+        # gives up a (its entry is taken by the new edge below), and the far
+        # end, where the walk stopped, gives up the last path edge's old color.
+        new = b
         for pe in path:
             pu, pv = edges[pe]
-            del used_l[pu][colors[pe]]
-            del used_r[pv][colors[pe]]
-        for pe in path:
-            colors[pe] = b if colors[pe] == a else a
-            pu, pv = edges[pe]
-            used_l[pu][colors[pe]] = pe
-            used_r[pv][colors[pe]] = pe
+            colors[pe] = new
+            used_l[pu][new] = pe
+            used_r[pv][new] = pe
+            new = a if new == b else b
+        del table[new]
+        swap = (1 << a) | (1 << b)
+        busy_r[v] ^= swap
+        if on_right:
+            busy_r[node] ^= swap
+        else:
+            busy_l[node] ^= swap
         colors[ei] = a
         used_l[u][a] = ei
         used_r[v][a] = ei
+        busy_l[u] |= 1 << a
+        busy_r[v] |= 1 << a
 
     return colors
 
@@ -180,14 +209,6 @@ class Schedule:
     @cached_property
     def assignment(self) -> dict[tuple[int, int, int], tuple[int, int, int]]:
         return {(s, d, q): (mid, ra, rb) for s, d, q, mid, ra, rb in self.entries}
-
-    def transfers_by_round(self) -> dict[int, list[tuple[int, int]]]:
-        """(sender, receiver) pairs per round; for capacity inspection."""
-        out: dict[int, list[tuple[int, int]]] = {}
-        for s, d, _q, mid, ra, rb in self.entries:
-            out.setdefault(ra, []).append((s, mid))
-            out.setdefault(rb, []).append((mid, d))
-        return out
 
     def to_json_dict(self) -> dict:
         return {
@@ -281,40 +302,45 @@ class Relay(NodeProgram):
         return (pid, 1, ()) + self._host_init(pid, local_input)
 
     def on_round(self, state, inbox):
-        pid, round_no = state[0], state[1]
-        queue = list(state[2])
+        pid, round_no, queue = state[0], state[1], state[2]
         host = state[3:]
         if inbox:
             # every inbox word was sent in the previous engine round
             idx, phase_a = self.phase_of[round_no - 1]
-            base, sched = self.episodes[idx]
-            arrived = []
-            for msg in inbox:
-                for word in msg.payload:
-                    fields = self.codec.unpack(word)
-                    if phase_a:
-                        # at the intermediate; counterpart is the destination
-                        mid, _ra, rb = sched.assignment[(msg.src, fields[0], fields[1])]
+            unpack = self.codec.unpack
+            if phase_a:
+                # at the intermediate; the counterpart is the destination
+                base, sched = self.episodes[idx]
+                assignment = sched.assignment
+                relayed = []
+                for src, _dst, payload in inbox:
+                    for word in payload:
+                        fields = unpack(word)
+                        mid, _ra, rb = assignment[(src, fields[0], fields[1])]
                         if mid != pid:
                             raise RuntimeError("schedule routed a word to the wrong node")
-                        queue.append((base + rb - 1, fields[0], msg.src) + fields[1:])
-                    else:
-                        arrived.append(fields)
-            if arrived:
-                host = self._deliver(host, arrived, idx)
+                        relayed.append((base + rb - 1, fields[0], src) + fields[1:])
+                queue += tuple(relayed)
+            else:
+                host = self._deliver(
+                    host, [unpack(word) for _src, _dst, payload in inbox
+                           for word in payload], idx)
 
         host, fresh = self._emit(pid, host, round_no)
-        queue.extend(fresh)
+        if fresh:
+            queue += tuple(fresh)
+        pack = self.codec.pack
         outbox = []
         keep = []
         for entry in queue:
             if entry[0] == round_no:
-                word = self.codec.pack(entry[2:])
-                outbox.append(Message(src=pid, dst=entry[1], payload=(word,)))
+                outbox.append(Message(pid, entry[1], (pack(entry[2:]),)))
             else:
                 keep.append(entry)
+        if outbox:
+            queue = tuple(keep)
         halt = round_no >= self.last_round
-        return (pid, round_no + 1, tuple(keep)) + host, outbox, halt
+        return (pid, round_no + 1, queue) + host, outbox, halt
 
     def _host_init(self, pid: int, local_input) -> tuple:
         raise NotImplementedError
@@ -337,7 +363,7 @@ class _ScheduleHost(Relay):
         super().__init__([(1, schedule)] if schedule.entries else [], widths)
         # (source, round_a) -> entries due then, canonically ordered
         self.outgoing: dict[tuple[int, int], list[tuple]] = {}
-        for (s, d, q), (mid, ra, _rb) in sorted(schedule.assignment.items()):
+        for s, d, q, mid, ra, _rb in sorted(schedule.entries):
             self.outgoing.setdefault((s, ra), []).append(
                 (ra, mid, d, q, payloads[(s, d, q)]))
 

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -200,6 +201,39 @@ def test_route_rejects_oversized_demand(tmp_path, capsys):
                    "--out", str(tmp_path / "r.json")) == 2
 
 
+def _permutation_sum(n, seed):
+    """Sum of n random permutation matrices: every row and column sum is n."""
+    rng = random.Random(seed)
+    rows = [[0] * n for _ in range(n)]
+    for _ in range(n):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        for s, d in enumerate(perm):
+            rows[s][d] += 1
+    return rows
+
+
+# route files as written by the palette-scan colouring; any change to them
+# must be deliberate
+PINNED_ROUTE = {
+    "full-load": "8c89d5b17b9746ff334a72e8d25e4229f3dd335d5fc7154fd2a6b7931edb318b",
+    "star": "9535cd711fc16f4b0525bee7ca7dc46464f5c78f6ef99308b4478fbb204f6572",
+}
+
+
+@pytest.mark.parametrize("demand", sorted(PINNED_ROUTE))
+def test_route_bytes_pinned(demand, tmp_path):
+    if demand == "full-load":
+        rows = _permutation_sum(24, 3)
+    else:  # every node sends 4 words to node 0: column 0 carries 4n words
+        rows = [[4] + [0] * 7 for _ in range(8)]
+    (tmp_path / "demand.json").write_text(json.dumps(rows))
+    out = tmp_path / "route.json"
+    assert run_cli("route", "--demand", str(tmp_path / "demand.json"),
+                   "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_ROUTE[demand]
+
+
 # -- verify -----------------------------------------------------------------------
 
 def test_verify_clean_round_trip(graph_file, tmp_path):
@@ -298,6 +332,44 @@ def test_verify_rejects_impossible_transfers(semimpc_run_doc, extra, tmp_path,
     assert run_cli("verify", "--trace", str(path)) == 2
     err = capsys.readouterr().err
     assert "malformed trace file" in err and "impossible transfer" in err
+
+
+def _first_transfer(doc):
+    return next(rec["transfers"][0] for rec in doc["per_round"] if rec["transfers"])
+
+
+def _set_first_transfer(doc, index, value):
+    _first_transfer(doc)[index] = value
+
+
+def _set_first_space(doc, value):
+    doc["per_round"][0]["space"][0] = value
+
+
+@pytest.mark.parametrize("doctor", [
+    # each used to be coerced with int() and verify with exit 0
+    lambda doc: _set_first_transfer(doc, 2, 1.9),
+    lambda doc: _set_first_transfer(doc, 2, True),
+    lambda doc: _set_first_transfer(doc, 0, str(_first_transfer(doc)[0])),
+    lambda doc: _set_first_transfer(doc, 1, float(_first_transfer(doc)[1])),
+    lambda doc: _set_first_space(doc, doc["per_round"][0]["space"][0] + 0.5),
+    lambda doc: _set_first_space(doc, str(doc["per_round"][0]["space"][0])),
+    lambda doc: _set_first_space(doc, False),
+], ids=["float-words", "bool-words", "string-src", "float-dst",
+        "float-space", "string-space", "bool-space"])
+def test_verify_rejects_values_that_are_not_ints(graph_file, tmp_path, capsys,
+                                                 doctor):
+    out = tmp_path / "run.json"
+    assert run_cli("run", "--model", "clique", "--algorithm", "boruvka",
+                   "--graph", graph_file, "--out", str(out)) == 0
+    doc = json.loads(out.read_text())
+    assert _first_transfer(doc)[2] == 1
+    doctor(doc)
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("verify", "--trace", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "malformed trace file" in err and "not an integer" in err
 
 
 def test_verify_congest_trace_without_graph_exits_2(graph_file, tmp_path,

@@ -10,7 +10,7 @@ from distsim import (
     execute_schedule,
     plan_routing,
 )
-from distsim.routing import coloring_is_proper
+from distsim.routing import Schedule, coloring_is_proper
 
 
 def brute_force_proper(edges, colors):
@@ -74,6 +74,141 @@ def test_color_deterministic():
     a = edge_color_bipartite(4, 4, edges, max_colors=8)
     b = edge_color_bipartite(4, 4, edges, max_colors=8)
     assert a == b
+
+
+def reference_edge_color_bipartite(n_left, n_right, edges, max_colors):
+    """Reference: the first-fit colouring that scans the palette one color at
+    a time, with the same alternating-path flip."""
+    deg_l = [0] * n_left
+    deg_r = [0] * n_right
+    for u, v in edges:
+        if not (0 <= u < n_left and 0 <= v < n_right):
+            raise ValueError(f"edge ({u}, {v}) out of range")
+        deg_l[u] += 1
+        deg_r[v] += 1
+    max_degree = max(deg_l + deg_r, default=0)
+    if max_degree > max_colors:
+        raise ValueError(
+            f"degree {max_degree} exceeds the {max_colors}-color budget")
+
+    palette = max_degree
+    colors = [-1] * len(edges)
+    used_l = [{} for _ in range(n_left)]  # color -> edge
+    used_r = [{} for _ in range(n_right)]
+
+    for ei, (u, v) in enumerate(edges):
+        c = 0
+        while c < palette and (c in used_l[u] or c in used_r[v]):
+            c += 1
+        if c < palette:
+            colors[ei] = c
+            used_l[u][c] = ei
+            used_r[v][c] = ei
+            continue
+
+        a = next(c for c in range(palette) if c not in used_l[u])
+        b = next(c for c in range(palette) if c not in used_r[v])
+        path = []
+        node, on_right, want = v, True, a
+        while True:
+            table = used_r[node] if on_right else used_l[node]
+            nxt = table.get(want)
+            if nxt is None:
+                break
+            path.append(nxt)
+            pu, pv = edges[nxt]
+            node = pu if on_right else pv
+            on_right = not on_right
+            want = b if want == a else a
+        for pe in path:
+            pu, pv = edges[pe]
+            del used_l[pu][colors[pe]]
+            del used_r[pv][colors[pe]]
+        for pe in path:
+            colors[pe] = b if colors[pe] == a else a
+            pu, pv = edges[pe]
+            used_l[pu][colors[pe]] = pe
+            used_r[pv][colors[pe]] = pe
+        colors[ei] = a
+        used_l[u][a] = ei
+        used_r[v][a] = ei
+
+    return colors
+
+
+def _max_degree(n_left, n_right, edges):
+    deg_l = [0] * n_left
+    deg_r = [0] * n_right
+    for u, v in edges:
+        deg_l[u] += 1
+        deg_r[v] += 1
+    return max(deg_l + deg_r, default=0)
+
+
+def _outcome(color, *args):
+    try:
+        return color(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+_multigraphs = st.tuples(st.integers(1, 8), st.integers(1, 8)).flatmap(
+    lambda sides: st.tuples(
+        st.just(sides[0]), st.just(sides[1]),
+        st.lists(st.tuples(st.integers(0, sides[0] - 1),
+                           st.integers(0, sides[1] - 1)), max_size=40),
+        st.integers(0, 3)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_multigraphs)
+@example((1, 1, [(0, 0)] * 5, 0))
+@example((2, 3, [], 0))
+@example((3, 5, [(2, 4), (0, 2), (1, 2), (1, 4), (2, 0)], 0))
+def test_color_matches_reference_on_multigraphs(case):
+    # parallel edges repeat entries; extra > 0 puts max_colors above the
+    # max degree.  In the last example the flipped path ends at a left node,
+    # which inserting edges in source order (as plan_routing does) never
+    # produces.
+    n_left, n_right, edges, extra = case
+    max_colors = _max_degree(n_left, n_right, edges) + extra
+    colors = edge_color_bipartite(n_left, n_right, edges, max_colors)
+    assert colors == reference_edge_color_bipartite(n_left, n_right, edges,
+                                                    max_colors)
+
+
+_permutation_sums = st.integers(1, 8).flatmap(lambda n: st.lists(
+    st.permutations(range(n)), min_size=1, max_size=9))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_permutation_sums)
+@example([(0, 2, 1), (2, 1, 0)])  # the first-fit misses once: a path flips
+def test_color_matches_reference_on_permutation_sums(perms):
+    # every row and column sum is len(perms), so first-fit often finds no
+    # shared free color and an alternating path is flipped
+    n = len(perms[0])
+    rows = [[0] * n for _ in range(n)]
+    for perm in perms:
+        for s, d in enumerate(perm):
+            rows[s][d] += 1
+    edges = [(s, d) for s, d, _q in DemandMatrix.from_rows(rows).words()]
+    colors = edge_color_bipartite(n, n, edges, len(perms))
+    assert colors == reference_edge_color_bipartite(n, n, edges, len(perms))
+    assert coloring_is_proper(edges, colors)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5),
+       st.lists(st.tuples(st.integers(-2, 6), st.integers(-2, 6)), max_size=12),
+       st.integers(0, 6))
+@example(1, 2, [(0, 0), (0, 1)], 1)
+@example(2, 2, [(0, 0), (2, 1)], 4)
+def test_color_errors_match_reference(n_left, n_right, edges, max_colors):
+    # out-of-range endpoints and over-budget degrees raise the same errors
+    assert (_outcome(edge_color_bipartite, n_left, n_right, edges, max_colors)
+            == _outcome(reference_edge_color_bipartite, n_left, n_right, edges,
+                        max_colors))
 
 
 # -- demand matrix --------------------------------------------------------------
@@ -186,15 +321,11 @@ def _assert_schedule_capacity(sched):
     word's phase-A slot must precede its phase-B slot."""
     used = set()
     for s, d, _q, mid, ra, rb in sched.entries:
-        assert ra < rb
-        assert ra <= sched.phase_a_rounds < rb <= sched.num_rounds
+        assert 1 <= ra <= sched.phase_a_rounds < rb <= sched.num_rounds
         assert (ra, s, mid) not in used
         used.add((ra, s, mid))
         assert (rb, mid, d) not in used
         used.add((rb, mid, d))
-    for round_no, pairs in sched.transfers_by_round().items():
-        assert 1 <= round_no <= sched.num_rounds
-        assert len(pairs) == len(set(pairs))
 
 
 def _random_demand(rng, n):
@@ -256,6 +387,16 @@ def test_execute_payload_key_mismatch():
     sched = plan_routing(DemandMatrix.from_rows(rows))
     with pytest.raises(ValueError):
         execute_schedule(sched, {})
+
+
+def test_execute_rejects_word_sent_to_another_intermediate():
+    # two entries for one word: the sender follows both, the relay's
+    # assignment keeps the second, so the first copy reaches a node that the
+    # schedule does not name
+    entries = ((0, 2, 0, 1, 1, 2), (0, 2, 0, 0, 1, 2))
+    sched = Schedule(n=3, phase_a_rounds=1, phase_b_rounds=1, entries=entries)
+    with pytest.raises(RuntimeError, match="wrong node"):
+        execute_schedule(sched, {(0, 2, 0): 5})
 
 
 def test_execute_random_demands_delivery_exact():
