@@ -554,6 +554,8 @@ class _CongestOnSemiMpc(NodeProgram):
         # round 4).
         self.edgeless = edgeless
         self.immediate_halt = edgeless and inner.immediate_halt
+        # pid -> (packed location tuple, its decoded {vertex: host} map)
+        self._located: dict[int, tuple[tuple[int, ...], dict[int, int]]] = {}
 
     def _pack(self, tag, a, b, c=0):
         return self.codec.pack((tag, a, b, c))
@@ -718,10 +720,17 @@ class _CongestOnSemiMpc(NodeProgram):
                     raise RuntimeError("unexpected word during replay")
                 per_vertex[dst_v].append((src_v, value))
 
-        remote: dict[int, int] = {}
-        for word in location:
-            _tag, v, host, _x = self.codec.unpack(word)
-            remote[v] = host
+        # location never changes after setup, so it is decoded once per
+        # machine; the map is reused while the state holds that very tuple
+        cached = self._located.get(pid)
+        if cached is not None and cached[0] is location:
+            remote = cached[1]
+        else:
+            remote = {}
+            for word in location:
+                _tag, v, host, _x = self.codec.unpack(word)
+                remote[v] = host
+            self._located[pid] = (location, remote)
 
         node_states = dict(node_states)
         new_internal = []

@@ -7,6 +7,8 @@ checked against the same ground truth (components_oracle).
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .core import Graph, Message, UnionFind, components_by_union_find
 from .engines import NodeProgram
 
@@ -64,7 +66,7 @@ class BoruvkaConnectivity(NodeProgram):
         if round_no % 2 == 1:
             # B step: absorb announcements, then propose hooks
             if round_no > 1:
-                announced = {msg.src: msg.payload[0] for msg in inbox}
+                announced = {src: payload[0] for src, _dst, payload in inbox}
                 if announced_by_me != sentinel:
                     announced[pid] = announced_by_me
                 if all(old == new for old, new in announced.items()):
@@ -87,22 +89,18 @@ class BoruvkaConnectivity(NodeProgram):
         announced_by_me = sentinel
         if label == pid:
             best = own_proposal
-            for msg in inbox:
-                best = min(best, msg.payload[0])
+            for _src, _dst, payload in inbox:
+                if payload[0] < best:
+                    best = payload[0]
             merged = min(label, best)
             announced_by_me = merged
-            outbox = [Message(src=pid, dst=other, payload=(merged,))
-                      for other in range(self.n) if other != pid]
+            payload = (merged,)  # one shared payload: messages are immutable
+            outbox = [Message(pid, other, payload)
+                      for other in chain(range(pid), range(pid + 1, self.n))]
         return (pid, round_no + 1, label, announced_by_me, sentinel, tracked), outbox, False
 
     def output(self, state) -> list[int]:
         return [state[2]]
-
-    @staticmethod
-    def merge_phases(rounds_used: int) -> int:
-        """Phases that could merge components: the final phase only confirms
-        that every announcement maps a label to itself."""
-        return max(0, (rounds_used - 1) // 2 - 1)
 
 
 class FloodMinLabel(NodeProgram):

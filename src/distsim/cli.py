@@ -301,6 +301,19 @@ def cmd_route(args) -> int:
     return 0 if record.run.clean else 1
 
 
+def _graph_from_json(doc: dict) -> Graph:
+    """The graph a run file records.  Nothing is coerced: the vertex count
+    and every edge endpoint must be an int (not a bool), else ValueError."""
+    edges = []
+    for u, v in doc["edges"]:
+        if type(u) is not int or type(v) is not int:
+            raise ValueError(f"graph edge {[u, v]!r} holds a value that is not an integer")
+        edges.append((u, v))
+    if type(doc["n"]) is not int:
+        raise ValueError(f"graph vertex count {doc['n']!r} is not an integer")
+    return Graph(n=doc["n"], edges=tuple(edges))
+
+
 def cmd_verify(args) -> int:
     try:
         doc = json.loads(Path(args.trace).read_text(encoding="utf-8"))
@@ -308,9 +321,7 @@ def cmd_verify(args) -> int:
         trace = RoundTrace.from_per_round_json(params.p, doc["per_round"])
         graph = None
         if doc.get("graph") is not None:
-            graph = Graph(n=doc["graph"]["n"],
-                          edges=tuple((int(u), int(v))
-                                      for u, v in doc["graph"]["edges"]))
+            graph = _graph_from_json(doc["graph"])
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: malformed trace file: {exc}", file=sys.stderr)
         return 2

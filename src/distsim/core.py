@@ -381,13 +381,10 @@ class RoundTrace:
         return tuple(peaks)
 
     def to_per_round_json(self) -> list[dict]:
-        return [
-            {
-                "transfers": [[s, d, w] for s, d, w in rec.transfers],
-                "space": list(rec.space),
-            }
-            for rec in self.rounds
-        ]
+        # the transfer tuples go to the writer as they are: JSON spells a
+        # tuple as a list
+        return [{"transfers": rec.transfers, "space": list(rec.space)}
+                for rec in self.rounds]
 
     @staticmethod
     def from_per_round_json(num_participants: int, per_round: list[dict]) -> "RoundTrace":

@@ -18,6 +18,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 from enum import Enum
+from operator import itemgetter
 
 from .core import Graph, Message, RoundRecord, RoundTrace, word_width
 
@@ -225,20 +226,24 @@ class ModelParams:
 
     @staticmethod
     def from_json_dict(doc: dict) -> "ModelParams":
-        return ModelParams(
-            kind=ModelKind(doc["kind"]),
-            p=int(doc["p"]),
-            s=int(doc["s"]),
-            n=doc["n"] if doc.get("n") is None else int(doc["n"]),
-            word_width_bits=int(doc["word_width_bits"]),
-            delta=float(doc["delta"]),
-            ell=int(doc["ell"]),
-            c_space=int(doc["c_space"]),
-            c_traffic=int(doc["c_traffic"]),
-            c_total=int(doc["c_total"]),
-            polylog_exp=int(doc["polylog_exp"]),
-            round_cap=doc.get("round_cap"),
-        )
+        """Inverse of to_json_dict.  Nothing is coerced: the integer fields
+        must hold ints (not bools), delta an int or a float, and n and
+        round_cap None or an int; anything else raises ValueError."""
+        fields = {key: doc[key] for key in _INT_PARAMS}
+        fields["n"] = doc["n"]
+        fields["round_cap"] = doc.get("round_cap")
+        for key, value in fields.items():
+            if type(value) is not int and not (value is None and key in _OPTIONAL_PARAMS):
+                raise ValueError(f"params field {key!r} holds {value!r}, not an integer")
+        delta = doc["delta"]
+        if type(delta) is not int and type(delta) is not float:
+            raise ValueError(f"params field 'delta' holds {delta!r}, not a number")
+        return ModelParams(kind=ModelKind(doc["kind"]), delta=float(delta), **fields)
+
+
+_INT_PARAMS = ("p", "s", "word_width_bits", "ell", "c_space", "c_traffic",
+               "c_total", "polylog_exp")
+_OPTIONAL_PARAMS = ("n", "round_cap")
 
 
 class NodeProgram:
@@ -384,16 +389,25 @@ class RunResult:
 # Per-round budget checking (shared verbatim by engines and check_trace)
 # ---------------------------------------------------------------------------
 
+_words_of = itemgetter(2)
+_pair_of = itemgetter(0, 1)
+
+
 def _round_violations(round_no: int, transfers, space, params: ModelParams,
                       graph: Graph | None) -> list[Violation]:
     out: list[Violation] = []
     if params.kind in (ModelKind.CLIQUE, ModelKind.CONGEST):
-        # clean iff the one-word transfers alone have as many distinct
-        # (src, dst) pairs as the round has transfers, all of them edges
-        pairs = {(s, d) for s, d, w in transfers if w == 1}
-        if len(pairs) == len(transfers) and (
-                params.kind == ModelKind.CLIQUE or pairs <= graph.arcs):
+        # clean iff every transfer is one word, no (src, dst, 1) repeats and,
+        # under CONGEST, every distinct (src, dst) pair is an edge
+        if not transfers:
             return out
+        words = list(map(_words_of, transfers))
+        if min(words) == max(words) == 1:
+            distinct = set(transfers)
+            if len(distinct) == len(transfers) and (
+                    params.kind == ModelKind.CLIQUE
+                    or set(map(_pair_of, distinct)) <= graph.arcs):
+                return out
         pair_load: dict[tuple[int, int], int] = {}
         flagged: set[tuple[int, int]] = set()
         for s, d, w in transfers:
@@ -500,9 +514,12 @@ def _execute(prog: NodeProgram, local_inputs: list, params: ModelParams,
         space = [0] * p
         halt = False
 
+        on_round = prog.on_round
+        record = transfers.append
+
         for i in range(p):
             pre = held[i] + inbox_words[i]
-            state, outbox, halted = prog.on_round(states[i], inboxes[i])
+            state, outbox, halted = on_round(states[i], inboxes[i])
             states[i] = state
             held[i] = words_in(state)
             space[i] = max(pre, held[i])
@@ -518,14 +535,20 @@ def _execute(prog: NodeProgram, local_inputs: list, params: ModelParams,
                 if not (0 <= dst < p):
                     raise EngineContractError(
                         f"message to unknown participant {dst}")
-                for value in payload:
+                words = len(payload)
+                if words == 1:
+                    value = payload[0]
                     if type(value) is not int or not 0 <= value < limit:
                         _check_word(value, width)
+                else:
+                    for value in payload:
+                        if type(value) is not int or not 0 <= value < limit:
+                            _check_word(value, width)
                 # messages are immutable, so the receiver gets the sender's object
                 pending[dst].append(msg)
-                pending_words[dst] += len(payload)
+                pending_words[dst] += words
                 if dst != i:  # self-messages carry state across rounds, cost-free
-                    transfers.append((i, dst, len(payload)))
+                    record((i, dst, words))
 
         records.append(RoundRecord(transfers=tuple(transfers), space=tuple(space)))
         bad = _round_violations(round_no, transfers, space, params, graph)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from distsim import gen_graph
 from distsim.cli import _dump_json, main
 
 from conftest import random_connected_graph
@@ -176,6 +177,36 @@ def test_simulate_semimpc_to_clique_bytes_pinned(kind, machines, tmp_path,
                    "--out", "sim.json") == 0
     digest = hashlib.sha256((tmp_path / "sim.json").read_bytes()).hexdigest()
     assert digest == PINNED_SEMIMPC_TO_CLIQUE[(kind, machines)]
+
+
+# files written before the one-word clique path (engine loop, Boruvka's
+# broadcast, copy-free ledger rows) was made cheaper; any change to them must
+# be deliberate
+PINNED_CLIQUE_PATH = {
+    "run-clique": "2ebef36a1514dce6e4480c83da5a09c812eb3df1e404969e164c65b4c60531f8",
+    "clique-to-semimpc": "16e29332ecf318004a901ede6a3b156a2267a698c88daf2ce58742a953458dbc",
+    "congest-to-semimpc": "90259d323ed634a9cb7d6bd6a8c2be5140e15ce1825a8ee06dd5e81d1a99db15",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_CLIQUE_PATH))
+def test_clique_path_bytes_pinned(command, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "gnp.txt").write_text(
+        gen_graph("gnp", 40, prob=0.1, seed=4).to_edge_list_text())
+    (tmp_path / "tree.txt").write_text(
+        random_connected_graph(40, 8, 3).to_edge_list_text())
+    argv = {
+        "run-clique": ("run", "--model", "clique", "--algorithm", "boruvka",
+                       "--graph", "gnp.txt"),
+        "clique-to-semimpc": ("simulate", "--from", "clique", "--to", "semimpc",
+                              "--algorithm", "boruvka", "--graph", "gnp.txt"),
+        "congest-to-semimpc": ("simulate", "--from", "congest", "--to", "semimpc",
+                               "--algorithm", "flood", "--graph", "tree.txt"),
+    }[command]
+    assert run_cli(*argv, "--seed", "5", "--out", "out.json") == 0
+    digest = hashlib.sha256((tmp_path / "out.json").read_bytes()).hexdigest()
+    assert digest == PINNED_CLIQUE_PATH[command]
 
 
 # -- route ------------------------------------------------------------------------
@@ -370,6 +401,54 @@ def test_verify_rejects_values_that_are_not_ints(graph_file, tmp_path, capsys,
     assert run_cli("verify", "--trace", str(out)) == 2
     err = capsys.readouterr().err
     assert "malformed trace file" in err and "not an integer" in err
+
+
+def _set(doc, section, key, value):
+    doc[section][key] = value
+
+
+@pytest.mark.parametrize("doctor", [
+    # each used to be coerced with int() or float() and verify with exit 0
+    lambda doc: _set(doc, "graph", "edges", [[0, 1.9]] + doc["graph"]["edges"][1:]),
+    lambda doc: _set(doc, "graph", "edges", doc["graph"]["edges"][:1] + [["1", 2]]
+                     + doc["graph"]["edges"][2:]),
+    lambda doc: _set(doc, "graph", "edges", [[0, True]] + doc["graph"]["edges"][1:]),
+    lambda doc: _set(doc, "graph", "n", 5.0),
+    lambda doc: _set(doc, "params", "c_traffic", "4"),
+    lambda doc: _set(doc, "params", "word_width_bits", 5.7),
+    lambda doc: _set(doc, "params", "c_space", True),
+    lambda doc: _set(doc, "params", "n", 5.0),
+    lambda doc: _set(doc, "params", "round_cap", "9"),
+    lambda doc: _set(doc, "params", "delta", "0.0"),
+    lambda doc: _set(doc, "params", "delta", False),
+], ids=["float-endpoint", "string-endpoint", "bool-endpoint", "float-graph-n",
+        "string-c-traffic", "float-word-width", "bool-c-space", "float-n",
+        "string-round-cap", "string-delta", "bool-delta"])
+def test_verify_rejects_coerced_graph_and_params(tmp_path, capsys, doctor):
+    (tmp_path / "path.txt").write_text(gen_graph("path", 5).to_edge_list_text())
+    out = tmp_path / "run.json"
+    assert run_cli("run", "--model", "congest", "--algorithm", "flood",
+                   "--graph", str(tmp_path / "path.txt"), "--out", str(out)) == 0
+    doc = json.loads(out.read_text())
+    assert doc["graph"]["edges"][:2] == [[0, 1], [1, 2]]
+    doctor(doc)
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("verify", "--trace", str(out)) == 2
+    assert "malformed trace file" in capsys.readouterr().err
+
+
+def test_verify_accepts_an_int_delta_and_no_round_cap(tmp_path):
+    (tmp_path / "path.txt").write_text(gen_graph("path", 5).to_edge_list_text())
+    out = tmp_path / "run.json"
+    assert run_cli("run", "--model", "congest", "--algorithm", "flood",
+                   "--graph", str(tmp_path / "path.txt"), "--out", str(out)) == 0
+    doc = json.loads(out.read_text())
+    assert doc["params"]["round_cap"] is None
+    doc["params"]["delta"] = 0
+    del doc["params"]["round_cap"]
+    out.write_text(json.dumps(doc))
+    assert run_cli("verify", "--trace", str(out)) == 0
 
 
 def test_verify_congest_trace_without_graph_exits_2(graph_file, tmp_path,

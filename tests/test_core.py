@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distsim import (
     Graph,
@@ -10,6 +12,7 @@ from distsim import (
 )
 from distsim.core import (
     FieldCodec,
+    RoundRecord,
     components_by_bfs,
     components_by_union_find,
     word_width,
@@ -183,3 +186,94 @@ def test_per_round_json_rejects_missing_or_short_space():
                   {"transfers": [], "space": space}]
         with pytest.raises(ValueError, match="round 2 lists space"):
             RoundTrace.from_per_round_json(2, rounds)
+
+
+def reference_from_per_round_json(num_participants, per_round):
+    """The one-by-one ledger reader, kept as the specification of
+    RoundTrace.from_per_round_json."""
+    rounds = []
+    for round_no, rec in enumerate(per_round, start=1):
+        transfers = []
+        for s, d, w in rec["transfers"]:
+            if not type(s) is type(d) is type(w) is int:
+                raise ValueError(
+                    f"round {round_no} lists a transfer {[s, d, w]!r}"
+                    " with a value that is not an integer")
+            if w < 1 or s == d or not (0 <= s < num_participants
+                                       and 0 <= d < num_participants):
+                raise ValueError(
+                    f"round {round_no} lists an impossible transfer"
+                    f" [{s}, {d}, {w}] among {num_participants} participants")
+            transfers.append((s, d, w))
+        if "space" not in rec:
+            raise ValueError(f"round {round_no} has no space entry")
+        space = tuple(rec["space"])
+        if len(space) != num_participants:
+            raise ValueError(
+                f"round {round_no} lists space for {len(space)} participants,"
+                f" not {num_participants}")
+        if space and set(map(type, space)) != {int}:
+            raise ValueError(
+                f"round {round_no} lists a space value that is not an integer")
+        rounds.append(RoundRecord(transfers=tuple(transfers), space=space))
+    return RoundTrace(num_participants=num_participants, rounds=tuple(rounds))
+
+
+_odd_values = st.one_of(st.booleans(), st.sampled_from([1.0, 0.5, -2.0]),
+                        st.sampled_from(["1", "", "x"]), st.none(),
+                        st.integers(-3, 0), st.integers(5, 9))
+
+
+@st.composite
+def _ledger_rounds(draw, p):
+    good = st.tuples(st.integers(0, p - 1), st.integers(0, p - 1),
+                     st.integers(1, 3)).filter(lambda t: t[0] != t[1]).map(list)
+
+    def doctored_row(row):
+        kind = draw(st.sampled_from(["short", "long", "not-a-list", "value",
+                                     "no-words", "src-is-dst"]))
+        if kind == "short":
+            return row[:draw(st.integers(0, 2))]
+        if kind == "long":
+            return row + [draw(st.integers(0, 3))]
+        if kind == "not-a-list":
+            return draw(st.sampled_from([7, "abc", None, {"s": 0, "d": 1, "w": 1},
+                                         1.5, True]))
+        if kind == "value":
+            row[draw(st.integers(0, 2))] = draw(_odd_values)
+            return row
+        if kind == "no-words":
+            row[2] = draw(st.integers(-1, 0))
+            return row
+        row[1] = row[0]
+        return row
+
+    rows = draw(st.lists(good, max_size=8))
+    if rows and draw(st.booleans()):
+        at = draw(st.integers(0, len(rows) - 1))
+        rows[at] = doctored_row(rows[at])
+    space = draw(st.lists(st.integers(0, 9), min_size=p, max_size=p))
+    if draw(st.integers(0, 9)) == 0:
+        space = draw(st.one_of(st.lists(st.integers(0, 9), max_size=p + 1),
+                               st.lists(_odd_values, min_size=p, max_size=p)))
+    rec = {"transfers": rows, "space": space}
+    if draw(st.integers(0, 19)) == 0:
+        del rec["space"]
+    return rec
+
+
+def _read(reader, p, per_round):
+    try:
+        return reader(p, per_round)
+    except (TypeError, ValueError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), p=st.integers(2, 5))
+def test_per_round_json_reader_matches_reference(data, p):
+    per_round = data.draw(st.lists(_ledger_rounds(p), max_size=3))
+    got = _read(RoundTrace.from_per_round_json, p, per_round)
+    assert got == _read(reference_from_per_round_json, p, per_round)
+    if isinstance(got, RoundTrace):  # the rows written back read the same
+        assert RoundTrace.from_per_round_json(p, got.to_per_round_json()) == got

@@ -664,12 +664,17 @@ def _rounds(draw):
                   else ModelParams.congest(n))
     all_edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
     graph = Graph(n=n, edges=tuple(sorted(draw(st.sets(st.sampled_from(all_edges))))))
-    # few participants and multi-word entries, so pairs repeat and overflow
+    # few participants and entries of 0 to 3 words, so pairs repeat and
+    # overflow
     transfer = st.tuples(st.integers(0, p - 1), st.integers(0, p - 1),
-                         st.integers(1, 3))
+                         st.integers(0, 3))
     transfers = draw(st.lists(transfer, max_size=12))
     if draw(st.booleans()):  # clean-looking rounds: distinct one-word pairs
         transfers = list(dict.fromkeys((s, d, 1) for s, d, _w in transfers))
+    if transfers and draw(st.booleans()):  # repeat some triples verbatim
+        repeats = draw(st.lists(st.sampled_from(transfers), min_size=1, max_size=3))
+        for triple in repeats:
+            transfers.insert(draw(st.integers(0, len(transfers))), triple)
     space = draw(st.lists(st.integers(0, 2 * n), min_size=p, max_size=p))
     return params, graph, transfers, space
 
