@@ -1,4 +1,4 @@
-"""Round-based simulator for CONGEST, congested clique, MPC and semi-MPC,
+"""Round-based simulator for CONGEST, the congested clique and semi-MPC,
 with budget enforcement, constant-round clique routing, and cross-model
 simulation adapters that certify round, machine, traffic and memory bounds.
 """
@@ -47,9 +47,9 @@ from .adapters import (
     simulate_semimpc_on_cc,
 )
 from .algorithms import (
-    cc_boruvka_connectivity,
-    congest_flood_components,
-    semimpc_forest_merge_connectivity,
+    BoruvkaConnectivity,
+    FloodMinLabel,
+    ForestMergeConnectivity,
 )
 
 __all__ = [
@@ -63,8 +63,7 @@ __all__ = [
     "Assignment", "SimulationRefused", "SimulationReport",
     "compute_node_assignment", "simulate_cc_on_semimpc",
     "simulate_congest_on_semimpc", "simulate_semimpc_on_cc",
-    "cc_boruvka_connectivity", "congest_flood_components",
-    "semimpc_forest_merge_connectivity",
+    "BoruvkaConnectivity", "FloodMinLabel", "ForestMergeConnectivity",
 ]
 
 __version__ = "0.1.0"

@@ -199,8 +199,7 @@ class _CliqueOnSemiMpc(NodeProgram):
         return self.inner.output(node_state) if node_state is not None else []
 
 
-def simulate_cc_on_semimpc(prog: NodeProgram, g: Graph,
-                           clique_params: ModelParams | None = None, *,
+def simulate_cc_on_semimpc(prog: NodeProgram, g: Graph, *,
                            c_space: int = 4, c_traffic: int = 4,
                            seed: int = 0,
                            initial_edges: list[list[tuple[int, int]]] | None = None,
@@ -214,9 +213,8 @@ def simulate_cc_on_semimpc(prog: NodeProgram, g: Graph,
     long as each machine holds at most c_space*n words.
     """
     n = g.n
-    if clique_params is None:
-        clique_params = ModelParams.clique(n, c_space=c_space, c_traffic=c_traffic)
-    native = _run_native(run_clique, "clique", prog, g, clique_params)
+    native = _run_native(run_clique, "clique", prog, g,
+                         ModelParams.clique(n, c_space=c_space, c_traffic=c_traffic))
 
     space_budget = c_space * n
     peaks = native.trace.space_high_water()
@@ -233,7 +231,7 @@ def simulate_cc_on_semimpc(prog: NodeProgram, g: Graph,
                 f"machine {i} starts with {len(words)} words, above {space_budget}")
 
     semi = ModelParams.semi_mpc(
-        n, p=n, ell=2 * g.m, word_width_bits=clique_params.word_width_bits,
+        n, p=n, ell=2 * g.m, word_width_bits=native.params.word_width_bits,
         c_space=c_space, c_traffic=c_traffic,
         round_cap=native.rounds_used + 10).with_min_delta()
 
@@ -800,8 +798,7 @@ def _congest_memory_hypothesis(native: RunResult, g: Graph,
 
 
 def simulate_congest_on_semimpc(prog: NodeProgram, g: Graph,
-                                round_budget: int | None = None,
-                                congest_params: ModelParams | None = None, *,
+                                round_budget: int | None = None, *,
                                 c_space: int = 4, c_traffic: int = 4,
                                 c_machines: int = 2, c_load: int = 2,
                                 seed: int = 0,
@@ -817,10 +814,8 @@ def simulate_congest_on_semimpc(prog: NodeProgram, g: Graph,
     plus the replay.
     """
     n = g.n
-    if congest_params is None:
-        congest_params = ModelParams.congest(n, c_space=c_space,
-                                             c_traffic=c_traffic)
-    native = _run_native(run_congest, "CONGEST", prog, g, congest_params)
+    native = _run_native(run_congest, "CONGEST", prog, g,
+                         ModelParams.congest(n, c_space=c_space, c_traffic=c_traffic))
     t_native = native.rounds_used
     t_budget = round_budget if round_budget is not None else t_native
     if t_budget < t_native:
@@ -838,7 +833,7 @@ def simulate_congest_on_semimpc(prog: NodeProgram, g: Graph,
     inputs = _initial_inputs(g, machines, seed, initial_edges)
 
     w_id = max(1, (n - 1).bit_length())
-    widths = (2, w_id, w_id, congest_params.word_width_bits)
+    widths = (2, w_id, w_id, native.params.word_width_bits)
     semi = ModelParams.semi_mpc(
         n, p=machines, ell=2 * g.m, word_width_bits=sum(widths),
         c_space=c_space, c_traffic=c_traffic,

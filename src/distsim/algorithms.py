@@ -191,18 +191,3 @@ class ForestMergeConnectivity(NodeProgram):
         if pid != 0:
             return []
         return components_by_union_find(Graph(n=self.n, edges=forest))
-
-
-def cc_boruvka_connectivity(n: int) -> BoruvkaConnectivity:
-    """Clique connectivity program for an n-node clique."""
-    return BoruvkaConnectivity(n)
-
-
-def congest_flood_components(n: int) -> FloodMinLabel:
-    """CONGEST connectivity program for an n-vertex graph."""
-    return FloodMinLabel(n)
-
-
-def semimpc_forest_merge_connectivity(n: int, p: int) -> ForestMergeConnectivity:
-    """Semi-MPC connectivity program for p machines over an n-vertex graph."""
-    return ForestMergeConnectivity(n, p)

@@ -20,11 +20,7 @@ from .adapters import (
     simulate_congest_on_semimpc,
     simulate_semimpc_on_cc,
 )
-from .algorithms import (
-    cc_boruvka_connectivity,
-    congest_flood_components,
-    semimpc_forest_merge_connectivity,
-)
+from .algorithms import BoruvkaConnectivity, FloodMinLabel, ForestMergeConnectivity
 from .core import Graph, RoundTrace, gen_graph, load_graph
 from .engines import (
     EngineContractError,
@@ -50,8 +46,15 @@ MODEL_FLAGS = {
     "semimpc": ModelKind.SEMI_MPC,
 }
 
-CONSTANT_KEYS = ("c_space", "c_traffic", "c_total", "c_machines", "c_load",
-                 "surcharge", "polylog_exp", "word_width")
+# the --constants keys each command, and each simulate direction, reads
+_BUDGETS = ("c_space", "c_traffic")
+RUN_CONSTANTS = _BUDGETS + ("word_width",)
+SIMULATE_CONSTANTS = {
+    (ModelKind.CLIQUE, ModelKind.SEMI_MPC): _BUDGETS,
+    (ModelKind.SEMI_MPC, ModelKind.CLIQUE): _BUDGETS + ("surcharge",),
+    (ModelKind.CONGEST, ModelKind.SEMI_MPC): _BUDGETS + ("c_machines", "c_load"),
+}
+ROUTE_CONSTANTS = ("c_traffic",)
 
 
 class UsageError(Exception):
@@ -118,15 +121,15 @@ def _digest(obj) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
-def _parse_constants(pairs: list[str]) -> dict[str, int]:
+def _parse_constants(pairs: list[str], keys: tuple[str, ...]) -> dict[str, int]:
     out: dict[str, int] = {}
     for pair in pairs or []:
         if "=" not in pair:
             raise UsageError(f"constants must look like key=value, got {pair!r}")
         key, _, value = pair.partition("=")
-        if key not in CONSTANT_KEYS:
+        if key not in keys:
             raise UsageError(
-                f"unknown constant {key!r}; expected one of {', '.join(CONSTANT_KEYS)}")
+                f"unknown constant {key!r}; expected one of {', '.join(keys)}")
         try:
             out[key] = int(value)
         except ValueError:
@@ -138,14 +141,27 @@ def _load_graph_file(path: str) -> Graph:
     return load_graph(Path(path).read_text(encoding="utf-8"))
 
 
-def _make_program(algorithm: str, g: Graph, machines: int):
-    if algorithm == "boruvka":
-        return cc_boruvka_connectivity(g.n)
-    if algorithm == "flood":
-        return congest_flood_components(g.n)
-    if algorithm == "forest-merge":
-        return semimpc_forest_merge_connectivity(g.n, machines)
-    raise UsageError(f"unknown algorithm {algorithm!r}")
+def _make_program(args, model: ModelKind, g: Graph):
+    """The algorithm's program, refused unless it runs on the given model."""
+    if ALGORITHM_MODELS[args.algorithm] != model:
+        raise UsageError(
+            f"algorithm {args.algorithm!r} runs on "
+            f"{ALGORITHM_MODELS[args.algorithm].value}, not {model.value}")
+    if args.algorithm == "boruvka":
+        return BoruvkaConnectivity(g.n)
+    if args.algorithm == "flood":
+        return FloodMinLabel(g.n)
+    return ForestMergeConnectivity(g.n, args.machines)
+
+
+def _semi_mpc_input(args, g: Graph, constants: dict[str, int]):
+    """Semi-MPC params for args.machines machines, and the edge words placed
+    on them by the seeded shuffle."""
+    params = ModelParams.semi_mpc(
+        g.n, args.machines, ell=2 * g.m, word_width_bits=constants.get("word_width"),
+        c_space=constants.get("c_space", 4),
+        c_traffic=constants.get("c_traffic", 4)).with_min_delta()
+    return params, distribute_edges(g, args.machines, args.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -160,35 +176,21 @@ def cmd_gen(args) -> int:
 
 
 def cmd_run(args) -> int:
-    constants = _parse_constants(args.constants)
+    constants = _parse_constants(args.constants, RUN_CONSTANTS)
     g = _load_graph_file(args.graph)
     model = MODEL_FLAGS[args.model]
-    if ALGORITHM_MODELS[args.algorithm] != model:
-        raise UsageError(
-            f"algorithm {args.algorithm!r} runs on "
-            f"{ALGORITHM_MODELS[args.algorithm].value}, not {model.value}")
-
-    c_space = constants.get("c_space", 4)
-    c_traffic = constants.get("c_traffic", 4)
-    width = constants.get("word_width")
-    prog = _make_program(args.algorithm, g, args.machines)
-    if model == ModelKind.CLIQUE:
-        params = ModelParams.clique(g.n, word_width_bits=width,
-                                    c_space=c_space, c_traffic=c_traffic)
-        result = run_clique(prog, g, params)
-    elif model == ModelKind.CONGEST:
-        params = ModelParams.congest(g.n, word_width_bits=width,
-                                     c_space=c_space, c_traffic=c_traffic)
-        result = run_congest(prog, g, params)
-    else:
-        if not (1 <= args.machines <= g.n):
-            raise UsageError(f"need 1 <= machines <= {g.n}")
-        params = ModelParams.semi_mpc(
-            g.n, args.machines, ell=2 * g.m, word_width_bits=width,
-            c_space=c_space, c_traffic=c_traffic).with_min_delta()
-        inputs = distribute_edges(g, args.machines, args.seed)
+    prog = _make_program(args, model, g)
+    if model == ModelKind.SEMI_MPC:
+        params, inputs = _semi_mpc_input(args, g, constants)
         result = run_mpc(prog, inputs, params)
         result.graph = g
+    else:
+        factory, run = ((ModelParams.clique, run_clique) if model == ModelKind.CLIQUE
+                        else (ModelParams.congest, run_congest))
+        params = factory(g.n, word_width_bits=constants.get("word_width"),
+                         c_space=constants.get("c_space", 4),
+                         c_traffic=constants.get("c_traffic", 4))
+        result = run(prog, g, params)
 
     doc = result.to_json_dict()
     doc["config"] = {
@@ -216,40 +218,29 @@ def cmd_run(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    constants = _parse_constants(args.constants)
-    g = _load_graph_file(args.graph)
     source = MODEL_FLAGS[args.source]
     target = MODEL_FLAGS[args.target]
-    if ALGORITHM_MODELS[args.algorithm] != source:
-        raise UsageError(
-            f"algorithm {args.algorithm!r} runs on "
-            f"{ALGORITHM_MODELS[args.algorithm].value}, not {source.value}")
+    if (source, target) not in SIMULATE_CONSTANTS:
+        raise UsageError(f"unsupported pair: {args.source} -> {args.target}")
+    constants = _parse_constants(args.constants, SIMULATE_CONSTANTS[source, target])
+    g = _load_graph_file(args.graph)
+    prog = _make_program(args, source, g)
 
     c_space = constants.get("c_space", 4)
     c_traffic = constants.get("c_traffic", 4)
-    prog = _make_program(args.algorithm, g, args.machines)
-
-    if (source, target) == (ModelKind.CLIQUE, ModelKind.SEMI_MPC):
+    if source == ModelKind.CLIQUE:
         report = simulate_cc_on_semimpc(prog, g, c_space=c_space,
                                         c_traffic=c_traffic, seed=args.seed)
-    elif (source, target) == (ModelKind.SEMI_MPC, ModelKind.CLIQUE):
-        if not (1 <= args.machines <= g.n):
-            raise UsageError(f"need 1 <= machines <= {g.n}")
-        params = ModelParams.semi_mpc(
-            g.n, args.machines, ell=2 * g.m,
-            c_space=c_space, c_traffic=c_traffic).with_min_delta()
-        inputs = distribute_edges(g, args.machines, args.seed)
-        report = simulate_semimpc_on_cc(
-            prog, inputs, params,
-            surcharge=constants.get("surcharge", 2))
-    elif (source, target) == (ModelKind.CONGEST, ModelKind.SEMI_MPC):
+    elif source == ModelKind.SEMI_MPC:
+        params, inputs = _semi_mpc_input(args, g, constants)
+        report = simulate_semimpc_on_cc(prog, inputs, params,
+                                        surcharge=constants.get("surcharge", 2))
+    else:
         report = simulate_congest_on_semimpc(
             prog, g, round_budget=args.round_budget,
             c_space=c_space, c_traffic=c_traffic,
             c_machines=constants.get("c_machines", 2),
             c_load=constants.get("c_load", 2), seed=args.seed)
-    else:
-        raise UsageError(f"unsupported pair: {args.source} -> {args.target}")
 
     doc = report.to_json_dict()
     doc["config"] = {
@@ -283,7 +274,7 @@ def cmd_route(args) -> int:
     if not isinstance(rows, list) or not rows:
         raise UsageError("demand file must hold a dense square array")
     dm = DemandMatrix.from_rows(rows)
-    constants = _parse_constants(args.constants)
+    constants = _parse_constants(args.constants, ROUTE_CONSTANTS)
     sched = plan_routing(dm, c_traffic=constants.get("c_traffic", 4))
     payloads = {(s, d, q): (s * 31 + d * 7 + q) % (1 << 8)
                 for (s, d, q) in sched.assignment}
@@ -341,8 +332,8 @@ def cmd_verify(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="distsim",
-        description="Round-based simulator for CONGEST, congested clique, "
-                    "MPC and semi-MPC with budget checking and cross-model "
+        description="Round-based simulator for CONGEST, the congested clique "
+                    "and semi-MPC with budget checking and cross-model "
                     "simulation adapters.")
     sub = parser.add_subparsers(dest="command", required=True)
 

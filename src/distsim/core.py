@@ -333,12 +333,6 @@ class RoundRecord:
     transfers: tuple[tuple[int, int, int], ...]
     space: tuple[int, ...]
 
-    def sent_words(self, participant: int) -> int:
-        return sum(w for s, _, w in self.transfers if s == participant)
-
-    def recv_words(self, participant: int) -> int:
-        return sum(w for _, d, w in self.transfers if d == participant)
-
 
 @dataclass(frozen=True)
 class RoundTrace:
@@ -353,10 +347,12 @@ class RoundTrace:
         return len(self.rounds)
 
     def sent_words(self, participant: int, round_no: int) -> int:
-        return self.rounds[round_no - 1].sent_words(participant)
+        return sum(w for s, _, w in self.rounds[round_no - 1].transfers
+                   if s == participant)
 
     def recv_words(self, participant: int, round_no: int) -> int:
-        return self.rounds[round_no - 1].recv_words(participant)
+        return sum(w for _, d, w in self.rounds[round_no - 1].transfers
+                   if d == participant)
 
     def max_traffic(self) -> int:
         """Largest per-participant sent or received word count in any round."""

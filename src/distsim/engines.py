@@ -1,4 +1,5 @@
-"""Execution engines for the four computation models.
+"""Execution engines for the three computation models: CONGEST, the
+congested clique and semi-MPC.
 
 Each engine runs a NodeProgram in synchronous rounds and enforces the model's
 communication and space constraints on every round, emitting a RoundTrace.
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from operator import itemgetter
 
@@ -26,7 +27,6 @@ from .core import Graph, Message, RoundRecord, RoundTrace, word_width
 class ModelKind(str, Enum):
     CONGEST = "CONGEST"
     CLIQUE = "CLIQUE"
-    MPC = "MPC"
     SEMI_MPC = "SEMI_MPC"
 
 
@@ -50,20 +50,18 @@ class Violation:
     measured: int = 0
     allowed: int = 0
 
-    @property
-    def ratio(self) -> float:
-        return self.measured / self.allowed if self.allowed else math.inf
-
     def to_json_dict(self) -> dict:
-        return {
-            "rule": self.rule,
-            "round": self.round,
-            "src": self.src,
-            "dst": self.dst,
-            "participant": self.participant,
-            "measured": self.measured,
-            "allowed": self.allowed,
-        }
+        return asdict(self)
+
+
+def _one_per_vertex(kind: ModelKind):
+    """The ModelParams factory of a model with one participant per vertex."""
+    def factory(n: int, *, word_width_bits: int | None = None, c_space: int = 4,
+                c_traffic: int = 4, round_cap: int | None = None) -> "ModelParams":
+        return ModelParams(kind=kind, p=n, n=n,
+                           word_width_bits=word_width_bits or word_width(n),
+                           c_space=c_space, c_traffic=c_traffic, round_cap=round_cap)
+    return staticmethod(factory)
 
 
 @dataclass(frozen=True)
@@ -78,8 +76,8 @@ class ModelParams:
 
     kind: ModelKind
     p: int
+    n: int
     s: int = 0
-    n: int | None = None
     word_width_bits: int = 8
     delta: float = 0.0
     ell: int = 0
@@ -96,31 +94,13 @@ class ModelParams:
             raise ValueError("word width must be >= 1 bit")
         if not (0.0 <= self.delta < 1.0):
             raise ValueError("delta must lie in [0, 1)")
-        if self.kind in (ModelKind.CONGEST, ModelKind.CLIQUE):
-            if self.n is None or self.p != self.n:
-                raise ValueError(f"{self.kind.value} requires one participant per vertex")
-        if self.kind == ModelKind.SEMI_MPC and self.n is None:
-            raise ValueError("SEMI_MPC requires the vertex count n")
+        if self.kind != ModelKind.SEMI_MPC and self.p != self.n:
+            raise ValueError(f"{self.kind.value} requires one participant per vertex")
 
     # -- factories ---------------------------------------------------------
 
-    @staticmethod
-    def clique(n: int, *, word_width_bits: int | None = None, c_space: int = 4,
-               c_traffic: int = 4, round_cap: int | None = None) -> "ModelParams":
-        return ModelParams(
-            kind=ModelKind.CLIQUE, p=n, n=n,
-            word_width_bits=word_width_bits or word_width(n),
-            c_space=c_space, c_traffic=c_traffic, round_cap=round_cap,
-        )
-
-    @staticmethod
-    def congest(n: int, *, word_width_bits: int | None = None, c_space: int = 4,
-                c_traffic: int = 4, round_cap: int | None = None) -> "ModelParams":
-        return ModelParams(
-            kind=ModelKind.CONGEST, p=n, n=n,
-            word_width_bits=word_width_bits or word_width(n),
-            c_space=c_space, c_traffic=c_traffic, round_cap=round_cap,
-        )
+    clique = _one_per_vertex(ModelKind.CLIQUE)
+    congest = _one_per_vertex(ModelKind.CONGEST)
 
     @staticmethod
     def semi_mpc(n: int, p: int, *, ell: int, delta: float = 0.0,
@@ -130,17 +110,6 @@ class ModelParams:
         return ModelParams(
             kind=ModelKind.SEMI_MPC, p=p, s=c_space * n, n=n,
             word_width_bits=word_width_bits or word_width(n),
-            delta=delta, ell=ell, c_space=c_space, c_traffic=c_traffic,
-            c_total=c_total, polylog_exp=polylog_exp, round_cap=round_cap,
-        )
-
-    @staticmethod
-    def mpc(p: int, s: int, *, ell: int, delta: float = 0.0,
-            word_width_bits: int = 16, c_space: int = 4, c_traffic: int = 4,
-            c_total: int = 4, polylog_exp: int = 2,
-            round_cap: int | None = None) -> "ModelParams":
-        return ModelParams(
-            kind=ModelKind.MPC, p=p, s=s, word_width_bits=word_width_bits,
             delta=delta, ell=ell, c_space=c_space, c_traffic=c_traffic,
             c_total=c_total, polylog_exp=polylog_exp, round_cap=round_cap,
         )
@@ -160,19 +129,19 @@ class ModelParams:
         """
         if self.ell <= 0:
             return 0
-        size = max(self.ell, self.n or 0)
+        size = max(self.ell, self.n)
         log_term = math.log2(max(size, 2)) ** self.polylog_exp
         return int(self.c_total * (size ** (1.0 + self.delta)) * log_term)
 
     def start_violations(self) -> list[Violation]:
         """Machine-count and total-space laws, checked before round 1."""
         out: list[Violation] = []
-        if self.kind not in (ModelKind.MPC, ModelKind.SEMI_MPC):
+        if self.kind != ModelKind.SEMI_MPC:
             return out
         if self.p > self.s:
             out.append(Violation(rule="machine-count", round=0,
                                  measured=self.p, allowed=self.s))
-        if self.kind == ModelKind.SEMI_MPC and self.s != self.c_space * self.n:
+        if self.s != self.c_space * self.n:
             out.append(Violation(rule="space-law", round=0,
                                  measured=self.s, allowed=self.c_space * self.n))
         if self.ell > 0:
@@ -189,7 +158,7 @@ class ModelParams:
             return None
         if replace(self, delta=0.0).total_space_bound() >= self.p * self.s:
             return 0.0
-        size = max(self.ell, self.n or 0)
+        size = max(self.ell, self.n)
         if size <= 1:
             return None
         log_term = math.log2(max(size, 2)) ** self.polylog_exp
@@ -209,31 +178,17 @@ class ModelParams:
         return replace(self, delta=delta) if delta is not None else self
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "p": self.p,
-            "s": self.s,
-            "n": self.n,
-            "word_width_bits": self.word_width_bits,
-            "delta": self.delta,
-            "ell": self.ell,
-            "c_space": self.c_space,
-            "c_traffic": self.c_traffic,
-            "c_total": self.c_total,
-            "polylog_exp": self.polylog_exp,
-            "round_cap": self.round_cap,
-        }
+        return {**asdict(self), "kind": self.kind.value}
 
     @staticmethod
     def from_json_dict(doc: dict) -> "ModelParams":
         """Inverse of to_json_dict.  Nothing is coerced: the integer fields
-        must hold ints (not bools), delta an int or a float, and n and
-        round_cap None or an int; anything else raises ValueError."""
+        must hold ints (not bools), delta an int or a float, and round_cap
+        None or an int; anything else raises ValueError."""
         fields = {key: doc[key] for key in _INT_PARAMS}
-        fields["n"] = doc["n"]
         fields["round_cap"] = doc.get("round_cap")
         for key, value in fields.items():
-            if type(value) is not int and not (value is None and key in _OPTIONAL_PARAMS):
+            if type(value) is not int and not (value is None and key == "round_cap"):
                 raise ValueError(f"params field {key!r} holds {value!r}, not an integer")
         delta = doc["delta"]
         if type(delta) is not int and type(delta) is not float:
@@ -241,9 +196,8 @@ class ModelParams:
         return ModelParams(kind=ModelKind(doc["kind"]), delta=float(delta), **fields)
 
 
-_INT_PARAMS = ("p", "s", "word_width_bits", "ell", "c_space", "c_traffic",
+_INT_PARAMS = ("p", "n", "s", "word_width_bits", "ell", "c_space", "c_traffic",
                "c_total", "polylog_exp")
-_OPTIONAL_PARAMS = ("n", "round_cap")
 
 
 class NodeProgram:
@@ -575,37 +529,37 @@ def distribute_edges(g: Graph, p: int, seed: int = 0) -> list[list[int]]:
     return out
 
 
+def _run_on_graph(kind: ModelKind, prog: NodeProgram, g: Graph,
+                  params: ModelParams) -> RunResult:
+    """One participant per vertex, whose local input is the vertex's
+    incident edge list."""
+    if params.kind != kind or params.p != g.n:
+        raise EngineContractError(f"params do not describe {kind.value} on this graph")
+    return _execute(prog, [g.incident_edges(v) for v in range(g.n)], params, g)
+
+
 def run_clique(prog: NodeProgram, g: Graph,
                params: ModelParams | None = None) -> RunResult:
-    """Congested clique: one participant per vertex, any ordered pair may
-    exchange at most one word per round.  Local input is the vertex's
-    incident edge list."""
-    if params is None:
-        params = ModelParams.clique(g.n)
-    if params.kind != ModelKind.CLIQUE or params.p != g.n:
-        raise EngineContractError("params do not describe a clique on this graph")
-    inputs = [g.incident_edges(v) for v in range(g.n)]
-    return _execute(prog, inputs, params, g)
+    """Congested clique: any ordered pair of vertices may exchange at most
+    one word per round."""
+    return _run_on_graph(ModelKind.CLIQUE, prog, g,
+                         ModelParams.clique(g.n) if params is None else params)
 
 
 def run_congest(prog: NodeProgram, g: Graph,
                 params: ModelParams | None = None) -> RunResult:
     """CONGEST: like the clique but messages may only travel along edges of
     the input graph; transfers off-graph are violations."""
-    if params is None:
-        params = ModelParams.congest(g.n)
-    if params.kind != ModelKind.CONGEST or params.p != g.n:
-        raise EngineContractError("params do not describe CONGEST on this graph")
-    inputs = [g.incident_edges(v) for v in range(g.n)]
-    return _execute(prog, inputs, params, g)
+    return _run_on_graph(ModelKind.CONGEST, prog, g,
+                         ModelParams.congest(g.n) if params is None else params)
 
 
 def run_mpc(prog: NodeProgram, inputs: list[list[int]],
             params: ModelParams) -> RunResult:
-    """MPC / semi-MPC: per machine and round, sent words, received words and
-    the space high-water mark must each stay within the space budget s."""
-    if params.kind not in (ModelKind.MPC, ModelKind.SEMI_MPC):
-        raise EngineContractError("run_mpc requires MPC or SEMI_MPC params")
+    """Semi-MPC: per machine and round, sent words, received words and the
+    space high-water mark must each stay within the space budget s."""
+    if params.kind != ModelKind.SEMI_MPC:
+        raise EngineContractError("run_mpc requires SEMI_MPC params")
     if len(inputs) != params.p:
         raise EngineContractError(
             f"expected {params.p} machine inputs, got {len(inputs)}")

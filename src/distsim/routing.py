@@ -258,7 +258,6 @@ def plan_routing(dm: DemandMatrix, *, c_traffic: int = 4) -> Schedule:
 class DeliveryRecord:
     """What a schedule replay actually delivered, plus the engine evidence."""
 
-    schedule: Schedule
     run: RunResult
     delivered: tuple[tuple[tuple[int, int, int], ...], ...]
     # delivered[dst] = sorted (src, seq, value) triples
@@ -428,4 +427,4 @@ def execute_schedule(sched: Schedule, payloads: dict[tuple[int, int, int], int],
     if total != len(payloads):
         raise RuntimeError("delivered word count does not match the demand")
 
-    return DeliveryRecord(schedule=sched, run=run, delivered=tuple(delivered))
+    return DeliveryRecord(run=run, delivered=tuple(delivered))

@@ -22,9 +22,9 @@ from distsim import (
     simulate_cc_on_semimpc,
     simulate_congest_on_semimpc,
     simulate_semimpc_on_cc,
-    cc_boruvka_connectivity,
-    congest_flood_components,
-    semimpc_forest_merge_connectivity,
+    BoruvkaConnectivity,
+    FloodMinLabel,
+    ForestMergeConnectivity,
 )
 from distsim.cli import main as cli_main
 from distsim.routing import coloring_is_proper
@@ -47,7 +47,7 @@ def test_acceptance_1_clique_to_semimpc_bounds():
     assert len(corpus) == 100
     for n, prob, seed in corpus:
         g = _gnp(n, prob, seed)
-        rep = simulate_cc_on_semimpc(cc_boruvka_connectivity(n), g, seed=seed)
+        rep = simulate_cc_on_semimpc(BoruvkaConnectivity(n), g, seed=seed)
         t = rep.native.rounds_used
         assert rep.simulated.rounds_used == t + 1, (n, seed)
         assert rep.simulated.params.p == n
@@ -72,7 +72,7 @@ def test_acceptance_2_semimpc_to_clique_bounds():
         params = ModelParams.semi_mpc(n, p, ell=2 * g.m).with_min_delta()
         inputs = distribute_edges(g, p, seed=seed)
         rep = simulate_semimpc_on_cc(
-            semimpc_forest_merge_connectivity(n, p), inputs, params,
+            ForestMergeConnectivity(n, p), inputs, params,
             surcharge=2)
         t = rep.native.rounds_used
         assert rep.simulated.rounds_used <= (2 + 2) * t, (p, n, seed)
@@ -144,7 +144,7 @@ def test_acceptance_4_congest_to_semimpc_bounds():
     flags = 0
     for n, seed in corpus:
         g = random_connected_graph(n, n // 5, seed)
-        rep = simulate_congest_on_semimpc(congest_flood_components(n), g)
+        rep = simulate_congest_on_semimpc(FloodMinLabel(n), g)
         t = rep.native.rounds_used
         machines = rep.measured_constants["machines"]
         assert rep.simulated.rounds_used <= t + 3, (n, seed)
@@ -168,13 +168,13 @@ def test_acceptance_5_oracle_correctness():
     for seed in range(500):
         n = 4 + seed % 29
         g = random_graph(n, seed)
-        res = run_clique(cc_boruvka_connectivity(n), g)
+        res = run_clique(BoruvkaConnectivity(n), g)
         assert res.clean and res.outputs == [[x] for x in components_oracle(g)]
 
     for seed in range(500):
         n = 3 + seed % 30
         g = random_graph(n, 10_000 + seed)
-        res = run_congest(congest_flood_components(n), g)
+        res = run_congest(FloodMinLabel(n), g)
         assert res.clean and res.outputs == [[x] for x in components_oracle(g)]
 
     for seed in range(500):
@@ -183,7 +183,7 @@ def test_acceptance_5_oracle_correctness():
         p = 1 + seed % min(8, n)
         params = ModelParams.semi_mpc(n, p, ell=2 * g.m).with_min_delta()
         inputs = distribute_edges(g, p, seed=seed)
-        res = run_mpc(semimpc_forest_merge_connectivity(n, p), inputs, params)
+        res = run_mpc(ForestMergeConnectivity(n, p), inputs, params)
         assert res.clean and res.outputs[0] == components_oracle(g)
     print("ACCEPTANCE 5 PASS: boruvka, flooding and forest-merge all match"
           " the oracle on 500 random graphs each")

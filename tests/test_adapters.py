@@ -15,9 +15,9 @@ from distsim import (
     simulate_cc_on_semimpc,
     simulate_congest_on_semimpc,
     simulate_semimpc_on_cc,
-    cc_boruvka_connectivity,
-    congest_flood_components,
-    semimpc_forest_merge_connectivity,
+    BoruvkaConnectivity,
+    FloodMinLabel,
+    ForestMergeConnectivity,
 )
 from distsim.adapters import load_bound_ok
 from distsim.engines import EngineContractError, run_mpc
@@ -101,7 +101,7 @@ def test_cc_sim_zero_round_program():
 
 def test_cc_sim_boruvka_round_count_and_outputs():
     g = gen_graph("gnp", 64, prob=0.1, seed=2)
-    rep = simulate_cc_on_semimpc(cc_boruvka_connectivity(64), g, seed=5)
+    rep = simulate_cc_on_semimpc(BoruvkaConnectivity(64), g, seed=5)
     assert rep.all_ok
     assert rep.simulated.rounds_used == rep.native.rounds_used + 1
     assert rep.simulated.params.p == 64
@@ -113,14 +113,14 @@ def test_cc_sim_star_redistribution_traffic():
     g = gen_graph("star", 8)
     placement = [[] for _ in range(8)]
     placement[3] = list(g.edges)
-    rep = simulate_cc_on_semimpc(cc_boruvka_connectivity(8), g,
+    rep = simulate_cc_on_semimpc(BoruvkaConnectivity(8), g,
                                  initial_edges=placement)
     assert rep.all_ok
-    round1 = rep.simulated.trace.rounds[0]
+    trace = rep.simulated.trace
     # the hub's machine hears about all 7 incident edges
-    assert round1.recv_words(0) == 7
+    assert trace.recv_words(0, 1) == 7
     # two notifications per stored edge, minus the free one to itself
-    assert round1.sent_words(3) == 2 * g.m - 1
+    assert trace.sent_words(3, 1) == 2 * g.m - 1
 
 
 def test_cc_sim_refuses_memory_hog():
@@ -134,7 +134,7 @@ def test_cc_sim_refuses_oversized_placement():
     placement = [[] for _ in range(12)]
     placement[0] = list(g.edges)  # 66 edges = 132 words > 4 * 12
     with pytest.raises(SimulationRefused, match="starts with"):
-        simulate_cc_on_semimpc(cc_boruvka_connectivity(12), g,
+        simulate_cc_on_semimpc(BoruvkaConnectivity(12), g,
                                initial_edges=placement)
 
 
@@ -142,7 +142,7 @@ def test_cc_sim_random_corpus():
     for seed in range(10):
         n = 16 + 8 * (seed % 3)
         g = random_graph(n, seed)
-        rep = simulate_cc_on_semimpc(cc_boruvka_connectivity(n), g, seed=seed)
+        rep = simulate_cc_on_semimpc(BoruvkaConnectivity(n), g, seed=seed)
         assert rep.all_ok, rep.bound_checks
 
 
@@ -210,7 +210,7 @@ def test_mpc_sim_forest_merge_matches_native_and_oracle():
     params = _semi_params(32, p, g.m)
     inputs = distribute_edges(g, p, seed=3)
     rep = simulate_semimpc_on_cc(
-        semimpc_forest_merge_connectivity(32, p), inputs, params)
+        ForestMergeConnectivity(32, p), inputs, params)
     assert rep.all_ok
     assert rep.simulated.rounds_used <= (2 + 2) * rep.native.rounds_used
     assert rep.simulated.outputs[0] == components_oracle(g)
@@ -223,7 +223,7 @@ def test_mpc_sim_every_pair_carries_at_most_one_word():
     params = _semi_params(24, p, g.m)
     inputs = distribute_edges(g, p, seed=1)
     rep = simulate_semimpc_on_cc(
-        semimpc_forest_merge_connectivity(24, p), inputs, params)
+        ForestMergeConnectivity(24, p), inputs, params)
     assert rep.all_ok
     for rec in rep.simulated.trace.rounds:
         seen = set()
@@ -234,7 +234,7 @@ def test_mpc_sim_every_pair_carries_at_most_one_word():
 
 
 def test_mpc_sim_requires_semi_mpc_params():
-    params = ModelParams.mpc(p=2, s=64, ell=0)
+    params = ModelParams.clique(2)
     with pytest.raises(SimulationRefused):
         simulate_semimpc_on_cc(SilentMachine(), [[], []], params)
 
@@ -247,7 +247,7 @@ def test_mpc_sim_random_corpus():
         params = _semi_params(n, p, g.m)
         inputs = distribute_edges(g, p, seed=seed)
         rep = simulate_semimpc_on_cc(
-            semimpc_forest_merge_connectivity(n, p), inputs, params)
+            ForestMergeConnectivity(n, p), inputs, params)
         assert rep.all_ok, rep.bound_checks
         assert rep.simulated.outputs[0] == components_oracle(g)
 
@@ -441,7 +441,7 @@ class CongestHog(NodeProgram):
 
 def test_congest_sim_flood_path16():
     g = gen_graph("path", 16)
-    rep = simulate_congest_on_semimpc(congest_flood_components(16), g)
+    rep = simulate_congest_on_semimpc(FloodMinLabel(16), g)
     assert rep.all_ok
     t = rep.native.rounds_used
     assert rep.simulated.rounds_used <= t + 3
@@ -451,7 +451,7 @@ def test_congest_sim_flood_path16():
 
 def test_congest_sim_flood_cycle32_traffic():
     g = gen_graph("cycle", 32)
-    rep = simulate_congest_on_semimpc(congest_flood_components(32), g)
+    rep = simulate_congest_on_semimpc(FloodMinLabel(32), g)
     assert rep.all_ok
     # every machine stays within the budget the engine enforces
     assert rep.measured_constants["max_traffic_words"] <= 4 * 32
@@ -459,7 +459,7 @@ def test_congest_sim_flood_cycle32_traffic():
 
 def test_congest_sim_edgeless_degenerate():
     g = Graph(n=5, edges=())
-    rep = simulate_congest_on_semimpc(congest_flood_components(5), g)
+    rep = simulate_congest_on_semimpc(FloodMinLabel(5), g)
     assert rep.all_ok
     assert rep.measured_constants["machines"] == 1
     assert rep.simulated.rounds_used <= rep.native.rounds_used + 3
@@ -470,7 +470,7 @@ def test_congest_sim_edgeless_degenerate():
 def test_congest_sim_edgeless_space_is_node_states_only(n):
     # the single machine holds the n flood states (3 words each) and nothing
     # else: no round counter, and no internal messages on an edgeless graph
-    rep = simulate_congest_on_semimpc(congest_flood_components(n),
+    rep = simulate_congest_on_semimpc(FloodMinLabel(n),
                                       Graph(n=n, edges=()))
     assert rep.all_ok
     assert rep.measured_constants["max_space_words"] == 3 * n
@@ -486,7 +486,7 @@ def test_congest_sim_gossip_packs_vertices_per_machine():
 def test_congest_sim_high_degree_flag_exact():
     # star: hub degree n-1 > n / T
     g = gen_graph("star", 12)
-    rep = simulate_congest_on_semimpc(congest_flood_components(12), g)
+    rep = simulate_congest_on_semimpc(FloodMinLabel(12), g)
     assert rep.extra["high_degree_flag"] == (11 * rep.native.rounds_used > 12)
     assert rep.extra["high_degree_flag"]
 
@@ -505,7 +505,7 @@ def test_congest_sim_refuses_memory_hog():
 def test_congest_sim_refuses_small_round_budget():
     g = gen_graph("path", 8)
     with pytest.raises(SimulationRefused, match="budget"):
-        simulate_congest_on_semimpc(congest_flood_components(8), g,
+        simulate_congest_on_semimpc(FloodMinLabel(8), g,
                                     round_budget=2)
 
 
@@ -535,7 +535,7 @@ def test_congest_sim_machines_ok_honours_c_machines(c_machines, machines):
 
 def test_congest_sim_assignment_in_report():
     g = gen_graph("path", 16)
-    rep = simulate_congest_on_semimpc(congest_flood_components(16), g)
+    rep = simulate_congest_on_semimpc(FloodMinLabel(16), g)
     machine_of = rep.extra["assignment"]
     assert len(machine_of) == 16
     assert max(machine_of) < rep.measured_constants["machines"]

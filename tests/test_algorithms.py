@@ -10,9 +10,9 @@ from distsim import (
     run_clique,
     run_congest,
     run_mpc,
-    cc_boruvka_connectivity,
-    congest_flood_components,
-    semimpc_forest_merge_connectivity,
+    BoruvkaConnectivity,
+    FloodMinLabel,
+    ForestMergeConnectivity,
 )
 from distsim.algorithms import spanning_forest
 from distsim.core import components_by_union_find
@@ -35,26 +35,26 @@ def merge_phases(rounds_used):
 
 def test_boruvka_triangle():
     g = Graph(n=3, edges=((0, 1), (0, 2), (1, 2)))
-    res = run_clique(cc_boruvka_connectivity(3), g)
+    res = run_clique(BoruvkaConnectivity(3), g)
     assert res.clean
     assert res.outputs == flat([0, 0, 0])
 
 
 def test_boruvka_two_disjoint_edges():
     g = Graph(n=4, edges=((0, 1), (2, 3)))
-    res = run_clique(cc_boruvka_connectivity(4), g)
+    res = run_clique(BoruvkaConnectivity(4), g)
     assert res.outputs == flat([0, 0, 2, 2])
 
 
 def test_boruvka_edgeless():
     g = Graph(n=3, edges=())
-    res = run_clique(cc_boruvka_connectivity(3), g)
+    res = run_clique(BoruvkaConnectivity(3), g)
     assert res.outputs == flat([0, 1, 2])
 
 
 def test_boruvka_gnp_matches_oracle_with_few_phases():
     g = gen_graph("gnp", 128, prob=0.03, seed=5)
-    res = run_clique(cc_boruvka_connectivity(128), g)
+    res = run_clique(BoruvkaConnectivity(128), g)
     assert res.clean
     assert res.outputs == flat(components_oracle(g))
     assert merge_phases(res.rounds_used) <= math.ceil(math.log2(128))
@@ -64,7 +64,7 @@ def test_boruvka_random_corpus():
     for seed in range(60):
         n = 4 + seed % 21
         g = random_graph(n, seed)
-        res = run_clique(cc_boruvka_connectivity(n), g)
+        res = run_clique(BoruvkaConnectivity(n), g)
         assert res.clean
         assert res.outputs == flat(components_oracle(g))
         assert merge_phases(res.rounds_used) <= max(1, math.ceil(math.log2(n)))
@@ -74,27 +74,27 @@ def test_boruvka_random_corpus():
 
 def test_flood_path3_rounds_and_labels():
     g = gen_graph("path", 3)
-    res = run_congest(congest_flood_components(3), g)
+    res = run_congest(FloodMinLabel(3), g)
     assert res.rounds_used == 3
     assert res.outputs == flat([0, 0, 0])
 
 
 def test_flood_edgeless():
     g = Graph(n=3, edges=())
-    res = run_congest(congest_flood_components(3), g)
+    res = run_congest(FloodMinLabel(3), g)
     assert res.outputs == flat([0, 1, 2])
 
 
 def test_flood_cycle8():
     g = gen_graph("cycle", 8)
-    res = run_congest(congest_flood_components(8), g)
+    res = run_congest(FloodMinLabel(8), g)
     assert res.rounds_used <= 8
     assert res.outputs == flat([0] * 8)
 
 
 def test_flood_memory_is_degree_plus_constant():
     g = gen_graph("star", 16)
-    res = run_congest(congest_flood_components(16), g)
+    res = run_congest(FloodMinLabel(16), g)
     peaks = res.trace.space_high_water()
     for v in range(16):
         assert peaks[v] <= 2 * g.degrees[v] + 8
@@ -104,7 +104,7 @@ def test_flood_random_corpus():
     for seed in range(60):
         n = 3 + seed % 22
         g = random_graph(n, seed)
-        res = run_congest(congest_flood_components(n), g)
+        res = run_congest(FloodMinLabel(n), g)
         assert res.clean
         assert res.outputs == flat(components_oracle(g))
 
@@ -114,7 +114,7 @@ def test_flood_random_corpus():
 def run_forest_merge(g, p, seed=0):
     params = ModelParams.semi_mpc(g.n, p, ell=2 * g.m).with_min_delta()
     inputs = distribute_edges(g, p, seed)
-    return run_mpc(semimpc_forest_merge_connectivity(g.n, p), inputs, params)
+    return run_mpc(ForestMergeConnectivity(g.n, p), inputs, params)
 
 
 def test_forest_merge_single_machine():
@@ -138,7 +138,7 @@ def test_forest_merge_adversarial_placement():
     inputs = [[] for _ in range(p)]
     inputs[3] = [w for e in g.edges for w in e]
     params = ModelParams.semi_mpc(g.n, p, ell=2 * g.m).with_min_delta()
-    res = run_mpc(semimpc_forest_merge_connectivity(g.n, p), inputs, params)
+    res = run_mpc(ForestMergeConnectivity(g.n, p), inputs, params)
     assert res.clean
     assert res.outputs[0] == components_oracle(g)
     # the loaded machine never ships more than a spanning forest per round

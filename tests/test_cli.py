@@ -113,6 +113,66 @@ def test_run_engine_contract_error_exits_2(graph_file, tmp_path, capsys):
     assert not out.exists()
 
 
+RUN_CLIQUE = ("run", "--model", "clique", "--algorithm", "boruvka")
+RUN_CONGEST = ("run", "--model", "congest", "--algorithm", "flood")
+RUN_SEMIMPC = ("run", "--model", "semimpc", "--algorithm", "forest-merge")
+SIM_CLIQUE = ("simulate", "--from", "clique", "--to", "semimpc", "--algorithm", "boruvka")
+SIM_SEMIMPC = ("simulate", "--from", "semimpc", "--to", "clique",
+               "--algorithm", "forest-merge")
+SIM_CONGEST = ("simulate", "--from", "congest", "--to", "semimpc", "--algorithm", "flood")
+ROUTE = ("route",)
+
+
+@pytest.mark.parametrize("argv,constants,code", [
+    # every key a command (or a simulate direction) reads is accepted ...
+    (RUN_CLIQUE, ("c_space=4", "c_traffic=4", "word_width=7"), 0),
+    (RUN_CONGEST, ("c_space=4", "c_traffic=4", "word_width=7"), 0),
+    (RUN_SEMIMPC, ("c_space=4", "c_traffic=4", "word_width=7"), 0),
+    (SIM_CLIQUE, ("c_space=4", "c_traffic=4"), 0),
+    (SIM_SEMIMPC, ("c_space=4", "c_traffic=4", "surcharge=2"), 0),
+    (SIM_CONGEST, ("c_space=4", "c_traffic=4", "c_machines=2", "c_load=2"), 0),
+    (ROUTE, ("c_traffic=4",), 0),
+    # ... and every other key is refused: each used to be recorded in the
+    # output's config and never read
+    (RUN_CLIQUE, ("c_total=1",), 2),
+    (RUN_CONGEST, ("polylog_exp=0",), 2),
+    (RUN_SEMIMPC, ("surcharge=9",), 2),
+    (RUN_SEMIMPC, ("c_load=0",), 2),
+    (RUN_CLIQUE, ("c_machines=0",), 2),
+    (SIM_CLIQUE, ("word_width=3",), 2),
+    (SIM_CLIQUE, ("surcharge=9",), 2),
+    (SIM_SEMIMPC, ("c_machines=0",), 2),
+    (SIM_SEMIMPC, ("c_total=1",), 2),
+    (SIM_CONGEST, ("surcharge=9",), 2),
+    (SIM_CONGEST, ("polylog_exp=0",), 2),
+    (ROUTE, ("c_space=1",), 2),
+])
+def test_constants_are_only_those_the_command_reads(argv, constants, code,
+                                                    graph_file, tmp_path, capsys):
+    if argv == ROUTE:
+        (tmp_path / "demand.json").write_text("[[0, 1, 0], [0, 0, 2], [1, 0, 0]]")
+        argv += ("--demand", str(tmp_path / "demand.json"))
+    else:
+        argv += ("--graph", graph_file)
+    out = tmp_path / "out.json"
+    assert run_cli(*argv, "--constants", *constants, "--out", str(out)) == code
+    if code:
+        assert capsys.readouterr().err.startswith("error: unknown constant ")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [RUN_SEMIMPC, SIM_SEMIMPC])
+@pytest.mark.parametrize("machines", [0, 21])
+def test_machine_count_out_of_range_exits_2(argv, machines, graph_file,
+                                             tmp_path, capsys):
+    # graph_file has n = 20 vertices
+    out = tmp_path / "out.json"
+    assert run_cli(*argv, "--graph", graph_file, "--machines", str(machines),
+                   "--out", str(out)) == 2
+    assert capsys.readouterr().err == "error: need 1 <= p <= n machines\n"
+    assert not out.exists()
+
+
 # -- simulate ---------------------------------------------------------------------
 
 def test_simulate_cc_to_semimpc(graph_file, tmp_path):
@@ -421,9 +481,11 @@ def _set(doc, section, key, value):
     lambda doc: _set(doc, "params", "round_cap", "9"),
     lambda doc: _set(doc, "params", "delta", "0.0"),
     lambda doc: _set(doc, "params", "delta", False),
+    # the plain-MPC model kind is gone; it used to verify with exit 1
+    lambda doc: _set(doc, "params", "kind", "MPC"),
 ], ids=["float-endpoint", "string-endpoint", "bool-endpoint", "float-graph-n",
         "string-c-traffic", "float-word-width", "bool-c-space", "float-n",
-        "string-round-cap", "string-delta", "bool-delta"])
+        "string-round-cap", "string-delta", "bool-delta", "plain-mpc-kind"])
 def test_verify_rejects_coerced_graph_and_params(tmp_path, capsys, doctor):
     (tmp_path / "path.txt").write_text(gen_graph("path", 5).to_edge_list_text())
     out = tmp_path / "run.json"

@@ -112,7 +112,7 @@ def test_clique_all_to_zero():
     assert res.rounds_used == 1
     assert res.clean
     round1 = res.trace.rounds[0]
-    assert round1.recv_words(0) == 3
+    assert res.trace.recv_words(0, 1) == 3
     assert sum(1 for s, d, w in round1.transfers if d == 0) == 3
 
 
@@ -172,7 +172,8 @@ def test_congest_edge_discipline_over_corpus():
 # -- mpc ----------------------------------------------------------------------
 
 def _mpc_params(p=2, s=8):
-    return ModelParams.mpc(p=p, s=s, ell=0)
+    # c_space = 1 makes the space budget s = c_space * n equal to n
+    return ModelParams.semi_mpc(s, p, ell=0, c_space=1)
 
 
 def test_mpc_at_budget_is_clean():
@@ -181,13 +182,12 @@ def test_mpc_at_budget_is_clean():
     assert res.trace.sent_words(0, 1) == 8
 
 
-def test_mpc_over_budget_violates_with_ratio():
+def test_mpc_over_budget_violates():
     res = run_mpc(MpcShipper(9), [[], []], _mpc_params())
     assert not res.clean
     v = res.violations[0]
     assert v.rule == "sent-budget"
     assert (v.measured, v.allowed) == (9, 8)
-    assert v.ratio == pytest.approx(9 / 8)
 
 
 def test_mpc_rejects_oversized_input():
@@ -196,14 +196,14 @@ def test_mpc_rejects_oversized_input():
 
 
 def test_mpc_rejects_bad_machine_count_law():
-    params = ModelParams.mpc(p=9, s=8, ell=0)
+    params = _mpc_params(p=9, s=8)
     res = run_mpc(MpcShipper(0), [[]] * 9, params)
     assert res.rounds_used == 0
     assert res.violations[0].rule == "machine-count"
 
 
 def test_mpc_total_space_law():
-    params = ModelParams.mpc(p=4, s=4, ell=2, polylog_exp=0, c_total=1)
+    params = ModelParams.semi_mpc(4, 4, ell=2, c_space=1, polylog_exp=0, c_total=1)
     res = run_mpc(MpcShipper(1), [[1], [1], [], []], params)
     assert any(v.rule == "total-space" for v in res.violations)
 
@@ -478,7 +478,7 @@ class GrowShrink(NodeProgram):
 
 def _grow_shrink_run(p=3, rounds=6):
     prog = GrowShrink(p, rounds)
-    res = run_mpc(prog, [[]] * p, ModelParams.mpc(p=p, s=64, ell=0))
+    res = run_mpc(prog, [[]] * p, _mpc_params(p=p, s=64))
     assert res.clean and res.rounds_used == rounds
     return prog, res
 
