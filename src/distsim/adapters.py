@@ -458,12 +458,9 @@ def simulate_semimpc_on_cc(prog: NodeProgram, inputs: list[list[int]],
         sent.append({src: next(recorded[src]) for src in senders})
         if not senders:
             continue
-        counts = [[0] * n for _ in range(n)]
-        for src, dst, words in rec.transfers:
-            counts[src][dst] += words
-        max_seq = max(max_seq, *(counts[s][d] - 1 for s, d, _w in rec.transfers))
-        schedule = plan_routing(DemandMatrix.from_rows(counts),
-                                c_traffic=params.c_traffic)
+        demand = DemandMatrix.from_transfers(n, rec.transfers)
+        max_seq = max([max_seq] + [count - 1 for _s, _d, count in demand.cells])
+        schedule = plan_routing(demand, c_traffic=params.c_traffic)
         episodes.append((r, base, schedule))
         base += schedule.num_rounds
 

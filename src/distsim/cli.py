@@ -270,12 +270,19 @@ def cmd_simulate(args) -> int:
 
 def cmd_route(args) -> int:
     doc = json.loads(Path(args.demand).read_text(encoding="utf-8"))
-    rows = doc["matrix"] if isinstance(doc, dict) else doc
-    if not isinstance(rows, list) or not rows:
+    if isinstance(doc, dict):
+        if "matrix" not in doc:
+            raise UsageError('demand file object has no "matrix" array')
+        doc = doc["matrix"]
+    # nothing is coerced: from_rows refuses counts that are not ints
+    if type(doc) is not list or not doc or any(type(row) is not list for row in doc):
         raise UsageError("demand file must hold a dense square array")
-    dm = DemandMatrix.from_rows(rows)
+    dm = DemandMatrix.from_rows(doc)
     constants = _parse_constants(args.constants, ROUTE_CONSTANTS)
     sched = plan_routing(dm, c_traffic=constants.get("c_traffic", 4))
+    # the replay needs only the schedule: free the demand's cells before it
+    summary = f"demand n={dm.n} words={dm.total_words} max_degree={dm.max_degree}"
+    del dm
     payloads = {(s, d, q): (s * 31 + d * 7 + q) % (1 << 8)
                 for (s, d, q) in sched.assignment}
     record = execute_schedule(sched, payloads, value_width=8)
@@ -285,7 +292,7 @@ def cmd_route(args) -> int:
     out["delivered_words"] = sum(len(t) for t in record.delivered)
     _dump_json(out, args.out)
 
-    print(f"demand n={dm.n} words={dm.total_words} max_degree={dm.max_degree}")
+    print(summary)
     print(f"schedule_rounds={sched.num_rounds} "
           f"engine_rounds={record.run.rounds_used} "
           f"delivered={out['delivered_words']}")

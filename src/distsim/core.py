@@ -38,34 +38,53 @@ def word_width(n: int) -> int:
 
 class FieldCodec:
     """Packs a fixed tuple of small non-negative ints into one word, first
-    field most significant.  The shifts, masks and limits are computed once,
-    when the codec is built."""
+    field most significant.
 
-    __slots__ = ("widths", "_pack_spec", "_unpack_spec")
+    pack and unpack are generated as straight-line functions for the widths
+    when the codec is built (as collections.namedtuple does), with every
+    shift, limit and mask an integer literal.  They behave exactly like the
+    loops they replace: pack checks the arity, then per field, in order, the
+    range before it shifts the value in.
+    """
+
+    __slots__ = ("widths", "pack", "unpack")
 
     def __init__(self, widths: Sequence[int]):
-        self.widths = tuple(widths)
+        widths = tuple(widths)
+        # only integer literals may reach the generated source
+        for width in widths:
+            if type(width) is not int:
+                raise TypeError(f"field width {width!r} is not an int")
+            if width < 0:
+                raise ValueError(f"field width {width} is negative")
+        self.widths = widths
         shifts = []
-        shift = sum(self.widths)
-        for width in self.widths:
+        shift = sum(widths)
+        for width in widths:
             shift -= width
             shifts.append(shift)
-        self._pack_spec = tuple(zip(shifts, [1 << w for w in self.widths],
-                                    self.widths))
-        self._unpack_spec = tuple(zip(shifts, [(1 << w) - 1 for w in self.widths]))
 
-    def pack(self, values: Sequence[int]) -> int:
-        if len(values) != len(self.widths):
-            raise ValueError("values/widths length mismatch")
-        out = 0
-        for value, (shift, limit, width) in zip(values, self._pack_spec):
-            if not 0 <= value < limit:
-                raise ValueError(f"field {value} does not fit in {width} bits")
-            out |= value << shift
-        return out
+        names = [f"v{i}" for i in range(len(widths))]
+        pack = ["def pack(values):",
+                f"    if len(values) != {len(widths)}:",
+                "        raise ValueError('values/widths length mismatch')"]
+        if widths:
+            pack.append(f"    {', '.join(names)}, = values")
+        out = "0"
+        for name, shift, width in zip(names, shifts, widths):
+            pack += [f"    if not 0 <= {name} < {1 << width}:",
+                     f"        raise ValueError(f'field {{{name}}} does not fit in {width} bits')",
+                     f"    out = {out} | {name} << {shift}"]
+            out = "out"
+        pack.append(f"    return {out}")
+        fields = "".join(f"word >> {shift} & {(1 << width) - 1}, "
+                         for shift, width in zip(shifts, widths))
+        unpack = ["def unpack(word):", f"    return ({fields})"]
 
-    def unpack(self, word: int) -> tuple[int, ...]:
-        return tuple([(word >> shift) & mask for shift, mask in self._unpack_spec])
+        namespace: dict = {}
+        exec("\n".join(pack + unpack), namespace)
+        self.pack = namespace["pack"]
+        self.unpack = namespace["unpack"]
 
 
 # ---------------------------------------------------------------------------

@@ -30,28 +30,74 @@ from .engines import ModelParams, NodeProgram, RunResult, run_clique
 
 @dataclass(frozen=True)
 class DemandMatrix:
-    """Word counts per (source, destination) pair for one routing episode."""
+    """Word counts per (source, destination) pair for one routing episode.
+
+    Only the non-zero cells are held, as (src, dst, count) triples in
+    (src, dst) order, so every query costs O(cells + words + n) rather than
+    a scan of all n^2 pairs.
+    """
 
     n: int
-    counts: tuple[tuple[int, ...], ...]
+    cells: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
-        if len(self.counts) != self.n or any(len(row) != self.n for row in self.counts):
-            raise ValueError("demand matrix must be n x n")
-        if self.counts and min(map(min, self.counts)) < 0:
-            raise ValueError("demand counts must be non-negative")
+        n = self.n
+        last = -1
+        for s, d, count in self.cells:
+            if not (0 <= s < n and 0 <= d < n):
+                raise ValueError(f"demand cell ({s}, {d}) lies outside the "
+                                 f"{n} x {n} matrix")
+            key = s * n + d
+            if key <= last:
+                raise ValueError(f"demand cell ({s}, {d}) is repeated or out "
+                                 f"of (src, dst) order")
+            if count < 1:
+                raise ValueError(f"demand cell ({s}, {d}) holds {count} words; "
+                                 f"only non-zero cells are kept")
+            last = key
 
     @staticmethod
     def from_rows(rows: list[list[int]]) -> "DemandMatrix":
-        return DemandMatrix(n=len(rows), counts=tuple(tuple(r) for r in rows))
+        """The demand of a dense n x n array.  Nothing is coerced: every
+        count must be a non-negative int (not a bool)."""
+        n = len(rows)
+        if any(len(row) != n for row in rows):
+            raise ValueError("demand matrix must be n x n")
+        cells = []
+        for s, row in enumerate(rows):
+            for d, count in enumerate(row):
+                if type(count) is not int:
+                    raise ValueError(f"demand count {count!r} at ({s}, {d}) "
+                                     f"is not an integer")
+                if count:
+                    if count < 0:
+                        raise ValueError("demand counts must be non-negative")
+                    cells.append((s, d, count))
+        return DemandMatrix(n=n, cells=tuple(cells))
+
+    @staticmethod
+    def from_transfers(n: int, transfers) -> "DemandMatrix":
+        """The demand of one ledger round: the words of its (src, dst, words)
+        transfers, summed per ordered pair."""
+        counts: dict[tuple[int, int], int] = {}
+        for s, d, words in transfers:
+            counts[s, d] = counts.get((s, d), 0) + words
+        return DemandMatrix(n=n, cells=tuple(
+            (s, d, count) for (s, d), count in sorted(counts.items()) if count))
 
     @cached_property
     def row_sums(self) -> tuple[int, ...]:
-        return tuple(sum(row) for row in self.counts)
+        sums = [0] * self.n
+        for s, _d, count in self.cells:
+            sums[s] += count
+        return tuple(sums)
 
     @cached_property
     def col_sums(self) -> tuple[int, ...]:
-        return tuple(map(sum, zip(*self.counts)))
+        sums = [0] * self.n
+        for _s, d, count in self.cells:
+            sums[d] += count
+        return tuple(sums)
 
     @property
     def total_words(self) -> int:
@@ -59,18 +105,13 @@ class DemandMatrix:
 
     @property
     def max_degree(self) -> int:
-        if self.total_words == 0:
+        if not self.cells:
             return 0
         return max(max(self.row_sums), max(self.col_sums))
 
     def words(self) -> list[tuple[int, int, int]]:
         """Every demanded word as (src, dst, seq), in canonical order."""
-        out = []
-        for s, row in enumerate(self.counts):
-            for d, count in enumerate(row):
-                if count:
-                    out.extend((s, d, q) for q in range(count))
-        return out
+        return [(s, d, q) for s, d, count in self.cells for q in range(count)]
 
 
 def edge_color_bipartite(n_left: int, n_right: int,

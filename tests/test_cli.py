@@ -292,6 +292,31 @@ def test_route_rejects_oversized_demand(tmp_path, capsys):
                    "--out", str(tmp_path / "r.json")) == 2
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"rows": [[0]]}', 'has no "matrix" array'),
+    ('{"matrix": [1, 2]}', "must hold a dense square array"),
+    ("[1, 2]", "must hold a dense square array"),
+    ('"[[1]]"', "must hold a dense square array"),
+    ("[]", "must hold a dense square array"),
+    ('[["a"]]', "demand count 'a' at (0, 0) is not an integer"),
+    ("[[0.5, 1], [1, 0]]", "demand count 0.5 at (0, 0) is not an integer"),
+    ("[[true, 1], [1, 0]]", "demand count True at (0, 0) is not an integer"),
+    ("[[0, 1], [1, 1.0]]", "demand count 1.0 at (1, 1) is not an integer"),
+    ("[[0, 1], [1]]", "demand matrix must be n x n"),
+], ids=["no-matrix-key", "matrix-of-ints", "row-not-list", "string", "empty",
+        "string-count", "float-count", "bool-count", "integral-float-count",
+        "ragged"])
+def test_route_refuses_malformed_demand(tmp_path, capsys, text, message):
+    # nothing is coerced: each file exits 2 with an error and writes nothing
+    demand = tmp_path / "demand.json"
+    demand.write_text(text)
+    out = tmp_path / "r.json"
+    assert run_cli("route", "--demand", str(demand), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
 def _permutation_sum(n, seed):
     """Sum of n random permutation matrices: every row and column sum is n."""
     rng = random.Random(seed)

@@ -176,6 +176,87 @@ def test_field_codec_overflow_rejected():
         codec.pack((1, 1))
 
 
+class ReferenceFieldCodec:
+    """The loop-based codec, kept as the specification of FieldCodec."""
+
+    def __init__(self, widths):
+        self.widths = tuple(widths)
+        shifts = []
+        shift = sum(self.widths)
+        for width in self.widths:
+            shift -= width
+            shifts.append(shift)
+        self._pack_spec = tuple(zip(shifts, [1 << w for w in self.widths],
+                                    self.widths))
+        self._unpack_spec = tuple(zip(shifts, [(1 << w) - 1 for w in self.widths]))
+
+    def pack(self, values):
+        if len(values) != len(self.widths):
+            raise ValueError("values/widths length mismatch")
+        out = 0
+        for value, (shift, limit, width) in zip(values, self._pack_spec):
+            if not 0 <= value < limit:
+                raise ValueError(f"field {value} does not fit in {width} bits")
+            out |= value << shift
+        return out
+
+    def unpack(self, word):
+        return tuple([(word >> shift) & mask for shift, mask in self._unpack_spec])
+
+
+def _outcome(fn, *args):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return ("ok", fn(*args))
+    except (TypeError, ValueError) as exc:
+        return ("raised", type(exc), str(exc))
+
+
+_codec_cases = st.lists(st.integers(1, 20), min_size=1, max_size=6).flatmap(
+    lambda widths: st.tuples(
+        st.just(widths),
+        # one value per field, a field short or a field long; each value in
+        # range, negative or too wide (and sometimes a bool or a float)
+        st.integers(len(widths) - 1, len(widths) + 1).flatmap(
+            lambda arity: st.lists(st.one_of(
+                st.integers(-3, (1 << 20) + 3), st.integers(0, 3), st.booleans(),
+                st.sampled_from([0.5, -1.5])), min_size=arity, max_size=arity)),
+        st.integers(-(1 << 130), 1 << 130)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_codec_cases)
+def test_field_codec_matches_reference(case):
+    widths, values, word = case
+    codec, reference = FieldCodec(widths), ReferenceFieldCodec(widths)
+    assert codec.widths == reference.widths
+    for args in ((values,), (tuple(values),)):
+        assert _outcome(codec.pack, *args) == _outcome(reference.pack, *args)
+    packed = _outcome(reference.pack, values)
+    if packed[0] == "ok":
+        assert codec.unpack(packed[1]) == reference.unpack(packed[1])
+    assert _outcome(codec.unpack, word) == _outcome(reference.unpack, word)
+
+
+def test_field_codec_without_fields():
+    codec = FieldCodec(())
+    assert codec.pack(()) == 0
+    assert codec.unpack(12345) == ()
+    with pytest.raises(ValueError, match="values/widths length mismatch"):
+        codec.pack((0,))
+
+
+@pytest.mark.parametrize("widths, error", [
+    ((3, 2.0), TypeError),
+    ((True,), TypeError),
+    (("1; import os",), TypeError),
+    ((4, -1), ValueError),
+])
+def test_field_codec_refuses_widths_that_are_not_non_negative_ints(widths, error):
+    with pytest.raises(error, match="field width"):
+        FieldCodec(widths)
+
+
 # -- traces read back from JSON -------------------------------------------------
 
 def test_per_round_json_rejects_missing_or_short_space():

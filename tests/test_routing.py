@@ -256,8 +256,9 @@ def test_demand_matrix_matches_dense_scan(rows):
 def test_demand_matrix_rejects_non_square(rows):
     with pytest.raises(ValueError, match="^demand matrix must be n x n$"):
         DemandMatrix.from_rows(rows)
-    with pytest.raises(ValueError, match="^demand matrix must be n x n$"):
-        DemandMatrix(n=2, counts=tuple(tuple(r) for r in rows))
+    # the sparse analogue of a row longer than n: a cell outside the square
+    with pytest.raises(ValueError, match="lies outside the"):
+        DemandMatrix(n=len(rows), cells=((0, len(rows), 1),))
 
 
 @pytest.mark.parametrize("rows", [[[-1]], [[0, 0], [0, -3]], [[5, -1], [0, 0]]])
@@ -267,10 +268,73 @@ def test_demand_matrix_rejects_negative_counts(rows):
 
 
 def test_empty_demand_matrix_constructs():
-    dm = DemandMatrix(n=0, counts=())
+    dm = DemandMatrix(n=0, cells=())
     assert dm.words() == []
     assert dm.row_sums == dm.col_sums == ()
     assert dm.max_degree == 0
+
+
+@pytest.mark.parametrize("rows", [
+    [[True, 1], [1, 0]],
+    [[0.5, 1], [1, 0]],
+    [[0.0]],
+    [["a"]],
+    [[None, 0], [0, 0]],
+])
+def test_demand_matrix_refuses_counts_that_are_not_ints(rows):
+    with pytest.raises(ValueError, match="is not an integer$"):
+        DemandMatrix.from_rows(rows)
+
+
+@pytest.mark.parametrize("n, cells, match", [
+    (2, ((0, 2, 1),), "lies outside the 2 x 2 matrix"),
+    (2, ((-1, 0, 1),), "lies outside the 2 x 2 matrix"),
+    (1, ((1, 0, 1),), "lies outside the 1 x 1 matrix"),
+    (2, ((0, 1, 1), (0, 1, 2)), "repeated or out of"),
+    (2, ((1, 0, 1), (0, 1, 1)), "repeated or out of"),
+    (3, ((0, 2, 1), (0, 1, 1)), "repeated or out of"),
+    (2, ((0, 1, 0),), "holds 0 words"),
+    (2, ((0, 1, 1), (1, 1, -2)), "holds -2 words"),
+])
+def test_demand_matrix_refuses_bad_cells(n, cells, match):
+    with pytest.raises(ValueError, match=match):
+        DemandMatrix(n=n, cells=cells)
+
+
+def dense_sum(n, transfers):
+    """Reference: one ledger round summed into a dense n x n matrix."""
+    rows = [[0] * n for _ in range(n)]
+    for s, d, words in transfers:
+        rows[s][d] += words
+    return rows
+
+
+# a ledger round: (src, dst, words) transfers in any order, pairs repeated,
+# zero-word transfers included
+_ledgers = st.integers(1, 7).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, 3)),
+    max_size=4 * n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ledgers)
+@example((1, []))
+@example((2, [(1, 0, 0)]))
+@example((3, [(2, 1, 2), (0, 1, 1), (2, 1, 1)]))
+def test_from_transfers_matches_dense_rows(ledger):
+    n, transfers = ledger
+    sparse = DemandMatrix.from_transfers(n, transfers)
+    dense = DemandMatrix.from_rows(dense_sum(n, transfers))
+    assert sparse == dense
+    assert sparse.cells == dense.cells
+    assert sparse.row_sums == dense.row_sums
+    assert sparse.col_sums == dense.col_sums
+    assert sparse.total_words == dense.total_words
+    assert sparse.max_degree == dense.max_degree
+    assert sparse.words() == dense.words() == dense_words(n, dense_sum(n, transfers))
+    # at most 4n transfers of up to 3 words: every row and column sum fits
+    assert (plan_routing(sparse, c_traffic=12)
+            == plan_routing(dense, c_traffic=12))
 
 
 # -- plan_routing -------------------------------------------------------------
