@@ -46,13 +46,17 @@ MODEL_FLAGS = {
     "semimpc": ModelKind.SEMI_MPC,
 }
 
-# the --constants keys each command, and each simulate direction, reads
-_BUDGETS = ("c_space", "c_traffic")
-RUN_CONSTANTS = _BUDGETS + ("word_width",)
+# the --constants keys each run model, simulate direction and route read; no
+# clique or CONGEST rule reads c_space or c_traffic, no semi-MPC rule c_traffic
+RUN_CONSTANTS = {
+    ModelKind.CLIQUE: ("word_width",),
+    ModelKind.CONGEST: ("word_width",),
+    ModelKind.SEMI_MPC: ("c_space", "word_width"),
+}
 SIMULATE_CONSTANTS = {
-    (ModelKind.CLIQUE, ModelKind.SEMI_MPC): _BUDGETS,
-    (ModelKind.SEMI_MPC, ModelKind.CLIQUE): _BUDGETS + ("surcharge",),
-    (ModelKind.CONGEST, ModelKind.SEMI_MPC): _BUDGETS + ("c_machines", "c_load"),
+    (ModelKind.CLIQUE, ModelKind.SEMI_MPC): ("c_space", "c_traffic"),
+    (ModelKind.SEMI_MPC, ModelKind.CLIQUE): ("c_space", "c_traffic", "surcharge"),
+    (ModelKind.CONGEST, ModelKind.SEMI_MPC): ("c_space", "c_machines", "c_load"),
 }
 ROUTE_CONSTANTS = ("c_traffic",)
 
@@ -64,56 +68,85 @@ class UsageError(Exception):
 _encode_scalar = json.JSONEncoder().encode
 _encode_compact = json.JSONEncoder(separators=(",", ":")).encode
 _NUMBER_CHARS = str.maketrans("", "", "0123456789-,")
+# rows of a ledger table encoded and written at once: the writer's memory
+# peak is one chunk's text, not the file's
+_CHUNK_ROWS = 4096
 
 
-def _indented_json(obj, pad: str) -> str:
-    """Exactly the text of json.dumps(obj, indent=2, sort_keys=True), nested
-    at the depth whose line prefix is `pad` (a newline plus spaces).
+def _table_text(rows, inner: str) -> str | None:
+    """A chunk of ledger table rows (non-empty int lists, such as the
+    transfers) as json.dumps indents them at the depth `inner`, or None if
+    the chunk is not such a table.  With indent set json.dumps runs its
+    pure-Python encoder, so the chunk goes to the C encoder in one compact
+    call instead, and that text is re-indented with str.replace."""
+    first = type(rows[0])
+    if first is not list and first is not tuple:
+        return None
+    compact = _encode_compact(rows)
+    # only ints leave nothing but one bracket pair per row once their
+    # digits, signs and commas are deleted; "[]" would be an empty row
+    if "[]" in compact or compact.translate(_NUMBER_CHARS) != "[" + "[]" * len(rows) + "]":
+        return None
+    row = inner + "  "
+    body = compact[2:-2].replace("],[", "\0").replace(",", "," + row)
+    body = body.replace("\0", inner + "]," + inner + "[" + row)
+    return "[" + row + body + inner + "]"
 
-    With indent set, json.dumps falls back to its pure-Python encoder, which
-    dominates the time of writing a large trace.  This writer keeps the
-    containers json.dumps would indent in Python but hands each ledger table
-    (a list of non-empty int lists, such as the transfers) to the C encoder
-    in one compact call and re-indents that text with str.replace.
-    """
+
+def _write_json(obj, pad: str, write) -> None:
+    """Pass exactly the text of json.dumps(obj, indent=2, sort_keys=True),
+    nested at the depth whose line prefix is `pad` (a newline plus spaces),
+    to `write` piece by piece: a list in chunks of _CHUNK_ROWS rows, each
+    written at once if it is a ledger table (_table_text), else row by row."""
     inner = pad + "  "
     kind = type(obj)
     if kind is dict and all(type(key) is str for key in obj):
-        if not obj:
-            return "{}"
-        items = [f"{_encode_scalar(key)}: {_indented_json(obj[key], inner)}"
-                 for key in sorted(obj)]
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if kind is list or kind is tuple:
-        if not obj:
-            return "[]"
-        if all(type(x) is int for x in obj):
-            return "[" + inner + ("," + inner).join(map(str, obj)) + pad + "]"
-        first = type(obj[0])
-        if first is list or first is tuple:
-            compact = _encode_compact(obj)
-            # only ints leave nothing but one bracket pair per row once their
-            # digits, signs and commas are deleted; "[]" would be an empty row
-            if ("[]" not in compact and compact.translate(_NUMBER_CHARS)
-                    == "[" + "[]" * len(obj) + "]"):
-                row = inner + "  "
-                body = compact[2:-2].replace("],[", "\0").replace(",", "," + row)
-                body = body.replace("\0", inner + "]," + inner + "[" + row)
-                return "[" + inner + "[" + row + body + inner + "]" + pad + "]"
-        return ("[" + inner + ("," + inner).join(_indented_json(x, inner) for x in obj)
-                + pad + "]")
-    if kind in (str, int, float, bool) or obj is None:
-        return _encode_scalar(obj)
-    # anything else (non-str keys, subclasses) exactly as json.dumps spells it
-    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", pad)
+        lead = "{" + inner
+        for key in sorted(obj):
+            write(lead + _encode_scalar(key) + ": ")
+            _write_json(obj[key], inner, write)
+            lead = "," + inner
+        write(pad + "}" if obj else "{}")
+    elif kind is list or kind is tuple:
+        if obj and all(type(x) is int for x in obj):
+            write("[" + inner + ("," + inner).join(map(str, obj)) + pad + "]")
+            return
+        lead = "[" + inner
+        for start in range(0, len(obj), _CHUNK_ROWS):
+            rows = obj[start:start + _CHUNK_ROWS]
+            text = _table_text(rows, inner)
+            if text is None:
+                for x in rows:
+                    write(lead)
+                    _write_json(x, inner, write)
+                    lead = "," + inner
+            else:
+                write(lead + text)
+                lead = "," + inner
+        write(pad + "]" if obj else "[]")
+    elif kind in (str, int, float, bool) or obj is None:
+        write(_encode_scalar(obj))
+    else:
+        # anything else (non-str keys, subclasses) exactly as json.dumps spells it
+        write(json.dumps(obj, indent=2, sort_keys=True).replace("\n", pad))
 
 
 def _dump_json(doc: dict, path: str | None) -> None:
-    text = _indented_json(doc, "\n") + "\n"
-    if path:
-        Path(path).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    """Write doc as json.dumps(doc, indent=2, sort_keys=True) plus a newline
+    to the file at path, streamed, or to stdout without a path.  A write that
+    fails part-way leaves no file behind."""
+    if not path:
+        _write_json(doc, "\n", sys.stdout.write)
+        sys.stdout.write("\n")
+        return
+    fh = open(path, "w", encoding="utf-8")
+    try:
+        with fh:
+            _write_json(doc, "\n", fh.write)
+            fh.write("\n")
+    except BaseException:
+        Path(path).unlink(missing_ok=True)
+        raise
 
 
 def _digest(obj) -> str:
@@ -176,9 +209,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_run(args) -> int:
-    constants = _parse_constants(args.constants, RUN_CONSTANTS)
-    g = _load_graph_file(args.graph)
     model = MODEL_FLAGS[args.model]
+    constants = _parse_constants(args.constants, RUN_CONSTANTS[model])
+    g = _load_graph_file(args.graph)
     prog = _make_program(args, model, g)
     if model == ModelKind.SEMI_MPC:
         params, inputs = _semi_mpc_input(args, g, constants)
@@ -187,9 +220,7 @@ def cmd_run(args) -> int:
     else:
         factory, run = ((ModelParams.clique, run_clique) if model == ModelKind.CLIQUE
                         else (ModelParams.congest, run_congest))
-        params = factory(g.n, word_width_bits=constants.get("word_width"),
-                         c_space=constants.get("c_space", 4),
-                         c_traffic=constants.get("c_traffic", 4))
+        params = factory(g.n, word_width_bits=constants.get("word_width"))
         result = run(prog, g, params)
 
     doc = result.to_json_dict()
@@ -227,18 +258,17 @@ def cmd_simulate(args) -> int:
     prog = _make_program(args, source, g)
 
     c_space = constants.get("c_space", 4)
-    c_traffic = constants.get("c_traffic", 4)
     if source == ModelKind.CLIQUE:
         report = simulate_cc_on_semimpc(prog, g, c_space=c_space,
-                                        c_traffic=c_traffic, seed=args.seed)
+                                        c_traffic=constants.get("c_traffic", 4),
+                                        seed=args.seed)
     elif source == ModelKind.SEMI_MPC:
         params, inputs = _semi_mpc_input(args, g, constants)
         report = simulate_semimpc_on_cc(prog, inputs, params,
                                         surcharge=constants.get("surcharge", 2))
     else:
         report = simulate_congest_on_semimpc(
-            prog, g, round_budget=args.round_budget,
-            c_space=c_space, c_traffic=c_traffic,
+            prog, g, round_budget=args.round_budget, c_space=c_space,
             c_machines=constants.get("c_machines", 2),
             c_load=constants.get("c_load", 2), seed=args.seed)
 
@@ -312,24 +342,52 @@ def _graph_from_json(doc: dict) -> Graph:
     return Graph(n=doc["n"], edges=tuple(edges))
 
 
+def _recheck_run(doc: dict):
+    """Re-check the run a document records from its params, ledger and graph
+    alone: its params, trace, violations, and the summary fields the
+    document misstates.  `outputs` would need a re-run and is not checked."""
+    params = ModelParams.from_json_dict(doc["params"])
+    trace = RoundTrace.from_per_round_json(params.p, doc["per_round"])
+    graph = None
+    if doc.get("graph") is not None:
+        graph = _graph_from_json(doc["graph"])
+    violations = check_trace(trace, params, graph)
+    derived = {"rounds": trace.num_rounds,
+               "space_high_water": list(trace.space_high_water()),
+               "violations": [v.to_json_dict() for v in violations]}
+    # compared as JSON text, so neither 7.0 nor true can stand for an int
+    wrong = [key for key, value in derived.items()
+             if json.dumps(doc[key], sort_keys=True) != json.dumps(value, sort_keys=True)]
+    return params, trace, violations, wrong
+
+
 def cmd_verify(args) -> int:
+    """Re-check a run or route file, or both runs of a simulate report."""
+    label = ""
     try:
         doc = json.loads(Path(args.trace).read_text(encoding="utf-8"))
-        params = ModelParams.from_json_dict(doc["params"])
-        trace = RoundTrace.from_per_round_json(params.p, doc["per_round"])
-        graph = None
-        if doc.get("graph") is not None:
-            graph = _graph_from_json(doc["graph"])
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: malformed trace file: {exc}", file=sys.stderr)
+        runs = [("", doc)]
+        if "native" in doc and "simulated" in doc:
+            runs = [("native: ", doc["native"]), ("simulated: ", doc["simulated"])]
+        checked = []
+        for label, run in runs:
+            checked.append((label, *_recheck_run(run)))
+    except (KeyError, TypeError, ValueError) as exc:
+        # ValueError covers json.JSONDecodeError
+        print(f"error: malformed trace file: {label}{exc}", file=sys.stderr)
         return 2
-    violations = check_trace(trace, params, graph)
-    print(f"model={params.kind.value} rounds={trace.num_rounds} "
-          f"violations={len(violations)}")
-    for v in violations[:10]:
-        print(f"  {v.rule} at round {v.round}: "
-              f"measured {v.measured}, allowed {v.allowed}")
-    return 0 if not violations else 1
+    code = 0
+    for label, params, trace, violations, wrong in checked:
+        print(f"{label}model={params.kind.value} rounds={trace.num_rounds} "
+              f"violations={len(violations)}")
+        for v in violations[:10]:
+            print(f"  {v.rule} at round {v.round}: "
+                  f"measured {v.measured}, allowed {v.allowed}")
+        for key in wrong:
+            print(f"  {key} in the file differs from the ledger's")
+        if violations or wrong:
+            code = 1
+    return code
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,18 @@
 import contextlib
+import errno
 import hashlib
 import io
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distsim import gen_graph
-from distsim.cli import _dump_json, main
+from distsim import cli
+from distsim.cli import _CHUNK_ROWS, _dump_json, main
 
 from conftest import random_connected_graph
 
@@ -124,13 +127,14 @@ ROUTE = ("route",)
 
 
 @pytest.mark.parametrize("argv,constants,code", [
-    # every key a command (or a simulate direction) reads is accepted ...
-    (RUN_CLIQUE, ("c_space=4", "c_traffic=4", "word_width=7"), 0),
-    (RUN_CONGEST, ("c_space=4", "c_traffic=4", "word_width=7"), 0),
-    (RUN_SEMIMPC, ("c_space=4", "c_traffic=4", "word_width=7"), 0),
+    # every key a command (or a run model or simulate direction) reads is
+    # accepted ...
+    (RUN_CLIQUE, ("word_width=7",), 0),
+    (RUN_CONGEST, ("word_width=7",), 0),
+    (RUN_SEMIMPC, ("c_space=4", "word_width=7"), 0),
     (SIM_CLIQUE, ("c_space=4", "c_traffic=4"), 0),
     (SIM_SEMIMPC, ("c_space=4", "c_traffic=4", "surcharge=2"), 0),
-    (SIM_CONGEST, ("c_space=4", "c_traffic=4", "c_machines=2", "c_load=2"), 0),
+    (SIM_CONGEST, ("c_space=4", "c_machines=2", "c_load=2"), 0),
     (ROUTE, ("c_traffic=4",), 0),
     # ... and every other key is refused: each used to be recorded in the
     # output's config and never read
@@ -146,6 +150,14 @@ ROUTE = ("route",)
     (SIM_CONGEST, ("surcharge=9",), 2),
     (SIM_CONGEST, ("polylog_exp=0",), 2),
     (ROUTE, ("c_space=1",), 2),
+    # no clique or CONGEST rule checks space or traffic, and no semi-MPC rule
+    # checks c_traffic: each used to land only in the output's params
+    (RUN_CLIQUE, ("c_space=1",), 2),
+    (RUN_CLIQUE, ("c_traffic=1",), 2),
+    (RUN_CONGEST, ("c_space=1",), 2),
+    (RUN_CONGEST, ("c_traffic=1",), 2),
+    (RUN_SEMIMPC, ("c_traffic=1",), 2),
+    (SIM_CONGEST, ("c_traffic=1",), 2),
 ])
 def test_constants_are_only_those_the_command_reads(argv, constants, code,
                                                     graph_file, tmp_path, capsys):
@@ -369,6 +381,94 @@ def test_verify_simulation_traces_round_trip(graph_file, tmp_path):
         piece = tmp_path / f"{side}.json"
         piece.write_text(json.dumps(doc[side]))
         assert run_cli("verify", "--trace", str(piece)) == 0
+
+
+SIM_DIRECTIONS = {
+    "clique": SIM_CLIQUE,
+    "congest": SIM_CONGEST,
+    "semimpc": SIM_SEMIMPC + ("--machines", "4"),
+}
+
+
+def _simulate(direction, graph_file, out):
+    assert run_cli(*SIM_DIRECTIONS[direction], "--graph", graph_file,
+                   "--out", str(out)) == 0
+    return json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("direction", sorted(SIM_DIRECTIONS))
+def test_verify_reads_simulate_reports(direction, graph_file, tmp_path, capsys):
+    # used to exit 2 on every report: "malformed trace file: 'params'"
+    out = tmp_path / "sim.json"
+    doc = _simulate(direction, graph_file, out)
+    capsys.readouterr()
+    assert run_cli("verify", "--trace", str(out)) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"{side}: model={doc[side]['model']} rounds={doc[side]['rounds']} violations=0"
+        for side in ("native", "simulated")]
+
+
+def _inflate_first_transfer(run):
+    _first_transfer(run)[2] = 10 ** 6
+
+
+@pytest.mark.parametrize("doctor", [
+    _inflate_first_transfer,
+    lambda run: run.update(rounds=run["rounds"] + 1),
+], ids=["ledger", "rounds"])
+@pytest.mark.parametrize("side", ["native", "simulated"])
+def test_verify_names_the_doctored_run_of_a_report(side, doctor, graph_file,
+                                                    tmp_path, capsys):
+    out = tmp_path / "sim.json"
+    doc = _simulate("semimpc", graph_file, out)
+    doctor(doc[side])
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("verify", "--trace", str(out)) == 1
+    lines = capsys.readouterr().out.splitlines()
+    other = "simulated" if side == "native" else "native"
+    summary = {line.split(": ")[0]: line for line in lines if not line.startswith(" ")}
+    assert summary[other].endswith(" violations=0")
+    if doctor is _inflate_first_transfer:
+        assert not summary[side].endswith(" violations=0")
+    else:
+        assert summary[side].endswith(" violations=0")
+        assert "  rounds in the file differs from the ledger's" in lines
+
+
+def test_verify_refuses_a_report_with_a_malformed_run(graph_file, tmp_path,
+                                                      capsys):
+    out = tmp_path / "sim.json"
+    doc = _simulate("clique", graph_file, out)
+    del doc["simulated"]["params"]
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("verify", "--trace", str(out)) == 2
+    assert capsys.readouterr().err == "error: malformed trace file: simulated: 'params'\n"
+
+
+@pytest.mark.parametrize("field,doctor", [
+    ("rounds", lambda doc: doc.update(rounds=1)),
+    ("rounds", lambda doc: doc.update(rounds=float(doc["rounds"]))),
+    ("space_high_water",
+     lambda doc: doc.update(space_high_water=[0] * len(doc["space_high_water"]))),
+    ("violations", lambda doc: doc["violations"].append(
+        {"rule": "pair-capacity", "round": 1, "src": 0, "dst": 1,
+         "participant": None, "measured": 2, "allowed": 1})),
+], ids=["rounds", "float-rounds", "space-high-water", "violations"])
+def test_verify_rederives_summary_fields(field, doctor, graph_file, tmp_path,
+                                         capsys):
+    # each used to verify with exit 0
+    out = tmp_path / "run.json"
+    assert run_cli(*RUN_CLIQUE, "--graph", graph_file, "--out", str(out)) == 0
+    doc = json.loads(out.read_text())
+    assert doc["rounds"] > 1 and doc["violations"] == []
+    doctor(doc)
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("verify", "--trace", str(out)) == 1
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        f"  {field} in the file differs from the ledger's"]
 
 
 def test_verify_doctored_trace(graph_file, tmp_path, capsys):
@@ -615,3 +715,100 @@ def test_dump_json_matches_json_dumps(doc):
     with contextlib.redirect_stdout(buf):
         _dump_json(doc, None)
     assert buf.getvalue() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.fixture(scope="module")
+def dump_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("dump") / "doc.json"
+
+
+# the stdout twin above covers the writer; this covers the file sink
+@settings(max_examples=100, deadline=None)
+@given(doc=_documents)
+def test_dump_json_to_a_file_matches_json_dumps(dump_path, doc):
+    _dump_json(doc, str(dump_path))
+    assert (dump_path.read_text(encoding="utf-8")
+            == json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+@pytest.mark.parametrize("late", [
+    # an int row, a row that is not all ints and an empty row
+    [[-5, 2 ** 70, 0], [1, "x", 2.5], []],
+    [(7, 8), {"k": [1]}, [[1, 2]], None],
+])
+@pytest.mark.parametrize("head", [[0, 1, 1], "not a row"])
+def test_dump_json_writes_long_tables_in_chunks(head, late, tmp_path):
+    # more than three chunks: the last one is not a table, the others are
+    rows = [head] + [(i, i + 1, 1) if i % 2 else [i, 2, i]
+                     for i in range(1, 3 * _CHUNK_ROWS + 9)]
+    rows[3 * _CHUNK_ROWS + 4:3 * _CHUNK_ROWS + 4] = late
+    doc = {"outputs": [[1]], "transfers": rows}
+    expected = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    _dump_json(doc, str(tmp_path / "doc.json"))
+    assert (tmp_path / "doc.json").read_text(encoding="utf-8") == expected
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        _dump_json(doc, None)
+    assert buf.getvalue() == expected
+
+
+class _FullDisk:
+    """A text file that takes writes until a ledger table chunk went out,
+    then fails as a full disk does."""
+
+    def __init__(self, *args, **kwargs):
+        self._fh = open(*args, **kwargs)
+        self.written = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def write(self, text):
+        if self.written > _CHUNK_ROWS:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.written += len(text)
+        return self._fh.write(text)
+
+
+def test_dump_json_leaves_no_file_when_a_write_fails(tmp_path, monkeypatch):
+    files = []
+
+    def open_full_disk(*args, **kwargs):
+        files.append(_FullDisk(*args, **kwargs))
+        return files[-1]
+
+    monkeypatch.setattr(cli, "open", open_full_disk, raising=False)
+    path = tmp_path / "out.json"
+    doc = {"transfers": [[i, i + 1, 1] for i in range(2 * _CHUNK_ROWS)]}
+    with pytest.raises(OSError, match="No space left on device"):
+        _dump_json(doc, str(path))
+    assert files[0].written > _CHUNK_ROWS  # the first chunk reached the file
+    assert not path.exists()
+
+
+def test_dump_json_leaves_no_file_when_a_late_row_cannot_be_encoded(tmp_path):
+    path = tmp_path / "out.json"
+    doc = {"transfers": [[i, i + 1, 1] for i in range(2 * _CHUNK_ROWS)] + [[object()]]}
+    with pytest.raises(TypeError):
+        _dump_json(doc, str(path))
+    assert not path.exists()
+
+
+def test_dump_json_memory_peak_is_a_chunk_not_the_file(tmp_path):
+    # the whole-text writer peaked at about 3.2 times the file size
+    rows = [[i % 1000, i * 7 % 1000, 1 + i % 5] for i in range(200_000)]
+    doc = {"per_round": [{"space": [3, 3, 3], "transfers": rows}]}
+    path = tmp_path / "ledger.json"
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        _dump_json(doc, str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 10 ** 7
+    assert peak - live < size / 4, (peak - live, size)
