@@ -415,7 +415,7 @@ class _SemiMpcOnClique(Relay):
         return host, tuple(outgoing)
 
     def output(self, state):
-        pid, host = state[0], state[3:]
+        pid, host = state[0], state[3]
         if pid >= self.p:
             return []
         if host[1] <= len(self.sent):
@@ -561,10 +561,10 @@ class _CongestOnSemiMpc(NodeProgram):
             return (tuple(self.inner.init(v, ()) for v in range(self.n)), ())
         words = list(input_words)
         stored = tuple((words[i], words[i + 1]) for i in range(0, len(words), 2))
-        # state: (pid, engine round, stored edges, my vertices,
-        #         {remote vertex: host machine}, {my vertex: node state},
-        #         internal messages)
-        return (pid, 1, stored, (), {}, {}, ())
+        # state: (pid, engine round, stored edges, my vertices, packed
+        #         locations, (my vertex, node state) pairs aligned with my
+        #         vertices, internal messages)
+        return (pid, 1, stored, (), (), (), ())
 
     def _on_round_edgeless(self, state, inbox):
         node_states, internal = state
@@ -666,7 +666,7 @@ class _CongestOnSemiMpc(NodeProgram):
             for target in sorted(by_machine):
                 outbox.append(Message(src=pid, dst=target,
                                       payload=tuple(sorted(by_machine[target]))))
-            return (pid, 4, (), (), {}, node_states, ()), outbox, False
+            return (pid, 4, (), (), (), node_states, ()), outbox, False
 
         if round_no == 4:
             my_vertices = []
@@ -690,12 +690,11 @@ class _CongestOnSemiMpc(NodeProgram):
             # one packed word per remote neighbor's (vertex, machine) pair
             location = tuple(sorted(self._pack(_TAG_MAP, v, host)
                                     for v, host in remote.items()))
-            node_states = {
-                v: self.inner.init(
+            node_states = tuple(
+                (v, self.inner.init(
                     v, tuple(sorted((min(v, u), max(v, u))
-                                    for u in neighbor_lists[v])))
-                for v in mine
-            }
+                                    for u in neighbor_lists[v]))))
+                for v in mine)
             if self.inner.immediate_halt:
                 return (pid, 5, (), mine, location, node_states, ()), [], True
             return self._replay(pid, 5, mine, location, node_states, (), [])
@@ -727,16 +726,15 @@ class _CongestOnSemiMpc(NodeProgram):
                 remote[v] = host
             self._located[pid] = (location, remote)
 
-        node_states = dict(node_states)
+        new_states = []
         new_internal = []
         by_machine: dict[int, list[int]] = {}
         halt = False
-        for v in mine:
+        for v, nstate in node_states:
             node_inbox = [Message(u, v, (value,))
                           for u, value in sorted(per_vertex[v])]
-            nstate, outbox, node_halt = self.inner.on_round(node_states[v],
-                                                            node_inbox)
-            node_states[v] = nstate
+            nstate, outbox, node_halt = self.inner.on_round(nstate, node_inbox)
+            new_states.append((v, nstate))
             halt = halt or node_halt
             for m in outbox:
                 value = m.payload[0]
@@ -751,18 +749,13 @@ class _CongestOnSemiMpc(NodeProgram):
             Message(src=pid, dst=target, payload=tuple(sorted(words)))
             for target, words in sorted(by_machine.items())
         ]
-        state = (pid, next_round_no, (), mine, location, node_states,
+        state = (pid, next_round_no, (), mine, location, tuple(new_states),
                  tuple(new_internal))
         return state, machine_outbox, halt
 
     def output(self, state):
-        if self.edgeless:
-            node_states, _internal = state
-            items = list(enumerate(node_states))
-        else:
-            (_pid, _round_no, _stored, mine, _location, node_states,
-             _internal) = state
-            items = [(v, node_states[v]) for v in mine]
+        # (vertex, node state) pairs
+        items = enumerate(state[0]) if self.edgeless else state[5]
         out: list[int] = []
         for v, nstate in items:
             words = self.inner.output(nstate)

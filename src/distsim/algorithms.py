@@ -54,10 +54,11 @@ class BoruvkaConnectivity(NodeProgram):
         self.n = n
 
     def init(self, pid: int, local_input):
-        neighbors = sorted(u if u != pid else v for u, v in local_input)
+        neighbors = sorted({u if u != pid else v for u, v in local_input})
         # state: (pid, round no, label, last own announcement or n,
-        #         stashed own proposal or n, {neighbor: tracked label})
-        return (pid, 1, pid, self.n, self.n, {u: u for u in neighbors})
+        #         stashed own proposal or n,
+        #         (neighbor, tracked label) pairs by neighbor)
+        return (pid, 1, pid, self.n, self.n, tuple((u, u) for u in neighbors))
 
     def on_round(self, state, inbox: list[Message]):
         pid, round_no, label, announced_by_me, own_proposal, tracked = state
@@ -72,8 +73,8 @@ class BoruvkaConnectivity(NodeProgram):
                 if all(old == new for old, new in announced.items()):
                     return state, [], True
                 label = _closure(announced, label)
-                tracked = {u: _closure(announced, lv) for u, lv in tracked.items()}
-            foreign = [lv for lv in tracked.values() if lv != label]
+                tracked = tuple([(u, _closure(announced, lv)) for u, lv in tracked])
+            foreign = [lv for _u, lv in tracked if lv != label]
             outbox = []
             own_proposal = sentinel
             if foreign:

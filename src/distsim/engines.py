@@ -219,12 +219,16 @@ class NodeProgram:
     immediate_halt=True runs zero rounds: outputs come straight from the
     init states.
 
-    States must be built from ints and containers of ints (tuples, lists,
-    dicts with int keys) so the engine can meter their size in words.  The
-    engine meters each state once, when init or on_round returns it, and
-    charges that size both after the round that returned it and before the
-    next one; a program must therefore not change a state after returning
-    it.
+    States are deeply immutable, built only from ints (bool included),
+    None, tuples (Message and namedtuples included) and frozensets, so the
+    engine can meter their size in words and trust that size later.  Lists,
+    dicts, sets, frozenset subclasses and instances that carry attributes
+    are refused with EngineContractError.  The engine meters a state when
+    init or on_round returns it and charges that size both after the round
+    that returned it and before the next one.  A tuple state is metered
+    field by field: a field that is the very object the previous state held
+    at the same position keeps its size and is not metered again, and a
+    state returned unchanged costs nothing.
     """
 
     immediate_halt = False
@@ -239,30 +243,41 @@ class NodeProgram:
         raise NotImplementedError
 
 
-# deeper nesting than this is taken for a cyclic state, which has no size
+# a state nested deeper than this is refused: no program needs one, and the
+# walk's stack of iterators grows with the depth
 _MAX_NESTING = 100_000
 
 
 def _meter_other(obj):
-    """words_in's rule for anything but an exact int, tuple, list or dict:
-    (words, iterator over contents or None).  Subclasses of int (bool
-    included) are one word, subclasses of the containers (Message,
-    namedtuples) and sets are their contents, None is free."""
+    """words_in's rule for anything but an exact int or tuple: (words,
+    iterator over contents or None).  None is free, subclasses of int (bool
+    included) are one word, subclasses of tuple (Message, namedtuples) and
+    exact frozensets are their contents.  Anything mutable is refused, and
+    so is any instance that carries attributes (a non-zero __dictoffset__)
+    or a frozenset subclass (which may declare slots): data could hide there
+    beside the metered contents."""
     if obj is None:
         return 0, None
+    t = type(obj)
+    if t.__dictoffset__:
+        raise TypeError(f"cannot meter {t.__name__} in program state: "
+                        "its instances carry attributes")
     if isinstance(obj, int):
         return 1, None
-    if isinstance(obj, (tuple, list, set, frozenset)):
+    if isinstance(obj, tuple):
+        # the stored items, whatever the subclass's own __iter__ yields
+        return 0, tuple.__iter__(obj)
+    if t is frozenset:
         return 0, iter(obj)
-    if isinstance(obj, dict):
-        return 0, iter(obj.items())
-    raise TypeError(f"cannot meter {type(obj).__name__} in program state")
+    raise TypeError(f"cannot meter {t.__name__} in program state (states hold "
+                    "only ints, None, tuples and frozensets)")
 
 
 def words_in(obj) -> int:
-    """Size of a program state in words.  Ints are one word each; containers
-    are the sum of their contents (a dict's keys and values); anything else
-    is rejected so programs cannot hide data from the accounting.
+    """Size of a program state in words.  Ints are one word each, tuples and
+    frozensets the sum of their contents, None nothing; anything else is
+    refused (see _meter_other), so programs can neither hide data from the
+    accounting nor change a state after it was metered.
 
     One iterative depth-first pass over a stack of iterators, in the order a
     recursive walk would take, so the first unmeterable value met is the one
@@ -276,14 +291,10 @@ def words_in(obj) -> int:
             if t is int:
                 total += 1
                 continue
-            if t is tuple or t is list:
+            if t is tuple:
                 if not x:
                     continue
                 sub = iter(x)
-            elif t is dict:
-                if not x:
-                    continue
-                sub = iter(x.items())
             else:
                 words, sub = _meter_other(x)
                 total += words
@@ -292,13 +303,39 @@ def words_in(obj) -> int:
             stack.append(it)
             if len(stack) > _MAX_NESTING:
                 raise TypeError("cannot meter program state nested more than"
-                                f" {_MAX_NESTING} containers deep (is it cyclic?)")
+                                f" {_MAX_NESTING} containers deep")
             it = sub
             break
         else:
             if not stack:
                 return total
             it = stack.pop()
+
+
+def _meter(pid: int, round_no: int, state, old, sizes):
+    """(words, per-field words or None) of the state participant pid
+    returned in round_no (0 for init).  old is the state it replaces and
+    sizes old's per-field words (updated in place), or None.  A tuple state
+    is metered by field: a field that is old's field at the same position
+    keeps its size (a metered state is deeply immutable, and old keeps that
+    object alive, so its id cannot have been reused), an int field is one
+    word, and any other field goes through words_in.  Anything else is
+    metered whole.  words_in is looked up at call time, so a wrapper sees
+    every call."""
+    try:
+        if type(state) is not tuple:
+            return words_in(state), None
+        if sizes is None or len(state) != len(sizes):
+            sizes = [1 if type(x) is int else words_in(x) for x in state]
+        else:
+            for k, x in enumerate(state):
+                if x is not old[k]:
+                    sizes[k] = 1 if type(x) is int else words_in(x)
+        return sum(sizes), sizes
+    except TypeError as exc:
+        raise EngineContractError(
+            f"participant {pid} returned an unmeterable state in round "
+            f"{round_no}: {exc}") from None
 
 
 @dataclass
@@ -442,15 +479,17 @@ def _execute(prog: NodeProgram, local_inputs: list, params: ModelParams,
                          trace=RoundTrace(p, ()), violations=start, graph=graph)
 
     states = [prog.init(i, local_inputs[i]) for i in range(p)]
+    # a state is metered when init or on_round returns it (see _meter): the
+    # state held after round r - 1 is the state held before round r
+    held = [0] * p
+    field_words: list[list[int] | None] = [None] * p
+    for i in range(p):
+        held[i], field_words[i] = _meter(i, 0, states[i], None, None)
 
     if prog.immediate_halt:
         outputs = [list(prog.output(states[i])) for i in range(p)]
         return RunResult(params=params, rounds_used=0, outputs=outputs,
                          trace=RoundTrace(p, ()), violations=[], graph=graph)
-
-    # each state is metered once, when init or on_round returns it: the
-    # state held after round r - 1 is the state held before round r
-    held = [words_in(s) for s in states]
     cap = params.effective_round_cap()
     pending: list[list[Message]] = [[] for _ in range(p)]
     pending_words = [0] * p  # words in each pending inbox
@@ -472,10 +511,13 @@ def _execute(prog: NodeProgram, local_inputs: list, params: ModelParams,
         record = transfers.append
 
         for i in range(p):
+            old = states[i]
             pre = held[i] + inbox_words[i]
-            state, outbox, halted = on_round(states[i], inboxes[i])
-            states[i] = state
-            held[i] = words_in(state)
+            state, outbox, halted = on_round(old, inboxes[i])
+            if state is not old:
+                states[i] = state
+                held[i], field_words[i] = _meter(i, round_no, state, old,
+                                                 field_words[i])
             space[i] = max(pre, held[i])
             halt = halt or halted
             for msg in outbox:

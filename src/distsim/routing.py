@@ -315,7 +315,7 @@ class Relay(NodeProgram):
     deliveries.
 
     The program hosted on a node (subclasses) supplies three hooks over its
-    own state, which is kept flat at the end of the relay state:
+    own state, which is the relay state's last field:
 
       _host_init(pid, local_input) -> host
       _emit(pid, host, round_no) -> (host, phase-A entries to queue)
@@ -338,12 +338,11 @@ class Relay(NodeProgram):
         self.last_round = max((b + s.num_rounds for b, s in episodes), default=0)
 
     def init(self, pid: int, local_input):
-        # state: (pid, this round number, queued entries, *host state)
-        return (pid, 1, ()) + self._host_init(pid, local_input)
+        # state: (pid, this round number, queued entries, host state)
+        return (pid, 1, (), self._host_init(pid, local_input))
 
     def on_round(self, state, inbox):
-        pid, round_no, queue = state[0], state[1], state[2]
-        host = state[3:]
+        pid, round_no, queue, host = state
         if inbox:
             # every inbox word was sent in the previous engine round
             idx, phase_a = self.phase_of[round_no - 1]
@@ -380,7 +379,7 @@ class Relay(NodeProgram):
         if outbox:
             queue = tuple(keep)
         halt = round_no >= self.last_round
-        return (pid, round_no + 1, queue) + host, outbox, halt
+        return (pid, round_no + 1, queue, host), outbox, halt
 
     def _host_init(self, pid: int, local_input) -> tuple:
         raise NotImplementedError
@@ -408,13 +407,13 @@ class _ScheduleHost(Relay):
                 (ra, mid, d, q, payloads[(s, d, q)]))
 
     def _host_init(self, pid, local_input):
-        return ((),)
+        return ()  # the sorted triples received so far
 
     def _emit(self, pid, host, round_no):
         return host, self.outgoing.get((pid, round_no), ())
 
     def _deliver(self, host, words, episode):
-        return (tuple(sorted(host[0] + tuple(words))),)
+        return tuple(sorted(host + tuple(words)))
 
     def output(self, state) -> list[int]:
         return [w for triple in state[3] for w in triple]

@@ -451,7 +451,9 @@ def test_check_trace_space_boundary():
 
 class GrowShrink(NodeProgram):
     """Machine states whose size rises and falls from round to round, with
-    inboxes of varying size.  Logs every transition for the tests to
+    inboxes of varying size.  The state is (pid, round, kept, junk): junk is
+    replaced every round, kept only every third one and otherwise carried
+    over as the very same object.  Logs every transition for the tests to
     recompute the space ledger from."""
 
     def __init__(self, p, rounds):
@@ -460,13 +462,15 @@ class GrowShrink(NodeProgram):
         self.log = []  # (round, pid, state before, inbox, state after)
 
     def init(self, pid, local_input):
-        return (pid, 1, ())
+        return (pid, 1, (pid, ()), ())
 
     def on_round(self, state, inbox):
-        pid, r, _junk = state
+        pid, r, kept, _junk = state
         size = (3 * pid + 5 * r) % 7
-        junk = {0: tuple(range(size))} if r % 2 else tuple(range(size))
-        new = (pid, r + 1, junk)
+        junk = ((0, tuple(range(size))),) if r % 2 else tuple(range(size))
+        if (pid + r) % 3 == 0:
+            kept = (pid, tuple(range(size + r)))
+        new = (pid, r + 1, kept, junk)
         out = [Message(src=pid, dst=(pid + 1) % self.p,
                        payload=(pid,) * ((pid + r) % 4 + 1))]
         self.log.append((r, pid, state, inbox, new))
@@ -485,52 +489,125 @@ def _grow_shrink_run(p=3, rounds=6):
 
 def test_space_is_max_of_before_plus_inbox_and_after():
     prog, res = _grow_shrink_run()
-    before_wins = after_wins = 0
+    before_wins = after_wins = kept = replaced = 0
     for r, pid, before, inbox, after in prog.log:
         pre = words_in(before) + sum(len(m.payload) for m in inbox)
         post = words_in(after)
         assert res.trace.rounds[r - 1].space[pid] == max(pre, post)
         before_wins += pre > post
         after_wins += post > pre
-    # both sides of the max decide some round
-    assert before_wins and after_wins
+        kept += after[2] is before[2]
+        replaced += after[2] is not before[2]
+    # both sides of the max decide some round, and the field the engine
+    # may reuse is both carried over and replaced
+    assert before_wins and after_wins and kept and replaced
 
 
-def test_each_state_is_metered_once(monkeypatch):
+class Unchanged(NodeProgram):
+    """Returns every state unchanged; node 0 counts the rounds in a message
+    to itself, so no state ever changes."""
+
+    def init(self, pid, local_input):
+        return (pid, tuple(range(pid + 2)))
+
+    def on_round(self, state, inbox):
+        r = inbox[0].payload[0] if inbox else 1
+        out = [Message(0, 0, (r + 1,))] if state[0] == 0 else []
+        return state, out, r >= 5
+
+    def output(self, state):
+        return []
+
+
+def _count_words_in_calls(monkeypatch):
     import distsim.engines as engines
 
     real = engines.words_in
-    calls = depth = 0
+    calls = []
 
     def counting(obj):
-        # words_in recurses through the module global: count top-level calls
-        nonlocal calls, depth
-        calls += depth == 0
-        depth += 1
-        try:
-            return real(obj)
-        finally:
-            depth -= 1
+        calls.append(obj)
+        return real(obj)
 
     monkeypatch.setattr(engines, "words_in", counting)
-    p, rounds = 3, 6
-    _prog, res = _grow_shrink_run(p, rounds)
-    assert calls == p * (rounds + 1)
+    return calls
 
-    calls = 0
+
+def test_only_replaced_fields_are_metered(monkeypatch):
+    calls = _count_words_in_calls(monkeypatch)
+    p, rounds = 3, 6
+    prog, _res = _grow_shrink_run(p, rounds)
+    # init: kept and junk of every state; then each non-int field that is
+    # not the previous state's object at the same position
+    owed = 2 * p + sum(x is not y and type(x) is not int
+                       for _r, _pid, before, _inbox, after in prog.log
+                       for x, y in zip(after, before))
+    assert owed < p * (rounds + 1) * 2
+    assert len(calls) == owed
+
+    # the neighbour tuple is the only non-int field and never changes
+    calls.clear()
     res = run_congest(FixedRoundFlood(4), gen_graph("path", 5))
     assert res.rounds_used == 4
-    assert calls == 5 * (4 + 1)
+    assert len(calls) == 5
+
+    # a state returned unchanged costs nothing, and keeps its size (node 0
+    # also holds its one-word self-message from round 2 on)
+    calls.clear()
+    res = run_clique(Unchanged(), gen_graph("complete", 3))
+    assert res.clean and res.rounds_used == 5
+    assert len(calls) == 3
+    assert [rec.space for rec in res.trace.rounds] == [(3, 4, 5)] + [(4, 4, 5)] * 4
+
+
+class RefusedState(NodeProgram):
+    """Returns an unmeterable value as participant 1's state in round r
+    (0: from init)."""
+
+    def __init__(self, r, value):
+        self.r = r
+        self.value = value
+
+    def init(self, pid, local_input):
+        return self.value if self.r == 0 and pid == 1 else (pid, 1)
+
+    def on_round(self, state, inbox):
+        pid, r = state
+        if r == self.r and pid == 1:
+            return (pid, r + 1, self.value), [], False
+        return (pid, r + 1), [], r >= 3
+
+    def output(self, state):
+        return []
+
+
+class RefusedAtOnce(RefusedState):
+    immediate_halt = True
+
+
+@pytest.mark.parametrize("program, r, value, name", [
+    pytest.param(RefusedState, 0, [1, 2], "list", id="list-from-init"),
+    pytest.param(RefusedState, 2, {1: 2}, "dict", id="dict-in-round-2"),
+    pytest.param(RefusedAtOnce, 0, {1}, "set", id="set-in-zero-round-run")])
+def test_unmeterable_state_is_a_contract_error(program, r, value, name):
+    with pytest.raises(EngineContractError,
+                       match=f"participant 1 .* round {r}: cannot meter {name}"):
+        run_clique(program(r, value), gen_graph("complete", 3))
 
 
 # -- words_in -----------------------------------------------------------------
 
+Pair = namedtuple("Pair", "left right")
+
+
 def test_words_in_counts_structures():
     assert words_in(5) == 1
+    assert words_in(True) == 1
     assert words_in(None) == 0
     assert words_in((1, 2, 3)) == 3
-    assert words_in({1: (2, 3)}) == 3
-    assert words_in([(1, 2), {3: 4}]) == 4
+    assert words_in(((1, (2, 3)), frozenset({4, 5}), ())) == 5
+    assert words_in(Message(0, 1, (7, 8))) == 4
+    assert words_in(Pair(1, (None, 2))) == 2
 
 
 def test_words_in_rejects_opaque_state():
@@ -538,21 +615,70 @@ def test_words_in_rejects_opaque_state():
         words_in("sneaky string")
 
 
+@pytest.mark.parametrize("value", [[1], {1: 2}, {1}, [], {}, set()],
+                         ids=["list", "dict", "set", "empty-list", "empty-dict",
+                              "empty-set"])
+def test_words_in_refuses_mutable_containers(value):
+    name = type(value).__name__
+    for state in (value, (1, (2, value))):
+        with pytest.raises(TypeError, match=f"cannot meter {name} in"):
+            words_in(state)
+
+
+class AttrTuple(tuple):
+    pass
+
+
+class AttrInt(int):
+    pass
+
+
+class SlotFrozenset(frozenset):
+    __slots__ = ("x",)
+
+
+class EmptyIterTuple(tuple):
+    __slots__ = ()
+
+    def __iter__(self):
+        return iter(())
+
+
+def test_words_in_refuses_data_beside_the_contents():
+    # metered by their contents alone, the 10,000 words would go uncounted
+    t = AttrTuple((1, 2))
+    t.secret = list(range(10_000))
+    i = AttrInt(3)
+    i.secret = list(range(10_000))
+    f = SlotFrozenset({1})
+    f.x = list(range(10_000))
+    for value in (t, i, f):
+        for state in (value, (0, value)):
+            with pytest.raises(TypeError, match=type(value).__name__):
+                words_in(state)
+
+
+def test_words_in_meters_a_tuple_subclass_by_its_items():
+    # a subclass's own __iter__ cannot hide the items it stores
+    assert words_in(EmptyIterTuple((1, 2, 3))) == 3
+
+
 def reference_words_in(obj) -> int:
-    """The recursive metering words_in replaced, kept as its specification."""
+    """A recursive walk, kept as the specification of words_in."""
     if obj is None:
         return 0
-    if isinstance(obj, bool) or isinstance(obj, int):
+    t = type(obj)
+    if t.__dictoffset__:
+        raise TypeError(f"cannot meter {t.__name__} in program state: "
+                        "its instances carry attributes")
+    if isinstance(obj, int):
         return 1
-    if isinstance(obj, (tuple, list, set, frozenset)):
-        return sum(reference_words_in(x) for x in obj)
-    if isinstance(obj, dict):
-        return sum(reference_words_in(k) + reference_words_in(v)
-                   for k, v in obj.items())
-    raise TypeError(f"cannot meter {type(obj).__name__} in program state")
+    if isinstance(obj, tuple) or t is frozenset:
+        return sum(reference_words_in(x)
+                   for x in (tuple.__iter__(obj) if isinstance(obj, tuple) else obj))
+    raise TypeError(f"cannot meter {t.__name__} in program state (states hold "
+                    "only ints, None, tuples and frozensets)")
 
-
-Pair = namedtuple("Pair", "left right")
 
 _ints = st.integers(-2 ** 70, 2 ** 70)
 _keys = st.one_of(_ints, st.booleans(), st.tuples(_ints, _ints))
@@ -560,16 +686,19 @@ _leaves = st.one_of(_ints, st.booleans(), st.none(), st.frozensets(_keys, max_si
 
 
 def _states(bad):
-    """Nested program states; with bad, a str or float may sit at any depth."""
-    leaves = st.one_of(_leaves, st.text(max_size=2), st.floats()) if bad else _leaves
+    """Nested program states; with bad, a str, a float, a mutable container
+    or an attribute carrier may sit at any depth."""
+    leaves = _leaves
+    if bad:
+        leaves = st.one_of(_leaves, st.text(max_size=2), st.floats(),
+                           st.lists(_ints, max_size=2), st.sets(_keys, max_size=2),
+                           st.dictionaries(_keys, _ints, max_size=2),
+                           st.builds(AttrTuple, st.lists(_ints, max_size=2)))
 
     def extend(children):
         return st.one_of(
             st.tuples(children, children),
-            st.lists(children, max_size=4),
             st.lists(children, max_size=4).map(tuple),
-            st.dictionaries(_keys, children, max_size=3),
-            st.sets(_keys, max_size=3),
             st.builds(Pair, children, children),
             st.builds(Message, st.integers(0, 9), st.integers(0, 9),
                       st.lists(_ints, min_size=1, max_size=3)),
@@ -593,17 +722,104 @@ def test_words_in_matches_recursive_reference(state):
 def test_words_in_meters_deep_nesting():
     state = (7,)
     for _ in range(10_000):
-        state = (state, [])
+        state = (state, ())
     assert words_in(state) == 1
-    state = {1: state}
+    state = (1, state)
     assert words_in(state) == 2
 
 
-def test_words_in_rejects_cyclic_state():
+def test_words_in_refuses_nesting_beyond_the_guard():
+    from distsim.engines import _MAX_NESTING
+
+    state = ()
+    for _ in range(_MAX_NESTING + 1):
+        state = (state,)
+    with pytest.raises(TypeError, match="nested more than"):
+        words_in(state)
+
+
+def test_words_in_refuses_a_list_even_a_cyclic_one():
     state = [1]
     state.append(state)
-    with pytest.raises(TypeError, match="cyclic"):
+    with pytest.raises(TypeError, match="cannot meter list"):
         words_in(state)
+
+
+# -- random programs: the field-by-field ledger against a from-scratch one ------
+
+_fields = st.recursive(
+    st.one_of(st.integers(0, 9), st.none(), st.booleans(),
+              st.frozensets(st.integers(0, 9), max_size=3)),
+    lambda children: st.one_of(st.lists(children, max_size=3).map(tuple),
+                               st.builds(Pair, children, children)),
+    max_leaves=6)
+
+
+def _next_state(draw, state):
+    """Keep the state, keep or replace each of its fields, or replace it."""
+    how = draw(st.sampled_from(["same", "fields", "fields", "whole"]))
+    if how == "same":
+        return state
+    if how == "fields" and type(state) is tuple:
+        return tuple(x if draw(st.booleans()) else draw(_fields) for x in state)
+    return draw(st.one_of(_fields, st.lists(_fields, max_size=4).map(tuple)))
+
+
+@st.composite
+def _scripted_runs(draw):
+    p = draw(st.integers(1, 3))
+    rounds = draw(st.integers(1, 4))
+    inits = [draw(st.lists(_fields, max_size=4).map(tuple)) for _ in range(p)]
+    states = list(inits)
+    script = []  # per round and participant: (next state, [(dst, words)])
+    for _r in range(rounds):
+        row = []
+        for pid in range(p):
+            states[pid] = _next_state(draw, states[pid])
+            sends = draw(st.lists(st.tuples(st.integers(0, p - 1),
+                                            st.integers(1, 3)), max_size=2))
+            row.append((states[pid], sends))
+        script.append(row)
+    return p, inits, script
+
+
+class Scripted(NodeProgram):
+    """Plays a drawn script, one call after another in the engine's
+    participant order, and logs (round, pid, before, inbox words, after)."""
+
+    def __init__(self, p, inits, script):
+        self.p, self.inits, self.script = p, inits, script
+        self.calls = 0
+        self.log = []
+
+    def init(self, pid, local_input):
+        return self.inits[pid]
+
+    def on_round(self, state, inbox):
+        r, pid = divmod(self.calls, self.p)
+        self.calls += 1
+        after, sends = self.script[r][pid]
+        self.log.append((r + 1, pid, state,
+                         sum(len(m.payload) for m in inbox), after))
+        out = [Message(pid, dst, (1,) * words) for dst, words in sends]
+        return after, out, r + 1 >= len(self.script)
+
+    def output(self, state):
+        return []
+
+
+@settings(max_examples=150, deadline=None)
+@given(run=_scripted_runs(), c_space=st.integers(1, 3))
+def test_field_ledger_matches_metering_from_scratch(run, c_space):
+    p, inits, script = run
+    prog = Scripted(p, inits, script)
+    params = ModelParams.semi_mpc(3, p, ell=0, c_space=c_space)
+    res = run_mpc(prog, [[]] * p, params)
+    assert len(prog.log) == p * res.rounds_used
+    for r, pid, before, inbox_words, after in prog.log:
+        assert res.trace.rounds[r - 1].space[pid] == max(
+            words_in(before) + inbox_words, words_in(after))
+    assert check_trace(res.trace, params) == res.violations
 
 
 # -- per-round budget checks -----------------------------------------------------
