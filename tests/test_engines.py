@@ -519,7 +519,7 @@ class Unchanged(NodeProgram):
         return []
 
 
-def _count_words_in_calls(monkeypatch):
+def test_only_replaced_fields_are_metered(monkeypatch):
     import distsim.engines as engines
 
     real = engines.words_in
@@ -530,11 +530,6 @@ def _count_words_in_calls(monkeypatch):
         return real(obj)
 
     monkeypatch.setattr(engines, "words_in", counting)
-    return calls
-
-
-def test_only_replaced_fields_are_metered(monkeypatch):
-    calls = _count_words_in_calls(monkeypatch)
     p, rounds = 3, 6
     prog, _res = _grow_shrink_run(p, rounds)
     # init: kept and junk of every state; then each non-int field that is
@@ -673,9 +668,10 @@ def reference_words_in(obj) -> int:
                         "its instances carry attributes")
     if isinstance(obj, int):
         return 1
-    if isinstance(obj, tuple) or t is frozenset:
-        return sum(reference_words_in(x)
-                   for x in (tuple.__iter__(obj) if isinstance(obj, tuple) else obj))
+    if isinstance(obj, tuple):
+        return sum(map(reference_words_in, tuple.__iter__(obj)))
+    if t is frozenset:
+        return sum(map(reference_words_in, obj))
     raise TypeError(f"cannot meter {t.__name__} in program state (states hold "
                     "only ints, None, tuples and frozensets)")
 
