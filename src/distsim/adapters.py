@@ -2,15 +2,16 @@
 
 Each adapter wraps a source-model node program into a target-model node
 program, runs both, and certifies the expected round, machine, traffic and
-memory bounds on the resulting traces:
+memory bounds on the resulting traces (T >= 1 is the native round count):
 
-  * simulate_cc_on_semimpc:  clique algorithm -> semi-MPC, n machines, one
-    extra round to redistribute the arbitrarily placed edges.
+  * simulate_cc_on_semimpc:  clique algorithm -> semi-MPC, n machines, T + 1
+    rounds: one extra round redistributes the arbitrarily placed edges.
   * simulate_semimpc_on_cc:  semi-MPC algorithm -> clique; every round's
     message load is delivered by a two-phase routing schedule.
   * simulate_congest_on_semimpc:  CONGEST algorithm -> semi-MPC with few
-    machines; three setup rounds collect degrees, assign vertices to machines
-    by sorted round-robin, and ship every edge to its simulating machines.
+    machines in at most T + 3 rounds; three setup rounds collect degrees,
+    assign vertices to machines by sorted round-robin, and ship every edge
+    to its simulating machines.
 
 Simulated runs reproduce the native outputs word for word; anything that
 cannot be simulated faithfully (a broken hypothesis, an unclean native run)
@@ -186,8 +187,6 @@ class _CliqueOnSemiMpc(NodeProgram):
                 (min(pid, w), max(pid, w))
                 for msg in inbox for w in msg.payload))
             node_state = self.inner.init(pid, incident)
-            if self.inner.immediate_halt:
-                return (pid, 2, (), node_state), [], True
             node_state, outbox, halt = self.inner.on_round(node_state, [])
             return (pid, 2, (), node_state), list(outbox), halt
 
@@ -195,8 +194,7 @@ class _CliqueOnSemiMpc(NodeProgram):
         return (pid, native_round + 1, (), node_state), list(outbox), halt
 
     def output(self, state):
-        node_state = state[3]
-        return self.inner.output(node_state) if node_state is not None else []
+        return self.inner.output(state[3])
 
 
 def simulate_cc_on_semimpc(prog: NodeProgram, g: Graph, *,
@@ -238,12 +236,11 @@ def simulate_cc_on_semimpc(prog: NodeProgram, g: Graph, *,
     sim = run_mpc(_CliqueOnSemiMpc(prog, n), inputs, semi)
 
     t_native = native.rounds_used
-    expected = t_native + 1 if t_native >= 1 else 2
     sim_peaks = sim.trace.space_high_water()
     max_traffic = sim.trace.max_traffic()
     bound_checks = {
-        "rounds_ok": sim.rounds_used == expected,
-        "rounds_big_o_ok": sim.rounds_used <= 2 * max(t_native, 1),
+        "rounds_ok": sim.rounds_used == t_native + 1,
+        "rounds_big_o_ok": sim.rounds_used <= 2 * t_native,
         "machines_ok": sim.params.p == n,
         "traffic_ok": sim.clean and max_traffic <= c_traffic * n,
         "space_ok": sim.clean and max(sim_peaks, default=0) <= space_budget,
@@ -278,7 +275,6 @@ class _RecordingProgram(NodeProgram):
 
     def __init__(self, inner: NodeProgram):
         self.inner = inner
-        self.immediate_halt = inner.immediate_halt
         self.sent: dict[int, list[tuple[Message, ...]]] = {}
 
     def init(self, pid, local_input):
@@ -491,7 +487,7 @@ def simulate_semimpc_on_cc(prog: NodeProgram, inputs: list[list[int]],
         "allowed_rounds": allowed,
         "surcharge": surcharge,
         "episodes": len(episodes),
-        "rounds_per_native_round": sim.rounds_used / t_native if t_native else 0.0,
+        "rounds_per_native_round": sim.rounds_used / t_native,
         "max_space_words": max(sim.trace.space_high_water(), default=0),
     }
     return SimulationReport(
@@ -548,7 +544,6 @@ class _CongestOnSemiMpc(NodeProgram):
         # small n (flood on 5 isolated vertices holds 27 words against 20 in
         # round 4).
         self.edgeless = edgeless
-        self.immediate_halt = edgeless and inner.immediate_halt
         # pid -> (packed location tuple, its decoded {vertex: host} map)
         self._located: dict[int, tuple[tuple[int, ...], dict[int, int]]] = {}
 
@@ -695,8 +690,6 @@ class _CongestOnSemiMpc(NodeProgram):
                     v, tuple(sorted((min(v, u), max(v, u))
                                     for u in neighbor_lists[v]))))
                 for v in mine)
-            if self.inner.immediate_halt:
-                return (pid, 5, (), mine, location, node_states, ()), [], True
             return self._replay(pid, 5, mine, location, node_states, (), [])
 
         return self._replay(pid, round_no + 1, mine, location, node_states,
@@ -789,8 +782,7 @@ def _congest_memory_hypothesis(native: RunResult, g: Graph,
 
 def simulate_congest_on_semimpc(prog: NodeProgram, g: Graph,
                                 round_budget: int | None = None, *,
-                                c_space: int = 4, c_traffic: int = 4,
-                                c_machines: int = 2, c_load: int = 2,
+                                c_space: int = 4, c_machines: int = 2, c_load: int = 2,
                                 seed: int = 0,
                                 initial_edges: list[list[tuple[int, int]]] | None = None,
                                 ) -> SimulationReport:
@@ -800,12 +792,12 @@ def simulate_congest_on_semimpc(prog: NodeProgram, g: Graph,
     least 1), where T is the round budget (defaults to the native round
     count).  Refused when the program's native memory use is not linear in
     what each node receives, since machine space could then overflow.
-    The simulation takes at most max(T, 1) + 3 rounds: three setup rounds
-    plus the replay.
+    The simulation takes at most T + 3 rounds: three setup rounds plus the
+    replay.
     """
     n = g.n
     native = _run_native(run_congest, "CONGEST", prog, g,
-                         ModelParams.congest(n, c_space=c_space, c_traffic=c_traffic))
+                         ModelParams.congest(n, c_space=c_space))
     t_native = native.rounds_used
     t_budget = round_budget if round_budget is not None else t_native
     if t_budget < t_native:
@@ -826,8 +818,7 @@ def simulate_congest_on_semimpc(prog: NodeProgram, g: Graph,
     widths = (2, w_id, w_id, native.params.word_width_bits)
     semi = ModelParams.semi_mpc(
         n, p=machines, ell=2 * g.m, word_width_bits=sum(widths),
-        c_space=c_space, c_traffic=c_traffic,
-        round_cap=t_native + 10).with_min_delta()
+        c_space=c_space, round_cap=t_native + 10).with_min_delta()
 
     wrapper = _CongestOnSemiMpc(prog, n, machines, widths, edgeless=g.m == 0)
     sim = run_mpc(wrapper, inputs, semi)
@@ -846,11 +837,10 @@ def simulate_congest_on_semimpc(prog: NodeProgram, g: Graph,
     assignment = compute_node_assignment(g.degrees, machines)
     dmax = max(g.degrees, default=0)
     outputs_ok = (sim_node_outputs is not None
-                  and native.outputs is not None
                   and sim_node_outputs == {v: native.outputs[v] for v in range(n)})
     sim_peaks = sim.trace.space_high_water()
     bound_checks = {
-        "rounds_ok": sim.rounds_used <= max(t_native, 1) + 3,
+        "rounds_ok": sim.rounds_used <= t_native + 3,
         "machines_ok": sim.params.p <= machines,
         "load_ok": load_bound_ok(assignment, g.degrees, c_load),
         "traffic_ok": sim.clean,

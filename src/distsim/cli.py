@@ -254,6 +254,8 @@ def cmd_simulate(args) -> int:
     if (source, target) not in SIMULATE_CONSTANTS:
         raise UsageError(f"unsupported pair: {args.source} -> {args.target}")
     constants = _parse_constants(args.constants, SIMULATE_CONSTANTS[source, target])
+    if args.round_budget is not None and source != ModelKind.CONGEST:
+        raise UsageError("--round-budget is read only by --from congest")
     g = _load_graph_file(args.graph)
     prog = _make_program(args, source, g)
 

@@ -103,15 +103,13 @@ class ModelParams:
     congest = _one_per_vertex(ModelKind.CONGEST)
 
     @staticmethod
-    def semi_mpc(n: int, p: int, *, ell: int, delta: float = 0.0,
-                 word_width_bits: int | None = None, c_space: int = 4,
-                 c_traffic: int = 4, c_total: int = 4, polylog_exp: int = 2,
+    def semi_mpc(n: int, p: int, *, ell: int, word_width_bits: int | None = None,
+                 c_space: int = 4, c_traffic: int = 4,
                  round_cap: int | None = None) -> "ModelParams":
         return ModelParams(
             kind=ModelKind.SEMI_MPC, p=p, s=c_space * n, n=n,
             word_width_bits=word_width_bits or word_width(n),
-            delta=delta, ell=ell, c_space=c_space, c_traffic=c_traffic,
-            c_total=c_total, polylog_exp=polylog_exp, round_cap=round_cap,
+            ell=ell, c_space=c_space, c_traffic=c_traffic, round_cap=round_cap,
         )
 
     # -- laws ----------------------------------------------------------------
@@ -151,31 +149,20 @@ class ModelParams:
                                      measured=self.p * self.s, allowed=bound))
         return out
 
-    def min_delta_for_total_space(self) -> float | None:
-        """Smallest delta in [0, 1) satisfying the total space law, or None
-        if no replication exponent below 1 suffices."""
-        if self.ell <= 0:
-            return None
-        if replace(self, delta=0.0).total_space_bound() >= self.p * self.s:
-            return 0.0
-        size = max(self.ell, self.n)
-        if size <= 1:
-            return None
-        log_term = math.log2(max(size, 2)) ** self.polylog_exp
-        need = self.p * self.s / (self.c_total * log_term)
-        exponent = math.log(need) / math.log(size) - 1.0
-        delta = max(0.0, min(exponent + 1e-9, 0.999999))
-        if replace(self, delta=delta).total_space_bound() >= self.p * self.s:
-            return delta
-        return None
-
     def with_min_delta(self) -> "ModelParams":
-        """Copy with the smallest replication exponent that satisfies the
-        total-space law, when one below 1 exists; otherwise unchanged."""
+        """Copy with the smallest replication exponent below 1 that satisfies
+        the total-space law, if one exists, else unchanged.  The bound grows
+        with delta, so a broken law is solved for delta directly."""
         if not any(v.rule == "total-space" for v in self.start_violations()):
             return self
-        delta = self.min_delta_for_total_space()
-        return replace(self, delta=delta) if delta is not None else self
+        size = max(self.ell, self.n)
+        if size <= 1:
+            return self
+        log_term = math.log2(size) ** self.polylog_exp
+        need = self.p * self.s / (self.c_total * log_term)
+        exponent = math.log(need) / math.log(size) - 1.0
+        fit = replace(self, delta=max(0.0, min(exponent + 1e-9, 0.999999)))
+        return fit if fit.total_space_bound() >= self.p * self.s else self
 
     def to_json_dict(self) -> dict:
         return {**asdict(self), "kind": self.kind.value}
@@ -215,9 +202,8 @@ class NodeProgram:
     messages sent in round r - 1, canonically ordered by (sender id,
     emission order).  Once any participant returns halt=True, the whole run
     stops after that round; the halting round's messages are recorded and
-    budget-checked but never delivered.  A program whose class sets
-    immediate_halt=True runs zero rounds: outputs come straight from the
-    init states.
+    budget-checked but never delivered.  Every run has at least one round:
+    a program with nothing to do halts in round 1 without sending.
 
     States are deeply immutable, built only from ints (bool included),
     None, tuples (Message and namedtuples included) and frozensets, so the
@@ -230,8 +216,6 @@ class NodeProgram:
     at the same position keeps its size and is not metered again, and a
     state returned unchanged costs nothing.
     """
-
-    immediate_halt = False
 
     def init(self, pid: int, local_input):
         raise NotImplementedError
@@ -486,10 +470,6 @@ def _execute(prog: NodeProgram, local_inputs: list, params: ModelParams,
     for i in range(p):
         held[i], field_words[i] = _meter(i, 0, states[i], None, None)
 
-    if prog.immediate_halt:
-        outputs = [list(prog.output(states[i])) for i in range(p)]
-        return RunResult(params=params, rounds_used=0, outputs=outputs,
-                         trace=RoundTrace(p, ()), violations=[], graph=graph)
     cap = params.effective_round_cap()
     pending: list[list[Message]] = [[] for _ in range(p)]
     pending_words = [0] * p  # words in each pending inbox

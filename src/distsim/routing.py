@@ -115,10 +115,8 @@ class DemandMatrix:
 
 
 def edge_color_bipartite(n_left: int, n_right: int,
-                         edges: list[tuple[int, int]],
-                         max_colors: int) -> list[int]:
-    """Properly edge-color a bipartite multigraph with at most max-degree
-    colors (and never more than max_colors).
+                         edges: list[tuple[int, int]]) -> list[int]:
+    """Properly edge-color a bipartite multigraph with max-degree colors.
 
     Edges are (left, right) pairs; parallel edges are simply repeated
     entries.  Colors are assigned by single-edge insertion: the smallest
@@ -141,10 +139,6 @@ def edge_color_bipartite(n_left: int, n_right: int,
         deg_l[u] += 1
         deg_r[v] += 1
     max_degree = max(deg_l + deg_r, default=0)
-    if max_degree > max_colors:
-        raise ValueError(
-            f"degree {max_degree} exceeds the {max_colors}-color budget")
-
     limit = 1 << max_degree  # the palette is colors 0 .. max_degree - 1
     colors: list[int] = [-1] * len(edges)
     busy_l = [0] * n_left
@@ -215,17 +209,6 @@ def edge_color_bipartite(n_left: int, n_right: int,
     return colors
 
 
-def coloring_is_proper(edges: list[tuple[int, int]], colors: list[int]) -> bool:
-    seen_l: set[tuple[int, int]] = set()
-    seen_r: set[tuple[int, int]] = set()
-    for (u, v), c in zip(edges, colors):
-        if (u, c) in seen_l or (v, c) in seen_r:
-            return False
-        seen_l.add((u, c))
-        seen_r.add((v, c))
-    return True
-
-
 @dataclass(frozen=True)
 class Schedule:
     """Two-phase routing plan.
@@ -274,12 +257,9 @@ def plan_routing(dm: DemandMatrix, *, c_traffic: int = 4) -> Schedule:
             raise ValueError(f"column {d} demands {total} words, above {limit}")
 
     words = dm.words()
-    if not words:
-        return Schedule(n=dm.n, phase_a_rounds=0, phase_b_rounds=0, entries=())
-
     edges = [(s, d) for s, d, _q in words]
-    colors = edge_color_bipartite(dm.n, dm.n, edges, max_colors=dm.max_degree)
-    colors_used = max(colors) + 1
+    colors = edge_color_bipartite(dm.n, dm.n, edges)
+    colors_used = max(colors, default=-1) + 1
     subrounds = -(-colors_used // dm.n)  # ceil
 
     entries = []
@@ -312,7 +292,8 @@ class Relay(NodeProgram):
     (counterpart, seq, *fields) into one engine word; the counterpart is the
     final destination in phase A and the original source in phase B.  One
     extra receive-only round after the last episode absorbs the final
-    deliveries.
+    deliveries; without episodes that round is the whole run, and every
+    relay halts in round 1 without sending.
 
     The program hosted on a node (subclasses) supplies three hooks over its
     own state, which is the relay state's last field:
@@ -328,7 +309,6 @@ class Relay(NodeProgram):
                  widths: tuple[int, ...]):
         self.episodes = episodes
         self.codec = FieldCodec(widths)
-        self.immediate_halt = not episodes
         # engine round -> (episode index, whether it is a phase-A round)
         self.phase_of: dict[int, tuple[int, bool]] = {}
         for idx, (base, sched) in enumerate(episodes):
@@ -399,7 +379,7 @@ class _ScheduleHost(Relay):
 
     def __init__(self, schedule: Schedule, payloads: dict,
                  widths: tuple[int, int, int]):
-        super().__init__([(1, schedule)] if schedule.entries else [], widths)
+        super().__init__([(1, schedule)], widths)
         # (source, round_a) -> entries due then, canonically ordered
         self.outgoing: dict[tuple[int, int], list[tuple]] = {}
         for s, d, q, mid, ra, _rb in sorted(schedule.entries):
@@ -440,17 +420,14 @@ def execute_schedule(sched: Schedule, payloads: dict[tuple[int, int, int], int],
     sequence number, and the engine trace must be clean; anything else is an
     internal consistency failure, not a recoverable condition.  The replay
     takes num_rounds + 1 engine rounds: the trailing round only absorbs the
-    final deliveries and sends nothing.
+    final deliveries and sends nothing, so an empty schedule takes one.
     """
     expected = set(sched.assignment)
     if set(payloads) != expected:
         raise ValueError("payload keys do not match the scheduled words")
 
-    if expected:
-        widths = _packing_widths(sched, payloads, value_width)
-        params = ModelParams.clique(sched.n, word_width_bits=sum(widths))
-    else:  # nothing to route: zero rounds at the default word width
-        widths, params = (1, 1, 1), ModelParams.clique(sched.n)
+    widths = _packing_widths(sched, payloads, value_width)
+    params = ModelParams.clique(sched.n, word_width_bits=sum(widths))
     run = run_clique(_ScheduleHost(sched, payloads, widths),
                      Graph(n=sched.n, edges=()), params)
     if not run.clean:

@@ -56,6 +56,18 @@ def random_graph(n: int, seed: int, max_extra: int | None = None) -> Graph:
     return Graph(n=n, edges=tuple(sorted(edges)))
 
 
+def coloring_is_proper(edges, colors):
+    """No two edges with a common endpoint share a color, in O(E) time."""
+    seen_l = set()
+    seen_r = set()
+    for (u, v), c in zip(edges, colors):
+        if (u, c) in seen_l or (v, c) in seen_r:
+            return False
+        seen_l.add((u, c))
+        seen_r.add((v, c))
+    return True
+
+
 @pytest.fixture
 def tmp_graph_file(tmp_path):
     def write(g: Graph, name: str = "g.txt"):

@@ -26,9 +26,8 @@ from distsim import (
     ForestMergeConnectivity,
 )
 from distsim.cli import main as cli_main
-from distsim.routing import coloring_is_proper
 
-from conftest import random_connected_graph, random_graph
+from conftest import coloring_is_proper, random_connected_graph, random_graph
 
 
 def _gnp(n, prob, seed):

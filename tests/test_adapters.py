@@ -62,12 +62,13 @@ def test_assignment_load_bound_holds_everywhere():
 # -- clique on semi-MPC ----------------------------------------------------------
 
 class OutputLocalInput(NodeProgram):
-    """Zero-round program: output the incident edge list."""
-
-    immediate_halt = True
+    """Halts in round 1 without sending: output the incident edge list."""
 
     def init(self, pid, local_input):
         return tuple(w for edge in local_input for w in edge)
+
+    def on_round(self, state, inbox):
+        return state, [], True
 
     def output(self, state):
         return list(state)
@@ -92,11 +93,11 @@ class MemoryHog(NodeProgram):
 def test_cc_sim_zero_round_program():
     g = gen_graph("gnp", 8, prob=0.4, seed=1)
     rep = simulate_cc_on_semimpc(OutputLocalInput(), g)
-    # redistribution plus the round that rebuilds local inputs
-    assert rep.native.rounds_used == 0
+    # redistribution plus the round that rebuilds local inputs and runs
+    # native round 1: T + 1 = 2
+    assert rep.native.rounds_used == 1
     assert rep.simulated.rounds_used == 2
-    assert rep.bound_checks["rounds_ok"]
-    assert rep.bound_checks["outputs_ok"]
+    assert rep.all_ok
 
 
 def test_cc_sim_boruvka_round_count_and_outputs():
@@ -196,11 +197,14 @@ def test_mpc_sim_bulk_transfer_two_routed_rounds():
     assert rep.simulated.rounds_used <= 4 * rep.native.rounds_used
 
 
-def test_mpc_sim_message_free_program_uses_zero_rounds():
+def test_mpc_sim_message_free_program_uses_one_round():
+    # no episode to route: the clique run is the relays' one absorb round
     params = ModelParams.semi_mpc(8, 4, ell=0)
     rep = simulate_semimpc_on_cc(SilentMachine(), [[]] * 4, params)
-    assert rep.simulated.rounds_used == 0
-    assert rep.bound_checks["outputs_ok"]
+    assert rep.native.rounds_used == 1
+    assert rep.simulated.rounds_used == 1
+    assert rep.extra["episode_rounds"] == []
+    assert rep.all_ok and all(rep.bound_checks.values())
     assert rep.simulated.outputs[:4] == [[0], [1], [2], [3]]
 
 

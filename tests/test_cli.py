@@ -218,6 +218,27 @@ def test_simulate_semimpc_to_clique(graph_file, tmp_path):
     assert doc["simulated"]["rounds"] <= 4 * doc["native"]["rounds"]
 
 
+@pytest.mark.parametrize("argv", [SIM_CLIQUE, SIM_SEMIMPC])
+def test_simulate_refuses_a_round_budget_it_does_not_read(argv, graph_file,
+                                                          tmp_path, capsys):
+    # only the CONGEST adapter reads --round-budget
+    out = tmp_path / "sim.json"
+    assert run_cli(*argv, "--graph", graph_file, "--round-budget", "5",
+                   "--out", str(out)) == 2
+    assert capsys.readouterr().err == (
+        "error: --round-budget is read only by --from congest\n")
+    assert not out.exists()
+
+
+def test_simulate_congest_reads_the_round_budget(graph_file, tmp_path):
+    out = tmp_path / "sim.json"
+    assert run_cli(*SIM_CONGEST, "--graph", graph_file, "--round-budget", "40",
+                   "--out", str(out)) == 0
+    doc = json.loads(out.read_text())
+    assert doc["measured_constants"]["round_budget"] == 40
+    assert doc["config"]["round_budget"] == 40
+
+
 def test_simulate_unsupported_pair(graph_file, capsys):
     code = run_cli("simulate", "--from", "semimpc", "--to", "congest",
                    "--algorithm", "forest-merge", "--graph", graph_file)
@@ -292,6 +313,18 @@ def test_route_demand(tmp_path):
     assert doc["routing"]["rounds"] == 2
     assert doc["delivered_words"] == 4
     assert doc["violations"] == []
+
+
+def test_route_all_zero_demand_takes_one_engine_round(tmp_path, capsys):
+    # nothing to route still replays the absorb round, and the file verifies
+    demand = tmp_path / "demand.json"
+    demand.write_text("[[0,0,0],[0,0,0],[0,0,0]]")
+    out = tmp_path / "route.json"
+    assert run_cli("route", "--demand", str(demand), "--out", str(out)) == 0
+    assert "schedule_rounds=0 engine_rounds=1 delivered=0" in capsys.readouterr().out
+    doc = json.loads(out.read_text())
+    assert doc["rounds"] == 1 and doc["violations"] == []
+    assert run_cli("verify", "--trace", str(out)) == 0
 
 
 def test_route_rejects_oversized_demand(tmp_path, capsys):

@@ -1,5 +1,7 @@
+import math
 import pickle
 from collections import namedtuple
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -203,9 +205,53 @@ def test_mpc_rejects_bad_machine_count_law():
 
 
 def test_mpc_total_space_law():
-    params = ModelParams.semi_mpc(4, 4, ell=2, c_space=1, polylog_exp=0, c_total=1)
+    params = replace(ModelParams.semi_mpc(4, 4, ell=2, c_space=1),
+                     polylog_exp=0, c_total=1)
     res = run_mpc(MpcShipper(1), [[1], [1], [], []], params)
     assert any(v.rule == "total-space" for v in res.violations)
+
+
+def reference_min_delta_for_total_space(params):
+    """Reference: the smallest delta in [0, 1) satisfying the total space
+    law, or None, tried at delta = 0 before solving for the exponent."""
+    if params.ell <= 0:
+        return None
+    if replace(params, delta=0.0).total_space_bound() >= params.p * params.s:
+        return 0.0
+    size = max(params.ell, params.n)
+    if size <= 1:
+        return None
+    log_term = math.log2(max(size, 2)) ** params.polylog_exp
+    need = params.p * params.s / (params.c_total * log_term)
+    exponent = math.log(need) / math.log(size) - 1.0
+    delta = max(0.0, min(exponent + 1e-9, 0.999999))
+    if replace(params, delta=delta).total_space_bound() >= params.p * params.s:
+        return delta
+    return None
+
+
+def reference_with_min_delta(params):
+    if not any(v.rule == "total-space" for v in params.start_violations()):
+        return params
+    delta = reference_min_delta_for_total_space(params)
+    return replace(params, delta=delta) if delta is not None else params
+
+
+def test_with_min_delta_matches_the_two_step_reference():
+    # the law's size is max(ell, n), so every ell in 1..n bounds like ell = n
+    # and the grid steps through n..4n
+    fitted = unfit = 0
+    for n in range(1, 65):
+        ells = sorted({0, 1, 4 * n, *range(n, 4 * n, max(1, n // 2))})
+        for p in range(1, 65):
+            for c_space in range(1, 5):
+                for ell in ells:
+                    params = ModelParams.semi_mpc(n, p, ell=ell, c_space=c_space)
+                    got = params.with_min_delta()
+                    assert got == reference_with_min_delta(params), (n, p, ell, c_space)
+                    fitted += got.delta > 0
+                    unfit += got is params and bool(params.start_violations())
+    assert fitted > 1000 and unfit > 100
 
 
 def test_semi_mpc_space_is_four_n():
@@ -363,23 +409,6 @@ def test_equal_messages_compare_and_hash_equal():
     assert a != Message(src=2, dst=0, payload=(8, 7))
     assert pickle.loads(pickle.dumps(a)) == a
     assert repr(a) == "Message(src=2, dst=0, payload=(7, 8))"
-
-
-def test_immediate_halt_runs_zero_rounds():
-    class Echo(NodeProgram):
-        immediate_halt = True
-
-        def init(self, pid, local_input):
-            return pid
-
-        def output(self, state):
-            return [state]
-
-    g = gen_graph("complete", 3)
-    res = run_clique(Echo(), g)
-    assert res.rounds_used == 0
-    assert res.outputs == [[0], [1], [2]]
-    assert res.trace.num_rounds == 0
 
 
 def test_determinism_bit_identical():
@@ -576,18 +605,14 @@ class RefusedState(NodeProgram):
         return []
 
 
-class RefusedAtOnce(RefusedState):
-    immediate_halt = True
-
-
-@pytest.mark.parametrize("program, r, value, name", [
-    pytest.param(RefusedState, 0, [1, 2], "list", id="list-from-init"),
-    pytest.param(RefusedState, 2, {1: 2}, "dict", id="dict-in-round-2"),
-    pytest.param(RefusedAtOnce, 0, {1}, "set", id="set-in-zero-round-run")])
-def test_unmeterable_state_is_a_contract_error(program, r, value, name):
+@pytest.mark.parametrize("r, value, name", [
+    pytest.param(0, [1, 2], "list", id="list-from-init"),
+    pytest.param(2, {1: 2}, "dict", id="dict-in-round-2"),
+    pytest.param(0, {1}, "set", id="set-from-init")])
+def test_unmeterable_state_is_a_contract_error(r, value, name):
     with pytest.raises(EngineContractError,
                        match=f"participant 1 .* round {r}: cannot meter {name}"):
-        run_clique(program(r, value), gen_graph("complete", 3))
+        run_clique(RefusedState(r, value), gen_graph("complete", 3))
 
 
 # -- words_in -----------------------------------------------------------------
