@@ -57,19 +57,18 @@ class Assignment:
         return max(self.machine_loads, default=0)
 
 
-def load_bound_ok(assignment: Assignment, degrees, c_load: int) -> bool:
-    """max degree-load <= c_load * max(sum(degrees)/machines, max degree).
+def load_bound_ok(assignment: Assignment, degrees) -> bool:
+    """max degree-load <= 2 * max(sum(degrees)/machines, max degree).
 
-    Round-robin over the descending degree order guarantees this with
-    c_load = 2: a machine's first pick is at most the overall maximum degree
-    and every later pick is dominated by the running average.  Compared
+    Round-robin over the descending degree order guarantees this: a
+    machine's first pick is at most the overall maximum degree and every
+    later pick is dominated by the running average.  Compared
     integer-exactly (both sides scaled by the machine count).
     """
     total = sum(degrees)
     dmax = max(degrees, default=0)
-    lhs = assignment.max_load * assignment.machines
-    rhs = c_load * max(total, dmax * assignment.machines)
-    return lhs <= rhs
+    return (assignment.max_load * assignment.machines
+            <= 2 * max(total, dmax * assignment.machines))
 
 
 def compute_node_assignment(degrees, machines: int) -> Assignment:
@@ -198,8 +197,7 @@ class _CliqueOnSemiMpc(NodeProgram):
 
 
 def simulate_cc_on_semimpc(prog: NodeProgram, g: Graph, *,
-                           c_space: int = 4, c_traffic: int = 4,
-                           seed: int = 0,
+                           c_space: int = 4, seed: int = 0,
                            initial_edges: list[list[tuple[int, int]]] | None = None,
                            ) -> SimulationReport:
     """Simulate a clique algorithm on semi-MPC with exactly n machines and
@@ -212,7 +210,7 @@ def simulate_cc_on_semimpc(prog: NodeProgram, g: Graph, *,
     """
     n = g.n
     native = _run_native(run_clique, "clique", prog, g,
-                         ModelParams.clique(n, c_space=c_space, c_traffic=c_traffic))
+                         ModelParams.clique(n, c_space=c_space))
 
     space_budget = c_space * n
     peaks = native.trace.space_high_water()
@@ -230,8 +228,7 @@ def simulate_cc_on_semimpc(prog: NodeProgram, g: Graph, *,
 
     semi = ModelParams.semi_mpc(
         n, p=n, ell=2 * g.m, word_width_bits=native.params.word_width_bits,
-        c_space=c_space, c_traffic=c_traffic,
-        round_cap=native.rounds_used + 10).with_min_delta()
+        c_space=c_space, round_cap=native.rounds_used + 10).with_min_delta()
 
     sim = run_mpc(_CliqueOnSemiMpc(prog, n), inputs, semi)
 
@@ -242,7 +239,7 @@ def simulate_cc_on_semimpc(prog: NodeProgram, g: Graph, *,
         "rounds_ok": sim.rounds_used == t_native + 1,
         "rounds_big_o_ok": sim.rounds_used <= 2 * t_native,
         "machines_ok": sim.params.p == n,
-        "traffic_ok": sim.clean and max_traffic <= c_traffic * n,
+        "traffic_ok": sim.clean and max_traffic <= space_budget,
         "space_ok": sim.clean and max(sim_peaks, default=0) <= space_budget,
         "outputs_ok": sim.outputs == native.outputs,
     }
@@ -306,6 +303,12 @@ class _SemiMpcOnClique(Relay):
     carries (value, starts-message flag) so receivers can reassemble the
     original multi-word messages in canonical order.  Native rounds after
     the last episode are message-free and are drained when outputs are read.
+
+    The program object holds run data fixed before the clique run: the
+    episodes (planned centrally from the native ledger), `sent` (the native
+    cross-machine messages each live machine must resend) and
+    `machine_inputs` (machine i's input words, from which clique node i
+    starts instead of its placeholder-graph input).
     """
 
     def __init__(self, inner: NodeProgram, p: int,
@@ -420,17 +423,14 @@ class _SemiMpcOnClique(Relay):
 
 
 def simulate_semimpc_on_cc(prog: NodeProgram, inputs: list[list[int]],
-                           params: ModelParams, *,
-                           surcharge: int = 2) -> SimulationReport:
+                           params: ModelParams) -> SimulationReport:
     """Simulate a semi-MPC algorithm on the n-node congested clique.
 
     Machines map to clique nodes 0..p-1.  Each semi-MPC round's transfers,
     as the native ledger records them, form a demand matrix (every machine
-    sends and receives at most s = O(n) words in a clean run, so the routing
-    precondition holds) that is planned and replayed as a routing episode.
-    The clique run must stay within (2 + surcharge) * T rounds; the
-    surcharge covers the bookkeeping a distributed schedule computation
-    would add on top of the two delivery phases per round.
+    sends and receives at most s = O(n) words in a clean run, so an episode
+    takes 2 * ceil(s / n) rounds at most) that is planned and replayed as a
+    routing episode.  The clique run must stay within (2 + 2) * T rounds.
     """
     if params.kind != ModelKind.SEMI_MPC:
         raise SimulationRefused("source program must run under SEMI_MPC params")
@@ -456,7 +456,7 @@ def simulate_semimpc_on_cc(prog: NodeProgram, inputs: list[list[int]],
             continue
         demand = DemandMatrix.from_transfers(n, rec.transfers)
         max_seq = max([max_seq] + [count - 1 for _s, _d, count in demand.cells])
-        schedule = plan_routing(demand, c_traffic=params.c_traffic)
+        schedule = plan_routing(demand)
         episodes.append((r, base, schedule))
         base += schedule.num_rounds
 
@@ -466,11 +466,13 @@ def simulate_semimpc_on_cc(prog: NodeProgram, inputs: list[list[int]],
     wrapper = _SemiMpcOnClique(prog, p, episodes, sent, widths, inputs)
     clique_params = ModelParams.clique(
         n, word_width_bits=sum(widths),
-        c_space=params.c_space, c_traffic=params.c_traffic,
-        round_cap=wrapper.last_round + 5)
+        c_space=params.c_space, round_cap=wrapper.last_round + 5)
     sim = run_clique(wrapper, Graph(n=n, edges=()), clique_params)
 
-    allowed = (2 + surcharge) * t_native
+    # two delivery phases per native round (Lenzen, PODC 2013) plus a fixed
+    # surcharge of 2 for the bookkeeping a distributed schedule computation
+    # would add
+    allowed = (2 + 2) * t_native
     outputs_ok = (sim.outputs is not None
                   and sim.outputs[:p] == native.outputs
                   and all(not o for o in sim.outputs[p:]))
@@ -485,7 +487,7 @@ def simulate_semimpc_on_cc(prog: NodeProgram, inputs: list[list[int]],
         "native_rounds": t_native,
         "clique_rounds": sim.rounds_used,
         "allowed_rounds": allowed,
-        "surcharge": surcharge,
+        "surcharge": 2,
         "episodes": len(episodes),
         "rounds_per_native_round": sim.rounds_used / t_native,
         "max_space_words": max(sim.trace.space_high_water(), default=0),
@@ -529,6 +531,10 @@ class _CongestOnSemiMpc(NodeProgram):
     vertices' inboxes, applies the node transition, and routes the outgoing
     one-word edge messages to the owning machines (same-machine traffic stays
     internal and costs nothing).
+
+    The program object holds `_located`, a cache of each machine's decoded
+    location map, keyed by pid.  A machine reads only its own entry, and
+    only while its state holds the very tuple the entry was decoded from.
     """
 
     def __init__(self, inner: NodeProgram, n: int, machines: int,
@@ -782,8 +788,7 @@ def _congest_memory_hypothesis(native: RunResult, g: Graph,
 
 def simulate_congest_on_semimpc(prog: NodeProgram, g: Graph,
                                 round_budget: int | None = None, *,
-                                c_space: int = 4, c_machines: int = 2, c_load: int = 2,
-                                seed: int = 0,
+                                c_space: int = 4, c_machines: int = 2, seed: int = 0,
                                 initial_edges: list[list[tuple[int, int]]] | None = None,
                                 ) -> SimulationReport:
     """Simulate a CONGEST algorithm on semi-MPC using few machines.
@@ -842,7 +847,7 @@ def simulate_congest_on_semimpc(prog: NodeProgram, g: Graph,
     bound_checks = {
         "rounds_ok": sim.rounds_used <= t_native + 3,
         "machines_ok": sim.params.p <= machines,
-        "load_ok": load_bound_ok(assignment, g.degrees, c_load),
+        "load_ok": load_bound_ok(assignment, g.degrees),
         "traffic_ok": sim.clean,
         "space_ok": sim.clean and max(sim_peaks, default=0) <= c_space * n,
         "outputs_ok": outputs_ok,

@@ -46,19 +46,18 @@ MODEL_FLAGS = {
     "semimpc": ModelKind.SEMI_MPC,
 }
 
-# the --constants keys each run model, simulate direction and route read; no
-# clique or CONGEST rule reads c_space or c_traffic, no semi-MPC rule c_traffic
+# the --constants keys each run model and simulate direction read; no clique
+# or CONGEST rule reads c_space, and route reads none
 RUN_CONSTANTS = {
     ModelKind.CLIQUE: ("word_width",),
     ModelKind.CONGEST: ("word_width",),
     ModelKind.SEMI_MPC: ("c_space", "word_width"),
 }
 SIMULATE_CONSTANTS = {
-    (ModelKind.CLIQUE, ModelKind.SEMI_MPC): ("c_space", "c_traffic"),
-    (ModelKind.SEMI_MPC, ModelKind.CLIQUE): ("c_space", "c_traffic", "surcharge"),
-    (ModelKind.CONGEST, ModelKind.SEMI_MPC): ("c_space", "c_machines", "c_load"),
+    (ModelKind.CLIQUE, ModelKind.SEMI_MPC): ("c_space",),
+    (ModelKind.SEMI_MPC, ModelKind.CLIQUE): ("c_space",),
+    (ModelKind.CONGEST, ModelKind.SEMI_MPC): ("c_space", "c_machines"),
 }
-ROUTE_CONSTANTS = ("c_traffic",)
 
 
 class UsageError(Exception):
@@ -187,13 +186,20 @@ def _make_program(args, model: ModelKind, g: Graph):
     return ForestMergeConnectivity(g.n, args.machines)
 
 
+def _read_machines(args, model: ModelKind) -> None:
+    """Refuse --machines where no semi-MPC run reads it; absent, it is 4."""
+    if args.machines is None:
+        args.machines = 4
+    elif model != ModelKind.SEMI_MPC:
+        raise UsageError("--machines is read only by semi-MPC runs")
+
+
 def _semi_mpc_input(args, g: Graph, constants: dict[str, int]):
     """Semi-MPC params for args.machines machines, and the edge words placed
     on them by the seeded shuffle."""
     params = ModelParams.semi_mpc(
         g.n, args.machines, ell=2 * g.m, word_width_bits=constants.get("word_width"),
-        c_space=constants.get("c_space", 4),
-        c_traffic=constants.get("c_traffic", 4)).with_min_delta()
+        c_space=constants.get("c_space", 4)).with_min_delta()
     return params, distribute_edges(g, args.machines, args.seed)
 
 
@@ -211,6 +217,7 @@ def cmd_gen(args) -> int:
 def cmd_run(args) -> int:
     model = MODEL_FLAGS[args.model]
     constants = _parse_constants(args.constants, RUN_CONSTANTS[model])
+    _read_machines(args, model)
     g = _load_graph_file(args.graph)
     prog = _make_program(args, model, g)
     if model == ModelKind.SEMI_MPC:
@@ -256,23 +263,20 @@ def cmd_simulate(args) -> int:
     constants = _parse_constants(args.constants, SIMULATE_CONSTANTS[source, target])
     if args.round_budget is not None and source != ModelKind.CONGEST:
         raise UsageError("--round-budget is read only by --from congest")
+    _read_machines(args, source)
     g = _load_graph_file(args.graph)
     prog = _make_program(args, source, g)
 
     c_space = constants.get("c_space", 4)
     if source == ModelKind.CLIQUE:
-        report = simulate_cc_on_semimpc(prog, g, c_space=c_space,
-                                        c_traffic=constants.get("c_traffic", 4),
-                                        seed=args.seed)
+        report = simulate_cc_on_semimpc(prog, g, c_space=c_space, seed=args.seed)
     elif source == ModelKind.SEMI_MPC:
         params, inputs = _semi_mpc_input(args, g, constants)
-        report = simulate_semimpc_on_cc(prog, inputs, params,
-                                        surcharge=constants.get("surcharge", 2))
+        report = simulate_semimpc_on_cc(prog, inputs, params)
     else:
         report = simulate_congest_on_semimpc(
             prog, g, round_budget=args.round_budget, c_space=c_space,
-            c_machines=constants.get("c_machines", 2),
-            c_load=constants.get("c_load", 2), seed=args.seed)
+            c_machines=constants.get("c_machines", 2), seed=args.seed)
 
     doc = report.to_json_dict()
     doc["config"] = {
@@ -310,8 +314,14 @@ def cmd_route(args) -> int:
     if type(doc) is not list or not doc or any(type(row) is not list for row in doc):
         raise UsageError("demand file must hold a dense square array")
     dm = DemandMatrix.from_rows(doc)
-    constants = _parse_constants(args.constants, ROUTE_CONSTANTS)
-    sched = plan_routing(dm, c_traffic=constants.get("c_traffic", 4))
+    # route takes the loads a semi-MPC machine may send or receive in a round
+    # at the default c_space: at most 4n words per node
+    limit = 4 * dm.n
+    for name, sums in (("row", dm.row_sums), ("column", dm.col_sums)):
+        for i, total in enumerate(sums):
+            if total > limit:
+                raise UsageError(f"{name} {i} demands {total} words, above {limit}")
+    sched = plan_routing(dm)
     # the replay needs only the schedule: free the demand's cells before it
     summary = f"demand n={dm.n} words={dm.total_words} max_degree={dm.max_degree}"
     del dm
@@ -419,8 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algorithm", required=True,
                    choices=sorted(ALGORITHM_MODELS))
     p.add_argument("--graph", required=True)
-    p.add_argument("--machines", type=int, default=4,
-                   help="machine count for semi-MPC runs")
+    p.add_argument("--machines", type=int, default=None,
+                   help="machine count for semi-MPC runs (default 4)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--constants", nargs="*", default=[],
                    metavar="KEY=VALUE")
@@ -436,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algorithm", required=True,
                    choices=sorted(ALGORITHM_MODELS))
     p.add_argument("--graph", required=True)
-    p.add_argument("--machines", type=int, default=4)
+    p.add_argument("--machines", type=int, default=None)
     p.add_argument("--round-budget", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--constants", nargs="*", default=[],
@@ -448,8 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="plan and execute a routing demand matrix")
     p.add_argument("--demand", required=True,
                    help="JSON file holding a dense n x n word-count array")
-    p.add_argument("--constants", nargs="*", default=[],
-                   metavar="KEY=VALUE")
     p.add_argument("--out", default="route_result.json")
     p.set_defaults(func=cmd_route)
 

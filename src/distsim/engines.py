@@ -57,10 +57,10 @@ class Violation:
 def _one_per_vertex(kind: ModelKind):
     """The ModelParams factory of a model with one participant per vertex."""
     def factory(n: int, *, word_width_bits: int | None = None, c_space: int = 4,
-                c_traffic: int = 4, round_cap: int | None = None) -> "ModelParams":
+                round_cap: int | None = None) -> "ModelParams":
         return ModelParams(kind=kind, p=n, n=n,
                            word_width_bits=word_width_bits or word_width(n),
-                           c_space=c_space, c_traffic=c_traffic, round_cap=round_cap)
+                           c_space=c_space, round_cap=round_cap)
     return staticmethod(factory)
 
 
@@ -69,9 +69,10 @@ class ModelParams:
     """Model kind plus budgets.
 
     Asymptotic budgets are enforced as (constant multiplier) * bound with the
-    multipliers configurable: c_space scales per-machine space, c_traffic
-    scales per-participant traffic, c_total and polylog_exp shape the total
-    space law p*s <= c_total * ell^(1+delta) * log2(ell)^polylog_exp.
+    multipliers configurable: c_space scales per-machine space, c_total and
+    polylog_exp shape the total space law
+    p*s <= c_total * ell^(1+delta) * log2(ell)^polylog_exp.  No rule reads
+    c_traffic; it stays at 4 because every params object in a file carries it.
     """
 
     kind: ModelKind
@@ -104,12 +105,11 @@ class ModelParams:
 
     @staticmethod
     def semi_mpc(n: int, p: int, *, ell: int, word_width_bits: int | None = None,
-                 c_space: int = 4, c_traffic: int = 4,
-                 round_cap: int | None = None) -> "ModelParams":
+                 c_space: int = 4, round_cap: int | None = None) -> "ModelParams":
         return ModelParams(
             kind=ModelKind.SEMI_MPC, p=p, s=c_space * n, n=n,
             word_width_bits=word_width_bits or word_width(n),
-            ell=ell, c_space=c_space, c_traffic=c_traffic, round_cap=round_cap,
+            ell=ell, c_space=c_space, round_cap=round_cap,
         )
 
     # -- laws ----------------------------------------------------------------

@@ -244,18 +244,10 @@ class Schedule:
         }
 
 
-def plan_routing(dm: DemandMatrix, *, c_traffic: int = 4) -> Schedule:
+def plan_routing(dm: DemandMatrix) -> Schedule:
     """Plan delivery of a demand matrix in 2 * ceil(max_degree / n) clique
     rounds: exactly 2 whenever every row and column sum is at most n, and 0
     for an empty demand."""
-    limit = c_traffic * dm.n
-    for s, total in enumerate(dm.row_sums):
-        if total > limit:
-            raise ValueError(f"row {s} demands {total} words, above {limit}")
-    for d, total in enumerate(dm.col_sums):
-        if total > limit:
-            raise ValueError(f"column {d} demands {total} words, above {limit}")
-
     words = dm.words()
     edges = [(s, d) for s, d, _q in words]
     colors = edge_color_bipartite(dm.n, dm.n, edges)
@@ -374,8 +366,9 @@ class Relay(NodeProgram):
 class _ScheduleHost(Relay):
     """Plays a single schedule: each source sends its payload words in their
     phase-A rounds and each destination keeps the sorted (src, seq, value)
-    triples it received.  Pending payloads live on the program, so only the
-    words due in a round enter the node state."""
+    triples it received.  Pending payloads live on the program (`outgoing`,
+    fixed before the run), so only the words due in a round enter the node
+    state."""
 
     def __init__(self, schedule: Schedule, payloads: dict,
                  widths: tuple[int, int, int]):

@@ -1,8 +1,9 @@
+import copy
 import random
 
 import pytest
 
-from distsim import Graph, Message, NodeProgram
+from distsim import Graph, Message, NodeProgram, adapters, engines, routing
 
 
 class FixedRoundFlood(NodeProgram):
@@ -66,6 +67,54 @@ def coloring_is_proper(edges, colors):
         seen_l.add((u, c))
         seen_r.add((v, c))
     return True
+
+
+class _PerParticipant(NodeProgram):
+    """Runs participant i's transitions on programs[i]; the state is
+    (pid, inner state)."""
+
+    def __init__(self, programs):
+        self.programs = programs
+
+    def init(self, pid, local_input):
+        return (pid, self.programs[pid].init(pid, local_input))
+
+    def on_round(self, state, inbox):
+        pid, inner = state
+        inner, outbox, halt = self.programs[pid].on_round(inner, inbox)
+        return (pid, inner), outbox, halt
+
+    def output(self, state):
+        return self.programs[state[0]].output(state[1])
+
+
+def isolation_audited(run):
+    """The engine run `run`, audited for side channels: each call runs the
+    program under _PerParticipant twice, once on p deep copies of it made
+    before either run and once on the object itself, and requires equal
+    RunResults.  Participants that pass data through the program object
+    disagree between the two.  The object itself runs once, as a program
+    that records its own run (the semi-MPC -> clique recorder) needs, and
+    that run's result is returned."""
+    def audited(prog, inputs, params):
+        copies = [copy.deepcopy(prog) for _ in range(params.p)]
+        isolated = run(_PerParticipant(copies), inputs, params)
+        shared = run(_PerParticipant([prog] * params.p), inputs, params)
+        assert isolated == shared, (
+            f"{type(prog).__name__} participants share data outside messages")
+        return shared
+    return audited
+
+
+@pytest.fixture
+def isolation_audit(monkeypatch):
+    """Audit every engine run the adapters and the schedule replay make, the
+    way the benchmark's tracer wraps the same module globals."""
+    for module in (adapters, routing):
+        for name in ("run_clique", "run_congest", "run_mpc"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    isolation_audited(getattr(engines, name)))
 
 
 @pytest.fixture

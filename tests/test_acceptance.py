@@ -57,9 +57,8 @@ def test_acceptance_1_clique_to_semimpc_bounds():
 
 
 def test_acceptance_2_semimpc_to_clique_bounds():
-    """Semi-MPC -> clique: rounds <= (2 + surcharge) * T with surcharge 2,
-    per ordered pair at most one word per round, outputs match native and
-    the connectivity oracle."""
+    """Semi-MPC -> clique: rounds <= (2 + 2) * T, per ordered pair at most
+    one word per round, outputs match native and the connectivity oracle."""
     corpus = []
     for p in (2, 4, 8):
         for n, prob in ((16, 0.2), (32, 0.15), (64, 0.08), (128, 0.05)):
@@ -69,9 +68,7 @@ def test_acceptance_2_semimpc_to_clique_bounds():
         g = _gnp(n, prob, seed)
         params = ModelParams.semi_mpc(n, p, ell=2 * g.m).with_min_delta()
         inputs = distribute_edges(g, p, seed=seed)
-        rep = simulate_semimpc_on_cc(
-            ForestMergeConnectivity(n, p), inputs, params,
-            surcharge=2)
+        rep = simulate_semimpc_on_cc(ForestMergeConnectivity(n, p), inputs, params)
         t = rep.native.rounds_used
         assert rep.simulated.rounds_used <= (2 + 2) * t, (p, n, seed)
         assert rep.simulated.clean

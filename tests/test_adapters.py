@@ -56,7 +56,7 @@ def test_assignment_load_bound_holds_everywhere():
         degrees = [rng.randrange(0, n) for _ in range(n)]
         machines = rng.randrange(1, n + 1)
         a = compute_node_assignment(degrees, machines)
-        assert load_bound_ok(a, degrees, 2)
+        assert load_bound_ok(a, degrees)
 
 
 # -- clique on semi-MPC ----------------------------------------------------------
@@ -195,6 +195,20 @@ def test_mpc_sim_bulk_transfer_two_routed_rounds():
     assert rep.extra["episode_rounds"] == [[1, 2]]
     assert rep.simulated.rounds_used == 3
     assert rep.simulated.rounds_used <= 4 * rep.native.rounds_used
+
+
+def test_mpc_sim_round_above_4n_words_plans_a_longer_episode():
+    # at c_space = 8 a clean machine may send 5n words in one round; its
+    # episode takes 2 * ceil(5n / n) = 10 rounds, and rounds_ok judges that
+    n = 8
+    params = ModelParams.semi_mpc(n, 2, ell=0, c_space=8, word_width_bits=8)
+    rep = simulate_semimpc_on_cc(BulkShipper(5 * n), [[], []], params)
+    assert rep.native.clean and rep.simulated.clean
+    assert rep.extra["episode_rounds"] == [[1, 10]]
+    assert rep.simulated.rounds_used == 11
+    assert rep.bound_checks == {"rounds_ok": False, "machines_ok": True,
+                                "traffic_ok": True, "space_ok": True,
+                                "outputs_ok": True}
 
 
 def test_mpc_sim_message_free_program_uses_one_round():

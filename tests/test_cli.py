@@ -4,7 +4,9 @@ import hashlib
 import io
 import json
 import random
+import re
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -123,7 +125,6 @@ SIM_CLIQUE = ("simulate", "--from", "clique", "--to", "semimpc", "--algorithm", 
 SIM_SEMIMPC = ("simulate", "--from", "semimpc", "--to", "clique",
                "--algorithm", "forest-merge")
 SIM_CONGEST = ("simulate", "--from", "congest", "--to", "semimpc", "--algorithm", "flood")
-ROUTE = ("route",)
 
 
 @pytest.mark.parametrize("argv,constants,code", [
@@ -132,10 +133,10 @@ ROUTE = ("route",)
     (RUN_CLIQUE, ("word_width=7",), 0),
     (RUN_CONGEST, ("word_width=7",), 0),
     (RUN_SEMIMPC, ("c_space=4", "word_width=7"), 0),
-    (SIM_CLIQUE, ("c_space=4", "c_traffic=4"), 0),
-    (SIM_SEMIMPC, ("c_space=4", "c_traffic=4", "surcharge=2"), 0),
-    (SIM_CONGEST, ("c_space=4", "c_machines=2", "c_load=2"), 0),
-    (ROUTE, ("c_traffic=4",), 0),
+    (SIM_CLIQUE, ("c_space=4",), 0),
+    (SIM_SEMIMPC, ("c_space=4",), 0),
+    (SIM_CONGEST, ("c_space=4", "c_machines=2"), 0),
+    (SIM_SEMIMPC, ("c_space=8",), 0),
     # ... and every other key is refused: each used to be recorded in the
     # output's config and never read
     (RUN_CLIQUE, ("c_total=1",), 2),
@@ -149,7 +150,9 @@ ROUTE = ("route",)
     (SIM_SEMIMPC, ("c_total=1",), 2),
     (SIM_CONGEST, ("surcharge=9",), 2),
     (SIM_CONGEST, ("polylog_exp=0",), 2),
-    (ROUTE, ("c_space=1",), 2),
+    # keys that only moved a verdict or a planner's refusal threshold are
+    # refused too (more at the end)
+    (SIM_CLIQUE, ("c_traffic=4",), 2),
     # no clique or CONGEST rule checks space or traffic, and no semi-MPC rule
     # checks c_traffic: each used to land only in the output's params
     (RUN_CLIQUE, ("c_space=1",), 2),
@@ -158,19 +161,28 @@ ROUTE = ("route",)
     (RUN_CONGEST, ("c_traffic=1",), 2),
     (RUN_SEMIMPC, ("c_traffic=1",), 2),
     (SIM_CONGEST, ("c_traffic=1",), 2),
+    # the rest of the verdict-only keys
+    (SIM_SEMIMPC, ("c_traffic=4",), 2),
+    (SIM_SEMIMPC, ("surcharge=2",), 2),
+    (SIM_CONGEST, ("c_load=2",), 2),
 ])
 def test_constants_are_only_those_the_command_reads(argv, constants, code,
                                                     graph_file, tmp_path, capsys):
-    if argv == ROUTE:
-        (tmp_path / "demand.json").write_text("[[0, 1, 0], [0, 0, 2], [1, 0, 0]]")
-        argv += ("--demand", str(tmp_path / "demand.json"))
-    else:
-        argv += ("--graph", graph_file)
     out = tmp_path / "out.json"
-    assert run_cli(*argv, "--constants", *constants, "--out", str(out)) == code
+    assert run_cli(*argv, "--graph", graph_file, "--constants", *constants,
+                   "--out", str(out)) == code
     if code:
         assert capsys.readouterr().err.startswith("error: unknown constant ")
         assert not out.exists()
+
+
+def test_route_takes_no_constants(tmp_path, capsys):
+    (tmp_path / "demand.json").write_text("[[0, 1, 0], [0, 0, 2], [1, 0, 0]]")
+    out = tmp_path / "out.json"
+    assert run_cli("route", "--demand", str(tmp_path / "demand.json"),
+                   "--constants", "c_traffic=4", "--out", str(out)) == 2
+    assert "unrecognized arguments: --constants c_traffic=4" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [RUN_SEMIMPC, SIM_SEMIMPC])
@@ -183,6 +195,41 @@ def test_machine_count_out_of_range_exits_2(argv, machines, graph_file,
                    "--out", str(out)) == 2
     assert capsys.readouterr().err == "error: need 1 <= p <= n machines\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [RUN_CLIQUE, RUN_CONGEST, SIM_CLIQUE, SIM_CONGEST])
+def test_machines_is_refused_where_no_semi_mpc_run_reads_it(argv, graph_file,
+                                                           tmp_path, capsys):
+    # the config keeps recording the default when the flag is absent ...
+    out = tmp_path / "out.json"
+    assert run_cli(*argv, "--graph", graph_file, "--out", str(out)) == 0
+    assert json.loads(out.read_text())["config"]["machines"] == 4
+    out.unlink()
+    # ... and the flag, which used to be recorded there and never read, is refused
+    assert run_cli(*argv, "--graph", graph_file, "--machines", "7",
+                   "--out", str(out)) == 2
+    assert capsys.readouterr().err == (
+        "error: --machines is read only by semi-MPC runs\n")
+    assert not out.exists()
+
+
+def test_readme_constants_table_matches_the_cli():
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = text.split("| command | keys |\n", 1)[1].split("\n\n", 1)[0]
+    documented = {}
+    for line in table.splitlines()[1:]:
+        commands, keys = line.strip().strip("|").split("|")
+        names = tuple(re.findall(r"`([^`]+)`", keys))
+        assert names or keys.strip() == "none", line
+        for command in re.findall(r"`([^`]+)`", commands):
+            documented[command] = names
+    flag = {kind: name for name, kind in cli.MODEL_FLAGS.items()}
+    expected = {f"run --model {flag[kind]}": keys
+                for kind, keys in cli.RUN_CONSTANTS.items()}
+    expected.update({f"simulate --from {flag[source]} --to {flag[target]}": keys
+                     for (source, target), keys in cli.SIMULATE_CONSTANTS.items()})
+    expected["route"] = ()  # route has no --constants flag
+    assert documented == expected
 
 
 # -- simulate ---------------------------------------------------------------------
@@ -335,6 +382,14 @@ def test_route_rejects_oversized_demand(tmp_path, capsys):
     demand.write_text(json.dumps(rows))
     assert run_cli("route", "--demand", str(demand),
                    "--out", str(tmp_path / "r.json")) == 2
+    assert capsys.readouterr().err == "error: row 0 demands 13 words, above 12\n"
+    # every row within 4n, column 1 above it
+    rows = [[0, 5, 0], [0, 5, 0], [0, 3, 0]]
+    demand.write_text(json.dumps(rows))
+    assert run_cli("route", "--demand", str(demand),
+                   "--out", str(tmp_path / "r.json")) == 2
+    assert capsys.readouterr().err == "error: column 1 demands 13 words, above 12\n"
+    assert not (tmp_path / "r.json").exists()
 
 
 @pytest.mark.parametrize("text, message", [

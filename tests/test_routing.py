@@ -310,9 +310,7 @@ def test_from_transfers_matches_dense_rows(ledger):
     assert sparse.total_words == dense.total_words
     assert sparse.max_degree == dense.max_degree
     assert sparse.words() == dense.words() == dense_words(n, dense_sum(n, transfers))
-    # at most 4n transfers of up to 3 words: every row and column sum fits
-    assert (plan_routing(sparse, c_traffic=12)
-            == plan_routing(dense, c_traffic=12))
+    assert plan_routing(sparse) == plan_routing(dense)
 
 
 # -- plan_routing -------------------------------------------------------------
@@ -348,14 +346,6 @@ def test_plan_star_demand():
     phase_b_rounds = {rb for *_rest, rb in sched.entries}
     assert phase_b_rounds == {2}
     _assert_schedule_capacity(sched)
-
-
-def test_plan_rejects_oversized_rows():
-    n = 3
-    rows = [[0] * n for _ in range(n)]
-    rows[0][1] = 4 * n + 1
-    with pytest.raises(ValueError):
-        plan_routing(DemandMatrix.from_rows(rows))
 
 
 def _assert_schedule_capacity(sched):
