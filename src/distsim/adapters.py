@@ -591,6 +591,10 @@ class _CongestOnSemiMpc(NodeProgram):
 
         (pid, round_no, stored, mine, location, node_states, internal) = state
 
+        if round_no >= 5:
+            return self._replay(pid, round_no + 1, mine, location, node_states,
+                                internal, inbox)
+
         if round_no == 1:
             # the sorter keeps its own counts local instead of self-mailing
             outbox = []
@@ -698,17 +702,19 @@ class _CongestOnSemiMpc(NodeProgram):
                 for v in mine)
             return self._replay(pid, 5, mine, location, node_states, (), [])
 
-        return self._replay(pid, round_no + 1, mine, location, node_states,
-                            internal, inbox)
-
     def _replay(self, pid, next_round_no, mine, location, node_states,
                 internal, inbox):
+        pack = self.codec.pack
+        unpack = self.codec.unpack
+        inner_round = self.inner.on_round
+        # pre-filled, so a word for a vertex this machine does not host is
+        # refused (KeyError) rather than replayed
         per_vertex: dict[int, list[tuple[int, int]]] = {v: [] for v in mine}
         for src_v, dst_v, value in internal:
             per_vertex[dst_v].append((src_v, value))
-        for msg in inbox:
-            for word in msg.payload:
-                tag, src_v, dst_v, value = self.codec.unpack(word)
+        for _src, _dst, payload in inbox:
+            for word in payload:
+                tag, src_v, dst_v, value = unpack(word)
                 if tag != _TAG_EDGE:
                     raise RuntimeError("unexpected word during replay")
                 per_vertex[dst_v].append((src_v, value))
@@ -721,7 +727,7 @@ class _CongestOnSemiMpc(NodeProgram):
         else:
             remote = {}
             for word in location:
-                _tag, v, host, _x = self.codec.unpack(word)
+                _tag, v, host, _x = unpack(word)
                 remote[v] = host
             self._located[pid] = (location, remote)
 
@@ -730,24 +736,25 @@ class _CongestOnSemiMpc(NodeProgram):
         by_machine: dict[int, list[int]] = {}
         halt = False
         for v, nstate in node_states:
-            node_inbox = [Message(u, v, (value,))
-                          for u, value in sorted(per_vertex[v])]
-            nstate, outbox, node_halt = self.inner.on_round(nstate, node_inbox)
+            arrivals = per_vertex[v]
+            if arrivals:
+                arrivals.sort()
+                node_inbox = [Message(u, v, (value,)) for u, value in arrivals]
+            else:
+                node_inbox = []
+            nstate, outbox, node_halt = inner_round(nstate, node_inbox)
             new_states.append((v, nstate))
             halt = halt or node_halt
-            for m in outbox:
-                value = m.payload[0]
+            for _src, dst, payload in outbox:
                 # anything not recorded as remote lives on this machine
-                host = remote.get(m.dst, pid)
+                host = remote.get(dst, pid)
                 if host == pid:
-                    new_internal.append((v, m.dst, value))
+                    new_internal.append((v, dst, payload[0]))
                 else:
                     by_machine.setdefault(host, []).append(
-                        self._pack(_TAG_EDGE, v, m.dst, value))
-        machine_outbox = [
-            Message(src=pid, dst=target, payload=tuple(sorted(words)))
-            for target, words in sorted(by_machine.items())
-        ]
+                        pack((_TAG_EDGE, v, dst, payload[0])))
+        machine_outbox = [Message(pid, target, tuple(sorted(words)))
+                          for target, words in sorted(by_machine.items())]
         state = (pid, next_round_no, (), mine, location, tuple(new_states),
                  tuple(new_internal))
         return state, machine_outbox, halt

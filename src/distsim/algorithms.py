@@ -127,14 +127,14 @@ class FloodMinLabel(NodeProgram):
     def on_round(self, state, inbox: list[Message]):
         pid, round_no, best, neighbors = state
         new_best = best
-        for msg in inbox:
-            if msg.payload[0] < new_best:
-                new_best = msg.payload[0]
+        for _src, _dst, payload in inbox:
+            if payload[0] < new_best:
+                new_best = payload[0]
         halt = round_no >= self.cap and new_best == best
         outbox = []
         if not halt:
-            outbox = [Message(src=pid, dst=u, payload=(new_best,))
-                      for u in neighbors]
+            payload = (new_best,)  # one shared payload: messages are immutable
+            outbox = [Message(pid, u, payload) for u in neighbors]
         return (pid, round_no + 1, new_best, neighbors), outbox, halt
 
     def output(self, state) -> list[int]:

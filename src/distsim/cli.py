@@ -166,6 +166,8 @@ def _parse_constants(pairs: list[str], keys: tuple[str, ...]) -> dict[str, int]:
             out[key] = int(value)
         except ValueError:
             raise UsageError(f"constant {key} needs an integer, got {value!r}") from None
+        if out[key] < 1:
+            raise UsageError(f"constant {key} must be a positive integer, got {value!r}")
     return out
 
 

@@ -59,7 +59,8 @@ def _one_per_vertex(kind: ModelKind):
     def factory(n: int, *, word_width_bits: int | None = None, c_space: int = 4,
                 round_cap: int | None = None) -> "ModelParams":
         return ModelParams(kind=kind, p=n, n=n,
-                           word_width_bits=word_width_bits or word_width(n),
+                           word_width_bits=(word_width(n) if word_width_bits is None
+                                            else word_width_bits),
                            c_space=c_space, round_cap=round_cap)
     return staticmethod(factory)
 
@@ -108,7 +109,8 @@ class ModelParams:
                  c_space: int = 4, round_cap: int | None = None) -> "ModelParams":
         return ModelParams(
             kind=ModelKind.SEMI_MPC, p=p, s=c_space * n, n=n,
-            word_width_bits=word_width_bits or word_width(n),
+            word_width_bits=(word_width(n) if word_width_bits is None
+                             else word_width_bits),
             ell=ell, c_space=c_space, round_cap=round_cap,
         )
 
@@ -196,7 +198,8 @@ class NodeProgram:
       on_round(state, inbox) -> (state, outbox, halt)
       output(state) -> list of result words
 
-    The outbox must hold Message objects.  Messages are immutable and are
+    The outbox must hold Message objects whose src is the sender and whose
+    dst is an int participant id in [0, p).  Messages are immutable and are
     delivered as built: the receiver gets the very object the sender emitted.
     They carry no round field; the inbox of round r holds exactly the
     messages sent in round r - 1, canonically ordered by (sender id,
@@ -508,9 +511,10 @@ def _execute(prog: NodeProgram, local_inputs: list, params: ModelParams,
                 if src != i:
                     raise EngineContractError(
                         f"participant {i} emitted a message claiming src={src}")
-                if not (0 <= dst < p):
+                if type(dst) is not int or not 0 <= dst < p:
                     raise EngineContractError(
-                        f"message to unknown participant {dst}")
+                        f"participant {i} addressed a message to {dst!r}, not"
+                        f" a participant id in 0..{p - 1}")
                 words = len(payload)
                 if words == 1:
                     value = payload[0]

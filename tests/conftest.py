@@ -2,8 +2,16 @@ import copy
 import random
 
 import pytest
+from hypothesis import settings
 
 from distsim import Graph, Message, NodeProgram, adapters, engines, routing
+
+
+# `pytest --hypothesis-profile=ci` prints, with every failure, the
+# @reproduce_failure blob that replays it; every other setting is the
+# profile loaded when this file is imported, so max_examples and deadline
+# stay as each test and the environment set them
+settings.register_profile("ci", print_blob=True)
 
 
 class FixedRoundFlood(NodeProgram):

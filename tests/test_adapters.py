@@ -1,4 +1,8 @@
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distsim import (
     Graph,
@@ -19,7 +23,8 @@ from distsim import (
     FloodMinLabel,
     ForestMergeConnectivity,
 )
-from distsim.adapters import load_bound_ok
+from distsim import adapters
+from distsim.adapters import _TAG_EDGE, _TAG_MAP, _CongestOnSemiMpc, load_bound_ok
 from distsim.engines import EngineContractError, run_mpc
 
 from conftest import FixedRoundFlood, random_connected_graph, random_graph
@@ -557,3 +562,177 @@ def test_congest_sim_assignment_in_report():
     machine_of = rep.extra["assignment"]
     assert len(machine_of) == 16
     assert max(machine_of) < rep.measured_constants["machines"]
+
+
+# -- the CONGEST replay against its reference -------------------------------------
+
+class ReferenceFloodMinLabel(FloodMinLabel):
+    """FloodMinLabel.on_round as it was before it shared one payload per
+    round: messages built by keyword, the inbox read through properties."""
+
+    def on_round(self, state, inbox):
+        pid, round_no, best, neighbors = state
+        new_best = best
+        for msg in inbox:
+            if msg.payload[0] < new_best:
+                new_best = msg.payload[0]
+        halt = round_no >= self.cap and new_best == best
+        outbox = []
+        if not halt:
+            outbox = [Message(src=pid, dst=u, payload=(new_best,))
+                      for u in neighbors]
+        return (pid, round_no + 1, new_best, neighbors), outbox, halt
+
+
+class ReferenceCongestOnSemiMpc(_CongestOnSemiMpc):
+    """The CONGEST adapter with its replay as it was before the replay loop
+    was made lean.  The setup rounds 1-4 are the adapter's own, unchanged;
+    on_round dispatches in the old order (setup rounds first), and _replay
+    is the old loop: a sorted copy of every vertex's arrivals, inner
+    messages read through properties, words packed through _pack."""
+
+    def on_round(self, state, inbox):
+        if self.edgeless or state[1] <= 4:
+            return super().on_round(state, inbox)
+        (pid, round_no, _stored, mine, location, node_states, internal) = state
+        return self._replay(pid, round_no + 1, mine, location, node_states,
+                            internal, inbox)
+
+    def _replay(self, pid, next_round_no, mine, location, node_states,
+                internal, inbox):
+        per_vertex: dict[int, list[tuple[int, int]]] = {v: [] for v in mine}
+        for src_v, dst_v, value in internal:
+            per_vertex[dst_v].append((src_v, value))
+        for msg in inbox:
+            for word in msg.payload:
+                tag, src_v, dst_v, value = self.codec.unpack(word)
+                if tag != _TAG_EDGE:
+                    raise RuntimeError("unexpected word during replay")
+                per_vertex[dst_v].append((src_v, value))
+
+        cached = self._located.get(pid)
+        if cached is not None and cached[0] is location:
+            remote = cached[1]
+        else:
+            remote = {}
+            for word in location:
+                _tag, v, host, _x = self.codec.unpack(word)
+                remote[v] = host
+            self._located[pid] = (location, remote)
+
+        new_states = []
+        new_internal = []
+        by_machine: dict[int, list[int]] = {}
+        halt = False
+        for v, nstate in node_states:
+            node_inbox = [Message(u, v, (value,))
+                          for u, value in sorted(per_vertex[v])]
+            nstate, outbox, node_halt = self.inner.on_round(nstate, node_inbox)
+            new_states.append((v, nstate))
+            halt = halt or node_halt
+            for m in outbox:
+                value = m.payload[0]
+                host = remote.get(m.dst, pid)
+                if host == pid:
+                    new_internal.append((v, m.dst, value))
+                else:
+                    by_machine.setdefault(host, []).append(
+                        self._pack(_TAG_EDGE, v, m.dst, value))
+        machine_outbox = [
+            Message(src=pid, dst=target, payload=tuple(sorted(words)))
+            for target, words in sorted(by_machine.items())
+        ]
+        state = (pid, next_round_no, (), mine, location, tuple(new_states),
+                 tuple(new_internal))
+        return state, machine_outbox, halt
+
+
+class ArrivalOrderGossip(TwoRoundGossip):
+    """TwoRoundGossip that outputs the ids in the order its inboxes held
+    them, so a replay that feeds a vertex its messages in another order
+    than the native run (ascending sender) gives other outputs."""
+
+    def on_round(self, state, inbox):
+        pid, r, nbrs, heard = state
+        heard += tuple(m.payload[0] for m in inbox)
+        outbox = []
+        if r <= self.rounds:
+            outbox = [Message(src=pid, dst=u, payload=(pid,)) for u in nbrs]
+        return (pid, r + 1, nbrs, heard), outbox, r > self.rounds
+
+
+def _simulated(prog, g, seed, c_machines):
+    """The whole report of a CONGEST -> semi-MPC simulation, or the refusal."""
+    try:
+        return simulate_congest_on_semimpc(prog, g, seed=seed,
+                                           c_machines=c_machines).to_json_dict()
+    except SimulationRefused as exc:
+        return ("refused", str(exc))
+
+
+PROGRAMS = {
+    # flood runs T = n rounds, so the machine formula caps at n and every
+    # machine hosts one vertex; the short-horizon programs pack several
+    # vertices per machine, so the internal-message path runs too
+    "flood": (FloodMinLabel, ReferenceFloodMinLabel),
+    "gossip-1": (lambda n: TwoRoundGossip(1), lambda n: TwoRoundGossip(1)),
+    "gossip-3": (lambda n: TwoRoundGossip(3), lambda n: TwoRoundGossip(3)),
+    "arrival-order-2": (lambda n: ArrivalOrderGossip(2),
+                        lambda n: ArrivalOrderGossip(2)),
+    "fixed-flood-4": (lambda n: FixedRoundFlood(4), lambda n: FixedRoundFlood(4)),
+}
+
+
+def _lean_matches_reference(name, g, seed, c_machines):
+    lean, reference = PROGRAMS[name]
+    got = _simulated(lean(g.n), g, seed, c_machines)
+    with mock.patch.object(adapters, "_CongestOnSemiMpc", ReferenceCongestOnSemiMpc):
+        want = _simulated(reference(g.n), g, seed, c_machines)
+    assert got == want
+
+
+@settings(max_examples=120, deadline=None)
+@given(name=st.sampled_from(sorted(PROGRAMS)), n=st.integers(1, 24),
+       graph_seed=st.integers(0, 2**32), seed=st.integers(0, 2**32),
+       connected=st.booleans(), c_machines=st.integers(1, 2))
+def test_congest_replay_matches_the_reference(name, n, graph_seed, seed,
+                                              connected, c_machines):
+    g = (random_connected_graph(n, n // 5, graph_seed) if connected
+         else random_graph(n, graph_seed))
+    _lean_matches_reference(name, g, seed, c_machines)
+
+
+@pytest.mark.parametrize("name", ["gossip-3", "arrival-order-2", "fixed-flood-4"])
+def test_congest_replay_matches_the_reference_with_internal_messages(name):
+    # several vertices per machine, and edges inside a machine: the replay
+    # hands those messages over internally, at no cost
+    g = random_connected_graph(24, 4, 5)
+    rep = simulate_congest_on_semimpc(PROGRAMS[name][0](g.n), g, c_machines=1)
+    machine_of = rep.extra["assignment"]
+    assert rep.all_ok and rep.measured_constants["machines"] <= 6
+    assert any(machine_of[u] == machine_of[v] for u, v in g.edges)
+    _lean_matches_reference(name, g, 0, 1)
+
+
+@pytest.mark.parametrize("wrapper_class", [_CongestOnSemiMpc, ReferenceCongestOnSemiMpc])
+def test_congest_replay_refuses_words_it_cannot_replay(wrapper_class):
+    # machine 0 hosts vertex 0 of the path 0 - 1 - 2; vertex 1 lives elsewhere
+    flood = FloodMinLabel(3)
+    wrapper = wrapper_class(flood, 3, 2, (2, 2, 2, 2))
+    node_states = ((0, flood.init(0, ((0, 1),))),)
+
+    def replay(internal, words):
+        state = (0, 5, (), (0,), (), node_states, internal)
+        inbox = [Message(1, 0, tuple(words))] if words else []
+        return wrapper.on_round(state, inbox)
+
+    state, outbox, _halt = replay((), [wrapper.codec.pack((_TAG_EDGE, 1, 0, 0))])
+    assert state[5][0][1][2] == 0 and outbox == []
+    # a word or an internal message for a vertex this machine does not host
+    with pytest.raises(KeyError):
+        replay((), [wrapper.codec.pack((_TAG_EDGE, 0, 1, 0))])
+    with pytest.raises(KeyError):
+        replay(((0, 2, 0),), [])
+    # a word that is not an edge delivery
+    with pytest.raises(RuntimeError, match="unexpected word during replay"):
+        replay((), [wrapper.codec.pack((_TAG_MAP, 1, 0, 0))])

@@ -176,6 +176,29 @@ def test_constants_are_only_those_the_command_reads(argv, constants, code,
         assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,constant", [
+    (RUN_CLIQUE, "word_width=0"),
+    (RUN_CONGEST, "word_width=-3"),
+    (RUN_SEMIMPC, "c_space=0"),
+    (RUN_SEMIMPC, "word_width=0"),
+    (SIM_CLIQUE, "c_space=0"),
+    (SIM_SEMIMPC, "c_space=-1"),
+    (SIM_CONGEST, "c_machines=0"),
+    (SIM_CONGEST, "c_space=-2"),
+])
+def test_constants_must_be_positive(argv, constant, graph_file, tmp_path, capsys):
+    # word_width=0 used to run at the default width and record 0 in config,
+    # c_machines=0 ran on one machine and failed three checks, and
+    # c_space=-2 was refused as a memory hog ("uses memory 0.00x")
+    out = tmp_path / "out.json"
+    assert run_cli(*argv, "--graph", graph_file, "--constants", constant,
+                   "--out", str(out)) == 2
+    key, _, value = constant.partition("=")
+    assert capsys.readouterr().err == (
+        f"error: constant {key} must be a positive integer, got '{value}'\n")
+    assert not out.exists()
+
+
 def test_route_takes_no_constants(tmp_path, capsys):
     (tmp_path / "demand.json").write_text("[[0, 1, 0], [0, 0, 2], [1, 0, 0]]")
     out = tmp_path / "out.json"

@@ -1,5 +1,6 @@
 import math
 import pickle
+import re
 from collections import namedtuple
 from dataclasses import replace
 from fractions import Fraction
@@ -286,16 +287,18 @@ def test_word_overflow_rejected():
 
 
 class SendsWord(NodeProgram):
-    """Node 0 sends one given word to node 1, then everyone halts."""
+    """Node 0 sends one given word to node dst (default 1), then everyone
+    halts."""
 
-    def __init__(self, word):
+    def __init__(self, word, dst=1):
         self.word = word
+        self.dst = dst
 
     def init(self, pid, local_input):
         return pid
 
     def on_round(self, state, inbox):
-        out = [Message(src=0, dst=1, payload=(self.word,))] if state == 0 else []
+        out = [Message(0, self.dst, (self.word,))] if state == 0 else []
         return state, out, True
 
     def output(self, state):
@@ -315,6 +318,25 @@ def test_bool_and_negative_payload_words():
     assert res.clean and res.trace.rounds[0].transfers == ((0, 1, 1),)
     with pytest.raises(EngineContractError, match="overflows"):
         run_clique(SendsWord(-1), gen_graph("complete", 3))
+
+
+@pytest.mark.parametrize("dst", [True, 1.0, Fraction(1), -1, 3],
+                         ids=["bool", "float", "fraction", "negative", "p"])
+def test_destination_must_be_a_participant_id(dst):
+    # a bool used to pass as participant 1 and reach the ledger as `true`,
+    # which verify then refused; a float or a Fraction escaped as TypeError
+    with pytest.raises(EngineContractError,
+                       match=re.escape(f"participant 0 addressed a message to {dst!r},")):
+        run_clique(SendsWord(1, dst), gen_graph("complete", 3))
+
+
+@pytest.mark.parametrize("factory", [ModelParams.clique, ModelParams.congest])
+def test_word_width_zero_is_not_the_default(factory):
+    # `word_width_bits or word_width(n)` used to turn 0 into the default width
+    with pytest.raises(ValueError, match="word width must be >= 1 bit"):
+        factory(8, word_width_bits=0)
+    with pytest.raises(ValueError, match="word width must be >= 1 bit"):
+        ModelParams.semi_mpc(8, 2, ell=4, word_width_bits=0)
 
 
 def test_self_messages_are_free_and_delivered():
