@@ -13,6 +13,10 @@ memory bounds on the resulting traces (T >= 1 is the native round count):
     assign vertices to machines by sorted round-robin, and ship every edge
     to its simulating machines.
 
+Every machine-to-machine message of the two semi-MPC targets comes from one
+keyed send, `_keyed_send` (Goodrich, Sitchinava and Zhang, ISAAC 2011), and
+each call site states its per-machine send and receive bound.
+
 Simulated runs reproduce the native outputs word for word; anything that
 cannot be simulated faithfully (a broken hypothesis, an unclean native run)
 is refused rather than approximated.
@@ -145,6 +149,17 @@ def _initial_inputs(g: Graph, machines: int, seed: int,
     return inputs
 
 
+def _keyed_send(pid: int, keyed_words) -> list[Message]:
+    """One message per machine for (machine, word) pairs, in ascending
+    machine order, each holding its words in ascending order.  Words keyed
+    to `pid` itself stay a message: they count toward the receiver's space."""
+    by_machine: dict[int, list[int]] = {}
+    for machine, word in keyed_words:
+        by_machine.setdefault(machine, []).append(word)
+    return [Message(pid, machine, tuple(sorted(words)))
+            for machine, words in sorted(by_machine.items())]
+
+
 # ---------------------------------------------------------------------------
 # Clique -> semi-MPC
 # ---------------------------------------------------------------------------
@@ -173,12 +188,9 @@ class _CliqueOnSemiMpc(NodeProgram):
         pid, native_round, stored, node_state = state
 
         if native_round == 0:
-            notify: dict[int, list[int]] = {}
-            for u, v in stored:
-                notify.setdefault(u, []).append(v)
-                notify.setdefault(v, []).append(u)
-            outbox = [Message(src=pid, dst=w, payload=tuple(sorted(others)))
-                      for w, others in sorted(notify.items())]
+            # machine i sends 2 words per stored edge; machine w receives deg(w)
+            outbox = _keyed_send(pid, (pair for u, v in stored
+                                       for pair in ((u, v), (v, u))))
             return (pid, 1, (), None), outbox, False
 
         if native_round == 1:
@@ -553,9 +565,6 @@ class _CongestOnSemiMpc(NodeProgram):
         # pid -> (packed location tuple, its decoded {vertex: host} map)
         self._located: dict[int, tuple[tuple[int, ...], dict[int, int]]] = {}
 
-    def _pack(self, tag, a, b, c=0):
-        return self.codec.pack((tag, a, b, c))
-
     def init(self, pid, input_words):
         if self.edgeless:
             # replay-only state: (per-vertex node states, internal messages)
@@ -594,18 +603,18 @@ class _CongestOnSemiMpc(NodeProgram):
         if round_no >= 5:
             return self._replay(pid, round_no + 1, mine, location, node_states,
                                 internal, inbox)
+        pack = self.codec.pack
 
         if round_no == 1:
             # the sorter keeps its own counts local instead of self-mailing
-            outbox = []
-            if pid != 0 and stored:
-                partial: dict[int, int] = {}
+            partial: dict[int, int] = {}
+            if pid != 0:
                 for u, v in stored:
                     partial[u] = partial.get(u, 0) + 1
                     partial[v] = partial.get(v, 0) + 1
-                payload = tuple(self._pack(_TAG_DEGREE, v, d)
-                                for v, d in sorted(partial.items()))
-                outbox.append(Message(src=pid, dst=0, payload=payload))
+            # holder h sends a word per endpoint it stores; machine 0 gets their sum
+            outbox = _keyed_send(pid, ((0, pack((_TAG_DEGREE, v, d, 0)))
+                                       for v, d in partial.items()))
             return (pid, 2, stored, mine, location, node_states, ()), outbox, False
 
         if round_no == 2:
@@ -617,7 +626,7 @@ class _CongestOnSemiMpc(NodeProgram):
             slices = ()
             if pid == 0:
                 degrees = [0] * self.n
-                reported: dict[int, list[int]] = {}
+                reported: list[tuple[int, int]] = []
                 for u, v in stored:
                     degrees[u] += 1
                     degrees[v] += 1
@@ -627,18 +636,16 @@ class _CongestOnSemiMpc(NodeProgram):
                         if tag != _TAG_DEGREE:
                             raise RuntimeError("unexpected word during setup")
                         degrees[v] += d
-                        reported.setdefault(msg.src, []).append(v)
+                        reported.append((msg.src, v))
                 assignment = compute_node_assignment(degrees, self.machines)
-                for holder in sorted(reported):
-                    maps = tuple(self._pack(_TAG_MAP, v, assignment.machine_of[v])
-                                 for v in sorted(set(reported[holder])))
-                    if maps:
-                        outbox.append(Message(src=0, dst=holder, payload=maps))
+                maps = [pack((_TAG_MAP, v, a, 0))
+                        for v, a in enumerate(assignment.machine_of)]
+                # machine 0 sends what round 1 brought it; holder h gets what it sent
+                outbox = _keyed_send(0, ((h, maps[v]) for h, v in reported))
                 # remember the endpoint machines of the locally stored edges,
                 # one packed word per endpoint
                 location = tuple(sorted(
-                    self._pack(_TAG_MAP, w, assignment.machine_of[w])
-                    for w in {x for e in stored for x in e}))
+                    maps[w] for w in {x for e in stored for x in e}))
                 slices = assignment.machine_vertices
             return (pid, 3, stored, slices, location, node_states, ()), outbox, False
 
@@ -655,22 +662,14 @@ class _CongestOnSemiMpc(NodeProgram):
                     if tag != _TAG_MAP:
                         raise RuntimeError("unexpected word during setup")
                     endpoint_machine[a] = b
-            outbox = []
-            if pid == 0:
-                for a, vertices in enumerate(mine):  # mine holds the slices
-                    words = tuple(self._pack(_TAG_VERTEX, v, 0)
-                                  for v in vertices)
-                    if words:
-                        outbox.append(Message(src=0, dst=a, payload=words))
-            by_machine: dict[int, list[int]] = {}
-            for u, v in stored:
-                by_machine.setdefault(endpoint_machine[u], []).append(
-                    self._pack(_TAG_EDGE, u, v, endpoint_machine[v]))
-                by_machine.setdefault(endpoint_machine[v], []).append(
-                    self._pack(_TAG_EDGE, v, u, endpoint_machine[u]))
-            for target in sorted(by_machine):
-                outbox.append(Message(src=pid, dst=target,
-                                      payload=tuple(sorted(by_machine[target]))))
+            # only the sorter holds slices: it sends n words, machine a gets its slice
+            outbox = _keyed_send(pid, ((a, pack((_TAG_VERTEX, v, 0, 0)))
+                                       for a, vertices in enumerate(mine)
+                                       for v in vertices))
+            # holder h sends 2 words per stored edge; machine a receives its degree load
+            outbox += _keyed_send(pid, (
+                (endpoint_machine[x], pack((_TAG_EDGE, x, y, endpoint_machine[y])))
+                for u, v in stored for x, y in ((u, v), (v, u))))
             return (pid, 4, (), (), (), node_states, ()), outbox, False
 
         if round_no == 4:
@@ -693,7 +692,7 @@ class _CongestOnSemiMpc(NodeProgram):
                 if host != pid:
                     remote[v] = host
             # one packed word per remote neighbor's (vertex, machine) pair
-            location = tuple(sorted(self._pack(_TAG_MAP, v, host)
+            location = tuple(sorted(pack((_TAG_MAP, v, host, 0))
                                     for v, host in remote.items()))
             node_states = tuple(
                 (v, self.inner.init(
@@ -733,7 +732,7 @@ class _CongestOnSemiMpc(NodeProgram):
 
         new_states = []
         new_internal = []
-        by_machine: dict[int, list[int]] = {}
+        keyed = []
         halt = False
         for v, nstate in node_states:
             arrivals = per_vertex[v]
@@ -751,13 +750,11 @@ class _CongestOnSemiMpc(NodeProgram):
                 if host == pid:
                     new_internal.append((v, dst, payload[0]))
                 else:
-                    by_machine.setdefault(host, []).append(
-                        pack((_TAG_EDGE, v, dst, payload[0])))
-        machine_outbox = [Message(pid, target, tuple(sorted(words)))
-                          for target, words in sorted(by_machine.items())]
+                    keyed.append((host, pack((_TAG_EDGE, v, dst, payload[0]))))
         state = (pid, next_round_no, (), mine, location, tuple(new_states),
                  tuple(new_internal))
-        return state, machine_outbox, halt
+        # sends and receives at most one word per edge between this machine and another
+        return state, _keyed_send(pid, keyed), halt
 
     def output(self, state):
         # (vertex, node state) pairs
@@ -796,7 +793,6 @@ def _congest_memory_hypothesis(native: RunResult, g: Graph,
 def simulate_congest_on_semimpc(prog: NodeProgram, g: Graph,
                                 round_budget: int | None = None, *,
                                 c_space: int = 4, c_machines: int = 2, seed: int = 0,
-                                initial_edges: list[list[tuple[int, int]]] | None = None,
                                 ) -> SimulationReport:
     """Simulate a CONGEST algorithm on semi-MPC using few machines.
 
@@ -824,7 +820,7 @@ def simulate_congest_on_semimpc(prog: NodeProgram, g: Graph,
 
     machines = min(max(1, -(-c_machines * t_budget * g.m // n)), n)
 
-    inputs = _initial_inputs(g, machines, seed, initial_edges)
+    inputs = distribute_edges(g, machines, seed)
 
     w_id = max(1, (n - 1).bit_length())
     widths = (2, w_id, w_id, native.params.word_width_bits)

@@ -72,8 +72,9 @@ class ModelParams:
     Asymptotic budgets are enforced as (constant multiplier) * bound with the
     multipliers configurable: c_space scales per-machine space, c_total and
     polylog_exp shape the total space law
-    p*s <= c_total * ell^(1+delta) * log2(ell)^polylog_exp.  No rule reads
-    c_traffic; it stays at 4 because every params object in a file carries it.
+    p*s <= c_total * L^(1+delta) * log2(L)^polylog_exp with L = max(ell, n)
+    (see total_space_bound).  No rule reads c_traffic; it stays at 4 because
+    every params object in a file carries it.
     """
 
     kind: ModelKind
@@ -198,8 +199,8 @@ class NodeProgram:
       on_round(state, inbox) -> (state, outbox, halt)
       output(state) -> list of result words
 
-    The outbox must hold Message objects whose src is the sender and whose
-    dst is an int participant id in [0, p).  Messages are immutable and are
+    The outbox must hold Message objects whose src (the sender) and dst (a
+    participant id in [0, p)) are exact ints.  Messages are immutable and are
     delivered as built: the receiver gets the very object the sender emitted.
     They carry no round field; the inbox of round r holds exactly the
     messages sent in round r - 1, canonically ordered by (sender id,
@@ -508,9 +509,9 @@ def _execute(prog: NodeProgram, local_inputs: list, params: ModelParams,
                     raise EngineContractError(
                         f"participant {i} emitted {type(msg).__name__}, not a Message")
                 src, dst, payload = msg
-                if src != i:
+                if type(src) is not int or src != i:
                     raise EngineContractError(
-                        f"participant {i} emitted a message claiming src={src}")
+                        f"participant {i} emitted a message claiming src={src!r}")
                 if type(dst) is not int or not 0 <= dst < p:
                     raise EngineContractError(
                         f"participant {i} addressed a message to {dst!r}, not"

@@ -24,7 +24,15 @@ from distsim import (
     ForestMergeConnectivity,
 )
 from distsim import adapters
-from distsim.adapters import _TAG_EDGE, _TAG_MAP, _CongestOnSemiMpc, load_bound_ok
+from distsim.adapters import (
+    _TAG_DEGREE,
+    _TAG_EDGE,
+    _TAG_MAP,
+    _TAG_VERTEX,
+    _CliqueOnSemiMpc,
+    _CongestOnSemiMpc,
+    load_bound_ok,
+)
 from distsim.engines import EngineContractError, run_mpc
 
 from conftest import FixedRoundFlood, random_connected_graph, random_graph
@@ -127,6 +135,7 @@ def test_cc_sim_star_redistribution_traffic():
     assert trace.recv_words(0, 1) == 7
     # two notifications per stored edge, minus the free one to itself
     assert trace.sent_words(3, 1) == 2 * g.m - 1
+    assert _ledger_words(trace, 1) == _clique_stated(g, placement)
 
 
 def test_cc_sim_refuses_memory_hog():
@@ -585,16 +594,128 @@ class ReferenceFloodMinLabel(FloodMinLabel):
 
 
 class ReferenceCongestOnSemiMpc(_CongestOnSemiMpc):
-    """The CONGEST adapter with its replay as it was before the replay loop
-    was made lean.  The setup rounds 1-4 are the adapter's own, unchanged;
-    on_round dispatches in the old order (setup rounds first), and _replay
-    is the old loop: a sorted copy of every vertex's arrivals, inner
-    messages read through properties, words packed through _pack."""
+    """The CONGEST adapter as it was before its messages came from one keyed
+    send and its replay loop was made lean.  Setup rounds 1-4 group their
+    words by machine by hand; on_round dispatches in the old order (setup
+    rounds first), and _replay is the old loop: a sorted copy of every
+    vertex's arrivals, inner messages read through properties, words packed
+    through _pack."""
+
+    def _pack(self, tag, a, b, c=0):
+        return self.codec.pack((tag, a, b, c))
 
     def on_round(self, state, inbox):
-        if self.edgeless or state[1] <= 4:
-            return super().on_round(state, inbox)
-        (pid, round_no, _stored, mine, location, node_states, internal) = state
+        if self.edgeless:
+            return self._on_round_edgeless(state, inbox)
+        (pid, round_no, stored, mine, location, node_states, internal) = state
+
+        if round_no == 1:
+            # the sorter keeps its own counts local instead of self-mailing
+            outbox = []
+            if pid != 0 and stored:
+                partial: dict[int, int] = {}
+                for u, v in stored:
+                    partial[u] = partial.get(u, 0) + 1
+                    partial[v] = partial.get(v, 0) + 1
+                payload = tuple(self._pack(_TAG_DEGREE, v, d)
+                                for v, d in sorted(partial.items()))
+                outbox.append(Message(src=pid, dst=0, payload=payload))
+            return (pid, 2, stored, mine, location, node_states, ()), outbox, False
+
+        if round_no == 2:
+            # sorter round: sum partial degrees, fix the assignment, answer
+            # each reporting holder with the machine of every endpoint it
+            # mentioned (the vertex slices follow next round, which keeps the
+            # sorter's per-round send volume within budget)
+            outbox = []
+            slices = ()
+            if pid == 0:
+                degrees = [0] * self.n
+                reported: dict[int, list[int]] = {}
+                for u, v in stored:
+                    degrees[u] += 1
+                    degrees[v] += 1
+                for msg in inbox:
+                    for word in msg.payload:
+                        tag, v, d, _x = self.codec.unpack(word)
+                        if tag != _TAG_DEGREE:
+                            raise RuntimeError("unexpected word during setup")
+                        degrees[v] += d
+                        reported.setdefault(msg.src, []).append(v)
+                assignment = compute_node_assignment(degrees, self.machines)
+                for holder in sorted(reported):
+                    maps = tuple(self._pack(_TAG_MAP, v, assignment.machine_of[v])
+                                 for v in sorted(set(reported[holder])))
+                    if maps:
+                        outbox.append(Message(src=0, dst=holder, payload=maps))
+                # remember the endpoint machines of the locally stored edges,
+                # one packed word per endpoint
+                location = tuple(sorted(
+                    self._pack(_TAG_MAP, w, assignment.machine_of[w])
+                    for w in {x for e in stored for x in e}))
+                slices = assignment.machine_vertices
+            return (pid, 3, stored, slices, location, node_states, ()), outbox, False
+
+        if round_no == 3:
+            # holders ship each edge to the machines simulating its endpoints;
+            # the sorter ships every machine its vertex slice in parallel
+            endpoint_machine: dict[int, int] = {}
+            for word in location:  # the sorter's own stash of packed maps
+                _tag, a, b, _x = self.codec.unpack(word)
+                endpoint_machine[a] = b
+            for msg in inbox:
+                for word in msg.payload:
+                    tag, a, b, _x = self.codec.unpack(word)
+                    if tag != _TAG_MAP:
+                        raise RuntimeError("unexpected word during setup")
+                    endpoint_machine[a] = b
+            outbox = []
+            if pid == 0:
+                for a, vertices in enumerate(mine):  # mine holds the slices
+                    words = tuple(self._pack(_TAG_VERTEX, v, 0)
+                                  for v in vertices)
+                    if words:
+                        outbox.append(Message(src=0, dst=a, payload=words))
+            by_machine: dict[int, list[int]] = {}
+            for u, v in stored:
+                by_machine.setdefault(endpoint_machine[u], []).append(
+                    self._pack(_TAG_EDGE, u, v, endpoint_machine[v]))
+                by_machine.setdefault(endpoint_machine[v], []).append(
+                    self._pack(_TAG_EDGE, v, u, endpoint_machine[u]))
+            for target in sorted(by_machine):
+                outbox.append(Message(src=pid, dst=target,
+                                      payload=tuple(sorted(by_machine[target]))))
+            return (pid, 4, (), (), (), node_states, ()), outbox, False
+
+        if round_no == 4:
+            my_vertices = []
+            arrivals = []
+            for msg in inbox:
+                for word in msg.payload:
+                    tag, a, b, extra = self.codec.unpack(word)
+                    if tag == _TAG_VERTEX:
+                        my_vertices.append(a)
+                    elif tag == _TAG_EDGE:
+                        arrivals.append((a, b, extra))
+                    else:
+                        raise RuntimeError("unexpected word during setup")
+            mine = tuple(sorted(my_vertices))
+            neighbor_lists: dict[int, list[int]] = {v: [] for v in mine}
+            remote: dict[int, int] = {}
+            for u, v, host in arrivals:
+                neighbor_lists[u].append(v)
+                if host != pid:
+                    remote[v] = host
+            # one packed word per remote neighbor's (vertex, machine) pair
+            location = tuple(sorted(self._pack(_TAG_MAP, v, host)
+                                    for v, host in remote.items()))
+            node_states = tuple(
+                (v, self.inner.init(
+                    v, tuple(sorted((min(v, u), max(v, u))
+                                    for u in neighbor_lists[v]))))
+                for v in mine)
+            return self._replay(pid, 5, mine, location, node_states, (), [])
+
         return self._replay(pid, round_no + 1, mine, location, node_states,
                             internal, inbox)
 
@@ -736,3 +857,167 @@ def test_congest_replay_refuses_words_it_cannot_replay(wrapper_class):
     # a word that is not an edge delivery
     with pytest.raises(RuntimeError, match="unexpected word during replay"):
         replay((), [wrapper.codec.pack((_TAG_MAP, 1, 0, 0))])
+
+
+# -- the clique redistribution against its reference ------------------------------
+
+class ReferenceCliqueOnSemiMpc(_CliqueOnSemiMpc):
+    """The clique adapter with round 1 as it was before its messages came
+    from one keyed send: the words grouped by machine by hand."""
+
+    def on_round(self, state, inbox):
+        pid, native_round, stored, node_state = state
+        if native_round == 0:
+            notify: dict[int, list[int]] = {}
+            for u, v in stored:
+                notify.setdefault(u, []).append(v)
+                notify.setdefault(v, []).append(u)
+            outbox = [Message(src=pid, dst=w, payload=tuple(sorted(others)))
+                      for w, others in sorted(notify.items())]
+            return (pid, 1, (), None), outbox, False
+        return super().on_round(state, inbox)
+
+
+def _cc_simulated(g, seed, placement):
+    """The whole report of a clique -> semi-MPC simulation, or the refusal."""
+    try:
+        return simulate_cc_on_semimpc(BoruvkaConnectivity(g.n), g, seed=seed,
+                                      initial_edges=placement).to_json_dict()
+    except SimulationRefused as exc:
+        return ("refused", str(exc))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 24), graph_seed=st.integers(0, 2**32),
+       seed=st.integers(0, 2**32), placed=st.booleans(), data=st.data())
+def test_clique_redistribution_matches_the_reference(n, graph_seed, seed,
+                                                     placed, data):
+    g = random_graph(n, graph_seed)
+    placement = None
+    if placed:
+        # any machine may hold any edge, all of them on one machine included
+        holders = data.draw(st.lists(st.integers(0, n - 1), min_size=g.m,
+                                     max_size=g.m))
+        placement = [[] for _ in range(n)]
+        for edge, holder in zip(g.edges, holders):
+            placement[holder].append(edge)
+    got = _cc_simulated(g, seed, placement)
+    with mock.patch.object(adapters, "_CliqueOnSemiMpc", ReferenceCliqueOnSemiMpc):
+        want = _cc_simulated(g, seed, placement)
+    assert got == want
+
+
+# -- the keyed sends' stated bounds against the ledger -----------------------------
+
+def test_keyed_send_orders_machines_and_words():
+    # payload order reaches no report (receivers sort what they get), so
+    # the reference comparisons above cannot see it
+    keyed = [(3, 9), (0, 5), (3, 1), (2, 7), (0, 4)]
+    assert adapters._keyed_send(2, keyed) == [
+        Message(2, 0, (4, 5)), Message(2, 2, (7,)), Message(2, 3, (1, 9))]
+    assert adapters._keyed_send(2, []) == []
+
+
+def _ledger_words(trace, round_no):
+    """Per-machine (sent, received) words of one round of a ledger."""
+    sent = [0] * trace.num_participants
+    recv = [0] * trace.num_participants
+    for src, dst, words in trace.rounds[round_no - 1].transfers:
+        sent[src] += words
+        recv[dst] += words
+    return sent, recv
+
+
+def _stored_edges(g, machines, seed):
+    """Each machine's initial edges under the seeded placement."""
+    return [list(zip(words[::2], words[1::2]))
+            for words in distribute_edges(g, machines, seed)]
+
+
+def _clique_stated(g, stored):
+    """Round 1 as stated: machine i sends 2 words per stored edge and
+    machine w receives deg(w), less the words a machine keys to itself,
+    which the ledger does not list."""
+    kept = [sum(e.count(i) for e in edges) for i, edges in enumerate(stored)]
+    sent = [2 * len(edges) - kept[i] for i, edges in enumerate(stored)]
+    recv = [g.degrees[w] - kept[w] for w in range(g.n)]
+    return sent, recv
+
+
+def _congest_stated(g, stored, machine_of):
+    """Setup rounds 1-3 as stated, less the words a machine keys to itself:
+    the census (holder h != 0 sends one word per endpoint it stores, machine
+    0 receives their sum), the answers (the census reversed), and the
+    slices (machine 0 sends n words, machine a receives its slice) next to
+    the edges (holder h sends 2 words per stored edge, machine a receives
+    its degree load)."""
+    machines = len(stored)
+    census = [0] + [len({x for e in edges for x in e}) for edges in stored[1:]]
+    to_zero = [sum(census)] + [0] * (machines - 1)
+    slice_size = [machine_of.count(a) for a in range(machines)]
+    load = [0] * machines
+    for v, a in enumerate(machine_of):
+        load[a] += g.degrees[v]
+    kept = [sum(machine_of[x] == h for e in edges for x in e)
+            for h, edges in enumerate(stored)]
+    slices_sent = [g.n - slice_size[0]] + [0] * (machines - 1)
+    slices_recv = [0] + slice_size[1:]
+    edges_sent = [2 * len(edges) - kept[h] for h, edges in enumerate(stored)]
+    edges_recv = [load[a] - kept[a] for a in range(machines)]
+    return [(census, to_zero), (to_zero, census),
+            ([a + b for a, b in zip(slices_sent, edges_sent)],
+             [a + b for a, b in zip(slices_recv, edges_recv)])]
+
+
+@pytest.mark.parametrize("n, seed", [(16, 0), (16, 7), (32, 3), (32, 11),
+                                     (64, 5), (64, 19)])
+def test_congest_keyed_sends_move_what_they_state(n, seed):
+    # a sample of acceptance 4's corpus, each graph also with two
+    # short-horizon programs that put several vertices on a machine
+    g = random_connected_graph(n, n // 5, seed)
+    for prog in (FloodMinLabel(n), FixedRoundFlood(3), TwoRoundGossip()):
+        rep = simulate_congest_on_semimpc(prog, g)
+        assert rep.simulated.clean
+        machine_of = rep.extra["assignment"]
+        machines = rep.measured_constants["machines"]
+        stored = _stored_edges(g, machines, 0)
+        trace = rep.simulated.trace
+        for round_no, stated in enumerate(_congest_stated(g, stored, machine_of), 1):
+            assert _ledger_words(trace, round_no) == stated, round_no
+        # replay: at most one word per edge between a machine and another,
+        # each way; every vertex messages all its neighbours in native round
+        # 1, so the first replay round meets the bound
+        cross = [0] * machines
+        for u, v in g.edges:
+            if machine_of[u] != machine_of[v]:
+                cross[machine_of[u]] += 1
+                cross[machine_of[v]] += 1
+        assert _ledger_words(trace, 4) == (cross, cross)
+        for round_no in range(5, trace.num_rounds + 1):
+            sent, recv = _ledger_words(trace, round_no)
+            assert all(s <= c and r <= c for s, r, c in zip(sent, recv, cross))
+
+
+@pytest.mark.parametrize("n, prob, seed", [(16, 0.15, 0), (16, 0.15, 7),
+                                           (64, 0.06, 5)])
+def test_clique_keyed_send_moves_what_it_states(n, prob, seed):
+    # a sample of acceptance 1's corpus
+    g = gen_graph("gnp", n, prob=prob, seed=seed)
+    rep = simulate_cc_on_semimpc(BoruvkaConnectivity(n), g, seed=seed)
+    assert rep.simulated.clean
+    assert _ledger_words(rep.simulated.trace, 1) == _clique_stated(
+        g, _stored_edges(g, n, seed))
+
+
+def test_census_overruns_the_sorter_by_its_stated_volume():
+    # the central census sends machine 0 one word per (holder, endpoint)
+    # pair: 224 words against s = 160 here, so the run stops in round 1
+    g = gen_graph("gnp", 40, prob=0.15, seed=4)
+    rep = simulate_congest_on_semimpc(FloodMinLabel(40), g)
+    stored = _stored_edges(g, rep.measured_constants["machines"], 0)
+    census, to_zero = _congest_stated(g, stored, rep.extra["assignment"])[0]
+    assert sum(census) == to_zero[0] == 224
+    assert _ledger_words(rep.simulated.trace, 1) == (census, to_zero)
+    [violation] = rep.simulated.violations
+    assert (violation.rule, violation.round, violation.participant,
+            violation.measured, violation.allowed) == ("recv-budget", 1, 0, 224, 160)

@@ -330,6 +330,33 @@ def test_destination_must_be_a_participant_id(dst):
         run_clique(SendsWord(1, dst), gen_graph("complete", 3))
 
 
+class SendsFrom(NodeProgram):
+    """Node 1 sends one word to node 0 under a given src, then everyone
+    halts."""
+
+    def __init__(self, src):
+        self.src = src
+
+    def init(self, pid, local_input):
+        return pid
+
+    def on_round(self, state, inbox):
+        out = [Message(self.src, 0, (1,))] if state == 1 else []
+        return state, out, True
+
+    def output(self, state):
+        return []
+
+
+@pytest.mark.parametrize("src", [True, 1.0, 0], ids=["bool", "float", "other"])
+def test_source_must_be_the_sender_as_an_int(src):
+    # a bool or a float equal to the sender's id used to run clean, and the
+    # receiver's inbox held src=True or src=1.0
+    with pytest.raises(EngineContractError,
+                       match=re.escape(f"participant 1 emitted a message claiming src={src!r}")):
+        run_clique(SendsFrom(src), gen_graph("complete", 2))
+
+
 @pytest.mark.parametrize("factory", [ModelParams.clique, ModelParams.congest])
 def test_word_width_zero_is_not_the_default(factory):
     # `word_width_bits or word_width(n)` used to turn 0 into the default width
