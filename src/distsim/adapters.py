@@ -151,12 +151,12 @@ def _initial_inputs(g: Graph, machines: int, seed: int,
 
 def _keyed_send(pid: int, keyed_words) -> list[Message]:
     """One message per machine for (machine, word) pairs, in ascending
-    machine order, each holding its words in ascending order.  Words keyed
+    machine order, each holding its words in the order given.  Words keyed
     to `pid` itself stay a message: they count toward the receiver's space."""
     by_machine: dict[int, list[int]] = {}
     for machine, word in keyed_words:
         by_machine.setdefault(machine, []).append(word)
-    return [Message(pid, machine, tuple(sorted(words)))
+    return [Message(pid, machine, tuple(words))
             for machine, words in sorted(by_machine.items())]
 
 
@@ -240,7 +240,7 @@ def simulate_cc_on_semimpc(prog: NodeProgram, g: Graph, *,
 
     semi = ModelParams.semi_mpc(
         n, p=n, ell=2 * g.m, word_width_bits=native.params.word_width_bits,
-        c_space=c_space, round_cap=native.rounds_used + 10).with_min_delta()
+        c_space=c_space, round_cap=native.rounds_used + 10)
 
     sim = run_mpc(_CliqueOnSemiMpc(prog, n), inputs, semi)
 
@@ -543,10 +543,6 @@ class _CongestOnSemiMpc(NodeProgram):
     vertices' inboxes, applies the node transition, and routes the outgoing
     one-word edge messages to the owning machines (same-machine traffic stays
     internal and costs nothing).
-
-    The program object holds `_located`, a cache of each machine's decoded
-    location map, keyed by pid.  A machine reads only its own entry, and
-    only while its state holds the very tuple the entry was decoded from.
     """
 
     def __init__(self, inner: NodeProgram, n: int, machines: int,
@@ -562,8 +558,6 @@ class _CongestOnSemiMpc(NodeProgram):
         # small n (flood on 5 isolated vertices holds 27 words against 20 in
         # round 4).
         self.edgeless = edgeless
-        # pid -> (packed location tuple, its decoded {vertex: host} map)
-        self._located: dict[int, tuple[tuple[int, ...], dict[int, int]]] = {}
 
     def init(self, pid, input_words):
         if self.edgeless:
@@ -718,17 +712,10 @@ class _CongestOnSemiMpc(NodeProgram):
                     raise RuntimeError("unexpected word during replay")
                 per_vertex[dst_v].append((src_v, value))
 
-        # location never changes after setup, so it is decoded once per
-        # machine; the map is reused while the state holds that very tuple
-        cached = self._located.get(pid)
-        if cached is not None and cached[0] is location:
-            remote = cached[1]
-        else:
-            remote = {}
-            for word in location:
-                _tag, v, host, _x = unpack(word)
-                remote[v] = host
-            self._located[pid] = (location, remote)
+        remote = {}
+        for word in location:
+            _tag, v, host, _x = unpack(word)
+            remote[v] = host
 
         new_states = []
         new_internal = []
@@ -826,7 +813,7 @@ def simulate_congest_on_semimpc(prog: NodeProgram, g: Graph,
     widths = (2, w_id, w_id, native.params.word_width_bits)
     semi = ModelParams.semi_mpc(
         n, p=machines, ell=2 * g.m, word_width_bits=sum(widths),
-        c_space=c_space, round_cap=t_native + 10).with_min_delta()
+        c_space=c_space, round_cap=t_native + 10)
 
     wrapper = _CongestOnSemiMpc(prog, n, machines, widths, edgeless=g.m == 0)
     sim = run_mpc(wrapper, inputs, semi)

@@ -201,7 +201,7 @@ def _semi_mpc_input(args, g: Graph, constants: dict[str, int]):
     on them by the seeded shuffle."""
     params = ModelParams.semi_mpc(
         g.n, args.machines, ell=2 * g.m, word_width_bits=constants.get("word_width"),
-        c_space=constants.get("c_space", 4)).with_min_delta()
+        c_space=constants.get("c_space", 4))
     return params, distribute_edges(g, args.machines, args.seed)
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from operator import itemgetter
 
@@ -65,29 +65,31 @@ def _one_per_vertex(kind: ModelKind):
     return staticmethod(factory)
 
 
+C_TOTAL = 4  # the total-space law's constants (see total_space_bound)
+POLYLOG_EXP = 2
+# params files record these beside s; no rule reads c_traffic
+_FILE_CONSTANTS = {"c_traffic": 4, "c_total": C_TOTAL, "polylog_exp": POLYLOG_EXP}
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Model kind plus budgets.
 
-    Asymptotic budgets are enforced as (constant multiplier) * bound with the
-    multipliers configurable: c_space scales per-machine space, c_total and
-    polylog_exp shape the total space law
-    p*s <= c_total * L^(1+delta) * log2(L)^polylog_exp with L = max(ell, n)
-    (see total_space_bound).  No rule reads c_traffic; it stays at 4 because
-    every params object in a file carries it.
+    Asymptotic budgets are enforced as (constant multiplier) * bound.  The
+    only configurable multiplier is c_space: semi-MPC's per-machine space
+    is derived as s = c_space * n (0 under the other models), and the total
+    space law p*s <= C_TOTAL * L^(1+delta) * log2(L)^POLYLOG_EXP with
+    L = max(ell, n) has fixed constants (see total_space_bound).
     """
 
     kind: ModelKind
     p: int
     n: int
-    s: int = 0
+    s: int = field(init=False)
     word_width_bits: int = 8
     delta: float = 0.0
     ell: int = 0
     c_space: int = 4
-    c_traffic: int = 4
-    c_total: int = 4
-    polylog_exp: int = 2
     round_cap: int | None = None
 
     def __post_init__(self):
@@ -99,6 +101,8 @@ class ModelParams:
             raise ValueError("delta must lie in [0, 1)")
         if self.kind != ModelKind.SEMI_MPC and self.p != self.n:
             raise ValueError(f"{self.kind.value} requires one participant per vertex")
+        object.__setattr__(self, "s", self.c_space * self.n
+                           if self.kind == ModelKind.SEMI_MPC else 0)
 
     # -- factories ---------------------------------------------------------
 
@@ -108,12 +112,21 @@ class ModelParams:
     @staticmethod
     def semi_mpc(n: int, p: int, *, ell: int, word_width_bits: int | None = None,
                  c_space: int = 4, round_cap: int | None = None) -> "ModelParams":
-        return ModelParams(
-            kind=ModelKind.SEMI_MPC, p=p, s=c_space * n, n=n,
+        """Semi-MPC params at the smallest delta in [0, 1) that satisfies the
+        total-space law, else at delta 0; the law's bound is solved for delta."""
+        params = ModelParams(
+            kind=ModelKind.SEMI_MPC, p=p, n=n,
             word_width_bits=(word_width(n) if word_width_bits is None
                              else word_width_bits),
             ell=ell, c_space=c_space, round_cap=round_cap,
         )
+        size = max(ell, n)
+        if ell <= 0 or size <= 1 or params.total_space_bound() >= p * params.s:
+            return params
+        need = p * params.s / (C_TOTAL * math.log2(size) ** POLYLOG_EXP)
+        exponent = math.log(need) / math.log(size) - 1.0
+        fit = replace(params, delta=max(0.0, min(exponent + 1e-9, 0.999999)))
+        return fit if fit.total_space_bound() >= p * params.s else params
 
     # -- laws ----------------------------------------------------------------
 
@@ -121,7 +134,7 @@ class ModelParams:
         return self.round_cap if self.round_cap is not None else 10 * self.p + 100
 
     def total_space_bound(self) -> int:
-        """c_total * L^(1+delta) * log2(L)^polylog_exp, floored.
+        """C_TOTAL * L^(1+delta) * log2(L)^POLYLOG_EXP, floored.
 
         L is the input size in words; when the model carries a vertex count,
         an n-vertex graph instance is never smaller than its vertex set, so
@@ -131,8 +144,8 @@ class ModelParams:
         if self.ell <= 0:
             return 0
         size = max(self.ell, self.n)
-        log_term = math.log2(max(size, 2)) ** self.polylog_exp
-        return int(self.c_total * (size ** (1.0 + self.delta)) * log_term)
+        log_term = math.log2(max(size, 2)) ** POLYLOG_EXP
+        return int(C_TOTAL * (size ** (1.0 + self.delta)) * log_term)
 
     def start_violations(self) -> list[Violation]:
         """Machine-count and total-space laws, checked before round 1."""
@@ -142,9 +155,6 @@ class ModelParams:
         if self.p > self.s:
             out.append(Violation(rule="machine-count", round=0,
                                  measured=self.p, allowed=self.s))
-        if self.s != self.c_space * self.n:
-            out.append(Violation(rule="space-law", round=0,
-                                 measured=self.s, allowed=self.c_space * self.n))
         if self.ell > 0:
             bound = self.total_space_bound()
             if self.p * self.s > bound:
@@ -152,29 +162,15 @@ class ModelParams:
                                      measured=self.p * self.s, allowed=bound))
         return out
 
-    def with_min_delta(self) -> "ModelParams":
-        """Copy with the smallest replication exponent below 1 that satisfies
-        the total-space law, if one exists, else unchanged.  The bound grows
-        with delta, so a broken law is solved for delta directly."""
-        if not any(v.rule == "total-space" for v in self.start_violations()):
-            return self
-        size = max(self.ell, self.n)
-        if size <= 1:
-            return self
-        log_term = math.log2(size) ** self.polylog_exp
-        need = self.p * self.s / (self.c_total * log_term)
-        exponent = math.log(need) / math.log(size) - 1.0
-        fit = replace(self, delta=max(0.0, min(exponent + 1e-9, 0.999999)))
-        return fit if fit.total_space_bound() >= self.p * self.s else self
-
     def to_json_dict(self) -> dict:
-        return {**asdict(self), "kind": self.kind.value}
+        return {**asdict(self), "kind": self.kind.value, **_FILE_CONSTANTS}
 
     @staticmethod
     def from_json_dict(doc: dict) -> "ModelParams":
         """Inverse of to_json_dict.  Nothing is coerced: the integer fields
         must hold ints (not bools), delta an int or a float, and round_cap
-        None or an int; anything else raises ValueError."""
+        None or an int; s and the fixed constants must hold the values
+        to_json_dict writes.  Anything else raises ValueError."""
         fields = {key: doc[key] for key in _INT_PARAMS}
         fields["round_cap"] = doc.get("round_cap")
         for key, value in fields.items():
@@ -183,11 +179,15 @@ class ModelParams:
         delta = doc["delta"]
         if type(delta) is not int and type(delta) is not float:
             raise ValueError(f"params field 'delta' holds {delta!r}, not a number")
-        return ModelParams(kind=ModelKind(doc["kind"]), delta=float(delta), **fields)
+        recorded = {key: fields.pop(key) for key in ("s", *_FILE_CONSTANTS)}
+        params = ModelParams(kind=ModelKind(doc["kind"]), delta=float(delta), **fields)
+        for key, value in {**_FILE_CONSTANTS, "s": params.s}.items():
+            if recorded[key] != value:
+                raise ValueError(f"params field {key!r} holds {recorded[key]!r}, not {value!r}")
+        return params
 
 
-_INT_PARAMS = ("p", "n", "s", "word_width_bits", "ell", "c_space", "c_traffic",
-               "c_total", "polylog_exp")
+_INT_PARAMS = ("p", "n", "s", "word_width_bits", "ell", "c_space", *_FILE_CONSTANTS)
 
 
 class NodeProgram:

@@ -66,7 +66,7 @@ def test_acceptance_2_semimpc_to_clique_bounds():
                 corpus.append((p, n, prob, seed))
     for p, n, prob, seed in corpus:
         g = _gnp(n, prob, seed)
-        params = ModelParams.semi_mpc(n, p, ell=2 * g.m).with_min_delta()
+        params = ModelParams.semi_mpc(n, p, ell=2 * g.m)
         inputs = distribute_edges(g, p, seed=seed)
         rep = simulate_semimpc_on_cc(ForestMergeConnectivity(n, p), inputs, params)
         t = rep.native.rounds_used
@@ -176,7 +176,7 @@ def test_acceptance_5_oracle_correctness():
         n = 6 + seed % 27
         g = random_connected_graph(n, seed % 9, 20_000 + seed)
         p = 1 + seed % min(8, n)
-        params = ModelParams.semi_mpc(n, p, ell=2 * g.m).with_min_delta()
+        params = ModelParams.semi_mpc(n, p, ell=2 * g.m)
         inputs = distribute_edges(g, p, seed=seed)
         res = run_mpc(ForestMergeConnectivity(n, p), inputs, params)
         assert res.clean and res.outputs[0] == components_oracle(g)

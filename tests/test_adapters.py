@@ -197,7 +197,7 @@ class SilentMachine(NodeProgram):
 
 
 def _semi_params(n, p, m, **kw):
-    return ModelParams.semi_mpc(n, p, ell=2 * m, **kw).with_min_delta()
+    return ModelParams.semi_mpc(n, p, ell=2 * m, **kw)
 
 
 def test_mpc_sim_bulk_transfer_two_routed_rounds():
@@ -599,7 +599,13 @@ class ReferenceCongestOnSemiMpc(_CongestOnSemiMpc):
     words by machine by hand; on_round dispatches in the old order (setup
     rounds first), and _replay is the old loop: a sorted copy of every
     vertex's arrivals, inner messages read through properties, words packed
-    through _pack."""
+    through _pack, and a cache of each machine's decoded location map on
+    the program object."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # pid -> (packed location tuple, its decoded {vertex: host} map)
+        self._located: dict[int, tuple[tuple[int, ...], dict[int, int]]] = {}
 
     def _pack(self, tag, a, b, c=0):
         return self.codec.pack((tag, a, b, c))
@@ -910,11 +916,12 @@ def test_clique_redistribution_matches_the_reference(n, graph_seed, seed,
 # -- the keyed sends' stated bounds against the ledger -----------------------------
 
 def test_keyed_send_orders_machines_and_words():
-    # payload order reaches no report (receivers sort what they get), so
-    # the reference comparisons above cannot see it
+    # machines go out in ascending order, which fixes the ledger's order;
+    # each payload keeps its words in emission order (receivers sort what
+    # they get), and the reference comparisons above cannot see payloads
     keyed = [(3, 9), (0, 5), (3, 1), (2, 7), (0, 4)]
     assert adapters._keyed_send(2, keyed) == [
-        Message(2, 0, (4, 5)), Message(2, 2, (7,)), Message(2, 3, (1, 9))]
+        Message(2, 0, (5, 4)), Message(2, 2, (7,)), Message(2, 3, (9, 1))]
     assert adapters._keyed_send(2, []) == []
 
 

@@ -112,7 +112,7 @@ def test_flood_random_corpus():
 # -- forest merge on semi-MPC ----------------------------------------------------
 
 def run_forest_merge(g, p, seed=0):
-    params = ModelParams.semi_mpc(g.n, p, ell=2 * g.m).with_min_delta()
+    params = ModelParams.semi_mpc(g.n, p, ell=2 * g.m)
     inputs = distribute_edges(g, p, seed)
     return run_mpc(ForestMergeConnectivity(g.n, p), inputs, params)
 
@@ -137,7 +137,7 @@ def test_forest_merge_adversarial_placement():
     p = 4
     inputs = [[] for _ in range(p)]
     inputs[3] = [w for e in g.edges for w in e]
-    params = ModelParams.semi_mpc(g.n, p, ell=2 * g.m).with_min_delta()
+    params = ModelParams.semi_mpc(g.n, p, ell=2 * g.m)
     res = run_mpc(ForestMergeConnectivity(g.n, p), inputs, params)
     assert res.clean
     assert res.outputs[0] == components_oracle(g)

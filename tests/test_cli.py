@@ -719,9 +719,16 @@ def _set(doc, section, key, value):
     lambda doc: _set(doc, "params", "delta", False),
     # the plain-MPC model kind is gone; it used to verify with exit 1
     lambda doc: _set(doc, "params", "kind", "MPC"),
+    # s is derived and the total-space constants are fixed; each edit used
+    # to verify with exit 0
+    lambda doc: _set(doc, "params", "c_traffic", 99),
+    lambda doc: _set(doc, "params", "c_total", 10 ** 6),
+    lambda doc: _set(doc, "params", "polylog_exp", 9),
+    lambda doc: _set(doc, "params", "s", 5),
 ], ids=["float-endpoint", "string-endpoint", "bool-endpoint", "float-graph-n",
         "string-c-traffic", "float-word-width", "bool-c-space", "float-n",
-        "string-round-cap", "string-delta", "bool-delta", "plain-mpc-kind"])
+        "string-round-cap", "string-delta", "bool-delta", "plain-mpc-kind",
+        "edited-c-traffic", "edited-c-total", "edited-polylog-exp", "edited-s"])
 def test_verify_rejects_coerced_graph_and_params(tmp_path, capsys, doctor):
     (tmp_path / "path.txt").write_text(gen_graph("path", 5).to_edge_list_text())
     out = tmp_path / "run.json"

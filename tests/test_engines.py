@@ -24,7 +24,7 @@ from distsim import (
     run_mpc,
     words_in,
 )
-from distsim.engines import Violation, _round_violations
+from distsim.engines import C_TOTAL, POLYLOG_EXP, Violation, _round_violations
 
 from conftest import FixedRoundFlood, random_graph
 
@@ -206,10 +206,14 @@ def test_mpc_rejects_bad_machine_count_law():
 
 
 def test_mpc_total_space_law():
-    params = replace(ModelParams.semi_mpc(4, 4, ell=2, c_space=1),
-                     polylog_exp=0, c_total=1)
-    res = run_mpc(MpcShipper(1), [[1], [1], [], []], params)
-    assert any(v.rule == "total-space" for v in res.violations)
+    # at delta 0, L = 64: the bound is 4 * 64 * log2(64)^2 = 9,216 words
+    # against p * s = 256 * 256
+    params = ModelParams(kind=ModelKind.SEMI_MPC, p=256, n=64, ell=64, c_space=4)
+    assert (params.s, params.total_space_bound()) == (256, 9_216)
+    res = run_mpc(MpcShipper(1), [[1] * 64] + [[]] * 255, params)
+    assert res.rounds_used == 0
+    assert [(v.rule, v.measured, v.allowed) for v in res.violations] == [
+        ("total-space", 65_536, 9_216)]
 
 
 def reference_min_delta_for_total_space(params):
@@ -222,8 +226,8 @@ def reference_min_delta_for_total_space(params):
     size = max(params.ell, params.n)
     if size <= 1:
         return None
-    log_term = math.log2(max(size, 2)) ** params.polylog_exp
-    need = params.p * params.s / (params.c_total * log_term)
+    log_term = math.log2(max(size, 2)) ** POLYLOG_EXP
+    need = params.p * params.s / (C_TOTAL * log_term)
     exponent = math.log(need) / math.log(size) - 1.0
     delta = max(0.0, min(exponent + 1e-9, 0.999999))
     if replace(params, delta=delta).total_space_bound() >= params.p * params.s:
@@ -239,19 +243,20 @@ def reference_with_min_delta(params):
 
 
 def test_with_min_delta_matches_the_two_step_reference():
-    # the law's size is max(ell, n), so every ell in 1..n bounds like ell = n
-    # and the grid steps through n..4n
+    # the semi_mpc factory fits delta itself; the reference fits the same
+    # params at delta 0.  The law's size is max(ell, n), so every ell in
+    # 1..n bounds like ell = n and the grid steps through n..4n
     fitted = unfit = 0
     for n in range(1, 65):
         ells = sorted({0, 1, 4 * n, *range(n, 4 * n, max(1, n // 2))})
         for p in range(1, 65):
             for c_space in range(1, 5):
                 for ell in ells:
-                    params = ModelParams.semi_mpc(n, p, ell=ell, c_space=c_space)
-                    got = params.with_min_delta()
-                    assert got == reference_with_min_delta(params), (n, p, ell, c_space)
+                    got = ModelParams.semi_mpc(n, p, ell=ell, c_space=c_space)
+                    want = reference_with_min_delta(replace(got, delta=0.0))
+                    assert got == want, (n, p, ell, c_space)
                     fitted += got.delta > 0
-                    unfit += got is params and bool(params.start_violations())
+                    unfit += got.delta == 0 and bool(got.start_violations())
     assert fitted > 1000 and unfit > 100
 
 
@@ -259,6 +264,22 @@ def test_semi_mpc_space_is_four_n():
     params = ModelParams.semi_mpc(10, 3, ell=0)
     assert params.s == 40
     assert params.kind == ModelKind.SEMI_MPC
+    # s is derived, never set: a copy with another c_space re-derives it,
+    # and the one-participant-per-vertex models carry none
+    assert replace(params, c_space=8).s == 80
+    assert ModelParams.clique(10).s == ModelParams.congest(10).s == 0
+
+
+@pytest.mark.parametrize("key", ["s", "c_traffic", "c_total", "polylog_exp"])
+def test_params_file_values_must_be_what_the_model_fixes(key):
+    # files still carry s and the three fixed constants; a loaded file may
+    # not change them
+    params = ModelParams.semi_mpc(10, 3, ell=40)
+    doc = params.to_json_dict()
+    assert [doc[k] for k in ("s", "c_traffic", "c_total", "polylog_exp")] == [40, 4, 4, 2]
+    assert ModelParams.from_json_dict(doc) == params
+    with pytest.raises(ValueError, match=f"params field '{key}' holds 5, not "):
+        ModelParams.from_json_dict({**doc, key: 5})
 
 
 # -- shared engine behavior -----------------------------------------------------

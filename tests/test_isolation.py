@@ -75,7 +75,7 @@ def test_algorithms_are_isolated_natively(name):
     isolation_audited(run_clique)(BoruvkaConnectivity(g.n), g, ModelParams.clique(g.n))
     isolation_audited(run_congest)(FloodMinLabel(g.n), g, ModelParams.congest(g.n))
     p = 4
-    params = ModelParams.semi_mpc(g.n, p, ell=2 * g.m).with_min_delta()
+    params = ModelParams.semi_mpc(g.n, p, ell=2 * g.m)
     isolation_audited(run_mpc)(ForestMergeConnectivity(g.n, p),
                                distribute_edges(g, p, seed=1), params)
 
@@ -90,7 +90,7 @@ def test_adapters_are_isolated(name, isolation_audit):
     simulate_cc_on_semimpc(BoruvkaConnectivity(g.n), g, seed=2)
     simulate_congest_on_semimpc(FloodMinLabel(g.n), g, seed=2)
     p = 4
-    params = ModelParams.semi_mpc(g.n, p, ell=2 * g.m).with_min_delta()
+    params = ModelParams.semi_mpc(g.n, p, ell=2 * g.m)
     simulate_semimpc_on_cc(ForestMergeConnectivity(g.n, p),
                            distribute_edges(g, p, seed=2), params)
 
@@ -101,7 +101,6 @@ def test_congest_adapter_is_isolated_with_several_vertices_per_machine(
     # flood runs T = n rounds, so in the audit above every machine hosts one
     # vertex; a 3-round flood on ceil(3m / n) machines packs several
     # vertices on each, so the replay hands messages over inside a machine
-    # and reads the _located cache the adapter keeps on the program object
     g = GRAPHS[name]
     rep = simulate_congest_on_semimpc(FixedRoundFlood(3), g, c_machines=1, seed=2)
     assert rep.measured_constants["machines"] <= g.n // 3
