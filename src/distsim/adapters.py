@@ -102,8 +102,6 @@ def compute_node_assignment(degrees, machines: int) -> Assignment:
 class SimulationReport:
     """Native and simulated evidence plus the verdicts on every claimed bound."""
 
-    source_model: str
-    target_model: str
     native: RunResult
     simulated: RunResult
     bound_checks: dict[str, bool]
@@ -116,8 +114,8 @@ class SimulationReport:
 
     def to_json_dict(self) -> dict:
         doc = {
-            "source_model": self.source_model,
-            "target_model": self.target_model,
+            "source_model": self.native.params.kind.value,
+            "target_model": self.simulated.params.kind.value,
             "bound_checks": dict(self.bound_checks),
             "measured_constants": dict(self.measured_constants),
             "native": self.native.to_json_dict(),
@@ -266,8 +264,6 @@ def simulate_cc_on_semimpc(prog: NodeProgram, g: Graph, *,
         "delta": sim.params.delta,
     }
     return SimulationReport(
-        source_model=ModelKind.CLIQUE.value,
-        target_model=ModelKind.SEMI_MPC.value,
         native=native, simulated=sim,
         bound_checks=bound_checks, measured_constants=measured,
     )
@@ -324,17 +320,17 @@ class _SemiMpcOnClique(Relay):
     """
 
     def __init__(self, inner: NodeProgram, p: int,
-                 episodes: list[tuple[int, int, Schedule]],
+                 episodes: list[tuple[int, Schedule]],
                  sent: list[dict[int, tuple[Message, ...]]],
                  widths: tuple[int, int, int, int], machine_inputs: list):
-        # episode = (native round, base engine round, schedule); sent[r - 1]
-        # maps each machine to its native cross-machine messages of round r
-        super().__init__([(base, sched) for _r, base, sched in episodes], widths)
+        # episode = (native round, schedule); sent[r - 1] maps each machine
+        # to its native cross-machine messages of round r
+        super().__init__([sched for _r, sched in episodes], widths)
         self.inner = inner
         self.p = p
         self.sent = sent
-        self.native_round_of = [r for r, _b, _s in episodes]
-        self.by_base = {base: idx for idx, (_r, base, _s) in enumerate(episodes)}
+        self.native_round_of = [r for r, _s in episodes]
+        self.by_base = {base: idx for idx, (base, _s) in enumerate(self.episodes)}
         self.machine_inputs = [tuple(words) for words in machine_inputs]
 
     def _host_init(self, pid, local_input):
@@ -458,8 +454,7 @@ def simulate_semimpc_on_cc(prog: NodeProgram, inputs: list[list[int]],
     # the ledger names each round's senders; each takes its next recording
     recorded = {src: iter(rounds) for src, rounds in recorder.sent.items()}
     sent: list[dict[int, tuple[Message, ...]]] = []
-    episodes: list[tuple[int, int, Schedule]] = []
-    base = 1
+    episodes: list[tuple[int, Schedule]] = []
     max_seq = 0
     for r, rec in enumerate(native.trace.rounds, 1):
         senders = dict.fromkeys(src for src, _dst, _w in rec.transfers)
@@ -468,9 +463,7 @@ def simulate_semimpc_on_cc(prog: NodeProgram, inputs: list[list[int]],
             continue
         demand = DemandMatrix.from_transfers(n, rec.transfers)
         max_seq = max([max_seq] + [count - 1 for _s, _d, count in demand.cells])
-        schedule = plan_routing(demand)
-        episodes.append((r, base, schedule))
-        base += schedule.num_rounds
+        episodes.append((r, plan_routing(demand)))
 
     w_id = max(1, (n - 1).bit_length())
     w_seq = max(1, max_seq.bit_length())
@@ -505,12 +498,10 @@ def simulate_semimpc_on_cc(prog: NodeProgram, inputs: list[list[int]],
         "max_space_words": max(sim.trace.space_high_water(), default=0),
     }
     return SimulationReport(
-        source_model=ModelKind.SEMI_MPC.value,
-        target_model=ModelKind.CLIQUE.value,
         native=native, simulated=sim,
         bound_checks=bound_checks, measured_constants=measured,
         extra={"episode_rounds": [[r, sched.num_rounds]
-                                  for r, _b, sched in episodes]},
+                                  for r, sched in episodes]},
     )
 
 
@@ -856,8 +847,6 @@ def simulate_congest_on_semimpc(prog: NodeProgram, g: Graph,
         "delta": sim.params.delta,
     }
     return SimulationReport(
-        source_model=ModelKind.CONGEST.value,
-        target_model=ModelKind.SEMI_MPC.value,
         native=native, simulated=sim,
         bound_checks=bound_checks, measured_constants=measured,
         extra={

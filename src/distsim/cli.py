@@ -365,6 +365,10 @@ def _recheck_run(doc: dict):
     graph = None
     if doc.get("graph") is not None:
         graph = _graph_from_json(doc["graph"])
+        # a semi-MPC run's input is its graph's edge words (_semi_mpc_input)
+        if params.kind == ModelKind.SEMI_MPC and params.ell != 2 * graph.m:
+            raise ValueError(f"params field 'ell' holds {params.ell!r}, not"
+                             f" 2m = {2 * graph.m}")
     violations = check_trace(trace, params, graph)
     derived = {"rounds": trace.num_rounds,
                "space_high_water": list(trace.space_high_water()),

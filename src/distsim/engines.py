@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from operator import itemgetter
 
@@ -75,11 +75,12 @@ _FILE_CONSTANTS = {"c_traffic": 4, "c_total": C_TOTAL, "polylog_exp": POLYLOG_EX
 class ModelParams:
     """Model kind plus budgets.
 
-    Asymptotic budgets are enforced as (constant multiplier) * bound.  The
-    only configurable multiplier is c_space: semi-MPC's per-machine space
-    is derived as s = c_space * n (0 under the other models), and the total
-    space law p*s <= C_TOTAL * L^(1+delta) * log2(L)^POLYLOG_EXP with
-    L = max(ell, n) has fixed constants (see total_space_bound).
+    Asymptotic budgets are enforced as (constant multiplier) * bound, and
+    c_space is the only configurable multiplier.  s and delta are derived,
+    so replace() re-derives them: s = c_space * n under semi-MPC (else 0),
+    and delta is the smallest value in [0, 1), else 0, for which p*s meets
+    the law p*s <= C_TOTAL * L^(1+delta) * log2(L)^POLYLOG_EXP with
+    L = max(ell, n).
     """
 
     kind: ModelKind
@@ -87,7 +88,7 @@ class ModelParams:
     n: int
     s: int = field(init=False)
     word_width_bits: int = 8
-    delta: float = 0.0
+    delta: float = field(init=False)
     ell: int = 0
     c_space: int = 4
     round_cap: int | None = None
@@ -97,12 +98,19 @@ class ModelParams:
             raise ValueError("p must be >= 1")
         if self.word_width_bits < 1:
             raise ValueError("word width must be >= 1 bit")
-        if not (0.0 <= self.delta < 1.0):
-            raise ValueError("delta must lie in [0, 1)")
         if self.kind != ModelKind.SEMI_MPC and self.p != self.n:
             raise ValueError(f"{self.kind.value} requires one participant per vertex")
         object.__setattr__(self, "s", self.c_space * self.n
                            if self.kind == ModelKind.SEMI_MPC else 0)
+        # delta: 0 if the law holds at 0, else the law's bound solved for it
+        object.__setattr__(self, "delta", 0.0)
+        size, total = max(self.ell, self.n), self.p * self.s
+        if self.ell > 0 and size > 1 and self.total_space_bound() < total:
+            need = total / (C_TOTAL * math.log2(size) ** POLYLOG_EXP)
+            exponent = math.log(need) / math.log(size) - 1.0
+            object.__setattr__(self, "delta", max(0.0, min(exponent + 1e-9, 0.999999)))
+            if self.total_space_bound() < total:  # no delta below 1 fits
+                object.__setattr__(self, "delta", 0.0)
 
     # -- factories ---------------------------------------------------------
 
@@ -112,21 +120,13 @@ class ModelParams:
     @staticmethod
     def semi_mpc(n: int, p: int, *, ell: int, word_width_bits: int | None = None,
                  c_space: int = 4, round_cap: int | None = None) -> "ModelParams":
-        """Semi-MPC params at the smallest delta in [0, 1) that satisfies the
-        total-space law, else at delta 0; the law's bound is solved for delta."""
-        params = ModelParams(
+        """Semi-MPC params whose word width defaults to the vertex ids'."""
+        return ModelParams(
             kind=ModelKind.SEMI_MPC, p=p, n=n,
             word_width_bits=(word_width(n) if word_width_bits is None
                              else word_width_bits),
             ell=ell, c_space=c_space, round_cap=round_cap,
         )
-        size = max(ell, n)
-        if ell <= 0 or size <= 1 or params.total_space_bound() >= p * params.s:
-            return params
-        need = p * params.s / (C_TOTAL * math.log2(size) ** POLYLOG_EXP)
-        exponent = math.log(need) / math.log(size) - 1.0
-        fit = replace(params, delta=max(0.0, min(exponent + 1e-9, 0.999999)))
-        return fit if fit.total_space_bound() >= p * params.s else params
 
     # -- laws ----------------------------------------------------------------
 
@@ -169,8 +169,8 @@ class ModelParams:
     def from_json_dict(doc: dict) -> "ModelParams":
         """Inverse of to_json_dict.  Nothing is coerced: the integer fields
         must hold ints (not bools), delta an int or a float, and round_cap
-        None or an int; s and the fixed constants must hold the values
-        to_json_dict writes.  Anything else raises ValueError."""
+        None or an int; s, delta and the fixed constants must hold the
+        values to_json_dict writes.  Anything else raises ValueError."""
         fields = {key: doc[key] for key in _INT_PARAMS}
         fields["round_cap"] = doc.get("round_cap")
         for key, value in fields.items():
@@ -180,8 +180,9 @@ class ModelParams:
         if type(delta) is not int and type(delta) is not float:
             raise ValueError(f"params field 'delta' holds {delta!r}, not a number")
         recorded = {key: fields.pop(key) for key in ("s", *_FILE_CONSTANTS)}
-        params = ModelParams(kind=ModelKind(doc["kind"]), delta=float(delta), **fields)
-        for key, value in {**_FILE_CONSTANTS, "s": params.s}.items():
+        recorded["delta"] = delta
+        params = ModelParams(kind=ModelKind(doc["kind"]), **fields)
+        for key, value in {**_FILE_CONSTANTS, "s": params.s, "delta": params.delta}.items():
             if recorded[key] != value:
                 raise ValueError(f"params field {key!r} holds {recorded[key]!r}, not {value!r}")
         return params
@@ -328,18 +329,21 @@ def _meter(pid: int, round_no: int, state, old, sizes):
 
 @dataclass
 class RunResult:
-    """Outcome of one engine run: rounds used, outputs, trace, violations.
+    """Outcome of one engine run: outputs, trace, violations.
 
     outputs is None when the run aborted on a violation.  Serializes to the
     fixed JSON layout consumed by the CLI and the trace verifier.
     """
 
     params: ModelParams
-    rounds_used: int
     outputs: list[list[int]] | None
     trace: RoundTrace
     violations: list[Violation]
     graph: Graph | None = None
+
+    @property
+    def rounds_used(self) -> int:
+        return self.trace.num_rounds
 
     @property
     def clean(self) -> bool:
@@ -463,8 +467,8 @@ def _execute(prog: NodeProgram, local_inputs: list, params: ModelParams,
 
     start = params.start_violations()
     if start:
-        return RunResult(params=params, rounds_used=0, outputs=None,
-                         trace=RoundTrace(p, ()), violations=start, graph=graph)
+        return RunResult(params=params, outputs=None, trace=RoundTrace(p, ()),
+                         violations=start, graph=graph)
 
     states = [prog.init(i, local_inputs[i]) for i in range(p)]
     # a state is metered when init or on_round returns it (see _meter): the
@@ -534,15 +538,12 @@ def _execute(prog: NodeProgram, local_inputs: list, params: ModelParams,
         records.append(RoundRecord(transfers=tuple(transfers), space=tuple(space)))
         bad = _round_violations(round_no, transfers, space, params, graph)
         if bad:
-            return RunResult(params=params, rounds_used=round_no, outputs=None,
-                             trace=RoundTrace(p, tuple(records)),
-                             violations=bad, graph=graph)
+            return RunResult(params=params, outputs=None, violations=bad,
+                             trace=RoundTrace(p, tuple(records)), graph=graph)
         if halt:
             outputs = [list(prog.output(states[i])) for i in range(p)]
-            return RunResult(params=params, rounds_used=round_no,
-                             outputs=outputs,
-                             trace=RoundTrace(p, tuple(records)),
-                             violations=[], graph=graph)
+            return RunResult(params=params, outputs=outputs, violations=[],
+                             trace=RoundTrace(p, tuple(records)), graph=graph)
 
 
 def distribute_edges(g: Graph, p: int, seed: int = 0) -> list[list[int]]:

@@ -216,19 +216,18 @@ class Schedule:
     Every demanded word (src, dst, seq) is assigned an intermediate node and
     one phase-A round (src -> intermediate) plus one phase-B round
     (intermediate -> dst).  Rounds are numbered globally and 1-based: phase A
-    occupies rounds 1..phase_a_rounds, phase B the following rounds, so the
-    phase-A slot of a word always precedes its phase-B slot.
+    occupies rounds 1..phase_a_rounds and phase B as many rounds after them,
+    so the phase-A slot of a word always precedes its phase-B slot.
     """
 
     n: int
     phase_a_rounds: int
-    phase_b_rounds: int
     entries: tuple[tuple[int, int, int, int, int, int], ...]
     # entry = (src, dst, seq, intermediate, round_a, round_b)
 
     @property
     def num_rounds(self) -> int:
-        return self.phase_a_rounds + self.phase_b_rounds
+        return 2 * self.phase_a_rounds
 
     @cached_property
     def assignment(self) -> dict[tuple[int, int, int], tuple[int, int, int]]:
@@ -239,7 +238,7 @@ class Schedule:
             "n": self.n,
             "rounds": self.num_rounds,
             "phase_a_rounds": self.phase_a_rounds,
-            "phase_b_rounds": self.phase_b_rounds,
+            "phase_b_rounds": self.phase_a_rounds,
             "entries": [list(e) for e in self.entries],
         }
 
@@ -259,8 +258,7 @@ def plan_routing(dm: DemandMatrix) -> Schedule:
         mid = color % dm.n
         sub = color // dm.n
         entries.append((s, d, q, mid, sub + 1, subrounds + sub + 1))
-    return Schedule(n=dm.n, phase_a_rounds=subrounds, phase_b_rounds=subrounds,
-                    entries=tuple(entries))
+    return Schedule(n=dm.n, phase_a_rounds=subrounds, entries=tuple(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -279,13 +277,14 @@ class DeliveryRecord:
 class Relay(NodeProgram):
     """Clique node that relays words along a sequence of routing episodes.
 
-    Each episode is a (base engine round, Schedule) pair: the schedule's
-    round k runs in engine round base + k - 1.  Every relayed word packs
-    (counterpart, seq, *fields) into one engine word; the counterpart is the
-    final destination in phase A and the original source in phase B.  One
-    extra receive-only round after the last episode absorbs the final
-    deliveries; without episodes that round is the whole run, and every
-    relay halts in round 1 without sending.
+    The schedules run back to back from engine round 1: episode i's round k
+    runs in engine round base + k - 1, where base is 1 plus the rounds of
+    the episodes before i (`episodes` holds the (base, schedule) pairs).
+    Every relayed word packs (counterpart, seq, *fields) into one engine
+    word; the counterpart is the final destination in phase A and the
+    original source in phase B.  One extra receive-only round after the
+    last episode absorbs the final deliveries; without episodes that round
+    is the whole run, and every relay halts in round 1 without sending.
 
     The program hosted on a node (subclasses) supplies three hooks over its
     own state, which is the relay state's last field:
@@ -297,17 +296,19 @@ class Relay(NodeProgram):
     A queued entry is (engine round, next hop, counterpart, seq, *fields).
     """
 
-    def __init__(self, episodes: list[tuple[int, Schedule]],
-                 widths: tuple[int, ...]):
-        self.episodes = episodes
+    def __init__(self, schedules: list[Schedule], widths: tuple[int, ...]):
         self.codec = FieldCodec(widths)
+        self.episodes: list[tuple[int, Schedule]] = []
         # engine round -> (episode index, whether it is a phase-A round)
         self.phase_of: dict[int, tuple[int, bool]] = {}
-        for idx, (base, sched) in enumerate(episodes):
+        base = 1
+        for idx, sched in enumerate(schedules):
+            self.episodes.append((base, sched))
             for r in range(base, base + sched.num_rounds):
                 self.phase_of[r] = (idx, r < base + sched.phase_a_rounds)
+            base += sched.num_rounds
         # the receive-only absorb round after the last episode
-        self.last_round = max((b + s.num_rounds for b, s in episodes), default=0)
+        self.last_round = base if schedules else 0
 
     def init(self, pid: int, local_input):
         # state: (pid, this round number, queued entries, host state)
@@ -372,7 +373,7 @@ class _ScheduleHost(Relay):
 
     def __init__(self, schedule: Schedule, payloads: dict,
                  widths: tuple[int, int, int]):
-        super().__init__([(1, schedule)], widths)
+        super().__init__([schedule], widths)
         # (source, round_a) -> entries due then, canonically ordered
         self.outgoing: dict[tuple[int, int], list[tuple]] = {}
         for s, d, q, mid, ra, _rb in sorted(schedule.entries):

@@ -508,6 +508,48 @@ def test_congest_sim_edgeless_space_is_node_states_only(n):
     assert rep.measured_constants["max_space_words"] == 3 * n
 
 
+class SelfCount(NodeProgram):
+    """Mails itself the round number until round 4 and outputs the sum it
+    received (6): every message is a self-message, which costs no edge."""
+
+    def init(self, pid, local_input):
+        return (pid, 1, 0)
+
+    def on_round(self, state, inbox):
+        pid, r, acc = state
+        acc += sum(m.payload[0] for m in inbox)
+        halt = r >= 4
+        outbox = [] if halt else [Message(src=pid, dst=pid, payload=(r,))]
+        return (pid, r + 1, acc), outbox, halt
+
+    def output(self, state):
+        return [state[2]]
+
+
+@pytest.mark.parametrize("kind, n", [("path", 6), ("star", 8)])
+def test_congest_sim_replays_self_messages(kind, n):
+    rep = simulate_congest_on_semimpc(SelfCount(), gen_graph(kind, n))
+    assert rep.all_ok
+    assert rep.native.outputs == [[6]] * n
+
+
+@pytest.mark.parametrize("n", [6, 12])
+def test_edgeless_self_messages_overrun_by_their_stated_volume(n):
+    # the edgeless branch's one machine holds, after round 1, every vertex's
+    # 3-word state and one 3-word internal message per vertex: 6n words
+    # against s = 4n, so the run stops in round 1
+    g = Graph(n=n, edges=())
+    rep = simulate_congest_on_semimpc(SelfCount(), g)
+    [violation] = rep.simulated.violations
+    assert (violation.rule, violation.round, violation.participant,
+            violation.measured, violation.allowed) == ("space-budget", 1, 0, 6 * n, 4 * n)
+    # at c_space = 6 the same volume fits, and the branch delivers the
+    # internal messages of every round
+    rep = simulate_congest_on_semimpc(SelfCount(), g, c_space=6)
+    assert rep.all_ok
+    assert rep.measured_constants["max_space_words"] == 6 * n
+
+
 def test_congest_sim_gossip_packs_vertices_per_machine():
     g = gen_graph("gnp", 24, prob=0.12, seed=9)
     rep = simulate_congest_on_semimpc(TwoRoundGossip(), g)

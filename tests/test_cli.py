@@ -118,6 +118,26 @@ def test_run_engine_contract_error_exits_2(graph_file, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.fixture
+def gnp48_file(tmp_path):
+    """G(48, 0.2), seed 3, as `gen --kind gnp --n 48 --p 0.2 --seed 3` writes it."""
+    path = tmp_path / "gnp48.txt"
+    path.write_text(gen_graph("gnp", 48, prob=0.2, seed=3).to_edge_list_text())
+    return str(path)
+
+
+def test_run_violation_exits_1_and_names_the_first(gnp48_file, tmp_path, capsys):
+    # at c_space = 1 a machine may receive s = 48 words a round
+    out = tmp_path / "run.json"
+    assert run_cli("run", "--model", "semimpc", "--algorithm", "forest-merge",
+                   "--machines", "48", "--graph", gnp48_file,
+                   "--constants", "c_space=1", "--out", str(out)) == 1
+    assert capsys.readouterr().out.endswith(
+        "first violation: recv-budget at round 4 (measured 72, allowed 48)\n")
+    # the file records the aborted run, and verify finds the same violations
+    assert run_cli("verify", "--trace", str(out)) == 1
+
+
 RUN_CLIQUE = ("run", "--model", "clique", "--algorithm", "boruvka")
 RUN_CONGEST = ("run", "--model", "congest", "--algorithm", "flood")
 RUN_SEMIMPC = ("run", "--model", "semimpc", "--algorithm", "forest-merge")
@@ -314,6 +334,34 @@ def test_simulate_unsupported_pair(graph_file, capsys):
                    "--algorithm", "forest-merge", "--graph", graph_file)
     assert code == 2
     assert "unsupported pair" in capsys.readouterr().err
+
+
+def test_simulate_refusal_exits_1(tmp_path, capsys):
+    # flood on a 20-vertex path runs 20 native rounds
+    (tmp_path / "path.txt").write_text(gen_graph("path", 20).to_edge_list_text())
+    out = tmp_path / "sim.json"
+    assert run_cli(*SIM_CONGEST, "--graph", str(tmp_path / "path.txt"),
+                   "--round-budget", "1", "--out", str(out)) == 1
+    assert capsys.readouterr().err == (
+        "refused: round budget 1 below the native round count 20\n")
+    assert not out.exists()
+
+
+def test_simulate_bound_failure_exits_1(graph_file, tmp_path, capsys, monkeypatch):
+    simulate = cli.simulate_cc_on_semimpc
+
+    def one_check_fails(*args, **kwargs):
+        report = simulate(*args, **kwargs)
+        report.bound_checks["space_ok"] = False
+        return report
+
+    monkeypatch.setattr(cli, "simulate_cc_on_semimpc", one_check_fails)
+    out = tmp_path / "sim.json"
+    assert run_cli(*SIM_CLIQUE, "--graph", graph_file, "--out", str(out)) == 1
+    printed = capsys.readouterr().out
+    assert "  space_ok: FAIL\n" in printed
+    assert printed.endswith("bound failure: space_ok\n")
+    assert json.loads(out.read_text())["bound_checks"]["space_ok"] is False
 
 
 # semi-MPC -> clique report files as written before the routing episodes were
@@ -725,10 +773,13 @@ def _set(doc, section, key, value):
     lambda doc: _set(doc, "params", "c_total", 10 ** 6),
     lambda doc: _set(doc, "params", "polylog_exp", 9),
     lambda doc: _set(doc, "params", "s", 5),
+    # delta is derived too; the edit used to verify with exit 0
+    lambda doc: _set(doc, "params", "delta", 0.9),
 ], ids=["float-endpoint", "string-endpoint", "bool-endpoint", "float-graph-n",
         "string-c-traffic", "float-word-width", "bool-c-space", "float-n",
         "string-round-cap", "string-delta", "bool-delta", "plain-mpc-kind",
-        "edited-c-traffic", "edited-c-total", "edited-polylog-exp", "edited-s"])
+        "edited-c-traffic", "edited-c-total", "edited-polylog-exp", "edited-s",
+        "edited-delta"])
 def test_verify_rejects_coerced_graph_and_params(tmp_path, capsys, doctor):
     (tmp_path / "path.txt").write_text(gen_graph("path", 5).to_edge_list_text())
     out = tmp_path / "run.json"
@@ -754,6 +805,26 @@ def test_verify_accepts_an_int_delta_and_no_round_cap(tmp_path):
     del doc["params"]["round_cap"]
     out.write_text(json.dumps(doc))
     assert run_cli("verify", "--trace", str(out)) == 0
+
+
+def test_verify_rejects_an_ell_other_than_twice_the_edges(gnp48_file, tmp_path,
+                                                         capsys):
+    # a semi-MPC run starts from its graph's 2m edge words; an edited ell
+    # used to verify with exit 0
+    out = tmp_path / "run.json"
+    assert run_cli("run", "--model", "semimpc", "--algorithm", "forest-merge",
+                   "--machines", "48", "--graph", gnp48_file,
+                   "--out", str(out)) == 0
+    doc = json.loads(out.read_text())
+    assert doc["params"]["ell"] == 2 * doc["graph"]["m"] == 466
+    assert run_cli("verify", "--trace", str(out)) == 0
+    doc["params"]["ell"] = 10 ** 6
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("verify", "--trace", str(out)) == 2
+    assert capsys.readouterr().err == (
+        "error: malformed trace file: params field 'ell' holds 1000000,"
+        " not 2m = 466\n")
 
 
 def test_verify_congest_trace_without_graph_exits_2(graph_file, tmp_path,

@@ -206,14 +206,24 @@ def test_mpc_rejects_bad_machine_count_law():
 
 
 def test_mpc_total_space_law():
-    # at delta 0, L = 64: the bound is 4 * 64 * log2(64)^2 = 9,216 words
-    # against p * s = 256 * 256
-    params = ModelParams(kind=ModelKind.SEMI_MPC, p=256, n=64, ell=64, c_space=4)
-    assert (params.s, params.total_space_bound()) == (256, 9_216)
-    res = run_mpc(MpcShipper(1), [[1] * 64] + [[]] * 255, params)
+    # L = 4: the bound is 4 * 4^(1+delta) * log2(4)^2 = 64 words at delta 0,
+    # and under 256 for every delta < 1, against p * s = 20 * 20, so no
+    # delta fits and it stays 0
+    params = ModelParams(kind=ModelKind.SEMI_MPC, p=20, n=4, ell=4, c_space=5)
+    assert (params.s, params.delta, params.total_space_bound()) == (20, 0.0, 64)
+    res = run_mpc(MpcShipper(1), [[1] * 4] + [[]] * 19, params)
     assert res.rounds_used == 0
     assert [(v.rule, v.measured, v.allowed) for v in res.violations] == [
-        ("total-space", 65_536, 9_216)]
+        ("total-space", 400, 64)]
+
+
+def reference_total_space_bound(params, delta):
+    """Reference: the total-space law's bound for params at this delta."""
+    if params.ell <= 0:
+        return 0
+    size = max(params.ell, params.n)
+    log_term = math.log2(max(size, 2)) ** POLYLOG_EXP
+    return int(C_TOTAL * (size ** (1.0 + delta)) * log_term)
 
 
 def reference_min_delta_for_total_space(params):
@@ -221,7 +231,7 @@ def reference_min_delta_for_total_space(params):
     law, or None, tried at delta = 0 before solving for the exponent."""
     if params.ell <= 0:
         return None
-    if replace(params, delta=0.0).total_space_bound() >= params.p * params.s:
+    if reference_total_space_bound(params, 0.0) >= params.p * params.s:
         return 0.0
     size = max(params.ell, params.n)
     if size <= 1:
@@ -230,22 +240,21 @@ def reference_min_delta_for_total_space(params):
     need = params.p * params.s / (C_TOTAL * log_term)
     exponent = math.log(need) / math.log(size) - 1.0
     delta = max(0.0, min(exponent + 1e-9, 0.999999))
-    if replace(params, delta=delta).total_space_bound() >= params.p * params.s:
+    if reference_total_space_bound(params, delta) >= params.p * params.s:
         return delta
     return None
 
 
 def reference_with_min_delta(params):
-    if not any(v.rule == "total-space" for v in params.start_violations()):
-        return params
+    """Reference: the delta params should carry, 0 where none fits."""
     delta = reference_min_delta_for_total_space(params)
-    return replace(params, delta=delta) if delta is not None else params
+    return delta if delta is not None else 0.0
 
 
 def test_with_min_delta_matches_the_two_step_reference():
-    # the semi_mpc factory fits delta itself; the reference fits the same
-    # params at delta 0.  The law's size is max(ell, n), so every ell in
-    # 1..n bounds like ell = n and the grid steps through n..4n
+    # ModelParams derives delta itself; the reference solves the law for
+    # it from the bound at delta 0.  The law's size is max(ell, n), so every
+    # ell in 1..n bounds like ell = n and the grid steps through n..4n
     fitted = unfit = 0
     for n in range(1, 65):
         ells = sorted({0, 1, 4 * n, *range(n, 4 * n, max(1, n // 2))})
@@ -253,8 +262,8 @@ def test_with_min_delta_matches_the_two_step_reference():
             for c_space in range(1, 5):
                 for ell in ells:
                     got = ModelParams.semi_mpc(n, p, ell=ell, c_space=c_space)
-                    want = reference_with_min_delta(replace(got, delta=0.0))
-                    assert got == want, (n, p, ell, c_space)
+                    want = reference_with_min_delta(got)
+                    assert got.delta == want, (n, p, ell, c_space)
                     fitted += got.delta > 0
                     unfit += got.delta == 0 and bool(got.start_violations())
     assert fitted > 1000 and unfit > 100
@@ -270,10 +279,23 @@ def test_semi_mpc_space_is_four_n():
     assert ModelParams.clique(10).s == ModelParams.congest(10).s == 0
 
 
-@pytest.mark.parametrize("key", ["s", "c_traffic", "c_total", "polylog_exp"])
+def test_replace_re_derives_delta():
+    # delta is derived, never set: a copy with another c_space fits its
+    # own delta (0.472) instead of keeping the stale 0.138, which would
+    # break the total-space law (65,536 words against 16,384)
+    narrow = ModelParams.semi_mpc(64, 256, ell=64, c_space=1)
+    wide = ModelParams.semi_mpc(64, 256, ell=64, c_space=4)
+    assert (round(narrow.delta, 3), round(wide.delta, 3)) == (0.138, 0.472)
+    assert replace(narrow, c_space=4) == wide
+    assert wide.start_violations() == []
+    with pytest.raises(ValueError, match="init=False"):
+        replace(wide, delta=0.9)
+
+
+@pytest.mark.parametrize("key", ["s", "delta", "c_traffic", "c_total", "polylog_exp"])
 def test_params_file_values_must_be_what_the_model_fixes(key):
-    # files still carry s and the three fixed constants; a loaded file may
-    # not change them
+    # files carry the derived s and delta and the three fixed constants; a
+    # loaded file may not change them
     params = ModelParams.semi_mpc(10, 3, ell=40)
     doc = params.to_json_dict()
     assert [doc[k] for k in ("s", "c_traffic", "c_total", "polylog_exp")] == [40, 4, 4, 2]

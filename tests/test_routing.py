@@ -437,7 +437,7 @@ def test_execute_rejects_word_sent_to_another_intermediate():
     # assignment keeps the second, so the first copy reaches a node that the
     # schedule does not name
     entries = ((0, 2, 0, 1, 1, 2), (0, 2, 0, 0, 1, 2))
-    sched = Schedule(n=3, phase_a_rounds=1, phase_b_rounds=1, entries=entries)
+    sched = Schedule(n=3, phase_a_rounds=1, entries=entries)
     with pytest.raises(RuntimeError, match="wrong node"):
         execute_schedule(sched, {(0, 2, 0): 5})
 
@@ -471,7 +471,7 @@ def test_execute_multi_round_phases_delivery_exact():
     n = 6
     rows = [[0 if s == d else 4 for d in range(n)] for s in range(n)]
     sched = plan_routing(DemandMatrix.from_rows(rows))
-    assert sched.phase_a_rounds == sched.phase_b_rounds == 4
+    assert sched.phase_a_rounds == sched.to_json_dict()["phase_b_rounds"] == 4
     _assert_schedule_capacity(sched)
     payloads = {(s, d, q): (7 * s + 3 * d + q) % 256
                 for (s, d, q) in sched.assignment}
