@@ -9,6 +9,7 @@ Identical invocations produce byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import sys
@@ -480,6 +481,13 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    # The built-in programs, their states, messages and ledgers create no
+    # reference cycles, so reference counting frees all they allocate, and
+    # the cyclic collector would only walk the run's many containers again
+    # and again to find nothing.  It is paused for the command alone and
+    # left as the caller had it.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (UsageError, ValueError, OSError, EngineContractError) as exc:
@@ -489,6 +497,9 @@ def main(argv: list[str] | None = None) -> int:
     except SimulationRefused as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -406,9 +406,10 @@ class RoundTrace:
         """Inverse of to_per_round_json.  Every round must carry one space
         entry per participant: a missing entry is not read as zero words.  A
         transfer must move at least one word between two distinct
-        participants in [0, num_participants), as every engine transfer does.
-        Every value must be an int (not a bool, float or string): nothing is
-        coerced, so a fractional word count cannot pass as a whole one."""
+        participants in [0, num_participants), as every engine transfer does,
+        and no participant may hold negative space.  Every value must be an
+        int (not a bool, float or string): nothing is coerced, so a
+        fractional word count cannot pass as a whole one."""
         rounds = []
         for round_no, rec in enumerate(per_round, start=1):
             transfers = []
@@ -433,5 +434,10 @@ class RoundTrace:
             if space and set(map(type, space)) != {int}:
                 raise ValueError(
                     f"round {round_no} lists a space value that is not an integer")
+            if space and min(space) < 0:
+                i = next(i for i, words in enumerate(space) if words < 0)
+                raise ValueError(
+                    f"round {round_no} lists negative space {space[i]}"
+                    f" for participant {i}")
             rounds.append(RoundRecord(transfers=tuple(transfers), space=space))
         return RoundTrace(num_participants=num_participants, rounds=tuple(rounds))

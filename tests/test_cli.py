@@ -1,5 +1,6 @@
 import contextlib
 import errno
+import gc
 import hashlib
 import io
 import json
@@ -669,6 +670,20 @@ def test_verify_rejects_trace_without_space(graph_file, tmp_path, capsys):
         assert "malformed trace file" in capsys.readouterr().err
 
 
+def test_verify_rejects_negative_space(graph_file, tmp_path, capsys):
+    # used to verify: the high-water mark ignored the negative entry
+    out = tmp_path / "run.json"
+    assert run_cli("run", "--model", "clique", "--algorithm", "boruvka",
+                   "--graph", graph_file, "--out", str(out)) == 0
+    doc = json.loads(out.read_text())
+    doc["per_round"][1]["space"][3] = -5
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("verify", "--trace", str(out)) == 2
+    assert capsys.readouterr().err == ("error: malformed trace file: round 2"
+                                       " lists negative space -5 for participant 3\n")
+
+
 @pytest.fixture(scope="module")
 def semimpc_run_doc(tmp_path_factory):
     """A forest-merge semi-MPC run with p = 48 machines and s = 1152 words."""
@@ -1001,3 +1016,103 @@ def test_dump_json_memory_peak_is_a_chunk_not_the_file(tmp_path):
     size = path.stat().st_size
     assert size > 10 ** 7
     assert peak - live < size / 4, (peak - live, size)
+
+
+# -- the cyclic collector ---------------------------------------------------------
+
+@contextlib.contextmanager
+def _collector(enabled):
+    """Run the block with the cyclic collector enabled or disabled, then
+    restore the state it had."""
+    before = gc.isenabled()
+    gc.enable() if enabled else gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable() if before else gc.disable()
+
+
+def _exit_case(case, tmp_path, graph_file):
+    """The argv of a command that exits with the code the case names."""
+    if case == "clean":
+        return ["run", "--model", "clique", "--algorithm", "boruvka",
+                "--graph", graph_file, "--out", str(tmp_path / "run.json")]
+    if case == "refused":
+        (tmp_path / "path.txt").write_text(gen_graph("path", 20).to_edge_list_text())
+        return [*SIM_CONGEST, "--graph", str(tmp_path / "path.txt"),
+                "--round-budget", "1", "--out", str(tmp_path / "sim.json")]
+    if case == "usage-error":
+        return ["simulate", "--from", "semimpc", "--to", "congest",
+                "--algorithm", "forest-merge", "--graph", graph_file]
+    if case == "parse-error":
+        return ["run", "--model", "torus"]
+    (tmp_path / "bad.json").write_text('{"model": "CLIQUE", "par')
+    return ["verify", "--trace", str(tmp_path / "bad.json")]
+
+
+@pytest.mark.parametrize("case, code", [
+    ("clean", 0), ("refused", 1), ("usage-error", 2), ("parse-error", 2),
+    ("malformed-verify", 2)])
+@pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+def test_main_leaves_the_collector_as_the_caller_had_it(case, code, collecting,
+                                                       graph_file, tmp_path):
+    argv = _exit_case(case, tmp_path, graph_file)
+    with _collector(collecting):
+        assert main(argv) == code
+        assert gc.isenabled() is collecting
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+def test_main_pauses_the_collector_for_the_command_alone(collecting, tmp_path,
+                                                         monkeypatch):
+    seen = []
+
+    def crash(args):
+        seen.append(gc.isenabled())
+        raise RuntimeError("crash")
+
+    monkeypatch.setattr(cli, "cmd_gen", crash)
+    with _collector(collecting):
+        with pytest.raises(RuntimeError, match="crash"):
+            main(["gen", "--kind", "path", "--n", "4", "--out", str(tmp_path / "g.txt")])
+        assert gc.isenabled() is collecting
+    assert seen == [False]
+
+
+def _commands_on(n, work):
+    """Every command that runs a built-in program, on inputs of size n; the
+    verify command reads the file the run command writes."""
+    graph = work / f"g{n}.txt"
+    graph.write_text(random_connected_graph(n, n // 4, 3).to_edge_list_text())
+    demand = work / f"d{n}.json"
+    demand.write_text(json.dumps([[int(j == (i + 1) % n) for j in range(n)]
+                                  for i in range(n)]))
+    run_file = work / f"run{n}.json"
+    commands = {
+        "run": ["run", "--model", "clique", "--algorithm", "boruvka",
+                "--graph", str(graph), "--out", str(run_file)],
+        "verify": ["verify", "--trace", str(run_file)],
+        "route": ["route", "--demand", str(demand), "--out", str(work / f"route{n}.json")],
+    }
+    for direction, argv in SIM_DIRECTIONS.items():
+        commands[f"simulate-{direction}"] = [*argv, "--graph", str(graph),
+                                             "--out", str(work / f"{direction}{n}.json")]
+    return commands
+
+
+@pytest.mark.parametrize("command", ["run", "verify", "simulate-clique",
+                                     "simulate-congest", "simulate-semimpc", "route"])
+def test_command_cyclic_garbage_does_not_grow_with_the_run(command, tmp_path):
+    # with the collector paused only reference counting frees what a command
+    # allocates, which is safe while the cyclic garbage a command leaves (the
+    # argument parser's) does not grow with the input
+    garbage = []
+    for n in (16, 64):
+        commands = _commands_on(n, tmp_path)
+        if command == "verify":
+            assert main(commands["run"]) == 0
+        with _collector(False):
+            gc.collect()
+            assert main(commands[command]) == 0
+            garbage.append(gc.collect())
+    assert garbage[0] == garbage[1], garbage

@@ -269,6 +269,15 @@ def test_per_round_json_rejects_missing_or_short_space():
             RoundTrace.from_per_round_json(2, rounds)
 
 
+def test_per_round_json_rejects_negative_space():
+    # used to read back with space high-water (0, 3)
+    with pytest.raises(ValueError, match="round 1 lists negative space -5 for participant 0"):
+        RoundTrace.from_per_round_json(2, [{"transfers": [[0, 1, 1]], "space": [-5, 3]}])
+    rounds = [{"transfers": [], "space": [0, 0]}, {"transfers": [], "space": [3, -1]}]
+    with pytest.raises(ValueError, match="round 2 lists negative space -1 for participant 1"):
+        RoundTrace.from_per_round_json(2, rounds)
+
+
 def reference_from_per_round_json(num_participants, per_round):
     """The one-by-one ledger reader, kept as the specification of
     RoundTrace.from_per_round_json."""
@@ -296,6 +305,11 @@ def reference_from_per_round_json(num_participants, per_round):
         if space and set(map(type, space)) != {int}:
             raise ValueError(
                 f"round {round_no} lists a space value that is not an integer")
+        for i, words in enumerate(space):
+            if words < 0:
+                raise ValueError(
+                    f"round {round_no} lists negative space {words}"
+                    f" for participant {i}")
         rounds.append(RoundRecord(transfers=tuple(transfers), space=space))
     return RoundTrace(num_participants=num_participants, rounds=tuple(rounds))
 
