@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import FieldCodec, Graph, Message
+from .core import FieldCodec, Graph, Message, edge_pairs, incident_edges
 from .engines import (
     ModelKind,
     ModelParams,
@@ -177,10 +177,8 @@ class _CliqueOnSemiMpc(NodeProgram):
         self.n = n
 
     def init(self, pid: int, input_words):
-        words = list(input_words)
-        edges = tuple((words[i], words[i + 1]) for i in range(0, len(words), 2))
         # state: (pid, native round about to run, stored edges, node state)
-        return (pid, 0, edges, None)
+        return (pid, 0, edge_pairs(input_words), None)
 
     def on_round(self, state, inbox):
         pid, native_round, stored, node_state = state
@@ -192,10 +190,8 @@ class _CliqueOnSemiMpc(NodeProgram):
             return (pid, 1, (), None), outbox, False
 
         if native_round == 1:
-            incident = tuple(sorted(
-                (min(pid, w), max(pid, w))
-                for msg in inbox for w in msg.payload))
-            node_state = self.inner.init(pid, incident)
+            node_state = self.inner.init(pid, incident_edges(
+                pid, [w for _src, _dst, payload in inbox for w in payload]))
             node_state, outbox, halt = self.inner.on_round(node_state, [])
             return (pid, 2, (), node_state), list(outbox), halt
 
@@ -330,7 +326,6 @@ class _SemiMpcOnClique(Relay):
         self.p = p
         self.sent = sent
         self.native_round_of = [r for r, _s in episodes]
-        self.by_base = {base: idx for idx, (base, _s) in enumerate(self.episodes)}
         self.machine_inputs = [tuple(words) for words in machine_inputs]
 
     def _host_init(self, pid, local_input):
@@ -351,33 +346,31 @@ class _SemiMpcOnClique(Relay):
                 self_target, self_msgs)
 
     def _emit(self, pid, host, round_no):
-        episode = self.by_base.get(round_no)
-        if episode is None or pid >= self.p:
+        # a hosted machine queues an episode's words in the episode's first round
+        episode, _phase_a = self.phase_of.get(round_no, (None, False))
+        if episode is None or pid >= self.p or self.episodes[episode][0] != round_no:
             return host, ()
         return self._advance(pid, host, self.native_round_of[episode], episode)
 
     # -- native-round helpers ------------------------------------------------
 
     def _reconstruct(self, pid, arrivals, self_msgs):
-        messages = []
-        by_src: dict[int, list] = {}
-        for src, seq, value, flag in arrivals:
-            by_src.setdefault(src, []).append((seq, value, flag))
-        for src in sorted(by_src):
-            entries = sorted(by_src[src])
-            for expect, (seq, _value, _flag) in enumerate(entries):
-                if seq != expect:
-                    raise RuntimeError("routing lost or duplicated a word")
-            payload: list[int] = []
-            for seq, value, flag in entries:
-                if flag and payload:
-                    messages.append(Message(src, pid, payload))
-                    payload = []
-                payload.append(value)
-            if payload:
-                messages.append(Message(src, pid, payload))
-        for payload in self_msgs:
-            messages.append(Message(pid, pid, payload))
+        """The inbox of a native round: the relayed words, reassembled in
+        (source, seq) order, and the machine's own messages at its place."""
+        parts = []
+        src = expect = None
+        for s, seq, value, flag in sorted(arrivals):
+            # each source's words carry seq 0, 1, 2, ... once each
+            expect = expect + 1 if s == src else 0
+            if seq != expect:
+                raise RuntimeError("routing lost or duplicated a word")
+            src = s
+            if flag or not seq:
+                words = []
+                parts.append((s, words))
+            words.append(value)
+        messages = [Message(s, pid, words) for s, words in parts]
+        messages += [Message(pid, pid, payload) for payload in self_msgs]
         messages.sort(key=lambda m: m.src)
         return messages
 
@@ -388,13 +381,11 @@ class _SemiMpcOnClique(Relay):
          self_target, self_msgs) = host
         cross = ()
         for r in range(next_native, until + 1):
-            inbox = []
-            if arrivals and arrivals_target == r:
-                inbox = self._reconstruct(pid, arrivals, self_msgs
-                                          if self_target == r else ())
+            # words are delivered in the native round they were sent for
+            inbox = self._reconstruct(pid, arrivals if arrivals_target == r else (),
+                                      self_msgs if self_target == r else ())
+            if arrivals_target == r:
                 arrivals = ()
-            elif self_target == r and self_msgs:
-                inbox = self._reconstruct(pid, (), self_msgs)
             if self_target == r:
                 self_msgs = ()
             machine_state, outbox, _halt = self.inner.on_round(machine_state, inbox)
@@ -554,30 +545,27 @@ class _CongestOnSemiMpc(NodeProgram):
         if self.edgeless:
             # replay-only state: (per-vertex node states, internal messages)
             return (tuple(self.inner.init(v, ()) for v in range(self.n)), ())
-        words = list(input_words)
-        stored = tuple((words[i], words[i + 1]) for i in range(0, len(words), 2))
         # state: (pid, engine round, stored edges, my vertices, packed
         #         locations, (my vertex, node state) pairs aligned with my
         #         vertices, internal messages)
-        return (pid, 1, stored, (), (), (), ())
+        return (pid, 1, edge_pairs(input_words), (), (), (), ())
 
     def _on_round_edgeless(self, state, inbox):
         node_states, internal = state
-        per_vertex: dict[int, list[tuple[int, int]]] = {}
-        for src_v, dst_v, value in internal:
-            per_vertex.setdefault(dst_v, []).append((src_v, value))
-        halt = False
-        new_states = []
-        new_internal = []
-        for v, nstate in enumerate(node_states):
-            node_inbox = [Message(u, v, (value,))
-                          for u, value in sorted(per_vertex.get(v, ()))]
-            nstate, outbox, node_halt = self.inner.on_round(nstate, node_inbox)
-            new_states.append(nstate)
-            halt = halt or node_halt
-            # a single machine hosts every vertex, so all traffic is internal
-            new_internal.extend((v, m.dst, m.payload[0]) for m in outbox)
-        return (tuple(new_states), tuple(new_internal)), [], halt
+        # a single machine hosts every vertex, so all traffic is internal
+        stepped, internal, _keyed, halt = self._step(
+            0, enumerate(node_states), {v: [] for v in range(self.n)}, internal, {})
+        return (tuple(nstate for _v, nstate in stepped), internal), [], halt
+
+    def _setup_words(self, inbox, *tags):
+        """(sender, tag, a, b, c) per word of a setup round's inbox, in
+        inbox order; a word with any other tag is refused."""
+        for src, _dst, payload in inbox:
+            for word in payload:
+                fields = self.codec.unpack(word)
+                if fields[0] not in tags:
+                    raise RuntimeError("unexpected word during setup")
+                yield (src, *fields)
 
     def on_round(self, state, inbox):
         if self.edgeless:
@@ -615,13 +603,9 @@ class _CongestOnSemiMpc(NodeProgram):
                 for u, v in stored:
                     degrees[u] += 1
                     degrees[v] += 1
-                for msg in inbox:
-                    for word in msg.payload:
-                        tag, v, d, _x = self.codec.unpack(word)
-                        if tag != _TAG_DEGREE:
-                            raise RuntimeError("unexpected word during setup")
-                        degrees[v] += d
-                        reported.append((msg.src, v))
+                for h, _tag, v, d, _x in self._setup_words(inbox, _TAG_DEGREE):
+                    degrees[v] += d
+                    reported.append((h, v))
                 assignment = compute_node_assignment(degrees, self.machines)
                 maps = [pack((_TAG_MAP, v, a, 0))
                         for v, a in enumerate(assignment.machine_of)]
@@ -636,17 +620,11 @@ class _CongestOnSemiMpc(NodeProgram):
 
         if round_no == 3:
             # holders ship each edge to the machines simulating its endpoints;
-            # the sorter ships every machine its vertex slice in parallel
-            endpoint_machine: dict[int, int] = {}
-            for word in location:  # the sorter's own stash of packed maps
-                _tag, a, b, _x = self.codec.unpack(word)
-                endpoint_machine[a] = b
-            for msg in inbox:
-                for word in msg.payload:
-                    tag, a, b, _x = self.codec.unpack(word)
-                    if tag != _TAG_MAP:
-                        raise RuntimeError("unexpected word during setup")
-                    endpoint_machine[a] = b
+            # the sorter ships every machine its vertex slice in parallel.  The
+            # endpoint machines: the sorter's own stash of maps, then the answers
+            endpoint_machine = {a: b for _t, a, b, _x in map(self.codec.unpack, location)}
+            endpoint_machine.update(
+                (a, b) for _h, _t, a, b, _x in self._setup_words(inbox, _TAG_MAP))
             # only the sorter holds slices: it sends n words, machine a gets its slice
             outbox = _keyed_send(pid, ((a, pack((_TAG_VERTEX, v, 0, 0)))
                                        for a, vertices in enumerate(mine)
@@ -660,15 +638,11 @@ class _CongestOnSemiMpc(NodeProgram):
         if round_no == 4:
             my_vertices = []
             arrivals = []
-            for msg in inbox:
-                for word in msg.payload:
-                    tag, a, b, extra = self.codec.unpack(word)
-                    if tag == _TAG_VERTEX:
-                        my_vertices.append(a)
-                    elif tag == _TAG_EDGE:
-                        arrivals.append((a, b, extra))
-                    else:
-                        raise RuntimeError("unexpected word during setup")
+            for _h, tag, a, b, extra in self._setup_words(inbox, _TAG_VERTEX, _TAG_EDGE):
+                if tag == _TAG_VERTEX:
+                    my_vertices.append(a)
+                else:
+                    arrivals.append((a, b, extra))
             mine = tuple(sorted(my_vertices))
             neighbor_lists: dict[int, list[int]] = {v: [] for v in mine}
             remote: dict[int, int] = {}
@@ -680,34 +654,38 @@ class _CongestOnSemiMpc(NodeProgram):
             location = tuple(sorted(pack((_TAG_MAP, v, host, 0))
                                     for v, host in remote.items()))
             node_states = tuple(
-                (v, self.inner.init(
-                    v, tuple(sorted((min(v, u), max(v, u))
-                                    for u in neighbor_lists[v]))))
-                for v in mine)
+                (v, self.inner.init(v, incident_edges(v, neighbor_lists[v]))) for v in mine)
             return self._replay(pid, 5, mine, location, node_states, (), [])
 
     def _replay(self, pid, next_round_no, mine, location, node_states,
                 internal, inbox):
-        pack = self.codec.pack
         unpack = self.codec.unpack
-        inner_round = self.inner.on_round
         # pre-filled, so a word for a vertex this machine does not host is
         # refused (KeyError) rather than replayed
         per_vertex: dict[int, list[tuple[int, int]]] = {v: [] for v in mine}
-        for src_v, dst_v, value in internal:
-            per_vertex[dst_v].append((src_v, value))
         for _src, _dst, payload in inbox:
             for word in payload:
                 tag, src_v, dst_v, value = unpack(word)
                 if tag != _TAG_EDGE:
                     raise RuntimeError("unexpected word during replay")
                 per_vertex[dst_v].append((src_v, value))
+        remote = {v: host for _tag, v, host, _x in map(unpack, location)}
+        node_states, internal, keyed, halt = self._step(
+            pid, node_states, per_vertex, internal, remote)
+        state = (pid, next_round_no, (), mine, location, tuple(node_states), internal)
+        # sends and receives at most one word per edge between this machine and another
+        return state, _keyed_send(pid, keyed), halt
 
-        remote = {}
-        for word in location:
-            _tag, v, host, _x = unpack(word)
-            remote[v] = host
-
+    def _step(self, pid, node_states, per_vertex, internal, remote):
+        """One native round of the (vertex, node state) pairs machine pid
+        hosts: deliver the internal messages and the arrivals in per_vertex
+        (which lists every hosted vertex), step each vertex, and route its
+        outbox.  Returns the new pairs, the new internal messages, the
+        keyed words for the machines in `remote`, and whether any halted."""
+        pack = self.codec.pack
+        inner_round = self.inner.on_round
+        for src_v, dst_v, value in internal:
+            per_vertex[dst_v].append((src_v, value))
         new_states = []
         new_internal = []
         keyed = []
@@ -729,10 +707,7 @@ class _CongestOnSemiMpc(NodeProgram):
                     new_internal.append((v, dst, payload[0]))
                 else:
                     keyed.append((host, pack((_TAG_EDGE, v, dst, payload[0]))))
-        state = (pid, next_round_no, (), mine, location, tuple(new_states),
-                 tuple(new_internal))
-        # sends and receives at most one word per edge between this machine and another
-        return state, _keyed_send(pid, keyed), halt
+        return new_states, tuple(new_internal), keyed, halt
 
     def output(self, state):
         # (vertex, node state) pairs
@@ -746,13 +721,11 @@ class _CongestOnSemiMpc(NodeProgram):
         return out
 
 
-def _congest_memory_hypothesis(native: RunResult, g: Graph,
-                               c_space: int) -> tuple[bool, int, float]:
+def _congest_memory_hypothesis(native: RunResult, g: Graph, c_space: int) -> None:
     """Per-node memory must stay linear in what the node receives (plus its
-    own edge list): high-water <= c_space * (received + degree) + 8 words."""
-    worst_ratio = 0.0
-    ok = True
-    worst_v = -1
+    own edge list): high-water <= c_space * (received + degree) + 8 words.
+    Otherwise the simulation is refused, naming the node of largest ratio."""
+    worst_ratio, worst_v, ok = 0.0, -1, True
     recv = [0] * g.n
     for rec in native.trace.rounds:
         for _s, d, w in rec.transfers:
@@ -763,9 +736,11 @@ def _congest_memory_hypothesis(native: RunResult, g: Graph,
         ratio = peaks[v] / allowed if allowed else 0.0
         if ratio > worst_ratio:
             worst_ratio, worst_v = ratio, v
-        if peaks[v] > allowed:
-            ok = False
-    return ok, worst_v, worst_ratio
+        ok = ok and peaks[v] <= allowed
+    if not ok:
+        raise SimulationRefused(
+            f"node {worst_v} uses memory {worst_ratio:.2f}x beyond linear in"
+            " its received words; simulation refused")
 
 
 def simulate_congest_on_semimpc(prog: NodeProgram, g: Graph,
@@ -790,12 +765,7 @@ def simulate_congest_on_semimpc(prog: NodeProgram, g: Graph,
         raise SimulationRefused(
             f"round budget {t_budget} below the native round count {t_native}")
 
-    mem_ok, worst_v, worst_ratio = _congest_memory_hypothesis(native, g, c_space)
-    if not mem_ok:
-        raise SimulationRefused(
-            f"node {worst_v} uses memory {worst_ratio:.2f}x beyond linear in"
-            " its received words; simulation refused")
-
+    _congest_memory_hypothesis(native, g, c_space)
     machines = min(max(1, -(-c_machines * t_budget * g.m // n)), n)
 
     inputs = distribute_edges(g, machines, seed)

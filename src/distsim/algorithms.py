@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from itertools import chain
 
-from .core import Graph, Message, UnionFind, components_by_union_find
+from .core import Graph, Message, UnionFind, components_by_union_find, edge_pairs
 from .engines import NodeProgram
 
 
@@ -162,20 +162,14 @@ class ForestMergeConnectivity(NodeProgram):
         self.total_rounds = self.merge_steps + 1
 
     def init(self, pid: int, local_input):
-        words = list(local_input)
-        if len(words) % 2:
-            raise ValueError("edge input must hold (u, v) word pairs")
-        edges = [(words[i], words[i + 1]) for i in range(0, len(words), 2)]
         # state: (pid, round no, forest edges)
-        return (pid, 1, spanning_forest(self.n, edges))
+        return (pid, 1, spanning_forest(self.n, edge_pairs(local_input)))
 
     def on_round(self, state, inbox: list[Message]):
         pid, round_no, forest = state
         gathered = list(forest)
-        for msg in inbox:
-            words = msg.payload
-            gathered.extend((words[i], words[i + 1])
-                            for i in range(0, len(words), 2))
+        for _src, _dst, payload in inbox:
+            gathered.extend(edge_pairs(payload))
         if gathered != list(forest):
             forest = spanning_forest(self.n, gathered)
         outbox = []

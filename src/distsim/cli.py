@@ -431,35 +431,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("run", help="run an algorithm natively under a model")
-    p.add_argument("--model", required=True, choices=sorted(MODEL_FLAGS))
-    p.add_argument("--algorithm", required=True,
-                   choices=sorted(ALGORITHM_MODELS))
-    p.add_argument("--graph", required=True)
-    p.add_argument("--machines", type=int, default=None,
-                   help="machine count for semi-MPC runs (default 4)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--constants", nargs="*", default=[],
-                   metavar="KEY=VALUE")
-    p.add_argument("--out", default="run_result.json")
-    p.set_defaults(func=cmd_run)
+    run = sub.add_parser("run", help="run an algorithm natively under a model")
+    run.add_argument("--model", required=True, choices=sorted(MODEL_FLAGS))
+    run.set_defaults(func=cmd_run, out="run_result.json")
 
-    p = sub.add_parser("simulate",
-                       help="run an algorithm through a simulation adapter")
-    p.add_argument("--from", dest="source", required=True,
-                   choices=sorted(MODEL_FLAGS))
-    p.add_argument("--to", dest="target", required=True,
-                   choices=sorted(MODEL_FLAGS))
-    p.add_argument("--algorithm", required=True,
-                   choices=sorted(ALGORITHM_MODELS))
-    p.add_argument("--graph", required=True)
-    p.add_argument("--machines", type=int, default=None)
-    p.add_argument("--round-budget", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--constants", nargs="*", default=[],
-                   metavar="KEY=VALUE")
-    p.add_argument("--out", default="simulation_report.json")
-    p.set_defaults(func=cmd_simulate)
+    sim = sub.add_parser("simulate",
+                         help="run an algorithm through a simulation adapter")
+    sim.add_argument("--from", dest="source", required=True,
+                     choices=sorted(MODEL_FLAGS))
+    sim.add_argument("--to", dest="target", required=True,
+                     choices=sorted(MODEL_FLAGS))
+    sim.add_argument("--round-budget", type=int, default=None)
+    sim.set_defaults(func=cmd_simulate, out="simulation_report.json")
+
+    for p in (run, sim):  # both run an algorithm on a graph file
+        p.add_argument("--algorithm", required=True,
+                       choices=sorted(ALGORITHM_MODELS))
+        p.add_argument("--graph", required=True)
+        p.add_argument("--machines", type=int, default=None,
+                       help="machine count for semi-MPC runs (default 4)")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--constants", nargs="*", default=[],
+                       metavar="KEY=VALUE")
+        p.add_argument("--out")
 
     p = sub.add_parser("route",
                        help="plan and execute a routing demand matrix")

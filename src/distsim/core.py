@@ -140,14 +140,26 @@ class Graph:
         return (u, v) in self.arcs
 
     def incident_edges(self, v: int) -> tuple[tuple[int, int], ...]:
-        """Sorted (u, w) pairs touching v; the per-node local input of the
-        vertex-centric engines."""
-        return tuple(sorted((min(v, u), max(v, u)) for u in self.neighbors[v]))
+        return incident_edges(v, self.neighbors[v])
 
     def to_edge_list_text(self) -> str:
         lines = [f"{self.n} {self.m}"]
         lines.extend(f"{u} {v}" for u, v in sorted(self.edges))
         return "\n".join(lines) + "\n"
+
+
+def incident_edges(v: int, neighbors) -> tuple[tuple[int, int], ...]:
+    """Sorted (u, w) pairs joining v to each neighbor: the local input of a
+    vertex, natively and in every adapter that hosts it."""
+    return tuple(sorted((min(v, u), max(v, u)) for u in neighbors))
+
+
+def edge_pairs(words) -> tuple[tuple[int, int], ...]:
+    """The (u, v) edges of a semi-MPC edge input, two words per edge."""
+    words = tuple(words)
+    if len(words) % 2:
+        raise ValueError("edge input must hold (u, v) word pairs")
+    return tuple(zip(words[::2], words[1::2]))
 
 
 def load_graph(source: str) -> Graph:
@@ -339,9 +351,15 @@ class Message(tuple):
     dst = property(itemgetter(1), doc="Receiving participant.")
     payload = property(itemgetter(2), doc="The words, as a tuple of ints.")
 
-    @property
-    def words(self) -> int:
-        return len(self[2])
+
+def round_loads(transfers, participants: int) -> tuple[list[int], list[int]]:
+    """Words each participant sent and received in one round's transfers."""
+    sent = [0] * participants
+    recv = [0] * participants
+    for s, d, w in transfers:
+        sent[s] += w
+        recv[d] += w
+    return sent, recv
 
 
 @dataclass(frozen=True)
@@ -377,13 +395,8 @@ class RoundTrace:
         """Largest per-participant sent or received word count in any round."""
         worst = 0
         for rec in self.rounds:
-            sent = [0] * self.num_participants
-            recv = [0] * self.num_participants
-            for s, d, w in rec.transfers:
-                sent[s] += w
-                recv[d] += w
-            if sent:
-                worst = max(worst, max(sent), max(recv))
+            sent, recv = round_loads(rec.transfers, self.num_participants)
+            worst = max([worst, *sent, *recv])
         return worst
 
     def space_high_water(self) -> tuple[int, ...]:

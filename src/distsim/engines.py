@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 from enum import Enum
 from operator import itemgetter
 
-from .core import Graph, Message, RoundRecord, RoundTrace, word_width
+from .core import Graph, Message, RoundRecord, RoundTrace, round_loads, word_width
 
 
 class ModelKind(str, Enum):
@@ -407,11 +407,7 @@ def _round_violations(round_no: int, transfers, space, params: ModelParams,
                 out.append(Violation(rule="pair-capacity", round=round_no,
                                      src=s, dst=d, measured=load, allowed=1))
     else:
-        sent = [0] * params.p
-        recv = [0] * params.p
-        for s, d, w in transfers:
-            sent[s] += w
-            recv[d] += w
+        sent, recv = round_loads(transfers, params.p)
         for i in range(params.p):
             if sent[i] > params.s:
                 out.append(Violation(rule="sent-budget", round=round_no,

@@ -483,7 +483,7 @@ def test_message_rejects_empty_payload():
 def test_message_list_payload_becomes_tuple():
     msg = Message(src=0, dst=1, payload=[5, 6])
     assert msg.payload == (5, 6) and type(msg.payload) is tuple
-    assert (msg.src, msg.dst, msg.words) == (0, 1, 2)
+    assert (msg.src, msg.dst, len(msg.payload)) == (0, 1, 2)
 
 
 def test_message_is_immutable():
