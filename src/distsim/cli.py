@@ -163,6 +163,8 @@ def _parse_constants(pairs: list[str], keys: tuple[str, ...]) -> dict[str, int]:
         if key not in keys:
             raise UsageError(
                 f"unknown constant {key!r}; expected one of {', '.join(keys)}")
+        if key in out:
+            raise UsageError(f"constant {key} is given twice")
         try:
             out[key] = int(value)
         except ValueError:
@@ -211,6 +213,8 @@ def _semi_mpc_input(args, g: Graph, constants: dict[str, int]):
 # ---------------------------------------------------------------------------
 
 def cmd_gen(args) -> int:
+    if args.p is not None and args.kind != "gnp":
+        raise UsageError("--p is read only by --kind gnp")
     g = gen_graph(args.kind, args.n, prob=args.p, seed=args.seed)
     Path(args.out).write_text(g.to_edge_list_text(), encoding="utf-8")
     print(f"wrote {args.kind} graph: n={g.n} m={g.m} -> {args.out}")
@@ -346,7 +350,8 @@ def cmd_route(args) -> int:
 
 def _graph_from_json(doc: dict) -> Graph:
     """The graph a run file records.  Nothing is coerced: the vertex count
-    and every edge endpoint must be an int (not a bool), else ValueError."""
+    and every edge endpoint must be an int (not a bool), and the edge count
+    m the number of edges, else ValueError."""
     edges = []
     for u, v in doc["edges"]:
         if type(u) is not int or type(v) is not int:
@@ -354,29 +359,38 @@ def _graph_from_json(doc: dict) -> Graph:
         edges.append((u, v))
     if type(doc["n"]) is not int:
         raise ValueError(f"graph vertex count {doc['n']!r} is not an integer")
+    if type(doc["m"]) is not int or doc["m"] != len(edges):
+        raise ValueError(f"graph field 'm' holds {doc['m']!r}, not its {len(edges)} edges")
     return Graph(n=doc["n"], edges=tuple(edges))
 
 
-def _recheck_run(doc: dict):
+def _recheck_run(doc: dict, models: dict):
     """Re-check the run a document records from its params, ledger and graph
     alone: its params, trace, violations, and the summary fields the
-    document misstates.  `outputs` would need a re-run and is not checked."""
+    document misstates, among them `model` and the enclosing report's
+    fields in `models`, which name the params' model kind.  `outputs` would
+    need a re-run and is not checked."""
     params = ModelParams.from_json_dict(doc["params"])
     trace = RoundTrace.from_per_round_json(params.p, doc["per_round"])
     graph = None
     if doc.get("graph") is not None:
         graph = _graph_from_json(doc["graph"])
+        if graph.n != params.n:
+            raise ValueError(f"graph field 'n' holds {graph.n!r}, not params n = {params.n}")
         # a semi-MPC run's input is its graph's edge words (_semi_mpc_input)
         if params.kind == ModelKind.SEMI_MPC and params.ell != 2 * graph.m:
             raise ValueError(f"params field 'ell' holds {params.ell!r}, not"
                              f" 2m = {2 * graph.m}")
     violations = check_trace(trace, params, graph)
-    derived = {"rounds": trace.num_rounds,
+    models = {"model": doc["model"], **models}
+    derived = {**dict.fromkeys(models, params.kind.value),
+               "rounds": trace.num_rounds,
                "space_high_water": list(trace.space_high_water()),
                "violations": [v.to_json_dict() for v in violations]}
+    claimed = {**doc, **models}
     # compared as JSON text, so neither 7.0 nor true can stand for an int
     wrong = [key for key, value in derived.items()
-             if json.dumps(doc[key], sort_keys=True) != json.dumps(value, sort_keys=True)]
+             if json.dumps(claimed[key], sort_keys=True) != json.dumps(value, sort_keys=True)]
     return params, trace, violations, wrong
 
 
@@ -385,12 +399,13 @@ def cmd_verify(args) -> int:
     label = ""
     try:
         doc = json.loads(Path(args.trace).read_text(encoding="utf-8"))
-        runs = [("", doc)]
+        runs = [("", doc, {})]
         if "native" in doc and "simulated" in doc:
-            runs = [("native: ", doc["native"]), ("simulated: ", doc["simulated"])]
+            runs = [("native: ", doc["native"], {"source_model": doc["source_model"]}),
+                    ("simulated: ", doc["simulated"], {"target_model": doc["target_model"]})]
         checked = []
-        for label, run in runs:
-            checked.append((label, *_recheck_run(run)))
+        for label, run, models in runs:
+            checked.append((label, *_recheck_run(run, models)))
     except (KeyError, TypeError, ValueError) as exc:
         # ValueError covers json.JSONDecodeError
         print(f"error: malformed trace file: {label}{exc}", file=sys.stderr)

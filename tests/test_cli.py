@@ -52,6 +52,16 @@ def test_gen_unknown_flag_usage_error(tmp_path):
                    "--out", str(tmp_path / "x.txt")) == 2
 
 
+@pytest.mark.parametrize("kind", ["path", "cycle", "complete", "star"])
+def test_gen_refuses_a_probability_it_does_not_read(kind, tmp_path, capsys):
+    # only gnp reads --p; the others used to ignore it and exit 0
+    out = tmp_path / "x.txt"
+    assert run_cli("gen", "--kind", kind, "--n", "8", "--p", "0.5",
+                   "--out", str(out)) == 2
+    assert capsys.readouterr().err == "error: --p is read only by --kind gnp\n"
+    assert not out.exists()
+
+
 # -- run ------------------------------------------------------------------------
 
 @pytest.fixture
@@ -217,6 +227,22 @@ def test_constants_must_be_positive(argv, constant, graph_file, tmp_path, capsys
     key, _, value = constant.partition("=")
     assert capsys.readouterr().err == (
         f"error: constant {key} must be a positive integer, got '{value}'\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,constants", [
+    (RUN_CLIQUE, ("word_width=9", "word_width=12")),
+    (RUN_SEMIMPC, ("c_space=4", "word_width=7", "c_space=8")),
+    (SIM_CONGEST, ("c_machines=2", "c_machines=2")),
+])
+def test_constants_refuse_a_repeated_key(argv, constants, graph_file, tmp_path,
+                                         capsys):
+    # the last value used to win silently, even over an equal one
+    out = tmp_path / "out.json"
+    assert run_cli(*argv, "--graph", graph_file, "--constants", *constants,
+                   "--out", str(out)) == 2
+    key = constants[-1].partition("=")[0]
+    assert capsys.readouterr().err == f"error: constant {key} is given twice\n"
     assert not out.exists()
 
 
@@ -596,6 +622,29 @@ def test_verify_names_the_doctored_run_of_a_report(side, doctor, graph_file,
         assert "  rounds in the file differs from the ledger's" in lines
 
 
+@pytest.mark.parametrize("side,key", [("native", "source_model"),
+                                      ("simulated", "target_model")])
+@pytest.mark.parametrize("direction", sorted(SIM_DIRECTIONS))
+def test_verify_checks_a_report_names_its_models(direction, side, key, graph_file,
+                                                  tmp_path, capsys):
+    # a report's model names are its runs' params kinds; an edited one used
+    # to verify with exit 0
+    out = tmp_path / "sim.json"
+    doc = _simulate(direction, graph_file, out)
+    assert doc[key] == doc[side]["params"]["kind"]
+    doc[key] = "CONGEST" if doc[key] != "CONGEST" else "CLIQUE"
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("verify", "--trace", str(out)) == 1
+    expected = []
+    for run in ("native", "simulated"):
+        expected.append(f"{run}: model={doc[run]['model']} rounds={doc[run]['rounds']}"
+                        " violations=0")
+        if run == side:
+            expected.append(f"  {key} in the file differs from the ledger's")
+    assert capsys.readouterr().out.splitlines() == expected
+
+
 def test_verify_refuses_a_report_with_a_malformed_run(graph_file, tmp_path,
                                                       capsys):
     out = tmp_path / "sim.json"
@@ -615,7 +664,8 @@ def test_verify_refuses_a_report_with_a_malformed_run(graph_file, tmp_path,
     ("violations", lambda doc: doc["violations"].append(
         {"rule": "pair-capacity", "round": 1, "src": 0, "dst": 1,
          "participant": None, "measured": 2, "allowed": 1})),
-], ids=["rounds", "float-rounds", "space-high-water", "violations"])
+    ("model", lambda doc: doc.update(model="CONGEST")),
+], ids=["rounds", "float-rounds", "space-high-water", "violations", "model"])
 def test_verify_rederives_summary_fields(field, doctor, graph_file, tmp_path,
                                          capsys):
     # each used to verify with exit 0
@@ -840,6 +890,29 @@ def test_verify_rejects_an_ell_other_than_twice_the_edges(gnp48_file, tmp_path,
     assert capsys.readouterr().err == (
         "error: malformed trace file: params field 'ell' holds 1000000,"
         " not 2m = 466\n")
+
+
+@pytest.mark.parametrize("argv", [RUN_CLIQUE, RUN_CONGEST, RUN_SEMIMPC])
+@pytest.mark.parametrize("key,value,message", [
+    ("m", 999, "graph field 'm' holds 999, not its {m} edges"),
+    ("m", 5.0, "graph field 'm' holds 5.0, not its {m} edges"),
+    ("n", 99, "graph field 'n' holds 99, not params n = 20"),
+], ids=["edited-m", "float-m", "edited-n"])
+def test_verify_refuses_a_graph_that_misstates_its_size(argv, key, value, message,
+                                                        graph_file, tmp_path, capsys):
+    # the stored vertex and edge counts used to go unread: each edit
+    # verified with exit 0
+    out = tmp_path / "run.json"
+    assert run_cli(*argv, "--graph", graph_file, "--out", str(out)) == 0
+    doc = json.loads(out.read_text())
+    m = len(doc["graph"]["edges"])
+    assert (doc["graph"]["n"], doc["graph"]["m"], doc["params"]["n"]) == (20, m, 20)
+    doc["graph"][key] = value
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("verify", "--trace", str(out)) == 2
+    assert capsys.readouterr().err == (
+        f"error: malformed trace file: {message.format(m=m)}\n")
 
 
 def test_verify_congest_trace_without_graph_exits_2(graph_file, tmp_path,

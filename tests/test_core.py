@@ -5,7 +5,10 @@ from hypothesis import strategies as st
 from distsim import (
     Graph,
     GraphFormatError,
+    ModelParams,
     RoundTrace,
+    Violation,
+    check_trace,
     components_oracle,
     gen_graph,
     load_graph,
@@ -372,3 +375,47 @@ def test_per_round_json_reader_matches_reference(data, p):
     assert got == _read(reference_from_per_round_json, p, per_round)
     if isinstance(got, RoundTrace):  # the rows written back read the same
         assert RoundTrace.from_per_round_json(p, got.to_per_round_json()) == got
+
+
+# -- per-round loads against a per-participant reference ----------------------
+
+@st.composite
+def _ledgers(draw):
+    """(p, rounds) of a random ledger: each round lists (src, dst, words)
+    transfers between distinct participants."""
+    p = draw(st.integers(1, 6))
+    transfer = st.tuples(st.integers(0, p - 1), st.integers(0, p - 1),
+                         st.integers(1, 30)).filter(lambda t: t[0] != t[1])
+    rounds = draw(st.lists(st.lists(transfer, max_size=8) if p > 1 else st.just([]),
+                           max_size=5))
+    return p, rounds
+
+
+def _naive_load(transfers, participant, end):
+    """Words participant sent (end 0) or received (end 1), one word at a time."""
+    words = [t[end] for t in transfers for _ in range(t[2])]
+    return words.count(participant)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ledger=_ledgers(), c_space=st.integers(1, 3), n_extra=st.integers(0, 4))
+def test_round_loads_match_a_per_participant_reference(ledger, c_space, n_extra):
+    p, rounds = ledger
+    trace = RoundTrace(p, tuple(RoundRecord(tuple(transfers), (0,) * p)
+                                for transfers in rounds))
+    loads = {(r, i, end): _naive_load(transfers, i, end)
+             for r, transfers in enumerate(rounds, 1)
+             for i in range(p) for end in (0, 1)}
+    assert trace.max_traffic() == max(loads.values(), default=0)
+    for (r, i, end), words in loads.items():
+        assert (trace.sent_words, trace.recv_words)[end](i, r) == words
+    # the semi-MPC budget rules: s = c_space * n words each way per round
+    params = ModelParams.semi_mpc(p + n_extra, p, ell=0, c_space=c_space)
+    got = [v for v in check_trace(trace, params)
+           if v.rule in ("sent-budget", "recv-budget")]
+    want = [Violation(rule=rule, round=r, participant=i, measured=loads[r, i, end],
+                      allowed=params.s)
+            for r in range(1, len(rounds) + 1) for i in range(p)
+            for end, rule in enumerate(("sent-budget", "recv-budget"))
+            if loads[r, i, end] > params.s]
+    assert got == want
