@@ -381,7 +381,7 @@ class _SemiMpcOnClique(Relay):
          self_target, self_msgs) = host
         cross = ()
         for r in range(next_native, until + 1):
-            # words are delivered in the native round they were sent for
+            # the inbox of native round r: the words and self-messages due in r
             inbox = self._reconstruct(pid, arrivals if arrivals_target == r else (),
                                       self_msgs if self_target == r else ())
             if arrivals_target == r:

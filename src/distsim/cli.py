@@ -364,12 +364,13 @@ def _graph_from_json(doc: dict) -> Graph:
     return Graph(n=doc["n"], edges=tuple(edges))
 
 
-def _recheck_run(doc: dict, models: dict):
+def _recheck_run(doc: dict, report_models: dict):
     """Re-check the run a document records from its params, ledger and graph
     alone: its params, trace, violations, and the summary fields the
-    document misstates, among them `model` and the enclosing report's
-    fields in `models`, which name the params' model kind.  `outputs` would
-    need a re-run and is not checked."""
+    document misstates, among them `model` and, in a report, the
+    `report_models` field (source_model or target_model): each must name
+    the params' model kind.  `outputs` would need a re-run and is not
+    checked."""
     params = ModelParams.from_json_dict(doc["params"])
     trace = RoundTrace.from_per_round_json(params.p, doc["per_round"])
     graph = None
@@ -382,12 +383,11 @@ def _recheck_run(doc: dict, models: dict):
             raise ValueError(f"params field 'ell' holds {params.ell!r}, not"
                              f" 2m = {2 * graph.m}")
     violations = check_trace(trace, params, graph)
-    models = {"model": doc["model"], **models}
-    derived = {**dict.fromkeys(models, params.kind.value),
+    claimed = {**doc, **report_models}
+    derived = {**dict.fromkeys(["model", *report_models], params.kind.value),
                "rounds": trace.num_rounds,
                "space_high_water": list(trace.space_high_water()),
                "violations": [v.to_json_dict() for v in violations]}
-    claimed = {**doc, **models}
     # compared as JSON text, so neither 7.0 nor true can stand for an int
     wrong = [key for key, value in derived.items()
              if json.dumps(claimed[key], sort_keys=True) != json.dumps(value, sort_keys=True)]
@@ -404,8 +404,8 @@ def cmd_verify(args) -> int:
             runs = [("native: ", doc["native"], {"source_model": doc["source_model"]}),
                     ("simulated: ", doc["simulated"], {"target_model": doc["target_model"]})]
         checked = []
-        for label, run, models in runs:
-            checked.append((label, *_recheck_run(run, models)))
+        for label, run, report_models in runs:
+            checked.append((label, *_recheck_run(run, report_models)))
     except (KeyError, TypeError, ValueError) as exc:
         # ValueError covers json.JSONDecodeError
         print(f"error: malformed trace file: {label}{exc}", file=sys.stderr)

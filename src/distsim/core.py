@@ -140,6 +140,7 @@ class Graph:
         return (u, v) in self.arcs
 
     def incident_edges(self, v: int) -> tuple[tuple[int, int], ...]:
+        """Vertex v's local input in the vertex-centric engines."""
         return incident_edges(v, self.neighbors[v])
 
     def to_edge_list_text(self) -> str:
