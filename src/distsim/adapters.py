@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import FieldCodec, Graph, Message, edge_pairs, incident_edges
+from .core import FieldCodec, Graph, Message, edge_pairs, id_width, incident_edges
 from .engines import (
     ModelKind,
     ModelParams,
@@ -172,9 +172,8 @@ class _CliqueOnSemiMpc(NodeProgram):
     replays it verbatim: simulated round r+1 is native round r.
     """
 
-    def __init__(self, inner: NodeProgram, n: int):
+    def __init__(self, inner: NodeProgram):
         self.inner = inner
-        self.n = n
 
     def init(self, pid: int, input_words):
         # state: (pid, native round about to run, stored edges, node state)
@@ -236,7 +235,7 @@ def simulate_cc_on_semimpc(prog: NodeProgram, g: Graph, *,
         n, p=n, ell=2 * g.m, word_width_bits=native.params.word_width_bits,
         c_space=c_space, round_cap=native.rounds_used + 10)
 
-    sim = run_mpc(_CliqueOnSemiMpc(prog, n), inputs, semi)
+    sim = run_mpc(_CliqueOnSemiMpc(prog), inputs, semi)
 
     t_native = native.rounds_used
     sim_peaks = sim.trace.space_high_water()
@@ -379,24 +378,24 @@ class _SemiMpcOnClique(Relay):
         the phase-A entries of the episode (if any) that ends the run."""
         (machine_state, next_native, arrivals_target, arrivals,
          self_target, self_msgs) = host
+        # held words always feed the next native round; none may wait longer
+        if (arrivals and arrivals_target != next_native
+                or self_msgs and self_target != next_native):
+            raise RuntimeError(
+                f"machine {pid} holds words for a round other than {next_native}")
         cross = ()
         for r in range(next_native, until + 1):
-            # the inbox of native round r: the words and self-messages due in r
-            inbox = self._reconstruct(pid, arrivals if arrivals_target == r else (),
-                                      self_msgs if self_target == r else ())
-            if arrivals_target == r:
-                arrivals = ()
-            if self_target == r:
-                self_msgs = ()
+            # the inbox of native round r: the words relayed since round
+            # r - 1 and the machine's own messages from round r - 1
+            inbox = self._reconstruct(pid, arrivals, self_msgs)
+            arrivals = ()
             machine_state, outbox, _halt = self.inner.on_round(machine_state, inbox)
             outbox = tuple(outbox)
             cross = tuple(m for m in outbox if m.dst != pid)
             if cross != self.sent[r - 1].get(pid, ()):
                 raise RuntimeError(
                     f"machine {pid} diverged from its native run in round {r}")
-            new_self = tuple(m.payload for m in outbox if m.dst == pid)
-            if new_self:
-                self_msgs, self_target = new_self, r + 1
+            self_msgs = tuple(m.payload for m in outbox if m.dst == pid)
         outgoing = []
         if episode is not None:
             base, schedule = self.episodes[episode]
@@ -409,7 +408,7 @@ class _SemiMpcOnClique(Relay):
                     outgoing.append((base + ra - 1, mid, m.dst, seq,
                                      value, 1 if j == 0 else 0))
         host = (machine_state, until + 1, arrivals_target, arrivals,
-                self_target, self_msgs)
+                until + 1, self_msgs)
         return host, tuple(outgoing)
 
     def output(self, state):
@@ -446,19 +445,17 @@ def simulate_semimpc_on_cc(prog: NodeProgram, inputs: list[list[int]],
     recorded = {src: iter(rounds) for src, rounds in recorder.sent.items()}
     sent: list[dict[int, tuple[Message, ...]]] = []
     episodes: list[tuple[int, Schedule]] = []
-    max_seq = 0
+    max_count = 1  # the most words one pair exchanges in a round
     for r, rec in enumerate(native.trace.rounds, 1):
         senders = dict.fromkeys(src for src, _dst, _w in rec.transfers)
         sent.append({src: next(recorded[src]) for src in senders})
         if not senders:
             continue
         demand = DemandMatrix.from_transfers(n, rec.transfers)
-        max_seq = max([max_seq] + [count - 1 for _s, _d, count in demand.cells])
+        max_count = max([max_count] + [count for _s, _d, count in demand.cells])
         episodes.append((r, plan_routing(demand)))
 
-    w_id = max(1, (n - 1).bit_length())
-    w_seq = max(1, max_seq.bit_length())
-    widths = (w_id, w_seq, params.word_width_bits, 1)
+    widths = (id_width(n), id_width(max_count), params.word_width_bits, 1)
     wrapper = _SemiMpcOnClique(prog, p, episodes, sent, widths, inputs)
     clique_params = ModelParams.clique(
         n, word_width_bits=sum(widths),
@@ -770,8 +767,7 @@ def simulate_congest_on_semimpc(prog: NodeProgram, g: Graph,
 
     inputs = distribute_edges(g, machines, seed)
 
-    w_id = max(1, (n - 1).bit_length())
-    widths = (2, w_id, w_id, native.params.word_width_bits)
+    widths = (2, id_width(n), id_width(n), native.params.word_width_bits)
     semi = ModelParams.semi_mpc(
         n, p=machines, ell=2 * g.m, word_width_bits=sum(widths),
         c_space=c_space, round_cap=t_native + 10)

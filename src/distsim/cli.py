@@ -27,6 +27,7 @@ from .engines import (
     EngineContractError,
     ModelKind,
     ModelParams,
+    RunResult,
     check_trace,
     distribute_edges,
     run_clique,
@@ -174,10 +175,6 @@ def _parse_constants(pairs: list[str], keys: tuple[str, ...]) -> dict[str, int]:
     return out
 
 
-def _load_graph_file(path: str) -> Graph:
-    return load_graph(Path(path).read_text(encoding="utf-8"))
-
-
 def _make_program(args, model: ModelKind, g: Graph):
     """The algorithm's program, refused unless it runs on the given model."""
     if ALGORITHM_MODELS[args.algorithm] != model:
@@ -225,7 +222,7 @@ def cmd_run(args) -> int:
     model = MODEL_FLAGS[args.model]
     constants = _parse_constants(args.constants, RUN_CONSTANTS[model])
     _read_machines(args, model)
-    g = _load_graph_file(args.graph)
+    g = load_graph(Path(args.graph).read_text(encoding="utf-8"))
     prog = _make_program(args, model, g)
     if model == ModelKind.SEMI_MPC:
         params, inputs = _semi_mpc_input(args, g, constants)
@@ -271,7 +268,7 @@ def cmd_simulate(args) -> int:
     if args.round_budget is not None and source != ModelKind.CONGEST:
         raise UsageError("--round-budget is read only by --from congest")
     _read_machines(args, source)
-    g = _load_graph_file(args.graph)
+    g = load_graph(Path(args.graph).read_text(encoding="utf-8"))
     prog = _make_program(args, source, g)
 
     c_space = constants.get("c_space", 4)
@@ -313,10 +310,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_route(args) -> int:
     doc = json.loads(Path(args.demand).read_text(encoding="utf-8"))
-    if isinstance(doc, dict):
-        if "matrix" not in doc:
-            raise UsageError('demand file object has no "matrix" array')
-        doc = doc["matrix"]
     # nothing is coerced: from_rows refuses counts that are not ints
     if type(doc) is not list or not doc or any(type(row) is not list for row in doc):
         raise UsageError("demand file must hold a dense square array")
@@ -383,14 +376,14 @@ def _recheck_run(doc: dict, report_models: dict):
             raise ValueError(f"params field 'ell' holds {params.ell!r}, not"
                              f" 2m = {2 * graph.m}")
     violations = check_trace(trace, params, graph)
+    # the fields as the writer derives them for this run
+    written = RunResult(params, None, trace, violations, graph).to_json_dict()
+    written.update(dict.fromkeys(report_models, written["model"]))
     claimed = {**doc, **report_models}
-    derived = {**dict.fromkeys(["model", *report_models], params.kind.value),
-               "rounds": trace.num_rounds,
-               "space_high_water": list(trace.space_high_water()),
-               "violations": [v.to_json_dict() for v in violations]}
     # compared as JSON text, so neither 7.0 nor true can stand for an int
-    wrong = [key for key, value in derived.items()
-             if json.dumps(claimed[key], sort_keys=True) != json.dumps(value, sort_keys=True)]
+    wrong = [key for key in ("model", *report_models, "rounds", "space_high_water", "violations")
+             if json.dumps(claimed[key], sort_keys=True)
+             != json.dumps(written[key], sort_keys=True)]
     return params, trace, violations, wrong
 
 

@@ -33,7 +33,12 @@ def word_width(n: int) -> int:
     """Default word width in bits for an n-vertex input: ceil(log2 n) + 2."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return max((n - 1).bit_length(), 0) + 2
+    return (n - 1).bit_length() + 2
+
+
+def id_width(count: int) -> int:
+    """Bits for a field that holds any of the ids 0..count-1, at least one."""
+    return max(1, (count - 1).bit_length())
 
 
 class FieldCodec:

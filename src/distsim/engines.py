@@ -54,17 +54,6 @@ class Violation:
         return asdict(self)
 
 
-def _one_per_vertex(kind: ModelKind):
-    """The ModelParams factory of a model with one participant per vertex."""
-    def factory(n: int, *, word_width_bits: int | None = None, c_space: int = 4,
-                round_cap: int | None = None) -> "ModelParams":
-        return ModelParams(kind=kind, p=n, n=n,
-                           word_width_bits=(word_width(n) if word_width_bits is None
-                                            else word_width_bits),
-                           c_space=c_space, round_cap=round_cap)
-    return staticmethod(factory)
-
-
 C_TOTAL = 4  # the total-space law's constants (see total_space_bound)
 POLYLOG_EXP = 2
 # params files record these beside s; no rule reads c_traffic
@@ -80,14 +69,15 @@ class ModelParams:
     so replace() re-derives them: s = c_space * n under semi-MPC (else 0),
     and delta is the smallest value in [0, 1), else 0, for which p*s meets
     the law p*s <= C_TOTAL * L^(1+delta) * log2(L)^POLYLOG_EXP with
-    L = max(ell, n).
+    L = max(ell, n).  An omitted word width is word_width(n), the vertex
+    ids' width.
     """
 
     kind: ModelKind
     p: int
     n: int
     s: int = field(init=False)
-    word_width_bits: int = 8
+    word_width_bits: int | None = None
     delta: float = field(init=False)
     ell: int = 0
     c_space: int = 4
@@ -96,6 +86,8 @@ class ModelParams:
     def __post_init__(self):
         if self.p < 1:
             raise ValueError("p must be >= 1")
+        if self.word_width_bits is None:
+            object.__setattr__(self, "word_width_bits", word_width(self.n))
         if self.word_width_bits < 1:
             raise ValueError("word width must be >= 1 bit")
         if self.kind != ModelKind.SEMI_MPC and self.p != self.n:
@@ -114,19 +106,17 @@ class ModelParams:
 
     # -- factories ---------------------------------------------------------
 
-    clique = _one_per_vertex(ModelKind.CLIQUE)
-    congest = _one_per_vertex(ModelKind.CONGEST)
+    @staticmethod
+    def clique(n: int, **budgets) -> "ModelParams":
+        return ModelParams(kind=ModelKind.CLIQUE, p=n, n=n, **budgets)
 
     @staticmethod
-    def semi_mpc(n: int, p: int, *, ell: int, word_width_bits: int | None = None,
-                 c_space: int = 4, round_cap: int | None = None) -> "ModelParams":
-        """Semi-MPC params whose word width defaults to the vertex ids'."""
-        return ModelParams(
-            kind=ModelKind.SEMI_MPC, p=p, n=n,
-            word_width_bits=(word_width(n) if word_width_bits is None
-                             else word_width_bits),
-            ell=ell, c_space=c_space, round_cap=round_cap,
-        )
+    def congest(n: int, **budgets) -> "ModelParams":
+        return ModelParams(kind=ModelKind.CONGEST, p=n, n=n, **budgets)
+
+    @staticmethod
+    def semi_mpc(n: int, p: int, *, ell: int, **budgets) -> "ModelParams":
+        return ModelParams(kind=ModelKind.SEMI_MPC, p=p, n=n, ell=ell, **budgets)
 
     # -- laws ----------------------------------------------------------------
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import FieldCodec, Graph, Message, word_width
+from .core import FieldCodec, Graph, Message, id_width, word_width
 from .engines import ModelParams, NodeProgram, RunResult, run_clique
 
 
@@ -393,18 +393,6 @@ class _ScheduleHost(Relay):
         return [w for triple in state[3] for w in triple]
 
 
-def _packing_widths(sched: Schedule, payloads: dict,
-                    value_width: int | None) -> tuple[int, int, int]:
-    w_id = max(1, (sched.n - 1).bit_length())
-    max_seq = max((q for _s, _d, q in sched.assignment), default=0)
-    w_seq = max(1, max_seq.bit_length())
-    if value_width is None:
-        value_width = word_width(sched.n)
-    max_val = max(payloads.values(), default=0)
-    w_val = max(value_width, max_val.bit_length(), 1)
-    return (w_id, w_seq, w_val)
-
-
 def execute_schedule(sched: Schedule, payloads: dict[tuple[int, int, int], int],
                      *, value_width: int | None = None) -> DeliveryRecord:
     """Replay a schedule on the constraint-checked clique engine.
@@ -416,11 +404,15 @@ def execute_schedule(sched: Schedule, payloads: dict[tuple[int, int, int], int],
     takes num_rounds + 1 engine rounds: the trailing round only absorbs the
     final deliveries and sends nothing, so an empty schedule takes one.
     """
-    expected = set(sched.assignment)
-    if set(payloads) != expected:
+    if set(payloads) != set(sched.assignment):
         raise ValueError("payload keys do not match the scheduled words")
 
-    widths = _packing_widths(sched, payloads, value_width)
+    if value_width is None:
+        value_width = word_width(sched.n)
+    max_seq = max((q for _s, _d, q in sched.assignment), default=0)
+    max_val = max(payloads.values(), default=0)
+    widths = (id_width(sched.n), id_width(max_seq + 1),
+              max(value_width, max_val.bit_length(), 1))
     params = ModelParams.clique(sched.n, word_width_bits=sum(widths))
     run = run_clique(_ScheduleHost(sched, payloads, widths),
                      Graph(n=sched.n, edges=()), params)

@@ -491,7 +491,8 @@ def test_route_rejects_oversized_demand(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text, message", [
-    ('{"rows": [[0]]}', 'has no "matrix" array'),
+    # route takes a bare array; an object, with or without "matrix", is refused
+    ('{"rows": [[0]]}', "must hold a dense square array"),
     ('{"matrix": [1, 2]}', "must hold a dense square array"),
     ("[1, 2]", "must hold a dense square array"),
     ('"[[1]]"', "must hold a dense square array"),
