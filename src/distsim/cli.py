@@ -399,6 +399,13 @@ def cmd_verify(args) -> int:
         checked = []
         for label, run, report_models in runs:
             checked.append((label, *_recheck_run(run, report_models)))
+        # --machines sized a semi-MPC run file's run or a report's native run
+        label, params = checked[0][:2]
+        if params.kind == ModelKind.SEMI_MPC and "config" in doc:
+            machines = doc["config"]["machines"]
+            if type(machines) is not int or machines != params.p:
+                raise ValueError(f"config field 'machines' holds {machines!r},"
+                                 f" not params p = {params.p}")
     except (KeyError, TypeError, ValueError) as exc:
         # ValueError covers json.JSONDecodeError
         print(f"error: malformed trace file: {label}{exc}", file=sys.stderr)

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -5,10 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distsim import (
+    Assignment,
     Graph,
     Message,
+    ModelKind,
     ModelParams,
     NodeProgram,
+    RoundRecord,
+    RoundTrace,
     SimulationRefused,
     compute_node_assignment,
     components_oracle,
@@ -70,6 +75,102 @@ def test_assignment_load_bound_holds_everywhere():
         machines = rng.randrange(1, n + 1)
         a = compute_node_assignment(degrees, machines)
         assert load_bound_ok(a, degrees)
+
+
+@pytest.mark.parametrize("degrees, machines, bound", [
+    ([2, 2], 2, 4),        # 2 * the average load 4 / 2
+    ([6, 1, 1], 4, 12),    # 2 * the maximum degree 6, above the average 2
+])
+def test_load_bound_ok_is_the_factor_two_bound_at_its_edge(degrees, machines, bound):
+    def with_max_load(load):
+        loads = (load,) + (0,) * (machines - 1)
+        return Assignment(machine_of=(0,) * len(degrees),
+                          machine_vertices=(tuple(range(len(degrees))),)
+                          + ((),) * (machines - 1),
+                          machine_loads=loads)
+
+    assert load_bound_ok(with_max_load(bound), degrees)
+    assert not load_bound_ok(with_max_load(bound + 1), degrees)
+
+
+def test_assignment_needs_a_machine():
+    with pytest.raises(ValueError, match="^need at least one machine$"):
+        compute_node_assignment([1, 1], 0)
+
+
+# -- every bound check at its edge ------------------------------------------------
+
+_EDGE_GRAPH = random_connected_graph(20, 6, 3)
+_EDGE_SPACE = 4 * _EDGE_GRAPH.n  # c_space * n at the default c_space
+
+
+def _simulate_at_edge(direction):
+    g = _EDGE_GRAPH
+    if direction == "clique":
+        return simulate_cc_on_semimpc(BoruvkaConnectivity(g.n), g)
+    if direction == "semimpc":
+        return simulate_semimpc_on_cc(ForestMergeConnectivity(g.n, 4),
+                                      distribute_edges(g, 4, 0),
+                                      ModelParams.semi_mpc(g.n, 4, ell=2 * g.m))
+    return simulate_congest_on_semimpc(FloodMinLabel(g.n), g)
+
+
+def _with_rounds(run, count):
+    """The run with its trace padded by idle rounds to `count` rounds."""
+    p = run.trace.num_participants
+    idle = RoundRecord(transfers=(), space=(0,) * p)
+    rounds = run.trace.rounds + (idle,) * (count - run.rounds_used)
+    return replace(run, trace=RoundTrace(p, rounds))
+
+
+def _with_first_round(run, **fields):
+    first = replace(run.trace.rounds[0], **fields)
+    return replace(run, trace=RoundTrace(run.trace.num_participants,
+                                         (first,) + run.trace.rounds[1:]))
+
+
+def _with_machines(run, extra):
+    params = run.params
+    if params.kind == ModelKind.CLIQUE:  # one participant per vertex
+        return replace(run, params=replace(params, p=params.p + extra, n=params.n + extra))
+    return replace(run, params=replace(params, p=params.p + extra))
+
+
+# (direction, check, the engine call of the simulated run, doctor): the
+# doctor takes the simulated run, the native round count T and `over`, and
+# returns the run `over` rounds, words or machines past the check's bound
+_EDGES = [
+    ("clique", "rounds_ok", "run_mpc", lambda run, t, over: _with_rounds(run, t + 1 + over)),
+    ("clique", "rounds_big_o_ok", "run_mpc",
+     lambda run, t, over: _with_rounds(run, 2 * t + over)),
+    ("clique", "machines_ok", "run_mpc", lambda run, t, over: _with_machines(run, over)),
+    ("clique", "traffic_ok", "run_mpc", lambda run, t, over: _with_first_round(
+        run, transfers=((0, 1, _EDGE_SPACE + over),))),
+    ("clique", "space_ok", "run_mpc", lambda run, t, over: _with_first_round(
+        run, space=(_EDGE_SPACE + over,) + run.trace.rounds[0].space[1:])),
+    ("semimpc", "rounds_ok", "run_clique",
+     lambda run, t, over: _with_rounds(run, 4 * t + over)),
+    ("semimpc", "machines_ok", "run_clique", lambda run, t, over: _with_machines(run, over)),
+    ("congest", "rounds_ok", "run_mpc", lambda run, t, over: _with_rounds(run, t + 3 + over)),
+    ("congest", "machines_ok", "run_mpc", lambda run, t, over: _with_machines(run, over)),
+    ("congest", "space_ok", "run_mpc", lambda run, t, over: _with_first_round(
+        run, space=(_EDGE_SPACE + over,) + run.trace.rounds[0].space[1:])),
+]
+
+
+@pytest.mark.parametrize("over", [0, 1], ids=["at-bound", "one-over"])
+@pytest.mark.parametrize("direction, check, engine_call, doctor", _EDGES,
+                         ids=[f"{d}-{c}" for d, c, _e, _f in _EDGES])
+def test_bound_check_reads_false_one_past_its_bound(direction, check, engine_call,
+                                                    doctor, over, monkeypatch):
+    # the simulated run as the engine returned it, then doctored: a check
+    # holds at its stated bound and fails one round, word or machine past it
+    t_native = _simulate_at_edge(direction).native.rounds_used
+    engine = getattr(adapters, engine_call)
+    monkeypatch.setattr(adapters, engine_call,
+                        lambda *args: doctor(engine(*args), t_native, over))
+    report = _simulate_at_edge(direction)
+    assert report.bound_checks[check] is (over == 0)
 
 
 # -- clique on semi-MPC ----------------------------------------------------------
@@ -151,6 +252,35 @@ def test_cc_sim_refuses_oversized_placement():
     with pytest.raises(SimulationRefused, match="starts with"):
         simulate_cc_on_semimpc(BoruvkaConnectivity(12), g,
                                initial_edges=placement)
+
+
+def test_cc_sim_refuses_a_placement_for_another_machine_count():
+    g = gen_graph("path", 6)
+    with pytest.raises(SimulationRefused,
+                       match="^initial placement must cover 6 machines$"):
+        simulate_cc_on_semimpc(BoruvkaConnectivity(6), g,
+                               initial_edges=[list(g.edges)] + [[]] * 4)
+
+
+class DoubleWord(NodeProgram):
+    """Node 0 sends node 1 two words in one message: over the clique's
+    one word per pair and round."""
+
+    def init(self, pid, local_input):
+        return pid
+
+    def on_round(self, state, inbox):
+        return state, [Message(0, 1, (1, 2))] if state == 0 else [], True
+
+    def output(self, state):
+        return []
+
+
+def test_cc_sim_refuses_an_unclean_native_run():
+    with pytest.raises(SimulationRefused, match=(
+            r"^native clique run violated its own model: Violation\(rule='pair-capacity',"
+            r" round=1, src=0, dst=1, participant=None, measured=2, allowed=1\)$")):
+        simulate_cc_on_semimpc(DoubleWord(), gen_graph("path", 4))
 
 
 def test_cc_sim_random_corpus():
@@ -269,6 +399,27 @@ def test_mpc_sim_requires_semi_mpc_params():
     params = ModelParams.clique(2)
     with pytest.raises(SimulationRefused):
         simulate_semimpc_on_cc(SilentMachine(), [[], []], params)
+
+
+def test_mpc_sim_refuses_more_machines_than_clique_nodes():
+    with pytest.raises(SimulationRefused,
+                       match="^need p <= n to map machines onto clique nodes$"):
+        simulate_semimpc_on_cc(SilentMachine(), [[]] * 5,
+                               ModelParams.semi_mpc(4, 5, ell=0))
+
+
+@pytest.mark.parametrize("host", [
+    (None, 1, 2, ((1, 0, 5, 1),), 0, ()),  # relayed words due in round 2
+    (None, 1, 0, (), 3, ((5,),)),          # self-messages due in round 3
+], ids=["arrivals", "self-messages"])
+def test_mpc_sim_host_refuses_words_held_for_a_later_round(host):
+    # a hosted machine's held words always feed its next native round; words
+    # due in any other round used to sit in the host state for good
+    wrapper = adapters._SemiMpcOnClique(SilentMachine(), 2, [], [{}], (3, 1, 4, 1),
+                                        [[], []])
+    with pytest.raises(RuntimeError,
+                       match="^machine 0 holds words for a round other than 1$"):
+        wrapper._advance(0, host, 1, None)
 
 
 def test_mpc_sim_random_corpus():

@@ -246,6 +246,21 @@ def test_constants_refuse_a_repeated_key(argv, constants, graph_file, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, constant, message", [
+    (RUN_SEMIMPC, "c_space", "constants must look like key=value, got 'c_space'"),
+    (SIM_CONGEST, "c_machines:2", "constants must look like key=value, got 'c_machines:2'"),
+    (RUN_CLIQUE, "word_width=x", "constant word_width needs an integer, got 'x'"),
+    (SIM_CLIQUE, "c_space=2.5", "constant c_space needs an integer, got '2.5'"),
+])
+def test_constants_refuse_a_malformed_pair(argv, constant, message, graph_file,
+                                           tmp_path, capsys):
+    out = tmp_path / "out.json"
+    assert run_cli(*argv, "--graph", graph_file, "--constants", constant,
+                   "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_route_takes_no_constants(tmp_path, capsys):
     (tmp_path / "demand.json").write_text("[[0, 1, 0], [0, 0, 2], [1, 0, 0]]")
     out = tmp_path / "out.json"
@@ -891,6 +906,31 @@ def test_verify_rejects_an_ell_other_than_twice_the_edges(gnp48_file, tmp_path,
     assert capsys.readouterr().err == (
         "error: malformed trace file: params field 'ell' holds 1000000,"
         " not 2m = 466\n")
+
+
+@pytest.mark.parametrize("argv, label", [(RUN_SEMIMPC, ""), (SIM_SEMIMPC, "native: ")],
+                         ids=["run", "report"])
+@pytest.mark.parametrize("machines", [7, 4.0, "4"])
+def test_verify_refuses_a_config_machine_count_other_than_p(argv, label, machines,
+                                                            graph_file, tmp_path, capsys):
+    # --machines sized the semi-MPC run; an edited count used to verify with
+    # exit 0
+    out = tmp_path / "out.json"
+    assert run_cli(*argv, "--machines", "4", "--graph", graph_file,
+                   "--out", str(out)) == 0
+    doc = json.loads(out.read_text())
+    assert doc["config"]["machines"] == doc.get("native", doc)["params"]["p"] == 4
+    doc["config"]["machines"] = machines
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("verify", "--trace", str(out)) == 2
+    assert capsys.readouterr().err == (
+        f"error: malformed trace file: {label}config field 'machines' holds"
+        f" {machines!r}, not params p = 4\n")
+    # a file saved without its config is not checked against one
+    del doc["config"]
+    out.write_text(json.dumps(doc))
+    assert run_cli("verify", "--trace", str(out)) == 0
 
 
 @pytest.mark.parametrize("argv", [RUN_CLIQUE, RUN_CONGEST, RUN_SEMIMPC])

@@ -18,6 +18,8 @@ from distsim.core import (
     RoundRecord,
     components_by_bfs,
     components_by_union_find,
+    edge_pairs,
+    id_width,
     word_width,
 )
 
@@ -65,6 +67,31 @@ def test_load_count_mismatch():
     assert "promises 2" in str(info.value)
 
 
+@pytest.mark.parametrize("text, line_no, message", [
+    ("", 1, "empty input"),
+    (" \n\t\n", 1, "empty input"),
+    ("3", 1, "expected header 'n m', got '3'"),
+    ("\n3 1 0\n0 1", 2, "expected header 'n m', got '3 1 0'"),
+    ("3 x\n0 1", 1, "non-integer header '3 x'"),
+    ("0 0", 1, "vertex count 0 must be >= 1"),
+    ("3 -1", 1, "edge count -1 must be >= 0"),
+    ("3 2", 1, "header promises 2 edges, found 0"),
+    ("3 1\n0", 2, "expected 'u v', got '0'"),
+    ("3 1\n0 1 2", 2, "expected 'u v', got '0 1 2'"),
+])
+def test_load_refuses_malformed_input(text, line_no, message):
+    with pytest.raises(GraphFormatError) as info:
+        load_graph(text)
+    assert info.value.line_no == line_no
+    assert str(info.value) == f"line {line_no}: {message}"
+
+
+def test_edge_pairs_refuses_an_odd_word_count():
+    assert edge_pairs([0, 1, 2, 3]) == ((0, 1), (2, 3))
+    with pytest.raises(ValueError, match=r"^edge input must hold \(u, v\) word pairs$"):
+        edge_pairs([0, 1, 2])
+
+
 def test_load_malformed_line_names_line_number():
     with pytest.raises(GraphFormatError) as info:
         load_graph("3 1\n0 x")
@@ -107,6 +134,16 @@ def test_gen_gnp_deterministic():
 def test_gen_gnp_bad_probability():
     with pytest.raises(ValueError, match="probability out of range"):
         gen_graph("gnp", 8, prob=1.5)
+
+
+@pytest.mark.parametrize("kind, n, message", [
+    ("path", 0, "n must be >= 1"),
+    ("gnp", -1, "n must be >= 1"),
+    ("cycle", 2, "cycle needs n >= 3"),
+])
+def test_gen_refuses_too_few_vertices(kind, n, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        gen_graph(kind, n, prob=0.5 if kind == "gnp" else None)
 
 
 def test_gen_unknown_kind():
@@ -158,6 +195,14 @@ def test_word_width_default():
     assert word_width(1) == 2
     assert word_width(2) == 3
     assert word_width(256) == 10
+
+
+def test_id_width_is_the_narrowest_field_for_the_ids():
+    # every id below count fits, and one bit fewer would not hold count - 1
+    for count in range(1, 300):
+        width = id_width(count)
+        assert width >= 1 and count - 1 < 1 << width
+        assert width == 1 or count - 1 >= 1 << (width - 1)
 
 
 def test_field_codec_round_trip():

@@ -24,6 +24,7 @@ from distsim import (
     run_mpc,
     words_in,
 )
+from distsim.core import word_width
 from distsim.engines import C_TOTAL, POLYLOG_EXP, Violation, _round_violations
 
 from conftest import FixedRoundFlood, random_graph
@@ -198,6 +199,17 @@ def test_mpc_rejects_oversized_input():
         run_mpc(MpcShipper(1), [[0] * 9, []], _mpc_params())
 
 
+@pytest.mark.parametrize("params, inputs, message", [
+    (ModelParams.clique(8), [[]] * 8, "run_mpc requires SEMI_MPC params"),
+    (ModelParams.semi_mpc(8, 2, ell=0), [[]], "expected 2 machine inputs, got 1"),
+    (ModelParams.semi_mpc(8, 2, ell=4), [[0, 1], [2]],
+     "inputs hold 3 words but params declare ell=4"),
+], ids=["kind", "machine-count", "ell"])
+def test_mpc_refuses_inputs_its_params_do_not_describe(params, inputs, message):
+    with pytest.raises(EngineContractError, match=f"^{message}$"):
+        run_mpc(MpcShipper(1), inputs, params)
+
+
 def test_mpc_rejects_bad_machine_count_law():
     params = _mpc_params(p=9, s=8)
     res = run_mpc(MpcShipper(0), [[]] * 9, params)
@@ -330,18 +342,19 @@ def test_word_overflow_rejected():
 
 
 class SendsWord(NodeProgram):
-    """Node 0 sends one given word to node dst (default 1), then everyone
-    halts."""
+    """Node 0 sends one given word to node dst (default 1), after the
+    words in `lead` in the same message, then everyone halts."""
 
-    def __init__(self, word, dst=1):
+    def __init__(self, word, dst=1, lead=()):
         self.word = word
         self.dst = dst
+        self.lead = lead
 
     def init(self, pid, local_input):
         return pid
 
     def on_round(self, state, inbox):
-        out = [Message(0, self.dst, (self.word,))] if state == 0 else []
+        out = [Message(0, self.dst, self.lead + (self.word,))] if state == 0 else []
         return state, out, True
 
     def output(self, state):
@@ -398,6 +411,39 @@ def test_source_must_be_the_sender_as_an_int(src):
     with pytest.raises(EngineContractError,
                        match=re.escape(f"participant 1 emitted a message claiming src={src!r}")):
         run_clique(SendsFrom(src), gen_graph("complete", 2))
+
+
+@pytest.mark.parametrize("word, message", [
+    (1 << 4, "payload word 16 overflows 4-bit words"),
+    (-1, "payload word -1 overflows 4-bit words"),
+    (2.0, "payload word 2.0 is a float, not an int"),
+])
+def test_every_word_of_a_multi_word_payload_is_checked(word, message):
+    # a two-word message's second word goes through the same check as a
+    # one-word message's (the clique of 3 nodes has 4-bit words)
+    with pytest.raises(EngineContractError, match=f"^{re.escape(message)}$"):
+        run_clique(SendsWord(word, lead=(1,)), gen_graph("complete", 3))
+
+
+@pytest.mark.parametrize("kind, p, n, message", [
+    (ModelKind.SEMI_MPC, 0, 4, "p must be >= 1"),
+    (ModelKind.CLIQUE, 3, 4, "CLIQUE requires one participant per vertex"),
+    (ModelKind.CONGEST, 5, 4, "CONGEST requires one participant per vertex"),
+])
+def test_params_refuse_an_impossible_participant_count(kind, p, n, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ModelParams(kind=kind, p=p, n=n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 64, 1000])
+def test_an_omitted_word_width_is_the_vertex_ids_width(n):
+    # the class and its three factories share one default; the class used
+    # to default to 8 bits whatever n was
+    assert (ModelParams(kind=ModelKind.SEMI_MPC, p=1, n=n).word_width_bits
+            == ModelParams.semi_mpc(n, 1, ell=0).word_width_bits
+            == ModelParams.clique(n).word_width_bits
+            == ModelParams.congest(n).word_width_bits
+            == word_width(n))
 
 
 @pytest.mark.parametrize("factory", [ModelParams.clique, ModelParams.congest])
