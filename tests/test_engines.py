@@ -446,7 +446,8 @@ def test_an_omitted_word_width_is_the_vertex_ids_width(n):
             == word_width(n))
 
 
-@pytest.mark.parametrize("factory", [ModelParams.clique, ModelParams.congest])
+@pytest.mark.parametrize("factory", [ModelParams.clique, ModelParams.congest],
+                         ids=["factory0", "factory1"])
 def test_word_width_zero_is_not_the_default(factory):
     # `word_width_bits or word_width(n)` used to turn 0 into the default width
     with pytest.raises(ValueError, match="word width must be >= 1 bit"):
