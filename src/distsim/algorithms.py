@@ -95,9 +95,8 @@ class BoruvkaConnectivity(NodeProgram):
                     best = payload[0]
             merged = min(label, best)
             announced_by_me = merged
-            payload = (merged,)  # one shared payload: messages are immutable
-            outbox = [Message(pid, other, payload)
-                      for other in chain(range(pid), range(pid + 1, self.n))]
+            outbox = Message.fan_out(
+                pid, chain(range(pid), range(pid + 1, self.n)), (merged,))
         return (pid, round_no + 1, label, announced_by_me, sentinel, tracked), outbox, False
 
     def output(self, state) -> list[int]:

@@ -347,6 +347,21 @@ class Message(tuple):
         if not self[2]:
             raise ValueError("payload must contain at least one word")
 
+    @classmethod
+    def fan_out(cls, src: int, dsts, payload) -> list[Message]:
+        """[Message(src, d, payload) for d in dsts], in dsts order, built
+        without a Python-level constructor call per message: one payload
+        goes to many receivers (an announcement), so it is coerced once and
+        shared.  Every message still passes __post_init__."""
+        if type(payload) is not tuple:
+            payload = tuple(payload)
+        new = tuple.__new__
+        out = [new(cls, (src, dst, payload)) for dst in dsts]
+        post_init = cls.__post_init__
+        for message in out:
+            post_init(message)
+        return out
+
     def __getnewargs__(self):
         return tuple(self)
 

@@ -3,6 +3,7 @@ import random
 
 from distsim import (
     Graph,
+    Message,
     ModelParams,
     components_oracle,
     distribute_edges,
@@ -58,6 +59,24 @@ def test_boruvka_gnp_matches_oracle_with_few_phases():
     assert res.clean
     assert res.outputs == flat(components_oracle(g))
     assert merge_phases(res.rounds_used) <= math.ceil(math.log2(128))
+
+
+def test_boruvka_builds_one_message_per_ledger_transfer(monkeypatch):
+    # bench/tracer.py counts Message.__post_init__ calls as core.messages,
+    # so the announcements' fan-out must still run it once per message
+    calls = [0]
+    post_init = Message.__post_init__
+
+    def counting(self):
+        calls[0] += 1
+        post_init(self)
+
+    monkeypatch.setattr(Message, "__post_init__", counting)
+    g = gen_graph("gnp", 48, prob=0.05, seed=3)
+    res = run_clique(BoruvkaConnectivity(48), g)
+    assert res.clean and res.outputs == flat(components_oracle(g))
+    transfers = sum(len(rec.transfers) for rec in res.trace.rounds)
+    assert transfers > 47 * 48 and calls[0] == transfers
 
 
 def test_boruvka_random_corpus():

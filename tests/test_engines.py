@@ -4,6 +4,7 @@ import re
 from collections import namedtuple
 from dataclasses import replace
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -531,6 +532,43 @@ def test_message_list_payload_becomes_tuple():
     msg = Message(src=0, dst=1, payload=[5, 6])
     assert msg.payload == (5, 6) and type(msg.payload) is tuple
     assert (msg.src, msg.dst, len(msg.payload)) == (0, 1, 2)
+
+
+@pytest.mark.parametrize("dsts", [
+    lambda: range(5),
+    lambda: chain(range(2), range(3, 6)),
+    lambda: range(0),
+], ids=["range", "chain", "empty"])
+@pytest.mark.parametrize("payload", [(7,), (1, 2, 3)])
+def test_fan_out_builds_what_the_constructor_builds(dsts, payload):
+    got = Message.fan_out(2, dsts(), payload)
+    want = [Message(2, d, payload) for d in dsts()]
+    assert got == want
+    assert [type(m) for m in got] == [Message] * len(want)
+
+
+def test_fan_out_coerces_a_list_payload_once():
+    got = Message.fan_out(0, range(1, 4), [5, 6])
+    assert got == [Message(0, d, [5, 6]) for d in range(1, 4)]
+    assert all(type(m.payload) is tuple for m in got)
+    assert len({id(m.payload) for m in got}) == 1
+
+
+def test_fan_out_refuses_an_empty_payload_as_the_constructor_does():
+    for empty in ((), []):
+        with pytest.raises(ValueError, match="^payload must contain at least one word$"):
+            Message.fan_out(0, range(1, 3), empty)
+
+
+def test_fan_out_runs_post_init_once_per_message(monkeypatch):
+    # bench/tracer.py counts Message.__post_init__ calls as core.messages
+    calls = []
+    post_init = Message.__post_init__
+    monkeypatch.setattr(Message, "__post_init__",
+                        lambda self: calls.append(self) or post_init(self))
+    got = Message.fan_out(3, chain(range(3), range(4, 9)), (1,))
+    assert len(got) == 8 and calls == got
+    assert [id(m) for m in calls] == [id(m) for m in got]
 
 
 def test_message_is_immutable():
