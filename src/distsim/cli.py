@@ -17,12 +17,13 @@ from pathlib import Path
 
 from .adapters import (
     SimulationRefused,
+    compute_node_assignment,
     simulate_cc_on_semimpc,
     simulate_congest_on_semimpc,
     simulate_semimpc_on_cc,
 )
 from .algorithms import BoruvkaConnectivity, FloodMinLabel, ForestMergeConnectivity
-from .core import Graph, RoundTrace, gen_graph, load_graph
+from .core import Graph, RoundTrace, components_oracle, gen_graph, load_graph
 from .engines import (
     EngineContractError,
     ModelKind,
@@ -362,8 +363,8 @@ def _recheck_run(doc: dict, report_models: dict):
     alone: its params, trace, violations, and the summary fields the
     document misstates, among them `model` and, in a report, the
     `report_models` field (source_model or target_model): each must name
-    the params' model kind.  `outputs` would need a re-run and is not
-    checked."""
+    the params' model kind.  `outputs` cannot be re-derived from a ledger
+    (see _expected_outputs)."""
     params = ModelParams.from_json_dict(doc["params"])
     trace = RoundTrace.from_per_round_json(params.p, doc["per_round"])
     graph = None
@@ -384,7 +385,70 @@ def _recheck_run(doc: dict, report_models: dict):
     wrong = [key for key in ("model", *report_models, "rounds", "space_high_water", "violations")
              if json.dumps(claimed[key], sort_keys=True)
              != json.dumps(written[key], sort_keys=True)]
-    return params, trace, violations, wrong
+    return params, trace, graph, violations, wrong
+
+
+def _refuse_unless(field: str, held, derived, source: str) -> None:
+    """Refuse (ValueError) a report field whose JSON text is not that of the
+    value its runs derive, so neither 7.0 nor 1 can stand for 7 or true."""
+    if json.dumps(held) != json.dumps(derived):
+        raise ValueError(f"{field} holds {json.dumps(held)}, not {source}")
+
+
+def _recheck_report(doc: dict, native, simulated_params: ModelParams) -> None:
+    """Refuse a report field that the report's runs fix.  CONGEST ->
+    semi-MPC: `measured_constants.round_budget` is the config's round budget
+    (the native round count when it is null) and at least the native round
+    count, `assignment` is compute_node_assignment of the native graph's
+    degrees on the simulated machines, and `high_degree_flag` is
+    max degree * round budget > n.  Semi-MPC -> clique, when the native run
+    is clean: `episode_rounds` pairs each native round with transfers with
+    the rounds plan_routing takes for its demand."""
+    params, trace, graph, violations = native
+    if params.kind == ModelKind.CONGEST:
+        t_native = trace.num_rounds
+        budget = doc["measured_constants"]["round_budget"]
+        if type(budget) is not int or budget < t_native:
+            raise ValueError(f"measured_constants field 'round_budget' holds {budget!r},"
+                             f" not an integer of at least the {t_native} native rounds")
+        if "config" in doc:
+            stated = doc["config"]["round_budget"]
+            want = t_native if stated is None else stated
+            _refuse_unless("measured_constants field 'round_budget'", budget, want,
+                           f"{want!r}, the config's round_budget" if stated is not None
+                           else f"{want}, the native round count (config round_budget is null)")
+        degrees = graph.degrees
+        _refuse_unless("field 'assignment'", doc["assignment"],
+                       compute_node_assignment(degrees, simulated_params.p).machine_of,
+                       f"the native graph's degrees dealt onto {simulated_params.p} machines")
+        dmax = max(degrees, default=0)
+        flag = dmax * budget > params.n
+        _refuse_unless("field 'high_degree_flag'", doc["high_degree_flag"], flag,
+                       f"{json.dumps(flag)}: max degree {dmax} x round budget {budget}"
+                       f" > n = {params.n}")
+    elif params.kind == ModelKind.SEMI_MPC and not violations:
+        planned = [[r, plan_routing(DemandMatrix.from_transfers(params.n, rec.transfers))
+                    .num_rounds] for r, rec in enumerate(trace.rounds, 1) if rec.transfers]
+        _refuse_unless("field 'episode_rounds'", doc["episode_rounds"], planned,
+                       f"{planned}, the rounds plan_routing takes for each native round"
+                       " with transfers")
+
+
+def _expected_outputs(doc: dict, params: ModelParams, graph: Graph | None):
+    """The outputs a clean run file's algorithm writes on its graph, from
+    components_oracle: each vertex's [label] for boruvka and flood, every
+    label on machine 0 and nothing elsewhere for forest-merge.  None when
+    the file names no algorithm or holds no graph."""
+    algorithm = doc["config"]["algorithm"] if "config" in doc else None
+    if algorithm is None or graph is None:
+        return None
+    if ALGORITHM_MODELS.get(algorithm) != params.kind:
+        raise ValueError(f"config field 'algorithm' holds {algorithm!r}, not an"
+                         f" algorithm of the {params.kind.value} model")
+    labels = components_oracle(graph)
+    if params.kind == ModelKind.SEMI_MPC:
+        return [labels] + [[]] * (params.p - 1)
+    return [[label] for label in labels]
 
 
 def cmd_verify(args) -> int:
@@ -392,35 +456,49 @@ def cmd_verify(args) -> int:
     label = ""
     try:
         doc = json.loads(Path(args.trace).read_text(encoding="utf-8"))
+        report = "native" in doc and "simulated" in doc
         runs = [("", doc, {})]
-        if "native" in doc and "simulated" in doc:
+        if report:
             runs = [("native: ", doc["native"], {"source_model": doc["source_model"]}),
                     ("simulated: ", doc["simulated"], {"target_model": doc["target_model"]})]
         checked = []
         for label, run, report_models in runs:
             checked.append((label, *_recheck_run(run, report_models)))
         # --machines sized a semi-MPC run file's run or a report's native run
-        label, params = checked[0][:2]
+        label, params, trace, graph, violations, wrong = checked[0]
         if params.kind == ModelKind.SEMI_MPC and "config" in doc:
             machines = doc["config"]["machines"]
             if type(machines) is not int or machines != params.p:
                 raise ValueError(f"config field 'machines' holds {machines!r},"
                                  f" not params p = {params.p}")
+        label = ""
+        note = None
+        if report:
+            _recheck_report(doc, (params, trace, graph, violations), checked[1][1])
+        elif not violations:
+            expected = _expected_outputs(doc, params, graph)
+            if expected is None:
+                note = "outputs not checked: the file names no algorithm or holds no graph"
+            elif json.dumps(doc["outputs"]) != json.dumps(expected):
+                wrong.append("outputs")
     except (KeyError, TypeError, ValueError) as exc:
         # ValueError covers json.JSONDecodeError
         print(f"error: malformed trace file: {label}{exc}", file=sys.stderr)
         return 2
     code = 0
-    for label, params, trace, violations, wrong in checked:
+    for label, params, trace, _graph, violations, wrong in checked:
         print(f"{label}model={params.kind.value} rounds={trace.num_rounds} "
               f"violations={len(violations)}")
         for v in violations[:10]:
             print(f"  {v.rule} at round {v.round}: "
                   f"measured {v.measured}, allowed {v.allowed}")
         for key in wrong:
-            print(f"  {key} in the file differs from the ledger's")
+            print("  outputs in the file differ from the graph's components" if key == "outputs"
+                  else f"  {key} in the file differs from the ledger's")
         if violations or wrong:
             code = 1
+    if note:
+        print(f"  {note}")
     return code
 
 

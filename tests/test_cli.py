@@ -933,6 +933,111 @@ def test_verify_refuses_a_config_machine_count_other_than_p(argv, label, machine
     assert run_cli("verify", "--trace", str(out)) == 0
 
 
+ROUND_BUDGET = ("measured_constants", "round_budget")
+
+
+@pytest.mark.parametrize("argv,path,value,message", [
+    (SIM_CONGEST, ("assignment",), lambda doc: [0] * 20,
+     "field 'assignment' holds {edited}, not the native graph's degrees dealt onto"
+     " {p} machines"),
+    (SIM_CONGEST, ("high_degree_flag",), lambda doc: not doc["high_degree_flag"],
+     "field 'high_degree_flag' holds {edited}, not {flag}: max degree {dmax} x round"
+     " budget {native} > n = 20"),
+    (SIM_CONGEST, ("high_degree_flag",), lambda doc: int(doc["high_degree_flag"]),
+     "field 'high_degree_flag' holds {edited}, not {flag}: max degree {dmax} x round"
+     " budget {native} > n = 20"),
+    (SIM_CONGEST, ROUND_BUDGET, lambda doc: 99,
+     "measured_constants field 'round_budget' holds 99, not {native}, the native round"
+     " count (config round_budget is null)"),
+    (SIM_CONGEST, ROUND_BUDGET, lambda doc: doc["native"]["rounds"] - 1,
+     "measured_constants field 'round_budget' holds {edited}, not an integer of at"
+     " least the {native} native rounds"),
+    (SIM_CONGEST, ROUND_BUDGET, lambda doc: float(doc["native"]["rounds"]),
+     "measured_constants field 'round_budget' holds {edited}, not an integer of at"
+     " least the {native} native rounds"),
+    (SIM_CONGEST + ("--round-budget", "40"), ROUND_BUDGET, lambda doc: 41,
+     "measured_constants field 'round_budget' holds 41, not 40, the config's round_budget"),
+    (SIM_SEMIMPC + ("--machines", "4"), ("episode_rounds",), lambda doc: [[1, 99]],
+     "field 'episode_rounds' holds [[1, 99]], not {planned}, the rounds plan_routing"
+     " takes for each native round with transfers"),
+], ids=["assignment", "high-degree-flag", "int-high-degree-flag", "round-budget",
+        "round-budget-below-native", "float-round-budget", "round-budget-not-config",
+        "episode-rounds"])
+def test_verify_refuses_a_derived_report_field(argv, path, value, message, graph_file,
+                                               tmp_path, capsys):
+    # each field follows from the report's runs; each edit used to verify
+    # with exit 0
+    out = tmp_path / "sim.json"
+    assert run_cli(*argv, "--graph", graph_file, "--out", str(out)) == 0
+    assert run_cli("verify", "--trace", str(out)) == 0
+    doc = json.loads(out.read_text())
+    edges = doc["native"].get("graph", {"edges": []})["edges"]
+    facts = {"p": doc["simulated"]["params"]["p"], "native": doc["native"]["rounds"],
+             "flag": json.dumps(doc.get("high_degree_flag")),
+             "dmax": max(sum(v in edge for edge in edges) for v in range(20)),
+             "planned": doc.get("episode_rounds")}
+    assert facts["p"] > 1 and 1 < facts["native"] < 40
+    *outer, key = path
+    field = doc[outer[0]] if outer else doc
+    field[key] = value(doc)
+    facts["edited"] = json.dumps(field[key])
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("verify", "--trace", str(out)) == 2
+    assert capsys.readouterr().err == (
+        f"error: malformed trace file: {message.format(**facts)}\n")
+
+
+@pytest.mark.parametrize("argv,doctor", [
+    (RUN_CLIQUE, lambda outputs: outputs[3].__setitem__(0, 5)),
+    (RUN_CONGEST, lambda outputs: outputs[19].__setitem__(0, 19)),
+    (RUN_CONGEST, lambda outputs: outputs.pop()),
+    (RUN_SEMIMPC, lambda outputs: outputs[1].extend(outputs[0])),
+    (RUN_SEMIMPC, lambda outputs: outputs[0].__setitem__(7, 1)),
+], ids=["clique-label", "congest-label", "congest-missing-vertex",
+        "semimpc-labels-on-machine-1", "semimpc-label"])
+def test_verify_checks_outputs_against_the_graph_components(argv, doctor, graph_file,
+                                                            tmp_path, capsys):
+    # outputs were not read: each edit used to verify with exit 0
+    out = tmp_path / "run.json"
+    assert run_cli(*argv, "--graph", graph_file, "--out", str(out)) == 0
+    doc = json.loads(out.read_text())
+    capsys.readouterr()
+    assert run_cli("verify", "--trace", str(out)) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1
+    doctor(doc["outputs"])
+    out.write_text(json.dumps(doc))
+    assert run_cli("verify", "--trace", str(out)) == 1
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "  outputs in the file differ from the graph's components"]
+
+
+def test_verify_says_when_it_cannot_check_outputs(graph_file, tmp_path, capsys):
+    out = tmp_path / "run.json"
+    assert run_cli(*RUN_CLIQUE, "--graph", graph_file, "--out", str(out)) == 0
+    doc = json.loads(out.read_text())
+    doc["outputs"][0] = [5]
+    del doc["config"]
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("verify", "--trace", str(out)) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "  outputs not checked: the file names no algorithm or holds no graph"]
+
+
+def test_verify_refuses_an_algorithm_of_another_model(graph_file, tmp_path, capsys):
+    out = tmp_path / "run.json"
+    assert run_cli(*RUN_CLIQUE, "--graph", graph_file, "--out", str(out)) == 0
+    doc = json.loads(out.read_text())
+    doc["config"]["algorithm"] = "flood"
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("verify", "--trace", str(out)) == 2
+    assert capsys.readouterr().err == (
+        "error: malformed trace file: config field 'algorithm' holds 'flood',"
+        " not an algorithm of the CLIQUE model\n")
+
+
 @pytest.mark.parametrize("argv", [RUN_CLIQUE, RUN_CONGEST, RUN_SEMIMPC])
 @pytest.mark.parametrize("key,value,message", [
     ("m", 999, "graph field 'm' holds 999, not its {m} edges"),
