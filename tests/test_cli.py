@@ -971,10 +971,9 @@ def test_verify_refuses_a_derived_report_field(argv, path, value, message, graph
     assert run_cli(*argv, "--graph", graph_file, "--out", str(out)) == 0
     assert run_cli("verify", "--trace", str(out)) == 0
     doc = json.loads(out.read_text())
-    edges = doc["native"].get("graph", {"edges": []})["edges"]
     facts = {"p": doc["simulated"]["params"]["p"], "native": doc["native"]["rounds"],
              "flag": json.dumps(doc.get("high_degree_flag")),
-             "dmax": max(sum(v in edge for edge in edges) for v in range(20)),
+             "dmax": doc["measured_constants"].get("max_degree"),
              "planned": doc.get("episode_rounds")}
     assert facts["p"] > 1 and 1 < facts["native"] < 40
     *outer, key = path
