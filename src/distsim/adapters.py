@@ -112,17 +112,20 @@ class SimulationReport:
     def all_ok(self) -> bool:
         return all(self.bound_checks.values())
 
+    def derived_fields(self) -> dict:
+        """The fields of to_json_dict that the two runs fix: all but the
+        runs and their model kinds."""
+        return {"bound_checks": dict(self.bound_checks),
+                "measured_constants": dict(self.measured_constants), **self.extra}
+
     def to_json_dict(self) -> dict:
-        doc = {
+        return {
             "source_model": self.native.params.kind.value,
             "target_model": self.simulated.params.kind.value,
-            "bound_checks": dict(self.bound_checks),
-            "measured_constants": dict(self.measured_constants),
             "native": self.native.to_json_dict(),
             "simulated": self.simulated.to_json_dict(),
+            **self.derived_fields(),
         }
-        doc.update(self.extra)
-        return doc
 
 
 def _run_native(run, label: str, *args) -> RunResult:
@@ -234,9 +237,14 @@ def simulate_cc_on_semimpc(prog: NodeProgram, g: Graph, *,
     semi = ModelParams.semi_mpc(
         n, p=n, ell=2 * g.m, word_width_bits=native.params.word_width_bits,
         c_space=c_space, round_cap=native.rounds_used + 10)
+    return cc_on_semimpc_report(native, run_mpc(_CliqueOnSemiMpc(prog), inputs, semi))
 
-    sim = run_mpc(_CliqueOnSemiMpc(prog), inputs, semi)
 
+def cc_on_semimpc_report(native: RunResult, sim: RunResult) -> SimulationReport:
+    """The report of a clique run simulated on semi-MPC in T + 1 rounds on n
+    machines, each within c_space * n words of traffic and space."""
+    n = native.params.n
+    space_budget = native.params.c_space * n
     t_native = native.rounds_used
     sim_peaks = sim.trace.space_high_water()
     max_traffic = sim.trace.max_traffic()
@@ -439,7 +447,6 @@ def simulate_semimpc_on_cc(prog: NodeProgram, inputs: list[list[int]],
 
     recorder = _RecordingProgram(prog)
     native = _run_native(run_mpc, "semi-MPC", recorder, inputs, params)
-    t_native = native.rounds_used
 
     # the ledger names each round's senders; each takes its next recording
     recorded = {src: iter(rounds) for src, rounds in recorder.sent.items()}
@@ -461,7 +468,16 @@ def simulate_semimpc_on_cc(prog: NodeProgram, inputs: list[list[int]],
         n, word_width_bits=sum(widths),
         c_space=params.c_space, round_cap=wrapper.last_round + 5)
     sim = run_clique(wrapper, Graph(n=n, edges=()), clique_params)
+    return semimpc_on_cc_report(native, sim, [[r, sched.num_rounds] for r, sched in episodes])
 
+
+def semimpc_on_cc_report(native: RunResult, sim: RunResult,
+                         episode_rounds: list[list[int]]) -> SimulationReport:
+    """The report of a semi-MPC run simulated on the n-node clique in at most
+    (2 + 2) * T rounds, with [native round, episode rounds] pairs."""
+    n = native.params.n
+    p = native.params.p
+    t_native = native.rounds_used
     # two delivery phases per native round (Lenzen, PODC 2013) plus a fixed
     # surcharge of 2 for the bookkeeping a distributed schedule computation
     # would add
@@ -481,15 +497,14 @@ def simulate_semimpc_on_cc(prog: NodeProgram, inputs: list[list[int]],
         "clique_rounds": sim.rounds_used,
         "allowed_rounds": allowed,
         "surcharge": 2,
-        "episodes": len(episodes),
+        "episodes": len(episode_rounds),
         "rounds_per_native_round": sim.rounds_used / t_native,
         "max_space_words": max(sim.trace.space_high_water(), default=0),
     }
     return SimulationReport(
         native=native, simulated=sim,
         bound_checks=bound_checks, measured_constants=measured,
-        extra={"episode_rounds": [[r, sched.num_rounds]
-                                  for r, sched in episodes]},
+        extra={"episode_rounds": episode_rounds},
     )
 
 
@@ -773,8 +788,16 @@ def simulate_congest_on_semimpc(prog: NodeProgram, g: Graph,
         c_space=c_space, round_cap=t_native + 10)
 
     wrapper = _CongestOnSemiMpc(prog, n, machines, widths, edgeless=g.m == 0)
-    sim = run_mpc(wrapper, inputs, semi)
+    return congest_on_semimpc_report(native, run_mpc(wrapper, inputs, semi), t_budget, machines)
 
+
+def congest_on_semimpc_report(native: RunResult, sim: RunResult,
+                              round_budget: int, machines: int) -> SimulationReport:
+    """The report of a CONGEST run (with its graph) simulated on semi-MPC in
+    at most T + 3 rounds, on `machines` machines planned for `round_budget`."""
+    g = native.graph
+    n = g.n
+    t_native = native.rounds_used
     # unpack per-node outputs from the per-machine word streams
     sim_node_outputs: dict[int, list[int]] | None = None
     if sim.outputs is not None:
@@ -796,13 +819,13 @@ def simulate_congest_on_semimpc(prog: NodeProgram, g: Graph,
         "machines_ok": sim.params.p <= machines,
         "load_ok": load_bound_ok(assignment, g.degrees),
         "traffic_ok": sim.clean,
-        "space_ok": sim.clean and max(sim_peaks, default=0) <= c_space * n,
+        "space_ok": sim.clean and max(sim_peaks, default=0) <= native.params.c_space * n,
         "outputs_ok": outputs_ok,
     }
-    high_degree_flag = dmax * t_budget > n
+    high_degree_flag = dmax * round_budget > n
     measured = {
         "native_rounds": t_native,
-        "round_budget": t_budget,
+        "round_budget": round_budget,
         "simulated_rounds": sim.rounds_used,
         "machines": machines,
         "max_degree_load": assignment.max_load,

@@ -17,7 +17,9 @@ from pathlib import Path
 
 from .adapters import (
     SimulationRefused,
-    compute_node_assignment,
+    cc_on_semimpc_report,
+    congest_on_semimpc_report,
+    semimpc_on_cc_report,
     simulate_cc_on_semimpc,
     simulate_congest_on_semimpc,
     simulate_semimpc_on_cc,
@@ -363,8 +365,8 @@ def _recheck_run(doc: dict, report_models: dict):
     alone: its params, trace, violations, and the summary fields the
     document misstates, among them `model` and, in a report, the
     `report_models` field (source_model or target_model): each must name
-    the params' model kind.  `outputs` cannot be re-derived from a ledger
-    (see _expected_outputs)."""
+    the params' model kind.  Returns the run, with the file's `outputs`
+    (see _expected_outputs), and the names of the misstated fields."""
     params = ModelParams.from_json_dict(doc["params"])
     trace = RoundTrace.from_per_round_json(params.p, doc["per_round"])
     graph = None
@@ -376,62 +378,49 @@ def _recheck_run(doc: dict, report_models: dict):
         if params.kind == ModelKind.SEMI_MPC and params.ell != 2 * graph.m:
             raise ValueError(f"params field 'ell' holds {params.ell!r}, not"
                              f" 2m = {2 * graph.m}")
-    violations = check_trace(trace, params, graph)
+    run = RunResult(params, doc["outputs"], trace, check_trace(trace, params, graph), graph)
     # the fields as the writer derives them for this run
-    written = RunResult(params, None, trace, violations, graph).to_json_dict()
+    written = run.to_json_dict()
     written.update(dict.fromkeys(report_models, written["model"]))
     claimed = {**doc, **report_models}
     # compared as JSON text, so neither 7.0 nor true can stand for an int
     wrong = [key for key in ("model", *report_models, "rounds", "space_high_water", "violations")
              if json.dumps(claimed[key], sort_keys=True)
              != json.dumps(written[key], sort_keys=True)]
-    return params, trace, graph, violations, wrong
+    return run, wrong
 
 
-def _refuse_unless(field: str, held, derived, source: str) -> None:
-    """Refuse (ValueError) a report field whose JSON text is not that of the
-    value its runs derive, so neither 7.0 nor 1 can stand for 7 or true."""
-    if json.dumps(held) != json.dumps(derived):
-        raise ValueError(f"{field} holds {json.dumps(held)}, not {source}")
+def _rederived_report(doc: dict, native: RunResult, simulated: RunResult):
+    """The report of a report file's runs, from their adapter's report function."""
+    pair = (native.params.kind, simulated.params.kind)
+    if pair == (ModelKind.CLIQUE, ModelKind.SEMI_MPC):
+        return cc_on_semimpc_report(native, simulated)
+    if pair == (ModelKind.SEMI_MPC, ModelKind.CLIQUE):
+        return semimpc_on_cc_report(native, simulated, [
+            [r, plan_routing(DemandMatrix.from_transfers(native.params.n, rec.transfers))
+             .num_rounds] for r, rec in enumerate(native.trace.rounds, 1) if rec.transfers])
+    if pair != (ModelKind.CONGEST, ModelKind.SEMI_MPC):
+        raise ValueError(f"no adapter simulates {pair[0].value} on {pair[1].value}")
+    source = "config" if "config" in doc else "measured_constants"
+    budget = doc[source]["round_budget"]
+    budget = native.rounds_used if budget is None else budget
+    if type(budget) is not int or budget < native.rounds_used:
+        raise ValueError(f"{source} field 'round_budget' holds {budget!r}, not an"
+                         f" integer of at least the {native.rounds_used} native rounds")
+    return congest_on_semimpc_report(native, simulated, budget, simulated.params.p)
 
 
-def _recheck_report(doc: dict, native, simulated_params: ModelParams) -> None:
-    """Refuse a report field that the report's runs fix.  CONGEST ->
-    semi-MPC: `measured_constants.round_budget` is the config's round budget
-    (the native round count when it is null) and at least the native round
-    count, `assignment` is compute_node_assignment of the native graph's
-    degrees on the simulated machines, and `high_degree_flag` is
-    max degree * round budget > n.  Semi-MPC -> clique, when the native run
-    is clean: `episode_rounds` pairs each native round with transfers with
-    the rounds plan_routing takes for its demand."""
-    params, trace, graph, violations = native
-    if params.kind == ModelKind.CONGEST:
-        t_native = trace.num_rounds
-        budget = doc["measured_constants"]["round_budget"]
-        if type(budget) is not int or budget < t_native:
-            raise ValueError(f"measured_constants field 'round_budget' holds {budget!r},"
-                             f" not an integer of at least the {t_native} native rounds")
-        if "config" in doc:
-            stated = doc["config"]["round_budget"]
-            want = t_native if stated is None else stated
-            _refuse_unless("measured_constants field 'round_budget'", budget, want,
-                           f"{want!r}, the config's round_budget" if stated is not None
-                           else f"{want}, the native round count (config round_budget is null)")
-        degrees = graph.degrees
-        _refuse_unless("field 'assignment'", doc["assignment"],
-                       compute_node_assignment(degrees, simulated_params.p).machine_of,
-                       f"the native graph's degrees dealt onto {simulated_params.p} machines")
-        dmax = max(degrees, default=0)
-        flag = dmax * budget > params.n
-        _refuse_unless("field 'high_degree_flag'", doc["high_degree_flag"], flag,
-                       f"{json.dumps(flag)}: max degree {dmax} x round budget {budget}"
-                       f" > n = {params.n}")
-    elif params.kind == ModelKind.SEMI_MPC and not violations:
-        planned = [[r, plan_routing(DemandMatrix.from_transfers(params.n, rec.transfers))
-                    .num_rounds] for r, rec in enumerate(trace.rounds, 1) if rec.transfers]
-        _refuse_unless("field 'episode_rounds'", doc["episode_rounds"], planned,
-                       f"{planned}, the rounds plan_routing takes for each native round"
-                       " with transfers")
+def _refuse_unless_derived(held: dict, want: dict, name: str = "") -> None:
+    """Refuse (ValueError) a field of held unless its JSON text is want's, so
+    neither 7.0 nor 1 stands for 7 or true; dicts key by key, naming the field."""
+    for key in sorted(held.keys() | want.keys()):
+        field = f"{name} field {key!r}".lstrip()
+        if key not in held or key not in want:
+            raise ValueError(f"{field} is {'missing' if key in want else 'unknown'}")
+        if type(held[key]) is dict and type(want[key]) is dict:
+            _refuse_unless_derived(held[key], want[key], key)
+        elif json.dumps(held[key]) != json.dumps(want[key]):
+            raise ValueError(f"{field} holds {json.dumps(held[key])}, not {json.dumps(want[key])}")
 
 
 def _expected_outputs(doc: dict, params: ModelParams, graph: Graph | None):
@@ -465,37 +454,38 @@ def cmd_verify(args) -> int:
         for label, run, report_models in runs:
             checked.append((label, *_recheck_run(run, report_models)))
         # --machines sized a semi-MPC run file's run or a report's native run
-        label, params, trace, graph, violations, wrong = checked[0]
-        if params.kind == ModelKind.SEMI_MPC and "config" in doc:
+        label, native, wrong = checked[0]
+        p = native.params.p
+        if native.params.kind == ModelKind.SEMI_MPC and "config" in doc:
             machines = doc["config"]["machines"]
-            if type(machines) is not int or machines != params.p:
-                raise ValueError(f"config field 'machines' holds {machines!r},"
-                                 f" not params p = {params.p}")
+            if type(machines) is not int or machines != p:
+                raise ValueError(f"config field 'machines' holds {machines!r}, not params p = {p}")
         label = ""
         note = None
-        if report:
-            _recheck_report(doc, (params, trace, graph, violations), checked[1][1])
-        elif not violations:
-            expected = _expected_outputs(doc, params, graph)
+        if report and native.clean and not any(misstated for _l, _r, misstated in checked):
+            derived = _rederived_report(doc, native, checked[1][1]).derived_fields()
+            _refuse_unless_derived({key: doc[key] for key in derived}, derived)
+        elif not report and native.clean:
+            expected = _expected_outputs(doc, native.params, native.graph)
             if expected is None:
                 note = "outputs not checked: the file names no algorithm or holds no graph"
-            elif json.dumps(doc["outputs"]) != json.dumps(expected):
+            elif json.dumps(native.outputs) != json.dumps(expected):
                 wrong.append("outputs")
-    except (KeyError, TypeError, ValueError) as exc:
-        # ValueError covers json.JSONDecodeError
+    except (LookupError, TypeError, ValueError) as exc:
+        # LookupError covers IndexError, ValueError json.JSONDecodeError
         print(f"error: malformed trace file: {label}{exc}", file=sys.stderr)
         return 2
     code = 0
-    for label, params, trace, _graph, violations, wrong in checked:
-        print(f"{label}model={params.kind.value} rounds={trace.num_rounds} "
-              f"violations={len(violations)}")
-        for v in violations[:10]:
+    for label, run, wrong in checked:
+        print(f"{label}model={run.params.kind.value} rounds={run.rounds_used} "
+              f"violations={len(run.violations)}")
+        for v in run.violations[:10]:
             print(f"  {v.rule} at round {v.round}: "
                   f"measured {v.measured}, allowed {v.allowed}")
         for key in wrong:
             print("  outputs in the file differ from the graph's components" if key == "outputs"
                   else f"  {key} in the file differs from the ledger's")
-        if violations or wrong:
+        if run.violations or wrong:
             code = 1
     if note:
         print(f"  {note}")
