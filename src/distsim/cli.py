@@ -391,7 +391,11 @@ def _recheck_run(doc: dict, report_models: dict):
 
 
 def _rederived_report(doc: dict, native: RunResult, simulated: RunResult):
-    """The report of a report file's runs, from their adapter's report function."""
+    """The report of a report file's runs, from their adapter's report
+    function.  Its other inputs: the simulated p as the machine count, the
+    episodes re-planned from the native ledger, and the round budget of
+    config (the native round count when null) or, without config, the
+    file's measured_constants."""
     pair = (native.params.kind, simulated.params.kind)
     if pair == (ModelKind.CLIQUE, ModelKind.SEMI_MPC):
         return cc_on_semimpc_report(native, simulated)
@@ -410,6 +414,15 @@ def _rederived_report(doc: dict, native: RunResult, simulated: RunResult):
     return congest_on_semimpc_report(native, simulated, budget, simulated.params.p)
 
 
+def _rederived_route(run: RunResult, entries) -> dict:
+    """A route file's schedule, re-planned from its own entries' (src, dst)
+    pairs, and the number of (src, seq, value) triples its outputs deliver.
+    The payload values are not checked."""
+    demand = DemandMatrix.from_transfers(run.params.n, [(s, d, 1) for s, d, *_e in entries])
+    return {"routing": plan_routing(demand).to_json_dict(),
+            "delivered_words": sum(len(words) // 3 for words in run.outputs)}
+
+
 def _refuse_unless_derived(held: dict, want: dict, name: str = "") -> None:
     """Refuse (ValueError) a field of held unless its JSON text is want's, so
     neither 7.0 nor 1 stands for 7 or true; dicts key by key, naming the field."""
@@ -424,7 +437,7 @@ def _refuse_unless_derived(held: dict, want: dict, name: str = "") -> None:
 
 
 def _expected_outputs(doc: dict, params: ModelParams, graph: Graph | None):
-    """The outputs a clean run file's algorithm writes on its graph, from
+    """The outputs a clean run's algorithm writes on its graph, from
     components_oracle: each vertex's [label] for boruvka and flood, every
     label on machine 0 and nothing elsewhere for forest-merge.  None when
     the file names no algorithm or holds no graph."""
@@ -462,17 +475,21 @@ def cmd_verify(args) -> int:
                 raise ValueError(f"config field 'machines' holds {machines!r}, not params p = {p}")
         label = ""
         note = None
-        if report and native.clean and not any(misstated for _l, _r, misstated in checked):
-            derived = _rederived_report(doc, native, checked[1][1]).derived_fields()
-            _refuse_unless_derived({key: doc[key] for key in derived}, derived)
-        elif not report and native.clean:
+        if native.clean:
             expected = _expected_outputs(doc, native.params, native.graph)
-            if expected is None:
+            if expected is None and not report:
                 note = "outputs not checked: the file names no algorithm or holds no graph"
-            elif json.dumps(native.outputs) != json.dumps(expected):
+            elif expected is not None and json.dumps(native.outputs) != json.dumps(expected):
                 wrong.append("outputs")
+        derived = {}
+        if native.clean and not any(misstated for _l, _r, misstated in checked):
+            if report:
+                derived = _rederived_report(doc, native, checked[1][1]).derived_fields()
+            elif "routing" in doc:
+                derived = _rederived_route(native, doc["routing"]["entries"])
+        _refuse_unless_derived({key: doc[key] for key in derived}, derived)
     except (LookupError, TypeError, ValueError) as exc:
-        # LookupError covers IndexError, ValueError json.JSONDecodeError
+        # LookupError covers KeyError and IndexError, ValueError JSONDecodeError
         print(f"error: malformed trace file: {label}{exc}", file=sys.stderr)
         return 2
     code = 0

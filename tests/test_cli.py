@@ -980,6 +980,198 @@ def test_verify_refuses_a_derived_report_field(argv, path, value, message, graph
         f"error: malformed trace file: {message.format(**facts)}\n")
 
 
+def _report_leaf_edits(doc):
+    """(edit, message) per leaf of a report's derived fields: each
+    bound_checks entry flipped, each measured_constants value bumped, the
+    first assignment entry, the high-degree flag and the first episode's
+    rounds changed, and an added bound_checks key."""
+    edits = []
+    for section, bump in (("bound_checks", lambda v: not v),
+                          ("measured_constants", lambda v: v + 1)):
+        for key, value in sorted(doc[section].items()):
+            edited = bump(value)
+            edits.append((lambda d, s=section, k=key, e=edited: d[s].__setitem__(k, e),
+                          f"{section} field {key!r} holds {json.dumps(edited)},"
+                          f" not {json.dumps(value)}"))
+    if "assignment" in doc:
+        edited = [doc["assignment"][0] + 1] + doc["assignment"][1:]
+        flag = doc["high_degree_flag"]
+        edits += [(lambda d, e=edited: d.update(assignment=e),
+                   f"field 'assignment' holds {json.dumps(edited)},"
+                   f" not {json.dumps(doc['assignment'])}"),
+                  (lambda d, e=not flag: d.update(high_degree_flag=e),
+                   f"field 'high_degree_flag' holds {json.dumps(not flag)},"
+                   f" not {json.dumps(flag)}")]
+    if "episode_rounds" in doc:
+        planned = doc["episode_rounds"]
+        edited = [[planned[0][0], planned[0][1] + 2]] + planned[1:]
+        edits.append((lambda d, e=edited: d.update(episode_rounds=e),
+                      f"field 'episode_rounds' holds {json.dumps(edited)},"
+                      f" not {json.dumps(planned)}"))
+    edits.append((lambda d: d["bound_checks"].__setitem__("extra_ok", True),
+                  "bound_checks field 'extra_ok' is unknown"))
+    return edits
+
+
+@pytest.mark.parametrize("direction", sorted(SIM_DIRECTIONS))
+def test_verify_refuses_any_edited_report_field(direction, graph_file, tmp_path, capsys):
+    # every field verify re-derives from a report's runs; the bound_checks
+    # and measured_constants edits (but the CONGEST round budget) used to
+    # verify with exit 0
+    out = tmp_path / "sim.json"
+    doc = _simulate(direction, graph_file, out)
+    edits = _report_leaf_edits(doc)
+    assert len(edits) > len(doc["bound_checks"]) + len(doc["measured_constants"])
+    capsys.readouterr()
+    for edit, message in edits:
+        edited = json.loads(json.dumps(doc))
+        edit(edited)
+        out.write_text(json.dumps(edited))
+        assert run_cli("verify", "--trace", str(out)) == 2, message
+        assert capsys.readouterr().err == f"error: malformed trace file: {message}\n"
+
+
+def test_verify_refuses_a_report_without_a_derived_key(graph_file, tmp_path, capsys):
+    out = tmp_path / "sim.json"
+    doc = _simulate("clique", graph_file, out)
+    del doc["measured_constants"]["delta"]
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("verify", "--trace", str(out)) == 2
+    assert capsys.readouterr().err == (
+        "error: malformed trace file: measured_constants field 'delta' is missing\n")
+
+
+def test_verify_refuses_simulated_outputs_it_cannot_unpack(graph_file, tmp_path, capsys):
+    # a CONGEST report's machine streams hold (vertex, count, words...)
+    # groups; a trailing vertex without its count used to go unread
+    out = tmp_path / "sim.json"
+    doc = _simulate("congest", graph_file, out)
+    doc["simulated"]["outputs"][0].append(0)
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("verify", "--trace", str(out)) == 2
+    assert capsys.readouterr().err == "error: malformed trace file: list index out of range\n"
+
+
+def test_verify_takes_the_round_budget_of_a_report_without_config(graph_file, tmp_path,
+                                                                   capsys):
+    # without config, the file's own budget must be an int of at least T
+    out = tmp_path / "sim.json"
+    doc = _simulate("congest", graph_file, out)
+    del doc["config"]
+    out.write_text(json.dumps(doc))
+    assert run_cli("verify", "--trace", str(out)) == 0
+    native = doc["native"]["rounds"]
+    doc["measured_constants"]["round_budget"] = native - 1
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("verify", "--trace", str(out)) == 2
+    assert capsys.readouterr().err == (
+        f"error: malformed trace file: measured_constants field 'round_budget' holds"
+        f" {native - 1}, not an integer of at least the {native} native rounds\n")
+
+
+@pytest.mark.parametrize("direction,doctor,config,code", [
+    # the oracle's label of vertex 3 is not 5; the edit leaves outputs_ok
+    # true, and used to verify with exit 0
+    ("clique", lambda doc: [doc[side]["outputs"].__setitem__(3, [5])
+                            for side in ("native", "simulated")], True, 1),
+    ("congest", lambda doc: doc["native"]["outputs"].__setitem__(0, [5]), True, 1),
+    # no config names the algorithm: outputs_ok no longer holds
+    ("congest", lambda doc: doc["native"]["outputs"].__setitem__(0, [5]), False, 2),
+], ids=["clique-both-runs", "congest-native", "congest-native-no-config"])
+def test_verify_checks_a_report_native_outputs(direction, doctor, config, code, graph_file,
+                                               tmp_path, capsys):
+    out = tmp_path / "sim.json"
+    doc = _simulate(direction, graph_file, out)
+    assert doc["native"]["outputs"][0] == doc["native"]["outputs"][3] != [5]
+    doctor(doc)
+    if not config:
+        del doc["config"]
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("verify", "--trace", str(out)) == code
+    captured = capsys.readouterr()
+    if code == 2:
+        assert captured.err == ("error: malformed trace file: bound_checks field"
+                                " 'outputs_ok' holds true, not false\n")
+        return
+    assert captured.out.splitlines() == [
+        f"native: model={doc['native']['model']} rounds={doc['native']['rounds']}"
+        " violations=0",
+        "  outputs in the file differ from the graph's components",
+        f"simulated: model={doc['simulated']['model']}"
+        f" rounds={doc['simulated']['rounds']} violations=0"]
+
+
+def test_verify_reads_a_failing_and_a_zero_episode_report(tmp_path, capsys):
+    # the simulated run of the first aborts (outputs null); the second's one
+    # machine sends nothing, so it takes no routing episode
+    gnp = tmp_path / "gnp.txt"
+    gnp.write_text(gen_graph("gnp", 40, prob=0.15, seed=4).to_edge_list_text())
+    path = tmp_path / "path.txt"
+    path.write_text(gen_graph("path", 20).to_edge_list_text())
+    failing, idle = tmp_path / "failing.json", tmp_path / "idle.json"
+    assert run_cli(*SIM_CONGEST, "--graph", str(gnp), "--out", str(failing)) == 1
+    assert run_cli(*SIM_SEMIMPC, "--machines", "1", "--graph", str(path),
+                   "--out", str(idle)) == 0
+    assert json.loads(failing.read_text())["simulated"]["outputs"] is None
+    assert json.loads(idle.read_text())["episode_rounds"] == []
+    capsys.readouterr()
+    assert run_cli("verify", "--trace", str(failing)) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "native: model=CONGEST rounds=40 violations=0",
+        "simulated: model=SEMI_MPC rounds=1 violations=1",
+        "  recv-budget at round 1: measured 224, allowed 160"]
+    assert run_cli("verify", "--trace", str(idle)) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "native: model=SEMI_MPC rounds=1 violations=0",
+        "simulated: model=CLIQUE rounds=1 violations=0"]
+
+
+def _shift_route(tmp_path, n=16):
+    """The route file of the demand where node i sends one word to i + 1."""
+    demand = tmp_path / "demand.json"
+    demand.write_text(json.dumps([[int(j == (i + 1) % n) for j in range(n)]
+                                  for i in range(n)]))
+    out = tmp_path / "route.json"
+    assert run_cli("route", "--demand", str(demand), "--out", str(out)) == 0
+    return out, json.loads(out.read_text())
+
+
+def _move_first_intermediate(doc):
+    entry = doc["routing"]["entries"][0]
+    entry[3] = (entry[3] + 1) % doc["routing"]["n"]
+
+
+@pytest.mark.parametrize("doctor,field", [
+    (lambda doc: doc["routing"].update(rounds=99), "routing field 'rounds'"),
+    (lambda doc: doc["routing"].update(phase_b_rounds=7), "routing field 'phase_b_rounds'"),
+    (_move_first_intermediate, "routing field 'entries'"),
+    (lambda doc: doc.update(delivered_words=doc["delivered_words"] + 5),
+     "field 'delivered_words'"),
+], ids=["rounds", "phase-b-rounds", "intermediate", "delivered-words"])
+def test_verify_rederives_a_route_file(doctor, field, tmp_path, capsys):
+    # each edit used to verify with exit 0
+    out, doc = _shift_route(tmp_path)
+    capsys.readouterr()
+    assert run_cli("verify", "--trace", str(out)) == 0
+    # payload values are not checked
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "  outputs not checked: the file names no algorithm or holds no graph"]
+    original = json.loads(json.dumps(doc))
+    doctor(doc)
+    out.write_text(json.dumps(doc))
+    assert run_cli("verify", "--trace", str(out)) == 2
+    name = field.split("'")[1]
+    held, want = ((doc, original) if name == "delivered_words"
+                  else (doc["routing"], original["routing"]))
+    assert capsys.readouterr().err == (
+        f"error: malformed trace file: {field} holds {json.dumps(held[name])},"
+        f" not {json.dumps(want[name])}\n")
+
+
 @pytest.mark.parametrize("argv,doctor", [
     (RUN_CLIQUE, lambda outputs: outputs[3].__setitem__(0, 5)),
     (RUN_CONGEST, lambda outputs: outputs[19].__setitem__(0, 19)),
