@@ -981,52 +981,41 @@ def test_verify_refuses_a_derived_report_field(argv, path, value, message, graph
 
 
 def _report_leaf_edits(doc):
-    """(edit, message) per leaf of a report's derived fields: each
-    bound_checks entry flipped, each measured_constants value bumped, the
-    first assignment entry, the high-degree flag and the first episode's
-    rounds changed, and an added bound_checks key."""
-    edits = []
-    for section, bump in (("bound_checks", lambda v: not v),
-                          ("measured_constants", lambda v: v + 1)):
-        for key, value in sorted(doc[section].items()):
-            edited = bump(value)
-            edits.append((lambda d, s=section, k=key, e=edited: d[s].__setitem__(k, e),
-                          f"{section} field {key!r} holds {json.dumps(edited)},"
-                          f" not {json.dumps(value)}"))
+    """(section, key, edited value) per derived leaf of a report, section
+    None for the report itself: each bound_checks entry flipped, each
+    measured_constants value bumped, and the first assignment entry, the
+    high-degree flag and the first episode's rounds changed."""
+    edits = [(section, key, bump(value))
+             for section, bump in (("bound_checks", lambda v: not v),
+                                   ("measured_constants", lambda v: v + 1))
+             for key, value in sorted(doc[section].items())]
     if "assignment" in doc:
-        edited = [doc["assignment"][0] + 1] + doc["assignment"][1:]
-        flag = doc["high_degree_flag"]
-        edits += [(lambda d, e=edited: d.update(assignment=e),
-                   f"field 'assignment' holds {json.dumps(edited)},"
-                   f" not {json.dumps(doc['assignment'])}"),
-                  (lambda d, e=not flag: d.update(high_degree_flag=e),
-                   f"field 'high_degree_flag' holds {json.dumps(not flag)},"
-                   f" not {json.dumps(flag)}")]
+        edits += [(None, "assignment", [doc["assignment"][0] + 1] + doc["assignment"][1:]),
+                  (None, "high_degree_flag", not doc["high_degree_flag"])]
     if "episode_rounds" in doc:
-        planned = doc["episode_rounds"]
-        edited = [[planned[0][0], planned[0][1] + 2]] + planned[1:]
-        edits.append((lambda d, e=edited: d.update(episode_rounds=e),
-                      f"field 'episode_rounds' holds {json.dumps(edited)},"
-                      f" not {json.dumps(planned)}"))
-    edits.append((lambda d: d["bound_checks"].__setitem__("extra_ok", True),
-                  "bound_checks field 'extra_ok' is unknown"))
+        (native_round, rounds), *rest = doc["episode_rounds"]
+        edits.append((None, "episode_rounds", [[native_round, rounds + 2]] + rest))
     return edits
 
 
 @pytest.mark.parametrize("direction", sorted(SIM_DIRECTIONS))
 def test_verify_refuses_any_edited_report_field(direction, graph_file, tmp_path, capsys):
-    # every field verify re-derives from a report's runs; the bound_checks
-    # and measured_constants edits (but the CONGEST round budget) used to
-    # verify with exit 0
+    # every field verify re-derives from a report's runs, and an added key;
+    # the bound_checks and measured_constants edits (but the CONGEST round
+    # budget) used to verify with exit 0
     out = tmp_path / "sim.json"
     doc = _simulate(direction, graph_file, out)
-    edits = _report_leaf_edits(doc)
-    assert len(edits) > len(doc["bound_checks"]) + len(doc["measured_constants"])
+    edits = _report_leaf_edits(doc) + [("bound_checks", "extra_ok", True)]
+    assert doc["bound_checks"] and doc["measured_constants"]
     capsys.readouterr()
-    for edit, message in edits:
+    for section, key, value in edits:
         edited = json.loads(json.dumps(doc))
-        edit(edited)
+        (edited[section] if section else edited)[key] = value
         out.write_text(json.dumps(edited))
+        original = doc[section] if section else doc
+        field = f"{section} field {key!r}" if section else f"field {key!r}"
+        message = (f"{field} holds {json.dumps(value)}, not {json.dumps(original[key])}"
+                   if key in original else f"{field} is unknown")
         assert run_cli("verify", "--trace", str(out)) == 2, message
         assert capsys.readouterr().err == f"error: malformed trace file: {message}\n"
 
