@@ -755,9 +755,12 @@ def _congest_memory_hypothesis(native: RunResult, g: Graph, c_space: int) -> Non
             " its received words; simulation refused")
 
 
+C_MACHINES = 2  # the default machine constant of a CONGEST -> semi-MPC simulation
+
+
 def simulate_congest_on_semimpc(prog: NodeProgram, g: Graph,
                                 round_budget: int | None = None, *,
-                                c_space: int = 4, c_machines: int = 2, seed: int = 0,
+                                c_space: int = 4, c_machines: int = C_MACHINES, seed: int = 0,
                                 ) -> SimulationReport:
     """Simulate a CONGEST algorithm on semi-MPC using few machines.
 
@@ -778,7 +781,7 @@ def simulate_congest_on_semimpc(prog: NodeProgram, g: Graph,
             f"round budget {t_budget} below the native round count {t_native}")
 
     _congest_memory_hypothesis(native, g, c_space)
-    machines = min(max(1, -(-c_machines * t_budget * g.m // n)), n)
+    machines = congest_machine_count(c_machines, t_budget, g)
 
     inputs = distribute_edges(g, machines, seed)
 
@@ -788,25 +791,35 @@ def simulate_congest_on_semimpc(prog: NodeProgram, g: Graph,
         c_space=c_space, round_cap=t_native + 10)
 
     wrapper = _CongestOnSemiMpc(prog, n, machines, widths, edgeless=g.m == 0)
-    return congest_on_semimpc_report(native, run_mpc(wrapper, inputs, semi), t_budget, machines)
+    return congest_on_semimpc_report(native, run_mpc(wrapper, inputs, semi), t_budget, c_machines)
+
+
+def congest_machine_count(c_machines: int, round_budget: int, g: Graph) -> int:
+    """ceil(c_machines * T * m / n) machines for round budget T on g, capped
+    at n and at least 1."""
+    return min(max(1, -(-c_machines * round_budget * g.m // g.n)), g.n)
 
 
 def congest_on_semimpc_report(native: RunResult, sim: RunResult,
-                              round_budget: int, machines: int) -> SimulationReport:
+                              round_budget: int, c_machines: int) -> SimulationReport:
     """The report of a CONGEST run (with its graph) simulated on semi-MPC in
-    at most T + 3 rounds, on `machines` machines planned for `round_budget`."""
+    at most T + 3 rounds, on at most congest_machine_count machines."""
     g = native.graph
     n = g.n
     t_native = native.rounds_used
+    machines = sim.params.p
     # unpack per-node outputs from the per-machine word streams
     sim_node_outputs: dict[int, list[int]] | None = None
     if sim.outputs is not None:
         sim_node_outputs = {}
-        for words in sim.outputs:
+        for pid, words in enumerate(sim.outputs):
             i = 0
             while i < len(words):
-                v, count = words[i], words[i + 1]
-                sim_node_outputs[v] = list(words[i + 2:i + 2 + count])
+                count = words[i + 1] if i + 1 < len(words) else None
+                if type(count) is not int or not 0 <= count <= len(words) - i - 2:
+                    raise ValueError(f"simulated outputs of machine {pid} hold no"
+                                     f" (vertex, count, words) group at word {i}")
+                sim_node_outputs[words[i]] = list(words[i + 2:i + 2 + count])
                 i += 2 + count
 
     assignment = compute_node_assignment(g.degrees, machines)
@@ -816,7 +829,7 @@ def congest_on_semimpc_report(native: RunResult, sim: RunResult,
     sim_peaks = sim.trace.space_high_water()
     bound_checks = {
         "rounds_ok": sim.rounds_used <= t_native + 3,
-        "machines_ok": sim.params.p <= machines,
+        "machines_ok": machines <= congest_machine_count(c_machines, round_budget, g),
         "load_ok": load_bound_ok(assignment, g.degrees),
         "traffic_ok": sim.clean,
         "space_ok": sim.clean and max(sim_peaks, default=0) <= native.params.c_space * n,

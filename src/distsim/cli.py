@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 from .adapters import (
+    C_MACHINES,
     SimulationRefused,
     cc_on_semimpc_report,
     congest_on_semimpc_report,
@@ -283,7 +284,7 @@ def cmd_simulate(args) -> int:
     else:
         report = simulate_congest_on_semimpc(
             prog, g, round_budget=args.round_budget, c_space=c_space,
-            c_machines=constants.get("c_machines", 2), seed=args.seed)
+            c_machines=constants.get("c_machines", C_MACHINES), seed=args.seed)
 
     doc = report.to_json_dict()
     doc["config"] = {
@@ -392,10 +393,13 @@ def _recheck_run(doc: dict, report_models: dict):
 
 def _rederived_report(doc: dict, native: RunResult, simulated: RunResult):
     """The report of a report file's runs, from their adapter's report
-    function.  Its other inputs: the simulated p as the machine count, the
-    episodes re-planned from the native ledger, and the round budget of
-    config (the native round count when null) or, without config, the
-    file's measured_constants."""
+    function.  Its other inputs: the episodes re-planned from the native
+    ledger, and the round budget of config (the native round count when
+    null) or, without config, the file's measured_constants, with
+    config.constants' c_machines (C_MACHINES when absent or without config).
+    A native run of no rounds is refused: every engine run takes one."""
+    if native.rounds_used == 0:
+        raise ValueError("native field 'rounds' holds 0, not at least 1")
     pair = (native.params.kind, simulated.params.kind)
     if pair == (ModelKind.CLIQUE, ModelKind.SEMI_MPC):
         return cc_on_semimpc_report(native, simulated)
@@ -411,7 +415,12 @@ def _rederived_report(doc: dict, native: RunResult, simulated: RunResult):
     if type(budget) is not int or budget < native.rounds_used:
         raise ValueError(f"{source} field 'round_budget' holds {budget!r}, not an"
                          f" integer of at least the {native.rounds_used} native rounds")
-    return congest_on_semimpc_report(native, simulated, budget, simulated.params.p)
+    constants = doc["config"]["constants"] if "config" in doc else {}
+    c_machines = constants.get("c_machines", C_MACHINES) if type(constants) is dict else None
+    if type(c_machines) is not int or c_machines < 1:
+        raise ValueError(f"config field 'constants' holds {json.dumps(constants)},"
+                         " not a positive integer c_machines")
+    return congest_on_semimpc_report(native, simulated, budget, c_machines)
 
 
 def _rederived_route(run: RunResult, entries) -> dict:
@@ -419,6 +428,10 @@ def _rederived_route(run: RunResult, entries) -> dict:
     pairs, and the number of (src, seq, value) triples its outputs deliver.
     The payload values are not checked."""
     demand = DemandMatrix.from_transfers(run.params.n, [(s, d, 1) for s, d, *_e in entries])
+    for v, words in enumerate(run.outputs):
+        if len(words) % 3:
+            raise ValueError(f"outputs of node {v} hold {len(words)} words,"
+                             " not (src, seq, value) triples")
     return {"routing": plan_routing(demand).to_json_dict(),
             "delivered_words": sum(len(words) // 3 for words in run.outputs)}
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distsim import gen_graph
+from distsim import Graph, gen_graph
 from distsim import cli
 from distsim.cli import _CHUNK_ROWS, _dump_json, main
 
@@ -1031,16 +1031,74 @@ def test_verify_refuses_a_report_without_a_derived_key(graph_file, tmp_path, cap
         "error: malformed trace file: measured_constants field 'delta' is missing\n")
 
 
-def test_verify_refuses_simulated_outputs_it_cannot_unpack(graph_file, tmp_path, capsys):
+@pytest.mark.parametrize("group", [[0], [0, -2], [0, 5], [0, 1.0, 7]],
+                         ids=["no-count", "negative-count", "past-the-end", "float-count"])
+def test_verify_refuses_simulated_outputs_it_cannot_unpack(group, graph_file, tmp_path,
+                                                           capsys):
     # a CONGEST report's machine streams hold (vertex, count, words...)
-    # groups; a trailing vertex without its count used to go unread
+    # groups; a count of -2 once kept verify unpacking the same group forever
     out = tmp_path / "sim.json"
     doc = _simulate("congest", graph_file, out)
-    doc["simulated"]["outputs"][0].append(0)
+    stream = doc["simulated"]["outputs"][0]
+    at = len(stream)
+    stream.extend(group)
     out.write_text(json.dumps(doc))
     capsys.readouterr()
     assert run_cli("verify", "--trace", str(out)) == 2
-    assert capsys.readouterr().err == "error: malformed trace file: list index out of range\n"
+    assert capsys.readouterr().err == (
+        f"error: malformed trace file: simulated outputs of machine 0 hold no"
+        f" (vertex, count, words) group at word {at}\n")
+
+
+def test_verify_refuses_a_report_whose_native_run_has_no_rounds(graph_file, tmp_path,
+                                                                capsys):
+    # every engine run takes a round; a native run of none, its summary
+    # fields consistent, once crashed verify dividing by its round count
+    out = tmp_path / "sim.json"
+    doc = _simulate("semimpc", graph_file, out)
+    native = doc["native"]
+    native.update(per_round=[], rounds=0, space_high_water=[0] * native["params"]["p"])
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("verify", "--trace", str(out)) == 2
+    assert capsys.readouterr().err == (
+        "error: malformed trace file: native field 'rounds' holds 0, not at least 1\n")
+
+
+def test_verify_checks_the_machine_count_against_c_machines(tmp_path, capsys):
+    # machines_ok holds when p <= ceil(c_machines * T * m / n), capped at n;
+    # c_machines comes from config.constants, else the default 2.  Three
+    # edges on 20 vertices keep the count below n
+    graph_file = tmp_path / "g.txt"
+    graph_file.write_text(Graph(n=20, edges=((0, 1), (2, 3), (4, 5))).to_edge_list_text())
+    graph_file = str(graph_file)
+    out = tmp_path / "sim.json"
+    doc = _simulate("congest", graph_file, out)
+    native, p = doc["native"], doc["simulated"]["params"]["p"]
+    n, m, budget = native["params"]["n"], native["graph"]["m"], native["rounds"]
+    assert p == -(-2 * budget * m // n) < n
+    assert doc["bound_checks"]["machines_ok"] is True
+    edits = [({"c_machines": 1}, 2, "bound_checks field 'machines_ok' holds true, not false"),
+             ({"c_machines": 2}, 0, ""), ({"c_space": 4}, 0, ""),
+             ({"c_machines": 0}, 2,
+              "config field 'constants' holds {\"c_machines\": 0}, not a positive integer"
+              " c_machines"),
+             ({"c_machines": "2"}, 2,
+              "config field 'constants' holds {\"c_machines\": \"2\"}, not a positive"
+              " integer c_machines"),
+             ([], 2, "config field 'constants' holds [], not a positive integer c_machines")]
+    capsys.readouterr()
+    for constants, code, message in edits:
+        doc["config"]["constants"] = constants
+        out.write_text(json.dumps(doc))
+        assert run_cli("verify", "--trace", str(out)) == code, constants
+        assert capsys.readouterr().err == (f"error: malformed trace file: {message}\n"
+                                           if message else "")
+    # a larger constant admits the same p
+    assert run_cli(*SIM_CONGEST, "--graph", graph_file, "--constants", "c_machines=3",
+                   "--out", str(out)) == 0
+    assert json.loads(out.read_text())["simulated"]["params"]["p"] > p
+    assert run_cli("verify", "--trace", str(out)) == 0
 
 
 def test_verify_takes_the_round_budget_of_a_report_without_config(graph_file, tmp_path,
@@ -1140,7 +1198,9 @@ def _move_first_intermediate(doc):
     (_move_first_intermediate, "routing field 'entries'"),
     (lambda doc: doc.update(delivered_words=doc["delivered_words"] + 5),
      "field 'delivered_words'"),
-], ids=["rounds", "phase-b-rounds", "intermediate", "delivered-words"])
+    # two words more leave the triple count as it was
+    (lambda doc: doc["outputs"][1].extend([7, 7]), None),
+], ids=["rounds", "phase-b-rounds", "intermediate", "delivered-words", "ragged-outputs"])
 def test_verify_rederives_a_route_file(doctor, field, tmp_path, capsys):
     # each edit used to verify with exit 0
     out, doc = _shift_route(tmp_path)
@@ -1153,6 +1213,11 @@ def test_verify_rederives_a_route_file(doctor, field, tmp_path, capsys):
     doctor(doc)
     out.write_text(json.dumps(doc))
     assert run_cli("verify", "--trace", str(out)) == 2
+    if field is None:
+        assert capsys.readouterr().err == (
+            "error: malformed trace file: outputs of node 1 hold 5 words,"
+            " not (src, seq, value) triples\n")
+        return
     name = field.split("'")[1]
     held, want = ((doc, original) if name == "delivered_words"
                   else (doc["routing"], original["routing"]))
