@@ -130,10 +130,7 @@ class FloodMinLabel(NodeProgram):
             if payload[0] < new_best:
                 new_best = payload[0]
         halt = round_no >= self.cap and new_best == best
-        outbox = []
-        if not halt:
-            payload = (new_best,)  # one shared payload: messages are immutable
-            outbox = [Message(pid, u, payload) for u in neighbors]
+        outbox = [] if halt else Message.fan_out(pid, neighbors, (new_best,))
         return (pid, round_no + 1, new_best, neighbors), outbox, halt
 
     def output(self, state) -> list[int]:

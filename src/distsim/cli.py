@@ -13,6 +13,7 @@ import gc
 import hashlib
 import json
 import sys
+from itertools import chain
 from pathlib import Path
 
 from .adapters import (
@@ -71,45 +72,68 @@ class UsageError(Exception):
 
 
 _encode_scalar = json.JSONEncoder().encode
-_encode_compact = json.JSONEncoder(separators=(",", ":")).encode
-_NUMBER_CHARS = str.maketrans("", "", "0123456789-,")
-# rows of a ledger table encoded and written at once: the writer's memory
+# rows of a ledger table spelled and written at once: the writer's memory
 # peak is one chunk's text, not the file's
 _CHUNK_ROWS = 4096
 
 
-def _table_text(rows, inner: str) -> str | None:
-    """A chunk of ledger table rows (non-empty int lists, such as the
-    transfers) as json.dumps indents them at the depth `inner`, or None if
-    the chunk is not such a table.  With indent set json.dumps runs its
-    pure-Python encoder, so the chunk goes to the C encoder in one compact
-    call instead, and that text is re-indented with str.replace."""
-    first = type(rows[0])
-    if first is not list and first is not tuple:
+def _table_text(rows, lead: str, inner: str, spelled: dict) -> str | None:
+    """A chunk of ledger table rows (lists or tuples of one non-zero length
+    whose cells are all exact ints, such as the transfers) as json.dumps
+    indents them at the depth `inner`, after `lead`, or None if the chunk is
+    not such a table.  Each cell is spelled from one of the depth's four
+    dicts in `spelled` (head, middle and tail cell of a row, and the only
+    cell of a one-column row), which map a value to its digits together with
+    the separators and brackets around it; a value is spelled once per dict
+    and file."""
+    if not set(map(type, rows)) <= {list, tuple}:
         return None
-    compact = _encode_compact(rows)
-    # only ints leave nothing but one bracket pair per row once their
-    # digits, signs and commas are deleted; "[]" would be an empty row
-    if "[]" in compact or compact.translate(_NUMBER_CHARS) != "[" + "[]" * len(rows) + "]":
+    lengths = set(map(len, rows))
+    width = lengths.pop()
+    if lengths or not width:
         return None
+    cells = list(chain.from_iterable(rows))
+    if set(map(type, cells)) != {int}:
+        return None
+    if inner not in spelled:
+        spelled[inner] = ({}, {}, {}, {})
+    head, middle, tail, only = spelled[inner]
     row = inner + "  "
-    body = compact[2:-2].replace("],[", "\0").replace(",", "," + row)
-    body = body.replace("\0", inner + "]," + inner + "[" + row)
-    return "[" + row + body + inner + "]"
+    if width == 1:
+        for v in set(cells).difference(only):
+            only[v] = f",{inner}[{row}{v}{inner}]"
+        parts = list(map(only.__getitem__, cells))
+    else:
+        columns = [cells[k::width] for k in range(width)]
+        for v in set(columns[0]).difference(head):
+            head[v] = f",{inner}[{row}{v}"
+        for v in set(chain.from_iterable(columns[1:-1])).difference(middle):
+            middle[v] = f",{row}{v}"
+        for v in set(columns[-1]).difference(tail):
+            tail[v] = f",{row}{v}{inner}]"
+        spelt = [map(head.__getitem__, columns[0]),
+                 *[map(middle.__getitem__, column) for column in columns[1:-1]],
+                 map(tail.__getitem__, columns[-1])]
+        parts = list(chain.from_iterable(zip(*spelt)))
+    # every row's text starts with the separator "," + inner; the first
+    # row's is replaced by lead
+    parts[0] = lead + parts[0][len(inner) + 1:]
+    return "".join(parts)
 
 
-def _write_json(obj, pad: str, write) -> None:
+def _write_json(obj, pad: str, write, spelled: dict) -> None:
     """Pass exactly the text of json.dumps(obj, indent=2, sort_keys=True),
     nested at the depth whose line prefix is `pad` (a newline plus spaces),
     to `write` piece by piece: a list in chunks of _CHUNK_ROWS rows, each
-    written at once if it is a ledger table (_table_text), else row by row."""
+    written at once if it is a ledger table (_table_text, which spells its
+    cells from `spelled`), else row by row."""
     inner = pad + "  "
     kind = type(obj)
     if kind is dict and all(type(key) is str for key in obj):
         lead = "{" + inner
         for key in sorted(obj):
             write(lead + _encode_scalar(key) + ": ")
-            _write_json(obj[key], inner, write)
+            _write_json(obj[key], inner, write, spelled)
             lead = "," + inner
         write(pad + "}" if obj else "{}")
     elif kind is list or kind is tuple:
@@ -119,14 +143,14 @@ def _write_json(obj, pad: str, write) -> None:
         lead = "[" + inner
         for start in range(0, len(obj), _CHUNK_ROWS):
             rows = obj[start:start + _CHUNK_ROWS]
-            text = _table_text(rows, inner)
+            text = _table_text(rows, lead, inner, spelled)
             if text is None:
                 for x in rows:
                     write(lead)
-                    _write_json(x, inner, write)
+                    _write_json(x, inner, write, spelled)
                     lead = "," + inner
             else:
-                write(lead + text)
+                write(text)
                 lead = "," + inner
         write(pad + "]" if obj else "[]")
     elif kind in (str, int, float, bool) or obj is None:
@@ -138,16 +162,18 @@ def _write_json(obj, pad: str, write) -> None:
 
 def _dump_json(doc: dict, path: str | None) -> None:
     """Write doc as json.dumps(doc, indent=2, sort_keys=True) plus a newline
-    to the file at path, streamed, or to stdout without a path.  A write that
-    fails part-way leaves no file behind."""
+    to the file at path, streamed, or to stdout without a path.  The cell
+    spellings of its ledger tables (see _table_text) live for this call
+    alone.  A write that fails part-way leaves no file behind."""
+    spelled: dict = {}
     if not path:
-        _write_json(doc, "\n", sys.stdout.write)
+        _write_json(doc, "\n", sys.stdout.write, spelled)
         sys.stdout.write("\n")
         return
     fh = open(path, "w", encoding="utf-8")
     try:
         with fh:
-            _write_json(doc, "\n", fh.write)
+            _write_json(doc, "\n", fh.write, spelled)
             fh.write("\n")
     except BaseException:
         Path(path).unlink(missing_ok=True)
@@ -436,9 +462,22 @@ def _rederived_route(run: RunResult, entries) -> dict:
             "delivered_words": sum(len(words) // 3 for words in run.outputs)}
 
 
+def _difference(held, want) -> str:
+    """How held's JSON text differs from want's: two lists by their first
+    differing item, else by their lengths, so a long table is not printed
+    whole; anything else by both values."""
+    if type(held) is list and type(want) in (list, tuple):
+        for k, (got, expected) in enumerate(zip(held, want)):
+            if json.dumps(got) != json.dumps(expected):
+                return f"item {k} holds {json.dumps(got)}, not {json.dumps(expected)}"
+        return f"holds {len(held)} items, not {len(want)}"
+    return f"holds {json.dumps(held)}, not {json.dumps(want)}"
+
+
 def _refuse_unless_derived(held: dict, want: dict, name: str = "") -> None:
     """Refuse (ValueError) a field of held unless its JSON text is want's, so
-    neither 7.0 nor 1 stands for 7 or true; dicts key by key, naming the field."""
+    neither 7.0 nor 1 stands for 7 or true; dicts key by key, naming the field
+    and how it differs (_difference)."""
     for key in sorted(held.keys() | want.keys()):
         field = f"{name} field {key!r}".lstrip()
         if key not in held or key not in want:
@@ -446,7 +485,7 @@ def _refuse_unless_derived(held: dict, want: dict, name: str = "") -> None:
         if type(held[key]) is dict and type(want[key]) is dict:
             _refuse_unless_derived(held[key], want[key], key)
         elif json.dumps(held[key]) != json.dumps(want[key]):
-            raise ValueError(f"{field} holds {json.dumps(held[key])}, not {json.dumps(want[key])}")
+            raise ValueError(f"{field} {_difference(held[key], want[key])}")
 
 
 def _expected_outputs(doc: dict, params: ModelParams, graph: Graph | None):

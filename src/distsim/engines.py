@@ -494,6 +494,11 @@ def _execute(prog: NodeProgram, local_inputs: list, params: ModelParams,
                                                  field_words[i])
             space[i] = max(pre, held[i])
             halt = halt or halted
+            # the last tuple payload whose words passed in this outbox: a
+            # tuple of ints cannot change, so a message that shares it (an
+            # announcement) skips the word checks; any other payload type is
+            # checked at every message
+            checked = None
             for msg in outbox:
                 if type(msg) is not Message:
                     raise EngineContractError(
@@ -507,14 +512,17 @@ def _execute(prog: NodeProgram, local_inputs: list, params: ModelParams,
                         f"participant {i} addressed a message to {dst!r}, not"
                         f" a participant id in 0..{p - 1}")
                 words = len(payload)
-                if words == 1:
-                    value = payload[0]
-                    if type(value) is not int or not 0 <= value < limit:
-                        _check_word(value, width)
-                else:
-                    for value in payload:
+                if payload is not checked:
+                    if words == 1:
+                        value = payload[0]
                         if type(value) is not int or not 0 <= value < limit:
                             _check_word(value, width)
+                    else:
+                        for value in payload:
+                            if type(value) is not int or not 0 <= value < limit:
+                                _check_word(value, width)
+                    if type(payload) is tuple:
+                        checked = payload
                 # messages are immutable, so the receiver gets the sender's object
                 pending[dst].append(msg)
                 pending_words[dst] += words

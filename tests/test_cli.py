@@ -1,4 +1,5 @@
 import contextlib
+import enum
 import errno
 import gc
 import hashlib
@@ -938,7 +939,7 @@ ROUND_BUDGET = ("measured_constants", "round_budget")
 
 @pytest.mark.parametrize("argv,path,value,message", [
     (SIM_CONGEST, ("assignment",), lambda doc: [0] * 20,
-     "field 'assignment' holds {edited}, not {assignment}"),
+     "field 'assignment' item {moved} holds 0, not {machine}"),
     (SIM_CONGEST, ("high_degree_flag",), lambda doc: not doc["high_degree_flag"],
      "field 'high_degree_flag' holds {edited}, not {flag}"),
     (SIM_CONGEST, ("high_degree_flag",), lambda doc: int(doc["high_degree_flag"]),
@@ -952,10 +953,13 @@ ROUND_BUDGET = ("measured_constants", "round_budget")
     (SIM_CONGEST + ("--round-budget", "40"), ROUND_BUDGET, lambda doc: 41,
      "measured_constants field 'round_budget' holds 41, not 40"),
     (SIM_SEMIMPC + ("--machines", "4"), ("episode_rounds",), lambda doc: [[1, 99]],
-     "field 'episode_rounds' holds [[1, 99]], not {planned}"),
+     "field 'episode_rounds' item 0 holds [1, 99], not {planned}"),
+    (SIM_SEMIMPC + ("--machines", "4"), ("episode_rounds",),
+     lambda doc: doc["episode_rounds"] * 2,
+     "field 'episode_rounds' holds {twice} items, not {episodes}"),
 ], ids=["assignment", "high-degree-flag", "int-high-degree-flag", "round-budget",
         "round-budget-below-native", "float-round-budget", "round-budget-not-config",
-        "episode-rounds"])
+        "episode-rounds", "episode-rounds-twice"])
 def test_verify_refuses_a_derived_report_field(argv, path, value, message, graph_file,
                                                tmp_path, capsys):
     # each field follows from the report's runs; each edit used to verify
@@ -964,10 +968,14 @@ def test_verify_refuses_a_derived_report_field(argv, path, value, message, graph
     assert run_cli(*argv, "--graph", graph_file, "--out", str(out)) == 0
     assert run_cli("verify", "--trace", str(out)) == 0
     doc = json.loads(out.read_text())
+    # a list field is named by its first differing item, or by its length
+    assignment, planned = doc.get("assignment", [0]), doc.get("episode_rounds", [[0]])
+    moved = next((v for v, machine in enumerate(assignment) if machine), 0)
     facts = {"p": doc["simulated"]["params"]["p"], "native": doc["native"]["rounds"],
              "flag": json.dumps(doc.get("high_degree_flag")),
-             "assignment": json.dumps(doc.get("assignment")),
-             "planned": json.dumps(doc.get("episode_rounds"))}
+             "moved": moved, "machine": assignment[moved],
+             "planned": json.dumps(planned[0]), "episodes": len(planned),
+             "twice": 2 * len(planned)}
     assert facts["p"] > 1 and 1 < facts["native"] < 40
     *outer, key = path
     field = doc[outer[0]] if outer else doc
@@ -1014,8 +1022,13 @@ def test_verify_refuses_any_edited_report_field(direction, graph_file, tmp_path,
         out.write_text(json.dumps(edited))
         original = doc[section] if section else doc
         field = f"{section} field {key!r}" if section else f"field {key!r}"
-        message = (f"{field} holds {json.dumps(value)}, not {json.dumps(original[key])}"
-                   if key in original else f"{field} is unknown")
+        if key not in original:
+            message = f"{field} is unknown"
+        elif type(value) is list:  # the list edits change item 0 alone
+            message = (f"{field} item 0 holds {json.dumps(value[0])},"
+                       f" not {json.dumps(original[key][0])}")
+        else:
+            message = f"{field} holds {json.dumps(value)}, not {json.dumps(original[key])}"
         assert run_cli("verify", "--trace", str(out)) == 2, message
         assert capsys.readouterr().err == f"error: malformed trace file: {message}\n"
 
@@ -1219,11 +1232,29 @@ def test_verify_rederives_a_route_file(doctor, field, tmp_path, capsys):
             " not (src, seq, value) triples\n")
         return
     name = field.split("'")[1]
-    held, want = ((doc, original) if name == "delivered_words"
-                  else (doc["routing"], original["routing"]))
+    held, want = ((doc[name], original[name]) if name == "delivered_words"
+                  else (doc["routing"][name], original["routing"][name]))
+    if name == "entries":  # a list field is named by its first differing item
+        field, held, want = f"{field} item 0", held[0], want[0]
     assert capsys.readouterr().err == (
-        f"error: malformed trace file: {field} holds {json.dumps(held[name])},"
-        f" not {json.dumps(want[name])}\n")
+        f"error: malformed trace file: {field} holds {json.dumps(held)},"
+        f" not {json.dumps(want)}\n")
+
+
+def test_verify_names_one_item_of_an_edited_route_table(tmp_path, capsys):
+    # both whole entries tables used to be printed: 730 bytes at n = 16, and
+    # about 98,000 ints per table at the full-load demand of n = 128
+    out, doc = _shift_route(tmp_path)
+    entries = doc["routing"]["entries"]
+    want = list(entries[3])
+    entries[3][3] = (want[3] + 1) % doc["routing"]["n"]
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("verify", "--trace", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: malformed trace file: routing field 'entries' item 3 holds"
+                   f" {json.dumps(entries[3])}, not {json.dumps(want)}\n")
+    assert len(err) < 200
 
 
 @pytest.mark.parametrize("argv,doctor", [
@@ -1404,6 +1435,50 @@ def test_dump_json_writes_long_tables_in_chunks(head, late, tmp_path):
                      for i in range(1, 3 * _CHUNK_ROWS + 9)]
     rows[3 * _CHUNK_ROWS + 4:3 * _CHUNK_ROWS + 4] = late
     doc = {"outputs": [[1]], "transfers": rows}
+    expected = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    _dump_json(doc, str(tmp_path / "doc.json"))
+    assert (tmp_path / "doc.json").read_text(encoding="utf-8") == expected
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        _dump_json(doc, None)
+    assert buf.getvalue() == expected
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2 ** 70
+
+
+class _Count(int):
+    """An int subclass json.dumps spells by int.__repr__."""
+
+
+def _wide_rows(rows, width):
+    return [[(r * 131 + c * 17) % 509 - 200 for c in range(width)] for r in range(rows)]
+
+
+_SHARED = [[3, 0, 1], [1, 3, 0]]
+
+
+@pytest.mark.parametrize("doc", [
+    # a table cell that is an int subclass makes its chunk go row by row
+    {"t": [[1, True, 0], [0, False, 1]]},
+    {"t": [[1, 2], [_Level.LOW, 2]], "u": [(_Level.HIGH,), (5,)]},
+    {"t": [[1, _Count(7)], [_Count(-3), 2]], "u": [[_Count(4)]]},
+    {"t": [[True], [False]], "u": [[1, 2, 3]] * 3 + [[1, 2, True]]},
+    # negative ints and ints wider than 64 bits are table cells like any other
+    {"t": [[-1, 2 ** 64, -(2 ** 70)], [2 ** 200, -(2 ** 63) - 1, 0]]},
+    {"t": [[-(2 ** 65)], [2 ** 65], [-1]]},
+    # rows hundreds of columns wide, and one column
+    {"t": _wide_rows(5, 384), "u": _wide_rows(3, 2)},
+    {"t": _wide_rows(4, 1), "u": [_wide_rows(2, 700)]},
+    # one value in the head, middle and tail of rows, at two depths, in a
+    # one-column table and in every chunk of a long table
+    {"a": _SHARED, "b": {"c": _SHARED, "d": [_SHARED, [[3], [1]]]},
+     "e": _SHARED * (_CHUNK_ROWS + 3), "f": [[0, 3, 1]] * (2 * _CHUNK_ROWS)},
+], ids=["bool", "int-enum", "int-subclass", "bool-column", "wide-ints",
+        "wide-ints-one-column", "384-columns", "700-columns", "shared-values"])
+def test_dump_json_spells_table_cells_as_json_dumps(doc, tmp_path):
     expected = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     _dump_json(doc, str(tmp_path / "doc.json"))
     assert (tmp_path / "doc.json").read_text(encoding="utf-8") == expected

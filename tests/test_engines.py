@@ -426,6 +426,68 @@ def test_every_word_of_a_multi_word_payload_is_checked(word, message):
         run_clique(SendsWord(word, lead=(1,)), gen_graph("complete", 3))
 
 
+class Broadcasts(NodeProgram):
+    """Node 0 emits the messages `outbox(yielded)` yields to nodes 1 and 2,
+    keeping each one it yields in `yielded`, then everyone halts."""
+
+    def __init__(self, outbox):
+        self.outbox = outbox
+        self.yielded = []
+
+    def init(self, pid, local_input):
+        return pid
+
+    def on_round(self, state, inbox):
+        return state, (self.outbox(self.yielded) if state == 0 else []), True
+
+    def output(self, state):
+        return []
+
+
+def _kept(messages, yielded):
+    for msg in messages:
+        yielded.append(msg)
+        yield msg
+
+
+def test_a_shared_payload_that_overflows_is_refused_at_its_first_message():
+    # a payload the messages of one outbox share is checked once, at the first
+    prog = Broadcasts(lambda yielded: _kept(Message.fan_out(0, (1, 2), (16,)), yielded))
+    with pytest.raises(EngineContractError,
+                       match="^payload word 16 overflows 4-bit words$"):
+        run_clique(prog, gen_graph("complete", 3))
+    assert len(prog.yielded) == 1
+
+
+@pytest.mark.parametrize("late", [(16,), (3, 16), (3, -1)])
+def test_a_new_payload_after_shared_ones_is_checked(late):
+    # the same words in a new tuple, after a run of valid shared ones
+    def outbox(yielded):
+        return Message.fan_out(0, (1, 2), (3,)) + [Message(0, 2, (3,)), Message(0, 1, late)]
+
+    with pytest.raises(EngineContractError,
+                       match=f"^payload word {late[-1]} overflows 4-bit words$"):
+        run_clique(Broadcasts(outbox), gen_graph("complete", 3))
+
+
+def test_a_shared_list_payload_is_checked_at_every_message():
+    # a Message built through tuple.__new__ keeps a list payload, which may
+    # change between two messages of an outbox that is a generator
+    def outbox(yielded):
+        words = [3]
+        yielded.append(tuple.__new__(Message, (0, 1, words)))
+        yield yielded[-1]
+        words[0] = 16
+        yielded.append(tuple.__new__(Message, (0, 2, words)))
+        yield yielded[-1]
+
+    prog = Broadcasts(outbox)
+    with pytest.raises(EngineContractError,
+                       match="^payload word 16 overflows 4-bit words$"):
+        run_clique(prog, gen_graph("complete", 3))
+    assert len(prog.yielded) == 2
+
+
 @pytest.mark.parametrize("kind, p, n, message", [
     (ModelKind.SEMI_MPC, 0, 4, "p must be >= 1"),
     (ModelKind.CLIQUE, 3, 4, "CLIQUE requires one participant per vertex"),
