@@ -466,7 +466,7 @@ def _difference(held, want) -> str:
     """How held's JSON text differs from want's: two lists by their first
     differing item, else by their lengths, so a long table is not printed
     whole; anything else by both values."""
-    if type(held) is list and type(want) in (list, tuple):
+    if type(held) is list and type(want) is list:
         for k, (got, expected) in enumerate(zip(held, want)):
             if json.dumps(got) != json.dumps(expected):
                 return f"item {k} holds {json.dumps(got)}, not {json.dumps(expected)}"
