@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import FieldCodec, Graph, Message, edge_pairs, id_width, incident_edges
+from .core import FieldCodec, Graph, Message, edge_pairs, id_width, incident_edges, round_loads
 from .engines import (
     ModelKind,
     ModelParams,
@@ -450,17 +450,11 @@ def simulate_semimpc_on_cc(prog: NodeProgram, inputs: list[list[int]],
 
     # the ledger names each round's senders; each takes its next recording
     recorded = {src: iter(rounds) for src, rounds in recorder.sent.items()}
-    sent: list[dict[int, tuple[Message, ...]]] = []
-    episodes: list[tuple[int, Schedule]] = []
-    max_count = 1  # the most words one pair exchanges in a round
-    for r, rec in enumerate(native.trace.rounds, 1):
-        senders = dict.fromkeys(src for src, _dst, _w in rec.transfers)
-        sent.append({src: next(recorded[src]) for src in senders})
-        if not senders:
-            continue
-        demand = DemandMatrix.from_transfers(n, rec.transfers)
-        max_count = max([max_count] + [count for _s, _d, count in demand.cells])
-        episodes.append((r, plan_routing(demand)))
+    sent = [{src: next(recorded[src]) for src in dict.fromkeys(s for s, _d, _w in rec.transfers)}
+            for rec in native.trace.rounds]
+    episodes = plan_episodes(native)
+    # the most words one pair exchanges in a round: a word's seq counts from 0
+    max_count = max([1] + [e[2] + 1 for _r, sched in episodes for e in sched.entries])
 
     widths = (id_width(n), id_width(max_count), params.word_width_bits, 1)
     wrapper = _SemiMpcOnClique(prog, p, episodes, sent, widths, inputs)
@@ -468,13 +462,23 @@ def simulate_semimpc_on_cc(prog: NodeProgram, inputs: list[list[int]],
         n, word_width_bits=sum(widths),
         c_space=params.c_space, round_cap=wrapper.last_round + 5)
     sim = run_clique(wrapper, Graph(n=n, edges=()), clique_params)
-    return semimpc_on_cc_report(native, sim, [[r, sched.num_rounds] for r, sched in episodes])
+    return semimpc_on_cc_report(native, sim, episodes)
+
+
+def plan_episodes(native: RunResult) -> list[tuple[int, Schedule]]:
+    """The routing episode of each native round that has transfers: (native
+    round, the schedule planned from that round's ledger demand)."""
+    n = native.params.n
+    return [(r, plan_routing(DemandMatrix.from_transfers(n, rec.transfers)))
+            for r, rec in enumerate(native.trace.rounds, 1) if rec.transfers]
 
 
 def semimpc_on_cc_report(native: RunResult, sim: RunResult,
-                         episode_rounds: list[list[int]]) -> SimulationReport:
+                         episodes: list[tuple[int, Schedule]]) -> SimulationReport:
     """The report of a semi-MPC run simulated on the n-node clique in at most
-    (2 + 2) * T rounds, with [native round, episode rounds] pairs."""
+    (2 + 2) * T rounds, with the [native round, episode rounds] pair of each
+    of its episodes (plan_episodes)."""
+    episode_rounds = [[r, sched.num_rounds] for r, sched in episodes]
     n = native.params.n
     p = native.params.p
     t_native = native.rounds_used
@@ -738,10 +742,7 @@ def _congest_memory_hypothesis(native: RunResult, g: Graph, c_space: int) -> Non
     own edge list): high-water <= c_space * (received + degree) + 8 words.
     Otherwise the simulation is refused, naming the node of largest ratio."""
     worst_ratio, worst_v, ok = 0.0, -1, True
-    recv = [0] * g.n
-    for rec in native.trace.rounds:
-        for _s, d, w in rec.transfers:
-            recv[d] += w
+    recv = round_loads((t for rec in native.trace.rounds for t in rec.transfers), g.n)[1]
     peaks = native.trace.space_high_water()
     for v in range(g.n):
         allowed = c_space * (recv[v] + g.degrees[v]) + 8

@@ -21,6 +21,7 @@ from .adapters import (
     SimulationRefused,
     cc_on_semimpc_report,
     congest_on_semimpc_report,
+    plan_episodes,
     semimpc_on_cc_report,
     simulate_cc_on_semimpc,
     simulate_congest_on_semimpc,
@@ -39,7 +40,7 @@ from .engines import (
     run_congest,
     run_mpc,
 )
-from .routing import DemandMatrix, execute_schedule, plan_routing
+from .routing import DemandMatrix, Schedule, execute_schedule, plan_routing
 
 ALGORITHM_MODELS = {
     "boruvka": ModelKind.CLIQUE,
@@ -81,11 +82,11 @@ def _table_text(rows, lead: str, inner: str, spelled: dict) -> str | None:
     """A chunk of ledger table rows (lists or tuples of one non-zero length
     whose cells are all exact ints, such as the transfers) as json.dumps
     indents them at the depth `inner`, after `lead`, or None if the chunk is
-    not such a table.  Each cell is spelled from one of the depth's four
-    dicts in `spelled` (head, middle and tail cell of a row, and the only
-    cell of a one-column row), which map a value to its digits together with
-    the separators and brackets around it; a value is spelled once per dict
-    and file."""
+    not such a table.  Each cell is spelled from one of the depth's two
+    dicts in `spelled`, which map a value to its digits together with the
+    separators and brackets before it: `head` for a row's first cell, which
+    also closes the row before, and `rest` for every other cell; a value is
+    spelled once per dict and file."""
     if not set(map(type, rows)) <= {list, tuple}:
         return None
     lengths = set(map(len, rows))
@@ -96,28 +97,19 @@ def _table_text(rows, lead: str, inner: str, spelled: dict) -> str | None:
     if set(map(type, cells)) != {int}:
         return None
     if inner not in spelled:
-        spelled[inner] = ({}, {}, {}, {})
-    head, middle, tail, only = spelled[inner]
+        spelled[inner] = ({}, {})
+    head, rest = spelled[inner]
     row = inner + "  "
-    if width == 1:
-        for v in set(cells).difference(only):
-            only[v] = f",{inner}[{row}{v}{inner}]"
-        parts = list(map(only.__getitem__, cells))
-    else:
-        columns = [cells[k::width] for k in range(width)]
-        for v in set(columns[0]).difference(head):
-            head[v] = f",{inner}[{row}{v}"
-        for v in set(chain.from_iterable(columns[1:-1])).difference(middle):
-            middle[v] = f",{row}{v}"
-        for v in set(columns[-1]).difference(tail):
-            tail[v] = f",{row}{v}{inner}]"
-        spelt = [map(head.__getitem__, columns[0]),
-                 *[map(middle.__getitem__, column) for column in columns[1:-1]],
-                 map(tail.__getitem__, columns[-1])]
-        parts = list(chain.from_iterable(zip(*spelt)))
-    # every row's text starts with the separator "," + inner; the first
-    # row's is replaced by lead
-    parts[0] = lead + parts[0][len(inner) + 1:]
+    columns = [cells[k::width] for k in range(width)]
+    for v in set(columns[0]).difference(head):
+        head[v] = f"{inner}],{inner}[{row}{v}"
+    for v in set(chain.from_iterable(columns[1:])).difference(rest):
+        rest[v] = f",{row}{v}"
+    parts = list(chain.from_iterable(zip(map(head.__getitem__, columns[0]),
+                                         *[map(rest.__getitem__, c) for c in columns[1:]])))
+    # the first row has no row before it to close: its text follows lead
+    parts[0] = lead + parts[0][2 * len(inner) + 2:]
+    parts.append(inner + "]")
     return "".join(parts)
 
 
@@ -160,16 +152,12 @@ def _write_json(obj, pad: str, write, spelled: dict) -> None:
         write(json.dumps(obj, indent=2, sort_keys=True).replace("\n", pad))
 
 
-def _dump_json(doc: dict, path: str | None) -> None:
+def _dump_json(doc: dict, path: str) -> None:
     """Write doc as json.dumps(doc, indent=2, sort_keys=True) plus a newline
-    to the file at path, streamed, or to stdout without a path.  The cell
-    spellings of its ledger tables (see _table_text) live for this call
-    alone.  A write that fails part-way leaves no file behind."""
+    to the file at path, streamed.  The cell spellings of its ledger tables
+    (see _table_text) live for this call alone.  A write that fails part-way
+    leaves no file behind."""
     spelled: dict = {}
-    if not path:
-        _write_json(doc, "\n", sys.stdout.write, spelled)
-        sys.stdout.write("\n")
-        return
     fh = open(path, "w", encoding="utf-8")
     try:
         with fh:
@@ -360,8 +348,7 @@ def cmd_route(args) -> int:
     record = execute_schedule(sched, payloads, value_width=8)
 
     out = record.run.to_json_dict()
-    out["routing"] = sched.to_json_dict()
-    out["delivered_words"] = sum(len(t) for t in record.delivered)
+    out.update(_route_fields(sched, record.run))
     _dump_json(out, args.out)
 
     print(summary)
@@ -430,9 +417,7 @@ def _rederived_report(doc: dict, native: RunResult, simulated: RunResult):
     if pair == (ModelKind.CLIQUE, ModelKind.SEMI_MPC):
         return cc_on_semimpc_report(native, simulated)
     if pair == (ModelKind.SEMI_MPC, ModelKind.CLIQUE):
-        return semimpc_on_cc_report(native, simulated, [
-            [r, plan_routing(DemandMatrix.from_transfers(native.params.n, rec.transfers))
-             .num_rounds] for r, rec in enumerate(native.trace.rounds, 1) if rec.transfers])
+        return semimpc_on_cc_report(native, simulated, plan_episodes(native))
     if pair != (ModelKind.CONGEST, ModelKind.SEMI_MPC):
         raise ValueError(f"no adapter simulates {pair[0].value} on {pair[1].value}")
     source = "config" if "config" in doc else "measured_constants"
@@ -449,16 +434,15 @@ def _rederived_report(doc: dict, native: RunResult, simulated: RunResult):
     return congest_on_semimpc_report(native, simulated, budget, c_machines)
 
 
-def _rederived_route(run: RunResult, entries) -> dict:
-    """A route file's schedule, re-planned from its own entries' (src, dst)
-    pairs, and the number of (src, seq, value) triples its outputs deliver.
-    The payload values are not checked."""
-    demand = DemandMatrix.from_transfers(run.params.n, [(s, d, 1) for s, d, *_e in entries])
+def _route_fields(sched: Schedule, run: RunResult) -> dict:
+    """A route file's `routing`, the schedule, and `delivered_words`, the
+    number of (src, seq, value) triples the run's outputs deliver; outputs
+    that are not whole triples are refused (ValueError)."""
     for v, words in enumerate(run.outputs):
         if len(words) % 3:
             raise ValueError(f"outputs of node {v} hold {len(words)} words,"
                              " not (src, seq, value) triples")
-    return {"routing": plan_routing(demand).to_json_dict(),
+    return {"routing": sched.to_json_dict(),
             "delivered_words": sum(len(words) // 3 for words in run.outputs)}
 
 
@@ -538,7 +522,11 @@ def cmd_verify(args) -> int:
             if report:
                 derived = _rederived_report(doc, native, checked[1][1]).derived_fields()
             elif "routing" in doc:
-                derived = _rederived_route(native, doc["routing"]["entries"])
+                # re-planned from the file's own entries' (src, dst) pairs;
+                # the payload values are not checked
+                demand = DemandMatrix.from_transfers(
+                    native.params.n, [(s, d, 1) for s, d, *_e in doc["routing"]["entries"]])
+                derived = _route_fields(plan_routing(demand), native)
         _refuse_unless_derived({key: doc[key] for key in derived}, derived)
     except (LookupError, TypeError, ValueError) as exc:
         # LookupError covers KeyError and IndexError, ValueError JSONDecodeError

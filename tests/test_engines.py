@@ -472,7 +472,8 @@ def test_a_new_payload_after_shared_ones_is_checked(late):
 
 def test_a_shared_list_payload_is_checked_at_every_message():
     # a Message built through tuple.__new__ keeps a list payload, which may
-    # change between two messages of an outbox that is a generator
+    # change between two messages of an outbox that is a generator: it is
+    # refused at the first message, before its words are read
     def outbox(yielded):
         words = [3]
         yielded.append(tuple.__new__(Message, (0, 1, words)))
@@ -483,9 +484,46 @@ def test_a_shared_list_payload_is_checked_at_every_message():
 
     prog = Broadcasts(outbox)
     with pytest.raises(EngineContractError,
-                       match="^payload word 16 overflows 4-bit words$"):
+                       match="^participant 0 sent a list payload, not a tuple$"):
         run_clique(prog, gen_graph("complete", 3))
-    assert len(prog.yielded) == 2
+    assert len(prog.yielded) == 1
+
+
+class GrowsASentList(NodeProgram):
+    """Node 0 sends node 1 a Message built through tuple.__new__ around a
+    list in round 1 and appends two words to that list in round 2, before
+    node 1 reads it; node 1 keeps what it read in `read`."""
+
+    def __init__(self):
+        self.words = [1]
+        self.read = None
+
+    def init(self, pid, local_input):
+        return (pid, 1)
+
+    def on_round(self, state, inbox):
+        pid, round_no = state
+        out = []
+        if pid == 0 and round_no == 1:
+            out = [tuple.__new__(Message, (0, 1, self.words))]
+        elif pid == 0:
+            self.words += [99, 100]
+        for msg in inbox:
+            self.read = list(msg.payload)
+        return (pid, round_no + 1), out, round_no == 2
+
+    def output(self, state):
+        return []
+
+
+def test_a_list_payload_is_refused_before_its_words_can_change():
+    # it used to run clean with the ledger ((0, 1, 1),) while node 1 read
+    # [1, 99, 100]: two uncharged words above the 4-bit width
+    prog = GrowsASentList()
+    with pytest.raises(EngineContractError,
+                       match="^participant 0 sent a list payload, not a tuple$"):
+        run_clique(prog, gen_graph("complete", 3))
+    assert prog.read is None
 
 
 @pytest.mark.parametrize("kind, p, n, message", [
