@@ -1422,6 +1422,16 @@ def test_dump_json_matches_json_dumps(dump_path, doc):
             == json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+# a file that already holds a longer text is replaced whole, not overlaid
+@settings(max_examples=100, deadline=None)
+@given(doc=_documents)
+def test_dump_json_to_a_file_matches_json_dumps(dump_path, doc):
+    expected = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    dump_path.write_text("x" * (len(expected) + 64), encoding="utf-8")
+    _dump_json(doc, str(dump_path))
+    assert dump_path.read_text(encoding="utf-8") == expected
+
+
 @pytest.mark.parametrize("late", [
     # an int row, a row that is not all ints and an empty row
     [[-5, 2 ** 70, 0], [1, "x", 2.5], []],
