@@ -469,6 +469,7 @@ def _execute(prog: NodeProgram, local_inputs: list, params: ModelParams,
     pending_words = [0] * p  # words in each pending inbox
     records: list[RoundRecord] = []
     round_no = 0
+    unchecked = object()
 
     while True:
         round_no += 1
@@ -497,8 +498,9 @@ def _execute(prog: NodeProgram, local_inputs: list, params: ModelParams,
             # the last payload whose words passed in this outbox: payloads
             # are exact tuples, as Message builds them, and a tuple of ints
             # cannot change, so a message that shares it (an announcement)
-            # skips the checks
-            checked = None
+            # skips the checks; `unchecked` is no payload, so every outbox's
+            # first payload is checked, None included
+            checked = unchecked
             for msg in outbox:
                 if type(msg) is not Message:
                     raise EngineContractError(

@@ -526,6 +526,40 @@ def test_a_list_payload_is_refused_before_its_words_can_change():
     assert prog.read is None
 
 
+class SendsANonePayload(NodeProgram):
+    """Every node below `sender` sends node `sender` a valid message, then
+    node `sender` emits a Message built through tuple.__new__ around None,
+    all in round 1."""
+
+    def __init__(self, sender):
+        self.sender = sender
+
+    def init(self, pid, local_input):
+        return pid
+
+    def on_round(self, state, inbox):
+        if state < self.sender:
+            out = [Message(state, self.sender, (1, 2))]
+        elif state == self.sender:
+            out = [tuple.__new__(Message, (state, 0, None))]
+        else:
+            out = []
+        return state, out, True
+
+    def output(self, state):
+        return []
+
+
+@pytest.mark.parametrize("sender", [0, 2])
+def test_a_none_payload_is_refused_at_an_outbox_s_first_message(sender):
+    # as the run's first message it used to raise UnboundLocalError; after
+    # another participant's message it was delivered and charged that
+    # message's word count
+    with pytest.raises(EngineContractError,
+                       match=f"^participant {sender} sent a NoneType payload, not a tuple$"):
+        run_clique(SendsANonePayload(sender), gen_graph("complete", 3))
+
+
 @pytest.mark.parametrize("kind, p, n, message", [
     (ModelKind.SEMI_MPC, 0, 4, "p must be >= 1"),
     (ModelKind.CLIQUE, 3, 4, "CLIQUE requires one participant per vertex"),
