@@ -708,11 +708,8 @@ class _CongestOnSemiMpc(NodeProgram):
         halt = False
         for v, nstate in node_states:
             arrivals = per_vertex[v]
-            if arrivals:
-                arrivals.sort()
-                node_inbox = [Message(u, v, (value,)) for u, value in arrivals]
-            else:
-                node_inbox = []
+            arrivals.sort()
+            node_inbox = [Message(u, v, (value,)) for u, value in arrivals]
             nstate, outbox, node_halt = inner_round(nstate, node_inbox)
             new_states.append((v, nstate))
             halt = halt or node_halt

@@ -404,13 +404,13 @@ def _recheck_run(doc: dict, report_models: dict):
     return run, wrong
 
 
-def _rederived_report(doc: dict, native: RunResult, simulated: RunResult):
+def _rederived_report(config: dict, native: RunResult, simulated: RunResult):
     """The report of a report file's runs, from their adapter's report
     function.  Its other inputs: the episodes re-planned from the native
-    ledger, and the round budget of config (the native round count when
-    null) or, without config, the file's measured_constants, with
-    config.constants' c_machines (C_MACHINES when absent or without config).
-    A native run of no rounds is refused: every engine run takes one."""
+    ledger, and the file's config: its round budget (the native round
+    count when null) and its constants' c_machines (C_MACHINES when
+    absent).  A native run of no rounds is refused: every engine run
+    takes one."""
     if native.rounds_used == 0:
         raise ValueError("native field 'rounds' holds 0, not at least 1")
     pair = (native.params.kind, simulated.params.kind)
@@ -420,13 +420,12 @@ def _rederived_report(doc: dict, native: RunResult, simulated: RunResult):
         return semimpc_on_cc_report(native, simulated, plan_episodes(native))
     if pair != (ModelKind.CONGEST, ModelKind.SEMI_MPC):
         raise ValueError(f"no adapter simulates {pair[0].value} on {pair[1].value}")
-    source = "config" if "config" in doc else "measured_constants"
-    budget = doc[source]["round_budget"]
+    budget = config["round_budget"]
     budget = native.rounds_used if budget is None else budget
     if type(budget) is not int or budget < native.rounds_used:
-        raise ValueError(f"{source} field 'round_budget' holds {budget!r}, not an"
+        raise ValueError(f"config field 'round_budget' holds {budget!r}, not an"
                          f" integer of at least the {native.rounds_used} native rounds")
-    constants = doc["config"]["constants"] if "config" in doc else {}
+    constants = config["constants"]
     c_machines = constants.get("c_machines", C_MACHINES) if type(constants) is dict else None
     if type(c_machines) is not int or c_machines < 1:
         raise ValueError(f"config field 'constants' holds {json.dumps(constants)},"
@@ -472,13 +471,12 @@ def _refuse_unless_derived(held: dict, want: dict, name: str = "") -> None:
             raise ValueError(f"{field} {_difference(held[key], want[key])}")
 
 
-def _expected_outputs(doc: dict, params: ModelParams, graph: Graph | None):
-    """The outputs a clean run's algorithm writes on its graph, from
+def _expected_outputs(algorithm, params: ModelParams, graph: Graph | None):
+    """The outputs a clean run of the algorithm writes on its graph, from
     components_oracle: each vertex's [label] for boruvka and flood, every
     label on machine 0 and nothing elsewhere for forest-merge.  None when
-    the file names no algorithm or holds no graph."""
-    algorithm = doc["config"]["algorithm"] if "config" in doc else None
-    if algorithm is None or graph is None:
+    the run holds no graph."""
+    if graph is None:
         return None
     if ALGORITHM_MODELS.get(algorithm) != params.kind:
         raise ValueError(f"config field 'algorithm' holds {algorithm!r}, not an"
@@ -494,7 +492,9 @@ def cmd_verify(args) -> int:
     label = ""
     try:
         doc = json.loads(Path(args.trace).read_text(encoding="utf-8"))
-        report = "native" in doc and "simulated" in doc
+        report, route = "native" in doc and "simulated" in doc, "routing" in doc
+        # run and report files are checked against the config their command wrote
+        config = {} if route else doc["config"]
         runs = [("", doc, {})]
         if report:
             runs = [("native: ", doc["native"], {"source_model": doc["source_model"]}),
@@ -505,23 +505,21 @@ def cmd_verify(args) -> int:
         # --machines sized a semi-MPC run file's run or a report's native run
         label, native, wrong = checked[0]
         p = native.params.p
-        if native.params.kind == ModelKind.SEMI_MPC and "config" in doc:
-            machines = doc["config"]["machines"]
+        if native.params.kind == ModelKind.SEMI_MPC:
+            machines = config["machines"]
             if type(machines) is not int or machines != p:
                 raise ValueError(f"config field 'machines' holds {machines!r}, not params p = {p}")
         label = ""
-        note = None
-        if native.clean:
-            expected = _expected_outputs(doc, native.params, native.graph)
-            if expected is None and not report:
-                note = "outputs not checked: the file names no algorithm or holds no graph"
-            elif expected is not None and json.dumps(native.outputs) != json.dumps(expected):
+        # a route file's outputs are (src, seq, value) triples: _route_fields
+        if native.clean and not route:
+            expected = _expected_outputs(config["algorithm"], native.params, native.graph)
+            if expected is not None and json.dumps(native.outputs) != json.dumps(expected):
                 wrong.append("outputs")
         derived = {}
         if native.clean and not any(misstated for _l, _r, misstated in checked):
             if report:
-                derived = _rederived_report(doc, native, checked[1][1]).derived_fields()
-            elif "routing" in doc:
+                derived = _rederived_report(config, native, checked[1][1]).derived_fields()
+            elif route:
                 # re-planned from the file's own entries' (src, dst) pairs;
                 # the payload values are not checked
                 demand = DemandMatrix.from_transfers(
@@ -544,8 +542,6 @@ def cmd_verify(args) -> int:
                   else f"  {key} in the file differs from the ledger's")
         if run.violations or wrong:
             code = 1
-    if note:
-        print(f"  {note}")
     return code
 
 

@@ -129,10 +129,9 @@ class ModelParams:
         L is the input size in words; when the model carries a vertex count,
         an n-vertex graph instance is never smaller than its vertex set, so
         L = max(ell, n).  Without this floor the law would reject every
-        sparse graph even on a single machine.
+        sparse graph even on a single machine.  The law is checked only
+        when ell > 0.
         """
-        if self.ell <= 0:
-            return 0
         size = max(self.ell, self.n)
         log_term = math.log2(max(size, 2)) ** POLYLOG_EXP
         return int(C_TOTAL * (size ** (1.0 + self.delta)) * log_term)
@@ -519,14 +518,9 @@ def _execute(prog: NodeProgram, local_inputs: list, params: ModelParams,
                             f"participant {i} sent a {type(payload).__name__} payload,"
                             " not a tuple")
                     words = len(payload)
-                    if words == 1:
-                        value = payload[0]
+                    for value in payload:
                         if type(value) is not int or not 0 <= value < limit:
                             _check_word(value, width)
-                    else:
-                        for value in payload:
-                            if type(value) is not int or not 0 <= value < limit:
-                                _check_word(value, width)
                     checked = payload
                 # messages are immutable, so the receiver gets the sender's object
                 pending[dst].append(msg)

@@ -583,16 +583,20 @@ def test_verify_clean_round_trip(graph_file, tmp_path):
     assert run_cli("verify", "--trace", str(out)) == 0
 
 
-def test_verify_simulation_traces_round_trip(graph_file, tmp_path):
-    out = tmp_path / "sim.json"
-    run_cli("simulate", "--from", "clique", "--to", "semimpc",
-            "--algorithm", "boruvka", "--graph", graph_file,
-            "--out", str(out))
-    doc = json.loads(out.read_text())
+def test_verify_simulation_traces_round_trip(graph_file, tmp_path, capsys):
+    # a report's native run is the run file of the same command, config
+    # aside; a run cut out of a report holds no config and is refused
+    out, run = tmp_path / "sim.json", tmp_path / "run.json"
+    doc = _simulate("clique", graph_file, out)
+    assert run_cli(*RUN_CLIQUE, "--graph", graph_file, "--out", str(run)) == 0
+    run_doc = json.loads(run.read_text())
+    assert {**doc["native"], "config": run_doc["config"]} == run_doc
+    capsys.readouterr()
     for side in ("native", "simulated"):
         piece = tmp_path / f"{side}.json"
         piece.write_text(json.dumps(doc[side]))
-        assert run_cli("verify", "--trace", str(piece)) == 0
+        assert run_cli("verify", "--trace", str(piece)) == 2
+        assert capsys.readouterr().err == "error: malformed trace file: 'config'\n"
 
 
 SIM_DIRECTIONS = {
@@ -937,10 +941,11 @@ def test_verify_refuses_a_config_machine_count_other_than_p(argv, label, machine
     assert capsys.readouterr().err == (
         f"error: malformed trace file: {label}config field 'machines' holds"
         f" {machines!r}, not params p = 4\n")
-    # a file saved without its config is not checked against one
+    # a file saved without its config is refused, not left unchecked
     del doc["config"]
     out.write_text(json.dumps(doc))
-    assert run_cli("verify", "--trace", str(out)) == 0
+    assert run_cli("verify", "--trace", str(out)) == 2
+    assert capsys.readouterr().err == "error: malformed trace file: 'config'\n"
 
 
 ROUND_BUDGET = ("measured_constants", "round_budget")
@@ -1123,22 +1128,22 @@ def test_verify_checks_the_machine_count_against_c_machines(tmp_path, capsys):
     assert run_cli("verify", "--trace", str(out)) == 0
 
 
-def test_verify_takes_the_round_budget_of_a_report_without_config(graph_file, tmp_path,
-                                                                   capsys):
-    # without config, the file's own budget must be an int of at least T
+@pytest.mark.parametrize("edit", [-1, 0.0], ids=["below-native", "float"])
+def test_verify_takes_the_round_budget_of_config(edit, graph_file, tmp_path, capsys):
+    # a null config budget is the native round count; any other must be an
+    # int of at least T
     out = tmp_path / "sim.json"
     doc = _simulate("congest", graph_file, out)
-    del doc["config"]
-    out.write_text(json.dumps(doc))
-    assert run_cli("verify", "--trace", str(out)) == 0
     native = doc["native"]["rounds"]
-    doc["measured_constants"]["round_budget"] = native - 1
+    assert doc["config"]["round_budget"] is None
+    assert doc["measured_constants"]["round_budget"] == native
+    doc["config"]["round_budget"] = native + edit
     out.write_text(json.dumps(doc))
     capsys.readouterr()
     assert run_cli("verify", "--trace", str(out)) == 2
     assert capsys.readouterr().err == (
-        f"error: malformed trace file: measured_constants field 'round_budget' holds"
-        f" {native - 1}, not an integer of at least the {native} native rounds\n")
+        f"error: malformed trace file: config field 'round_budget' holds"
+        f" {native + edit!r}, not an integer of at least the {native} native rounds\n")
 
 
 @pytest.mark.parametrize("direction,doctor,config,code", [
@@ -1147,7 +1152,7 @@ def test_verify_takes_the_round_budget_of_a_report_without_config(graph_file, tm
     ("clique", lambda doc: [doc[side]["outputs"].__setitem__(3, [5])
                             for side in ("native", "simulated")], True, 1),
     ("congest", lambda doc: doc["native"]["outputs"].__setitem__(0, [5]), True, 1),
-    # no config names the algorithm: outputs_ok no longer holds
+    # a report saved without config is refused, its outputs unread
     ("congest", lambda doc: doc["native"]["outputs"].__setitem__(0, [5]), False, 2),
 ], ids=["clique-both-runs", "congest-native", "congest-native-no-config"])
 def test_verify_checks_a_report_native_outputs(direction, doctor, config, code, graph_file,
@@ -1163,8 +1168,7 @@ def test_verify_checks_a_report_native_outputs(direction, doctor, config, code, 
     assert run_cli("verify", "--trace", str(out)) == code
     captured = capsys.readouterr()
     if code == 2:
-        assert captured.err == ("error: malformed trace file: bound_checks field"
-                                " 'outputs_ok' holds true, not false\n")
+        assert captured.err == "error: malformed trace file: 'config'\n"
         return
     assert captured.out.splitlines() == [
         f"native: model={doc['native']['model']} rounds={doc['native']['rounds']}"
@@ -1228,9 +1232,8 @@ def test_verify_rederives_a_route_file(doctor, field, tmp_path, capsys):
     out, doc = _shift_route(tmp_path)
     capsys.readouterr()
     assert run_cli("verify", "--trace", str(out)) == 0
-    # payload values are not checked
-    assert capsys.readouterr().out.splitlines()[1:] == [
-        "  outputs not checked: the file names no algorithm or holds no graph"]
+    # payload values are not checked, and the triples need no note
+    assert capsys.readouterr().out.splitlines() == ["model=CLIQUE rounds=3 violations=0"]
     original = json.loads(json.dumps(doc))
     doctor(doc)
     out.write_text(json.dumps(doc))
@@ -1290,17 +1293,26 @@ def test_verify_checks_outputs_against_the_graph_components(argv, doctor, graph_
         "  outputs in the file differ from the graph's components"]
 
 
-def test_verify_says_when_it_cannot_check_outputs(graph_file, tmp_path, capsys):
-    out = tmp_path / "run.json"
-    assert run_cli(*RUN_CLIQUE, "--graph", graph_file, "--out", str(out)) == 0
+@pytest.mark.parametrize("argv,code", [
+    (RUN_CLIQUE, 0), (RUN_CONGEST, 0), (RUN_SEMIMPC, 0),
+    # semi-MPC machines of 20 words each: the run ends on a violation
+    (RUN_SEMIMPC + ("--constants", "c_space=1"), 1),
+    (SIM_CLIQUE, 0), (SIM_CONGEST, 0), (SIM_DIRECTIONS["semimpc"], 0),
+], ids=["run-clique", "run-congest", "run-semimpc", "run-semimpc-violation",
+        "report-clique", "report-congest", "report-semimpc"])
+def test_verify_refuses_a_file_without_config(argv, code, graph_file, tmp_path, capsys):
+    # without config such a file used to verify with outputs unchecked (a
+    # run file said so), the semi-MPC machine count unread, and a CONGEST
+    # report's round budget and c_machines from the file or the default
+    out = tmp_path / "out.json"
+    assert run_cli(*argv, "--graph", graph_file, "--out", str(out)) == code
+    assert run_cli("verify", "--trace", str(out)) == code
     doc = json.loads(out.read_text())
-    doc["outputs"][0] = [5]
     del doc["config"]
     out.write_text(json.dumps(doc))
     capsys.readouterr()
-    assert run_cli("verify", "--trace", str(out)) == 0
-    assert capsys.readouterr().out.splitlines()[1:] == [
-        "  outputs not checked: the file names no algorithm or holds no graph"]
+    assert run_cli("verify", "--trace", str(out)) == 2
+    assert capsys.readouterr() == ("", "error: malformed trace file: 'config'\n")
 
 
 def test_verify_refuses_an_algorithm_of_another_model(graph_file, tmp_path, capsys):
