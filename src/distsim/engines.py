@@ -419,11 +419,16 @@ def check_trace(trace: RoundTrace, params: ModelParams,
     engine.  A clean engine run re-checked here must come back empty; an
     aborted run re-checked here reproduces the same violations.  A CONGEST
     trace needs its graph, without which the non-edge rule cannot be
-    checked."""
+    checked.  A transfer of fewer than one word, which no engine records,
+    would carry information uncharged: it is refused with ValueError."""
     if params.kind == ModelKind.CONGEST and graph is None:
         raise ValueError("checking a CONGEST trace needs its graph")
     out = list(params.start_violations())
     for idx, rec in enumerate(trace.rounds):
+        if rec.transfers and min(map(_words_of, rec.transfers)) < 1:
+            bad = next(t for t in rec.transfers if t[2] < 1)
+            raise ValueError(f"round {idx + 1} lists a transfer {list(bad)} of"
+                             " fewer than one word")
         out.extend(_round_violations(idx + 1, rec.transfers, rec.space,
                                      params, graph))
     return out
@@ -435,10 +440,15 @@ def check_trace(trace: RoundTrace, params: ModelParams,
 
 def _check_word(value, width: int) -> None:
     """A payload word is an int (bool included, as in words_in) that fits
-    the model's word width; raise EngineContractError for anything else."""
+    the model's word width and whose type carries no attributes, where data
+    could hide; raise EngineContractError for anything else."""
     if not isinstance(value, int):
         raise EngineContractError(
             f"payload word {value!r} is a {type(value).__name__}, not an int")
+    if type(value).__dictoffset__:
+        raise EngineContractError(
+            f"payload word {value!r} is a {type(value).__name__}, whose instances"
+            " carry attributes")
     if not 0 <= value < (1 << width):
         raise EngineContractError(
             f"payload word {value} overflows {width}-bit words")
@@ -518,6 +528,8 @@ def _execute(prog: NodeProgram, local_inputs: list, params: ModelParams,
                             f"participant {i} sent a {type(payload).__name__} payload,"
                             " not a tuple")
                     words = len(payload)
+                    if not words:
+                        raise EngineContractError(f"participant {i} sent an empty payload")
                     for value in payload:
                         if type(value) is not int or not 0 <= value < limit:
                             _check_word(value, width)

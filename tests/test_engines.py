@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import chain
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from distsim import (
@@ -18,6 +18,8 @@ from distsim import (
     ModelParams,
     NodeProgram,
     RoundLimitError,
+    RoundRecord,
+    RoundTrace,
     check_trace,
     gen_graph,
     run_clique,
@@ -560,6 +562,59 @@ def test_a_none_payload_is_refused_at_an_outbox_s_first_message(sender):
         run_clique(SendsANonePayload(sender), gen_graph("complete", 3))
 
 
+def test_an_empty_payload_is_refused():
+    # five messages around () built through tuple.__new__ used to run clean
+    # with the ledger ((0, 1, 0),) * 5: their number carried uncharged
+    # information
+    prog = Broadcasts(lambda yielded: _kept([tuple.__new__(Message, (0, 1, ()))] * 5,
+                                            yielded))
+    with pytest.raises(EngineContractError, match="^participant 0 sent an empty payload$"):
+        run_clique(prog, gen_graph("complete", 3))
+    assert len(prog.yielded) == 1
+
+
+class ReadsASecret(NodeProgram):
+    """Node 0 sends node 1 the one-word payload (word,) in round 1; node 1
+    keeps what it reads of the word's attribute `secret` in `read`."""
+
+    def __init__(self, word):
+        self.word = word
+        self.read = None
+
+    def init(self, pid, local_input):
+        return (pid, 1)
+
+    def on_round(self, state, inbox):
+        pid, round_no = state
+        out = [Message(0, 1, (self.word,))] if pid == 0 and round_no == 1 else []
+        for msg in inbox:
+            self.read = getattr(msg.payload[0], "secret", None)
+        return (pid, round_no + 1), out, round_no == 2
+
+    def output(self, state):
+        return []
+
+
+class SlotInt(int):
+    __slots__ = ()
+
+
+def test_a_payload_word_that_carries_attributes_is_refused():
+    # it used to run clean with the ledger ((0, 1, 1),) while node 1 read
+    # the word's six-item secret
+    word = AttrInt(1)
+    word.secret = (0, 1, 2, 3, 4, "more")
+    prog = ReadsASecret(word)
+    with pytest.raises(EngineContractError,
+                       match="^payload word 1 is a AttrInt, whose instances carry attributes$"):
+        run_clique(prog, gen_graph("complete", 3))
+    assert prog.read is None
+    # a bool and an int subclass without attributes stay one word
+    for word in (True, SlotInt(1)):
+        res = run_clique(ReadsASecret(word), gen_graph("complete", 3))
+        assert res.clean and res.trace.rounds[0].transfers == ((0, 1, 1),)
+
+
 @pytest.mark.parametrize("kind, p, n, message", [
     (ModelKind.SEMI_MPC, 0, 4, "p must be >= 1"),
     (ModelKind.CLIQUE, 3, 4, "CLIQUE requires one participant per vertex"),
@@ -759,7 +814,6 @@ def test_check_trace_reproduces_engine_violation():
 def test_check_trace_flags_doctored_round():
     g = gen_graph("complete", 4)
     res = run_clique(SendIdToZero(), g)
-    from distsim import RoundRecord, RoundTrace
     rec = res.trace.rounds[0]
     doctored = RoundTrace(
         num_participants=4,
@@ -767,6 +821,16 @@ def test_check_trace_flags_doctored_round():
                             space=rec.space),))
     bad = check_trace(doctored, res.params, g)
     assert bad and bad[0].rule == "pair-capacity" and bad[0].round == 1
+
+
+@pytest.mark.parametrize("params", [ModelParams.clique(3), ModelParams.semi_mpc(3, 3, ell=0)],
+                         ids=["clique", "semi-mpc"])
+def test_check_trace_refuses_a_zero_word_transfer(params):
+    # no engine records one; it used to re-check clean
+    trace = RoundTrace(3, (RoundRecord(((1, 2, 1), (0, 1, 0)), (0, 0, 0)),))
+    with pytest.raises(ValueError,
+                       match=re.escape("round 1 lists a transfer [0, 1, 0] of fewer than one word")):
+        check_trace(trace, params)
 
 
 def test_check_trace_congest_requires_graph():
@@ -779,7 +843,6 @@ def test_check_trace_congest_requires_graph():
 
 def test_check_trace_space_boundary():
     params = ModelParams.semi_mpc(5, 2, ell=0)
-    from distsim import RoundRecord, RoundTrace
     at_budget = RoundTrace(2, (RoundRecord((), (params.s, 0)),))
     over = RoundTrace(2, (RoundRecord((), (params.s + 1, 0)),))
     assert check_trace(at_budget, params) == []
@@ -1234,3 +1297,99 @@ def test_round_violations_match_reference(case, round_no):
     assert (_round_violations(round_no, transfers, space, params, graph)
             == reference_round_violations(round_no, transfers, space,
                                           params, graph))
+
+
+# -- contract fuzzer ---------------------------------------------------------------
+
+def _attr_int(value):
+    word = AttrInt(value)
+    word.secret = (value,) * 8
+    return word
+
+
+# in-range, out-of-range and bool words, and int subclasses with and without
+# attributes (the 2- to 4-node cliques have 3- and 4-bit words)
+_fuzz_words = st.one_of(st.integers(-2, 20), st.booleans(),
+                        st.integers(0, 20).map(_attr_int), st.integers(0, 7).map(SlotInt))
+_fuzz_payloads = st.one_of(
+    st.lists(_fuzz_words, max_size=3).map(tuple),  # () included
+    st.lists(_fuzz_words, max_size=3),
+    st.none(),
+    st.lists(_fuzz_words, max_size=3).map(AttrTuple),
+    st.builds(Pair, _fuzz_words, _fuzz_words),
+)
+
+
+@st.composite
+def _contract_runs(draw):
+    """A clique size and, per node, an outbox of Messages built through
+    tuple.__new__ around payloads drawn from one pool, so that one payload
+    object may sit in several messages and outboxes.  An outbox addresses
+    each node at most once, so that one-word payloads make a clean run and
+    get delivered."""
+    n = draw(st.integers(2, 4))
+    pool = draw(st.lists(_fuzz_payloads, min_size=1, max_size=4))
+    outboxes = [[tuple.__new__(Message, (pid, dst, draw(st.sampled_from(pool))))
+                 for dst in draw(st.lists(st.integers(0, n - 1), max_size=3, unique=True))]
+                for pid in range(n)]
+    return n, outboxes
+
+
+class Emits(NodeProgram):
+    """Each node emits its given outbox in round 1 and keeps the inbox of
+    round 2 in `inboxes`; everyone halts in round 2."""
+
+    def __init__(self, outboxes):
+        self.outboxes = outboxes
+        self.inboxes = {}
+
+    def init(self, pid, local_input):
+        return (pid, 1)
+
+    def on_round(self, state, inbox):
+        pid, round_no = state
+        if round_no == 2:
+            self.inboxes[pid] = list(inbox)
+        return (pid, 2), (self.outboxes[pid] if round_no == 1 else []), round_no == 2
+
+    def output(self, state):
+        return []
+
+
+def _pair_words(triples):
+    """Words per (src, dst) pair of (src, dst, words) triples, self-pairs
+    left out as the ledger leaves them."""
+    out = {}
+    for src, dst, words in triples:
+        if src != dst:
+            out[src, dst] = out.get((src, dst), 0) + words
+    return out
+
+
+@settings(max_examples=250, deadline=None)
+@example(run=(3, [[tuple.__new__(Message, (0, 1, ()))] * 5, [], []]))
+@example(run=(3, [[tuple.__new__(Message, (0, 1, (_attr_int(1),)))], [], []]))
+@given(run=_contract_runs())
+def test_the_engine_refuses_or_charges_every_outbox(run):
+    # either the engine refuses the outboxes, or what it delivers is what
+    # its ledger charges, in words the model allows; the two examples are
+    # the zero-word and the attribute-carrying word that used to run clean
+    n, outboxes = run
+    prog, graph = Emits(outboxes), gen_graph("complete", n)
+    try:
+        res = run_clique(prog, graph)
+    except EngineContractError:
+        return
+    limit = 1 << res.params.word_width_bits
+    delivered = list(chain.from_iterable(prog.inboxes.values()))
+    for _src, _dst, payload in delivered:
+        assert type(payload) is tuple and payload
+        for word in payload:
+            assert isinstance(word, int) and not type(word).__dictoffset__
+            assert 0 <= word < limit
+    ledger = _pair_words(chain.from_iterable(rec.transfers for rec in res.trace.rounds))
+    emitted = [(src, dst, len(payload)) for src, dst, payload in chain.from_iterable(outboxes)]
+    assert ledger == _pair_words(emitted)
+    if res.clean:
+        assert ledger == _pair_words((s, d, len(payload)) for s, d, payload in delivered)
+    assert check_trace(res.trace, res.params, graph) == res.violations
