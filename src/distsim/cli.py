@@ -474,8 +474,8 @@ def _refuse_unless_derived(held: dict, want: dict, name: str = "") -> None:
 def _expected_outputs(algorithm, params: ModelParams, graph: Graph | None):
     """The outputs a clean run of the algorithm writes on its graph, from
     components_oracle: each vertex's [label] for boruvka and flood, every
-    label on machine 0 and nothing elsewhere for forest-merge.  None when
-    the run holds no graph."""
+    label on machine 0 and nothing elsewhere for forest-merge.  None for a
+    run without its graph, a semi-MPC report's native run."""
     if graph is None:
         return None
     if ALGORITHM_MODELS.get(algorithm) != params.kind:
@@ -502,8 +502,11 @@ def cmd_verify(args) -> int:
         checked = []
         for label, run, report_models in runs:
             checked.append((label, *_recheck_run(run, report_models)))
-        # --machines sized a semi-MPC run file's run or a report's native run
         label, native, wrong = checked[0]
+        # every command records its native run's graph but simulate --from semimpc
+        if native.graph is None and not (report and native.params.kind == ModelKind.SEMI_MPC):
+            raise KeyError("graph")
+        # --machines sized a semi-MPC run file's run or a report's native run
         p = native.params.p
         if native.params.kind == ModelKind.SEMI_MPC:
             machines = config["machines"]

@@ -419,16 +419,13 @@ def check_trace(trace: RoundTrace, params: ModelParams,
     engine.  A clean engine run re-checked here must come back empty; an
     aborted run re-checked here reproduces the same violations.  A CONGEST
     trace needs its graph, without which the non-edge rule cannot be
-    checked.  A transfer of fewer than one word, which no engine records,
-    would carry information uncharged: it is refused with ValueError."""
+    checked.  A zero-word transfer, which no engine records, raises ValueError."""
     if params.kind == ModelKind.CONGEST and graph is None:
         raise ValueError("checking a CONGEST trace needs its graph")
     out = list(params.start_violations())
     for idx, rec in enumerate(trace.rounds):
         if rec.transfers and min(map(_words_of, rec.transfers)) < 1:
-            bad = next(t for t in rec.transfers if t[2] < 1)
-            raise ValueError(f"round {idx + 1} lists a transfer {list(bad)} of"
-                             " fewer than one word")
+            raise ValueError(f"round {idx + 1} lists a transfer of fewer than one word")
         out.extend(_round_violations(idx + 1, rec.transfers, rec.space,
                                      params, graph))
     return out

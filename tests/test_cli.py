@@ -1294,12 +1294,12 @@ def test_verify_checks_outputs_against_the_graph_components(argv, doctor, graph_
 
 
 @pytest.mark.parametrize("argv,code", [
-    (RUN_CLIQUE, 0), (RUN_CONGEST, 0), (RUN_SEMIMPC, 0),
+    (RUN_CLIQUE, 0), (RUN_SEMIMPC, 0),
     # semi-MPC machines of 20 words each: the run ends on a violation
     (RUN_SEMIMPC + ("--constants", "c_space=1"), 1),
-    (SIM_CLIQUE, 0), (SIM_CONGEST, 0), (SIM_DIRECTIONS["semimpc"], 0),
-], ids=["run-clique", "run-congest", "run-semimpc", "run-semimpc-violation",
-        "report-clique", "report-congest", "report-semimpc"])
+    (SIM_CONGEST, 0), (SIM_DIRECTIONS["semimpc"], 0),
+], ids=["run-clique", "run-semimpc", "run-semimpc-violation", "report-congest",
+        "report-semimpc"])
 def test_verify_refuses_a_file_without_config(argv, code, graph_file, tmp_path, capsys):
     # without config such a file used to verify with outputs unchecked (a
     # run file said so), the semi-MPC machine count unread, and a CONGEST
@@ -1313,6 +1313,27 @@ def test_verify_refuses_a_file_without_config(argv, code, graph_file, tmp_path, 
     capsys.readouterr()
     assert run_cli("verify", "--trace", str(out)) == 2
     assert capsys.readouterr() == ("", "error: malformed trace file: 'config'\n")
+
+
+@pytest.mark.parametrize("argv,label", [
+    (RUN_CLIQUE, ""), (RUN_SEMIMPC, ""), (SIM_CLIQUE, "native: "),
+], ids=["run-clique", "run-semimpc", "report-clique"])
+def test_verify_refuses_a_native_run_without_its_graph(argv, label, graph_file, tmp_path,
+                                                       capsys):
+    # only a semi-MPC report's native run records no graph (check_trace
+    # already refuses a CONGEST run without one); without it the edited
+    # outputs below used to verify with exit 0, and a semi-MPC run file's
+    # ell went unchecked
+    out = tmp_path / "out.json"
+    assert run_cli(*argv, "--graph", graph_file, "--out", str(out)) == 0
+    doc = json.loads(out.read_text())
+    native = doc.get("native", doc)
+    del native["graph"]
+    native["outputs"][0] = [7, 7, 7]
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("verify", "--trace", str(out)) == 2
+    assert capsys.readouterr().err == f"error: malformed trace file: {label}'graph'\n"
 
 
 def test_verify_refuses_an_algorithm_of_another_model(graph_file, tmp_path, capsys):

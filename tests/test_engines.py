@@ -829,7 +829,7 @@ def test_check_trace_refuses_a_zero_word_transfer(params):
     # no engine records one; it used to re-check clean
     trace = RoundTrace(3, (RoundRecord(((1, 2, 1), (0, 1, 0)), (0, 0, 0)),))
     with pytest.raises(ValueError,
-                       match=re.escape("round 1 lists a transfer [0, 1, 0] of fewer than one word")):
+                       match="^round 1 lists a transfer of fewer than one word$"):
         check_trace(trace, params)
 
 
