@@ -1297,13 +1297,12 @@ def test_verify_checks_outputs_against_the_graph_components(argv, doctor, graph_
     (RUN_CLIQUE, 0), (RUN_SEMIMPC, 0),
     # semi-MPC machines of 20 words each: the run ends on a violation
     (RUN_SEMIMPC + ("--constants", "c_space=1"), 1),
-    (SIM_CONGEST, 0), (SIM_DIRECTIONS["semimpc"], 0),
-], ids=["run-clique", "run-semimpc", "run-semimpc-violation", "report-congest",
-        "report-semimpc"])
+    (SIM_DIRECTIONS["semimpc"], 0),
+], ids=["run-clique", "run-semimpc", "run-semimpc-violation", "report-semimpc"])
 def test_verify_refuses_a_file_without_config(argv, code, graph_file, tmp_path, capsys):
     # without config such a file used to verify with outputs unchecked (a
-    # run file said so), the semi-MPC machine count unread, and a CONGEST
-    # report's round budget and c_machines from the file or the default
+    # run file said so) and the semi-MPC machine count unread; a CONGEST
+    # report is test_verify_checks_a_report_native_outputs' no-config case
     out = tmp_path / "out.json"
     assert run_cli(*argv, "--graph", graph_file, "--out", str(out)) == code
     assert run_cli("verify", "--trace", str(out)) == code
