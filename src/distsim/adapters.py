@@ -150,15 +150,28 @@ def _initial_inputs(g: Graph, machines: int, seed: int,
     return inputs
 
 
-def _keyed_send(pid: int, keyed_words) -> list[Message]:
-    """One message per machine for (machine, word) pairs, in ascending
-    machine order, each holding its words in the order given.  Words keyed
-    to `pid` itself stay a message: they count toward the receiver's space."""
+def _grouped(keyed_words) -> dict[int, list[int]]:
+    """The words of (machine, word) pairs, listed per machine in the order
+    given."""
     by_machine: dict[int, list[int]] = {}
     for machine, word in keyed_words:
         by_machine.setdefault(machine, []).append(word)
-    return [Message(pid, machine, tuple(words))
-            for machine, words in sorted(by_machine.items())]
+    return by_machine
+
+
+def _keyed_send(pid: int, by_machine: dict[int, list[int]]) -> list[Message]:
+    """One message per machine of by_machine (machine -> its words, see
+    _grouped), in ascending machine order, each holding its words in the
+    order listed.  Words keyed to `pid` itself stay a message: they count
+    toward the receiver's space.  Messages are built as Message.fan_out
+    builds them, so every one passes Message.__post_init__."""
+    new = tuple.__new__
+    out = [new(Message, (pid, machine, tuple(words)))
+           for machine, words in sorted(by_machine.items())]
+    post_init = Message.__post_init__
+    for message in out:
+        post_init(message)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +200,8 @@ class _CliqueOnSemiMpc(NodeProgram):
 
         if native_round == 0:
             # machine i sends 2 words per stored edge; machine w receives deg(w)
-            outbox = _keyed_send(pid, (pair for u, v in stored
-                                       for pair in ((u, v), (v, u))))
+            outbox = _keyed_send(pid, _grouped(pair for u, v in stored
+                                               for pair in ((u, v), (v, u))))
             return (pid, 1, (), None), outbox, False
 
         if native_round == 1:
@@ -540,7 +553,8 @@ class _CongestOnSemiMpc(NodeProgram):
     Replay round r then runs in engine round r+3: each machine feeds its
     vertices' inboxes, applies the node transition, and routes the outgoing
     one-word edge messages to the owning machines (same-machine traffic stays
-    internal and costs nothing).
+    internal and costs nothing).  One method, _replay, runs every replay
+    round, the edgeless branch's included.
     """
 
     def __init__(self, inner: NodeProgram, n: int, machines: int,
@@ -568,10 +582,11 @@ class _CongestOnSemiMpc(NodeProgram):
 
     def _on_round_edgeless(self, state, inbox):
         node_states, internal = state
-        # a single machine hosts every vertex, so all traffic is internal
-        stepped, internal, _keyed, halt = self._step(
-            0, enumerate(node_states), {v: [] for v in range(self.n)}, internal, {})
-        return (tuple(nstate for _v, nstate in stepped), internal), [], halt
+        # a single machine hosts every vertex and knows no remote one, so
+        # all traffic is internal and nothing is sent
+        replayed, _outbox, halt = self._replay(
+            0, 0, range(self.n), (), enumerate(node_states), internal, inbox)
+        return (tuple(nstate for _v, nstate in replayed[5]), replayed[6]), [], halt
 
     def _setup_words(self, inbox, *tags):
         """(sender, tag, a, b, c) per word of a setup round's inbox, in
@@ -602,8 +617,8 @@ class _CongestOnSemiMpc(NodeProgram):
                     partial[u] = partial.get(u, 0) + 1
                     partial[v] = partial.get(v, 0) + 1
             # holder h sends a word per endpoint it stores; machine 0 gets their sum
-            outbox = _keyed_send(pid, ((0, pack((_TAG_DEGREE, v, d, 0)))
-                                       for v, d in partial.items()))
+            outbox = _keyed_send(pid, _grouped((0, pack((_TAG_DEGREE, v, d, 0)))
+                                               for v, d in partial.items()))
             return (pid, 2, stored, mine, location, node_states, ()), outbox, False
 
         if round_no == 2:
@@ -626,7 +641,7 @@ class _CongestOnSemiMpc(NodeProgram):
                 maps = [pack((_TAG_MAP, v, a, 0))
                         for v, a in enumerate(assignment.machine_of)]
                 # machine 0 sends what round 1 brought it; holder h gets what it sent
-                outbox = _keyed_send(0, ((h, maps[v]) for h, v in reported))
+                outbox = _keyed_send(0, _grouped((h, maps[v]) for h, v in reported))
                 # remember the endpoint machines of the locally stored edges,
                 # one packed word per endpoint
                 location = tuple(sorted(
@@ -642,11 +657,11 @@ class _CongestOnSemiMpc(NodeProgram):
             endpoint_machine.update(
                 (a, b) for _h, _t, a, b, _x in self._setup_words(inbox, _TAG_MAP))
             # only the sorter holds slices: it sends n words, machine a gets its slice
-            outbox = _keyed_send(pid, ((a, pack((_TAG_VERTEX, v, 0, 0)))
-                                       for a, vertices in enumerate(mine)
-                                       for v in vertices))
+            outbox = _keyed_send(pid, _grouped((a, pack((_TAG_VERTEX, v, 0, 0)))
+                                               for a, vertices in enumerate(mine)
+                                               for v in vertices))
             # holder h sends 2 words per stored edge; machine a receives its degree load
-            outbox += _keyed_send(pid, (
+            outbox += _keyed_send(pid, _grouped(
                 (endpoint_machine[x], pack((_TAG_EDGE, x, y, endpoint_machine[y])))
                 for u, v in stored for x, y in ((u, v), (v, u))))
             return (pid, 4, (), (), (), node_states, ()), outbox, False
@@ -675,41 +690,42 @@ class _CongestOnSemiMpc(NodeProgram):
 
     def _replay(self, pid, next_round_no, mine, location, node_states,
                 internal, inbox):
+        """One native round of the (vertex, node state) pairs machine pid
+        hosts (mine lists their vertices): deliver the inbox's edge words
+        and the internal messages, step each vertex, and route its outbox,
+        to the machines that location records, else internally.  Returns
+        the machine's next state, its outbox and whether any vertex halted."""
         unpack = self.codec.unpack
+        new = tuple.__new__
         # pre-filled, so a word for a vertex this machine does not host is
         # refused (KeyError) rather than replayed
-        per_vertex: dict[int, list[tuple[int, int]]] = {v: [] for v in mine}
+        per_vertex: dict[int, list[Message]] = {v: [] for v in mine}
+        # each arrival becomes the inner message it stands for; a vertex's
+        # messages share dst and a one-word payload, so sorting them sorts
+        # by (sender, value)
         for _src, _dst, payload in inbox:
             for word in payload:
                 tag, src_v, dst_v, value = unpack(word)
                 if tag != _TAG_EDGE:
                     raise RuntimeError("unexpected word during replay")
-                per_vertex[dst_v].append((src_v, value))
-        remote = {v: host for _tag, v, host, _x in map(unpack, location)}
-        node_states, internal, keyed, halt = self._step(
-            pid, node_states, per_vertex, internal, remote)
-        state = (pid, next_round_no, (), mine, location, tuple(node_states), internal)
-        # sends and receives at most one word per edge between this machine and another
-        return state, _keyed_send(pid, keyed), halt
-
-    def _step(self, pid, node_states, per_vertex, internal, remote):
-        """One native round of the (vertex, node state) pairs machine pid
-        hosts: deliver the internal messages and the arrivals in per_vertex
-        (which lists every hosted vertex), step each vertex, and route its
-        outbox.  Returns the new pairs, the new internal messages, the
-        keyed words for the machines in `remote`, and whether any halted."""
-        pack = self.codec.pack
-        inner_round = self.inner.on_round
+                per_vertex[dst_v].append(new(Message, (src_v, dst_v, (value,))))
         for src_v, dst_v, value in internal:
-            per_vertex[dst_v].append((src_v, value))
+            per_vertex[dst_v].append(new(Message, (src_v, dst_v, (value,))))
+        remote = {v: host for _tag, v, host, _x in map(unpack, location)}
+
+        pack = self.codec.pack
+        post_init = Message.__post_init__
+        inner_round = self.inner.on_round
         new_states = []
         new_internal = []
-        keyed = []
+        by_machine: dict[int, list[int]] = {}
         halt = False
         for v, nstate in node_states:
-            arrivals = per_vertex[v]
-            arrivals.sort()
-            node_inbox = [Message(u, v, (value,)) for u, value in arrivals]
+            node_inbox = per_vertex[v]
+            if node_inbox:
+                node_inbox.sort()
+                for message in node_inbox:
+                    post_init(message)
             nstate, outbox, node_halt = inner_round(nstate, node_inbox)
             new_states.append((v, nstate))
             halt = halt or node_halt
@@ -719,8 +735,16 @@ class _CongestOnSemiMpc(NodeProgram):
                 if host == pid:
                     new_internal.append((v, dst, payload[0]))
                 else:
-                    keyed.append((host, pack((_TAG_EDGE, v, dst, payload[0]))))
-        return new_states, tuple(new_internal), keyed, halt
+                    word = pack((_TAG_EDGE, v, dst, payload[0]))
+                    words = by_machine.get(host)
+                    if words is None:
+                        by_machine[host] = [word]
+                    else:
+                        words.append(word)
+        state = (pid, next_round_no, (), mine, location, tuple(new_states),
+                 tuple(new_internal))
+        # sends and receives at most one word per edge between this machine and another
+        return state, _keyed_send(pid, by_machine), halt
 
     def output(self, state):
         # (vertex, node state) pairs

@@ -28,7 +28,7 @@ from .adapters import (
     simulate_semimpc_on_cc,
 )
 from .algorithms import BoruvkaConnectivity, FloodMinLabel, ForestMergeConnectivity
-from .core import Graph, RoundTrace, components_oracle, gen_graph, load_graph
+from .core import Graph, RoundTrace, components_oracle, gen_graph, load_graph, word_width
 from .engines import (
     EngineContractError,
     ModelKind,
@@ -433,6 +433,39 @@ def _rederived_report(config: dict, native: RunResult, simulated: RunResult):
     return congest_on_semimpc_report(native, simulated, budget, c_machines)
 
 
+def _refuse_a_misstated_config(config: dict, runs: list[RunResult]) -> None:
+    """Refuse (ValueError, naming the field) a run or report file whose
+    config misstates the command that wrote its runs.  The model flags (a
+    run file's `model`, a report's `from` and `to`) must name the runs'
+    kinds, and `constants` may hold only constants that command reads:
+    word_width sets the native run's word width and c_space every run's,
+    each word_width(n) and 4 when absent.  The graph and the seed are not
+    checked."""
+    native = runs[0].params
+    kinds = tuple(run.params.kind for run in runs)
+    if len(runs) == 1:
+        named, keys = {"model": native.kind}, RUN_CONSTANTS[native.kind]
+    else:
+        named, keys = dict(zip(("from", "to"), kinds)), SIMULATE_CONSTANTS.get(kinds, ())
+    flags = {kind: flag for flag, kind in MODEL_FLAGS.items()}
+    for key, kind in named.items():
+        flag = flags[kind]
+        if config[key] != flag:
+            raise ValueError(f"config field {key!r} holds {json.dumps(config[key])},"
+                             f" not {json.dumps(flag)}")
+    constants = config["constants"]
+    held = json.dumps(constants)
+    if type(constants) is not dict or not constants.keys() <= set(keys):
+        raise ValueError(f"config field 'constants' holds {held}, not constants"
+                         f" among {', '.join(keys)}")
+    stated = [("word_width_bits", native.word_width_bits,
+               constants.get("word_width", word_width(native.n)))]
+    stated += [("c_space", run.params.c_space, constants.get("c_space", 4)) for run in runs]
+    for name, value, want in stated:
+        if type(want) is not int or want != value:
+            raise ValueError(f"config field 'constants' holds {held}, not params {name} = {value}")
+
+
 def _route_fields(sched: Schedule, run: RunResult) -> dict:
     """A route file's `routing`, the schedule, and `delivered_words`, the
     number of (src, seq, value) triples the run's outputs deliver; outputs
@@ -529,6 +562,8 @@ def cmd_verify(args) -> int:
                     native.params.n, [(s, d, 1) for s, d, *_e in doc["routing"]["entries"]])
                 derived = _route_fields(plan_routing(demand), native)
         _refuse_unless_derived({key: doc[key] for key in derived}, derived)
+        if not route:
+            _refuse_a_misstated_config(config, [run for _l, run, _w in checked])
     except (LookupError, TypeError, ValueError) as exc:
         # LookupError covers KeyError and IndexError, ValueError JSONDecodeError
         print(f"error: malformed trace file: {label}{exc}", file=sys.stderr)

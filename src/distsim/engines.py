@@ -251,15 +251,49 @@ def _meter_other(obj):
                     "only ints, None, tuples and frozensets)")
 
 
+class _NotPlain(Exception):
+    """Raised by _plain_words on a value its fast walk does not take."""
+
+
+# the fast walk's depth limit: the node-state tuples of the built-in
+# programs and adapters lie within it
+_PLAIN_DEPTH = 8
+
+
+def _plain_words(obj: tuple, depth: int) -> int:
+    """words_in of an exact tuple built only from exact ints, None and
+    exact tuples nested at most depth levels below it; raises _NotPlain on
+    any other value or a deeper tuple."""
+    total = 0
+    for x in obj:
+        t = type(x)
+        if t is int:
+            total += 1
+        elif t is tuple and depth:
+            total += _plain_words(x, depth - 1)
+        elif x is not None:
+            raise _NotPlain
+    return total
+
+
 def words_in(obj) -> int:
     """Size of a program state in words.  Ints are one word each, tuples and
     frozensets the sum of their contents, None nothing; anything else is
     refused (see _meter_other), so programs can neither hide data from the
     accounting nor change a state after it was metered.
 
-    One iterative depth-first pass over a stack of iterators, in the order a
-    recursive walk would take, so the first unmeterable value met is the one
-    named in the TypeError however deep it lies."""
+    An exact tuple is first sized by _plain_words, a recursive walk that
+    takes only exact ints, None and exact tuples down to _PLAIN_DEPTH
+    levels.  Any other value, or a deeper tuple, abandons it, and the state
+    is walked again from the top by the general walk below: one iterative
+    depth-first pass over a stack of iterators, in the order a recursive
+    walk would take, so the first unmeterable value met is the one named in
+    the TypeError however deep it lies."""
+    if type(obj) is tuple:
+        try:
+            return _plain_words(obj, _PLAIN_DEPTH)
+        except _NotPlain:
+            pass
     total = 0
     stack = []
     it = iter((obj,))

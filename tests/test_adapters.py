@@ -1034,6 +1034,55 @@ def test_congest_replay_matches_the_reference_with_internal_messages(name):
     _lean_matches_reference(name, g, 0, 1)
 
 
+def _traced_counts(monkeypatch, prog, g):
+    """The report of a CONGEST -> semi-MPC simulation with c_machines = 1,
+    and its (Message.__post_init__ calls, outermost engines.words_in calls):
+    the counts a tracer reads at those two boundaries."""
+    import distsim.engines as engines
+
+    counts = {"messages": 0, "metered": 0}
+    post_init = Message.__dict__["__post_init__"]
+    words_in = engines.words_in
+    depth = []
+
+    def counting_post_init(message):
+        counts["messages"] += 1
+        return post_init(message)
+
+    def counting_words_in(obj):
+        counts["metered"] += not depth
+        depth.append(obj)
+        try:
+            return words_in(obj)
+        finally:
+            depth.pop()
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Message, "__post_init__", counting_post_init)
+        patch.setattr(engines, "words_in", counting_words_in)
+        rep = simulate_congest_on_semimpc(prog, g, c_machines=1)
+    return rep.to_json_dict(), (counts["messages"], counts["metered"])
+
+
+@pytest.mark.parametrize("program", [FloodMinLabel, lambda n: FixedRoundFlood(3)],
+                         ids=["flood", "fixed-flood-3"])
+@pytest.mark.parametrize("n, seed", [(16, 0), (32, 1), (48, 2), (64, 3)])
+def test_congest_replay_counts_what_the_reference_counts(monkeypatch, program, n, seed):
+    # a tracer counts messages at Message.__post_init__ and metering at
+    # engines.words_in; the lean replay must make exactly the calls the
+    # reference makes, on one vertex per machine (flood, T = n) and on
+    # several (a 3-round flood)
+    g = random_connected_graph(n, n // 5, seed)
+    got = _traced_counts(monkeypatch, program(n), g)
+    with mock.patch.object(adapters, "_CongestOnSemiMpc", ReferenceCongestOnSemiMpc):
+        want = _traced_counts(monkeypatch, program(n), g)
+    assert got == want
+    report, (messages, metered) = got
+    machines = report["measured_constants"]["machines"]
+    assert report["bound_checks"]["outputs_ok"] and messages and metered
+    assert machines == n if program is FloodMinLabel else machines < n // 3
+
+
 @pytest.mark.parametrize("wrapper_class", [_CongestOnSemiMpc, ReferenceCongestOnSemiMpc])
 def test_congest_replay_refuses_words_it_cannot_replay(wrapper_class):
     # machine 0 hosts vertex 0 of the path 0 - 1 - 2; vertex 1 lives elsewhere
@@ -1113,9 +1162,9 @@ def test_keyed_send_orders_machines_and_words():
     # each payload keeps its words in emission order (receivers sort what
     # they get), and the reference comparisons above cannot see payloads
     keyed = [(3, 9), (0, 5), (3, 1), (2, 7), (0, 4)]
-    assert adapters._keyed_send(2, keyed) == [
+    assert adapters._keyed_send(2, adapters._grouped(keyed)) == [
         Message(2, 0, (5, 4)), Message(2, 2, (7,)), Message(2, 3, (9, 1))]
-    assert adapters._keyed_send(2, []) == []
+    assert adapters._keyed_send(2, {}) == []
 
 
 def _ledger_words(trace, round_no):

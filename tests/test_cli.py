@@ -948,6 +948,89 @@ def test_verify_refuses_a_config_machine_count_other_than_p(argv, label, machine
     assert capsys.readouterr().err == "error: malformed trace file: 'config'\n"
 
 
+# the graph_file fixture has n = 20, so the default word width is 7 bits
+_MISSTATED_CONFIGS = [
+    # the model flags must name the runs' kinds
+    ("run-clique-model", RUN_CLIQUE, "model", "semimpc",
+     "config field 'model' holds \"semimpc\", not \"clique\""),
+    ("run-congest-model", RUN_CONGEST, "model", "clique",
+     "config field 'model' holds \"clique\", not \"congest\""),
+    ("run-semimpc-model-list", RUN_SEMIMPC, "model", ["semimpc"],
+     "config field 'model' holds [\"semimpc\"], not \"semimpc\""),
+    ("report-clique-from", SIM_CLIQUE, "from", "congest",
+     "config field 'from' holds \"congest\", not \"clique\""),
+    ("report-congest-to", SIM_CONGEST, "to", "clique",
+     "config field 'to' holds \"clique\", not \"semimpc\""),
+    ("report-semimpc-from", SIM_SEMIMPC, "from", "congest",
+     "config field 'from' holds \"congest\", not \"semimpc\""),
+    # word_width sets the native run's word width, c_space every run's
+    ("run-clique-word-width", RUN_CLIQUE, "constants", {"word_width": 30},
+     "config field 'constants' holds {\"word_width\": 30}, not params word_width_bits = 7"),
+    ("run-congest-word-width-float", RUN_CONGEST, "constants", {"word_width": 7.0},
+     "config field 'constants' holds {\"word_width\": 7.0}, not params word_width_bits = 7"),
+    ("run-semimpc-c-space", RUN_SEMIMPC, "constants", {"c_space": 8},
+     "config field 'constants' holds {\"c_space\": 8}, not params c_space = 4"),
+    ("report-congest-c-space", SIM_CONGEST, "constants", {"c_space": 3, "c_machines": 2},
+     "config field 'constants' holds {\"c_space\": 3, \"c_machines\": 2}, not params"
+     " c_space = 4"),
+    ("report-semimpc-c-space-bool", SIM_SEMIMPC, "constants", {"c_space": True},
+     "config field 'constants' holds {\"c_space\": true}, not params c_space = 4"),
+    # only constants the command reads
+    ("run-clique-c-space", RUN_CLIQUE, "constants", {"c_space": 4},
+     "config field 'constants' holds {\"c_space\": 4}, not constants among word_width"),
+    ("report-clique-word-width", SIM_CLIQUE, "constants", {"word_width": 5},
+     "config field 'constants' holds {\"word_width\": 5}, not constants among c_space"),
+    ("run-semimpc-list", RUN_SEMIMPC, "constants", [],
+     "config field 'constants' holds [], not constants among c_space, word_width"),
+]
+
+
+@pytest.mark.parametrize("argv, key, value, message",
+                         [case[1:] for case in _MISSTATED_CONFIGS],
+                         ids=[case[0] for case in _MISSTATED_CONFIGS])
+def test_verify_refuses_a_config_that_misstates_its_command(argv, key, value, message,
+                                                            graph_file, tmp_path, capsys):
+    # the config must describe a command that writes these runs; each edit
+    # used to verify with exit 0
+    out = tmp_path / "out.json"
+    assert run_cli(*argv, "--graph", graph_file, "--out", str(out)) == 0
+    doc = json.loads(out.read_text())
+    assert doc.get("native", doc)["params"]["word_width_bits"] == 7
+    doc["config"][key] = value
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("verify", "--trace", str(out)) == 2
+    assert capsys.readouterr() == ("", f"error: malformed trace file: {message}\n")
+
+
+@pytest.mark.parametrize("argv, constants", [
+    (RUN_CLIQUE, ("word_width=9",)),
+    (RUN_CONGEST, ("word_width=7",)),
+    (RUN_SEMIMPC, ("c_space=8", "word_width=6")),
+    (SIM_CLIQUE, ("c_space=6",)),
+    (SIM_SEMIMPC, ("c_space=4",)),
+    (SIM_CONGEST, ("c_space=5", "c_machines=1")),
+], ids=["run-clique", "run-congest-default", "run-semimpc", "report-clique",
+        "report-semimpc-default", "report-congest"])
+def test_verify_accepts_the_constants_a_command_was_given(argv, constants, graph_file,
+                                                          tmp_path):
+    # a constant given on the command line verifies, at its default value
+    # (word_width(20) = 7 bits, c_space 4) too; a word_width or c_space
+    # away from its default no longer does once the config drops it
+    out = tmp_path / "out.json"
+    assert run_cli(*argv, "--graph", graph_file, "--constants", *constants,
+                   "--out", str(out)) == 0
+    assert run_cli("verify", "--trace", str(out)) == 0
+    doc = json.loads(out.read_text())
+    stated = doc["config"]["constants"]
+    assert len(stated) == len(constants)
+    for key, default in (("word_width", 7), ("c_space", 4)):
+        if stated.get(key, default) != default:
+            doc["config"]["constants"] = {k: v for k, v in stated.items() if k != key}
+            out.write_text(json.dumps(doc))
+            assert run_cli("verify", "--trace", str(out)) == 2, key
+
+
 ROUND_BUDGET = ("measured_constants", "round_budget")
 
 

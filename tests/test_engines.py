@@ -28,7 +28,15 @@ from distsim import (
     words_in,
 )
 from distsim.core import word_width
-from distsim.engines import C_TOTAL, POLYLOG_EXP, Violation, _round_violations
+from distsim.engines import (
+    _PLAIN_DEPTH,
+    C_TOTAL,
+    POLYLOG_EXP,
+    Violation,
+    _NotPlain,
+    _plain_words,
+    _round_violations,
+)
 
 from conftest import FixedRoundFlood, random_graph
 
@@ -1108,10 +1116,57 @@ def _metered(fn, state):
         return ("TypeError", str(exc))
 
 
-@settings(max_examples=300, deadline=None)
-@given(state=st.one_of(_states(bad=False), _states(bad=True)))
+# the fast walk's domain: exact ints, None and exact tuples
+_plain = st.recursive(st.one_of(_ints, st.none()),
+                      lambda children: st.lists(children, max_size=3).map(tuple),
+                      max_leaves=6)
+# values the fast walk leaves to the general walk, which meters them
+_odd = st.one_of(st.booleans(), st.builds(SlotInt, _ints),
+                 st.builds(Message, st.integers(0, 9), st.integers(0, 9),
+                           st.lists(_ints, min_size=1, max_size=3)),
+                 st.builds(Pair, _plain, _plain), st.frozensets(_keys, max_size=3))
+# values the general walk refuses
+_unmeterable = st.one_of(st.text(max_size=2), st.floats(), st.lists(_ints, max_size=2),
+                         st.sets(_keys, max_size=2),
+                         st.dictionaries(_keys, _ints, max_size=2),
+                         st.builds(AttrTuple, st.lists(_ints, max_size=2)),
+                         st.builds(AttrInt, _ints),
+                         st.builds(SlotFrozenset, st.frozensets(_ints, max_size=2)))
+
+
+def _wrapped(leaf, layers):
+    """leaf wrapped in one plain tuple per layer, alone or beside a plain
+    sibling."""
+    for side, sibling in layers:
+        leaf = ((leaf,), (sibling, leaf), (leaf, sibling))[side]
+    return leaf
+
+
+def _straddling(leaf):
+    """leaf at the bottom of up to three more plain tuples than the fast
+    walk takes: a state the fast walk meters whole, or leaves to the
+    general walk part-way down."""
+    layers = st.lists(st.tuples(st.integers(0, 2), _plain), max_size=_PLAIN_DEPTH + 3)
+    return st.builds(_wrapped, leaf, layers)
+
+
+@settings(max_examples=500, deadline=None)
+@given(state=st.one_of(_states(bad=False), _states(bad=True), _straddling(_plain),
+                       _straddling(_odd), _straddling(_unmeterable)))
 def test_words_in_matches_recursive_reference(state):
     assert _metered(words_in, state) == _metered(reference_words_in, state)
+
+
+def test_words_in_walks_past_the_fast_walks_depth():
+    # the fast walk takes tuples nested _PLAIN_DEPTH levels below the
+    # top one; one level deeper, the general walk meters the state
+    state = (1,)
+    for _ in range(_PLAIN_DEPTH):
+        state = (state, 2)
+    assert _plain_words(state, _PLAIN_DEPTH) == _PLAIN_DEPTH + 1
+    with pytest.raises(_NotPlain):
+        _plain_words((state,), _PLAIN_DEPTH)
+    assert words_in(state) == words_in((state,)) == _PLAIN_DEPTH + 1
 
 
 def test_words_in_meters_deep_nesting():
@@ -1131,6 +1186,8 @@ def test_words_in_refuses_nesting_beyond_the_guard():
         state = (state,)
     with pytest.raises(TypeError, match="nested more than"):
         words_in(state)
+    # one level less is metered
+    assert words_in(state[0]) == 0
 
 
 def test_words_in_refuses_a_list_even_a_cyclic_one():
