@@ -583,10 +583,12 @@ class _CongestOnSemiMpc(NodeProgram):
     def _on_round_edgeless(self, state, inbox):
         node_states, internal = state
         # a single machine hosts every vertex and knows no remote one, so
-        # all traffic is internal and nothing is sent
+        # all traffic is internal and nothing is sent; of the replayed
+        # machine state only the stepped pairs and internal messages are kept
         replayed, _outbox, halt = self._replay(
-            0, 0, range(self.n), (), enumerate(node_states), internal, inbox)
-        return (tuple(nstate for _v, nstate in replayed[5]), replayed[6]), [], halt
+            0, None, range(self.n), (), enumerate(node_states), internal, inbox)
+        *_, pairs, internal = replayed
+        return (tuple(nstate for _v, nstate in pairs), internal), [], halt
 
     def _setup_words(self, inbox, *tags):
         """(sender, tag, a, b, c) per word of a setup round's inbox, in
@@ -722,10 +724,9 @@ class _CongestOnSemiMpc(NodeProgram):
         halt = False
         for v, nstate in node_states:
             node_inbox = per_vertex[v]
-            if node_inbox:
-                node_inbox.sort()
-                for message in node_inbox:
-                    post_init(message)
+            node_inbox.sort()
+            for message in node_inbox:
+                post_init(message)
             nstate, outbox, node_halt = inner_round(nstate, node_inbox)
             new_states.append((v, nstate))
             halt = halt or node_halt
@@ -735,12 +736,8 @@ class _CongestOnSemiMpc(NodeProgram):
                 if host == pid:
                     new_internal.append((v, dst, payload[0]))
                 else:
-                    word = pack((_TAG_EDGE, v, dst, payload[0]))
-                    words = by_machine.get(host)
-                    if words is None:
-                        by_machine[host] = [word]
-                    else:
-                        words.append(word)
+                    by_machine.setdefault(host, []).append(
+                        pack((_TAG_EDGE, v, dst, payload[0])))
         state = (pid, next_round_no, (), mine, location, tuple(new_states),
                  tuple(new_internal))
         # sends and receives at most one word per edge between this machine and another

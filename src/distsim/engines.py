@@ -255,8 +255,9 @@ class _NotPlain(Exception):
     """Raised by _plain_words on a value its fast walk does not take."""
 
 
-# the fast walk's depth limit: the node-state tuples of the built-in
-# programs and adapters lie within it
+# the fast walk's depth limit: the state fields that the built-in programs
+# and adapters have metered on the benchmark's workloads nest at most four
+# tuples deep
 _PLAIN_DEPTH = 8
 
 
