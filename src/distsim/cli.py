@@ -54,6 +54,9 @@ MODEL_FLAGS = {
     "semimpc": ModelKind.SEMI_MPC,
 }
 
+# --machines when absent; files of runs that read no machine count record it
+MACHINES = 4
+
 # the --constants keys each run model and simulate direction read; no clique
 # or CONGEST rule reads c_space, and route reads none
 RUN_CONSTANTS = {
@@ -207,9 +210,9 @@ def _make_program(args, model: ModelKind, g: Graph):
 
 
 def _read_machines(args, model: ModelKind) -> None:
-    """Refuse --machines where no semi-MPC run reads it; absent, it is 4."""
+    """Refuse --machines where no semi-MPC run reads it; absent, it is MACHINES."""
     if args.machines is None:
-        args.machines = 4
+        args.machines = MACHINES
     elif model != ModelKind.SEMI_MPC:
         raise UsageError("--machines is read only by semi-MPC runs")
 
@@ -539,12 +542,14 @@ def cmd_verify(args) -> int:
         # every command records its native run's graph but simulate --from semimpc
         if native.graph is None and not (report and native.params.kind == ModelKind.SEMI_MPC):
             raise KeyError("graph")
-        # --machines sized a semi-MPC run file's run or a report's native run
-        p = native.params.p
-        if native.params.kind == ModelKind.SEMI_MPC:
-            machines = config["machines"]
-            if type(machines) is not int or machines != p:
-                raise ValueError(f"config field 'machines' holds {machines!r}, not params p = {p}")
+        # --machines sized a semi-MPC run file's run or a report's native
+        # run; every other run or report file records its absent value
+        if not route:
+            semi = native.params.kind == ModelKind.SEMI_MPC
+            want, machines = native.params.p if semi else MACHINES, config["machines"]
+            if type(machines) is not int or machines != want:
+                raise ValueError(f"config field 'machines' holds {machines!r}, not "
+                                 + (f"params p = {want}" if semi else f"{want}"))
         label = ""
         # a route file's outputs are (src, seq, value) triples: _route_fields
         if native.clean and not route:
@@ -623,7 +628,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=sorted(ALGORITHM_MODELS))
         p.add_argument("--graph", required=True)
         p.add_argument("--machines", type=int, default=None,
-                       help="machine count for semi-MPC runs (default 4)")
+                       help=f"machine count for semi-MPC runs (default {MACHINES})")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--constants", nargs="*", default=[],
                        metavar="KEY=VALUE")

@@ -121,15 +121,15 @@ def edge_color_bipartite(n_left: int, n_right: int,
     Edges are (left, right) pairs; parallel edges are simply repeated
     entries.  Colors are assigned by single-edge insertion: the smallest
     color free at both endpoints if one exists, otherwise an alternating
-    two-color path from the right endpoint is flipped to free one up.
-    Ties always break toward the smallest color index, so the result is
-    deterministic in the input order.
+    two-color path from the right endpoint is walked and flipped, in one
+    pass, to free one up.  Ties always break toward the smallest color
+    index, so the result is deterministic in the input order.
 
     Each node keeps an int bitmask of its busy colors, so the smallest
     color free at both endpoints of (u, v) is the lowest zero bit of
     busy_l[u] | busy_r[v], found in one step instead of a palette scan.
-    Per-node color -> edge dicts serve the path walk, so memory stays
-    O(edges).
+    Per-node color -> edge dicts serve the path walk, which rewrites each
+    path edge's entries as it goes, so memory stays O(edges).
     """
     deg_l = [0] * n_left
     deg_r = [0] * n_right
@@ -164,42 +164,37 @@ def edge_color_bipartite(n_left: int, n_right: int,
         # free at u), so after the flip a is free at both endpoints.  Both
         # lie below the palette, as u and v each have an uncolored edge, and
         # the path is never empty: a is busy at v, or first-fit had taken it.
-        busy = busy_l[u]
-        a = ((busy + 1) & ~busy).bit_length() - 1
-        busy = busy_r[v]
-        b = ((busy + 1) & ~busy).bit_length() - 1
-        path = []
-        node, on_right, want = v, True, a
+        # The flip is done in the walk's one pass: colors alternate a, b, a,
+        # ... along the path, and each edge takes the other color and its slot
+        # at both ends (v's free slot b for the first edge), once the next
+        # path edge has been read from that slot.  Every interior node trades
+        # a for b on one path edge and b for a on the other, so only the two
+        # ends change busy colors and lose an entry: v gives up a (taken by
+        # the new edge below), the far end its last edge's old color.
+        a = ((busy_l[u] + 1) & ~busy_l[u]).bit_length() - 1
+        b = ((busy_r[v] + 1) & ~busy_r[v]).bit_length() - 1
+        table = used_r[v]
+        pe = table[a]
+        old, new, on_right = a, b, True
         while True:
-            table = used_r[node] if on_right else used_l[node]
-            nxt = table.get(want)
+            colors[pe] = new
+            table[new] = pe
+            pu, pv = edges[pe]
+            table = used_l[pu] if on_right else used_r[pv]
+            on_right = not on_right
+            nxt = table.get(new)
+            table[new] = pe
             if nxt is None:
                 break
-            path.append(nxt)
-            pu, pv = edges[nxt]
-            node = pu if on_right else pv
-            on_right = not on_right
-            want = b if want == a else a
-        # Colors alternate a, b, a, ... along the path, so the flip gives
-        # the i-th path edge b for even i and a for odd i.  Every interior
-        # node trades a for b on one path edge and b for a on the other, so
-        # only the two ends change their busy colors and lose an entry: v
-        # gives up a (its entry is taken by the new edge below), and the far
-        # end, where the walk stopped, gives up the last path edge's old color.
-        new = b
-        for pe in path:
-            pu, pv = edges[pe]
-            colors[pe] = new
-            used_l[pu][new] = pe
-            used_r[pv][new] = pe
-            new = a if new == b else b
-        del table[new]
+            pe = nxt
+            old, new = new, old
+        del table[old]
         swap = (1 << a) | (1 << b)
         busy_r[v] ^= swap
-        if on_right:
-            busy_r[node] ^= swap
+        if on_right:  # the far end is the last edge's right node
+            busy_r[pv] ^= swap
         else:
-            busy_l[node] ^= swap
+            busy_l[pu] ^= swap
         colors[ei] = a
         used_l[u][a] = ei
         used_r[v][a] = ei
@@ -255,8 +250,7 @@ def plan_routing(dm: DemandMatrix) -> Schedule:
 
     entries = []
     for (s, d, q), color in zip(words, colors):
-        mid = color % dm.n
-        sub = color // dm.n
+        sub, mid = divmod(color, dm.n)
         entries.append((s, d, q, mid, sub + 1, subrounds + sub + 1))
     return Schedule(n=dm.n, phase_a_rounds=subrounds, entries=tuple(entries))
 
@@ -325,13 +319,14 @@ class Relay(NodeProgram):
                 base, sched = self.episodes[idx]
                 assignment = sched.assignment
                 relayed = []
+                relay = relayed.append
                 for src, _dst, payload in inbox:
                     for word in payload:
                         fields = unpack(word)
                         mid, _ra, rb = assignment[(src, fields[0], fields[1])]
                         if mid != pid:
                             raise RuntimeError("schedule routed a word to the wrong node")
-                        relayed.append((base + rb - 1, fields[0], src) + fields[1:])
+                        relay((base + rb - 1, fields[0], src) + fields[1:])
                 queue += tuple(relayed)
             else:
                 host = self._deliver(
@@ -341,16 +336,22 @@ class Relay(NodeProgram):
         host, fresh = self._emit(pid, host, round_no)
         if fresh:
             queue += tuple(fresh)
-        pack = self.codec.pack
         outbox = []
-        keep = []
-        for entry in queue:
-            if entry[0] == round_no:
-                outbox.append(Message(pid, entry[1], (pack(entry[2:]),)))
-            else:
-                keep.append(entry)
-        if outbox:
-            queue = tuple(keep)
+        if queue:
+            # built as Message.fan_out builds them, each through __post_init__
+            pack = self.codec.pack
+            new = tuple.__new__
+            keep = []
+            for entry in queue:
+                if entry[0] == round_no:
+                    outbox.append(new(Message, (pid, entry[1], (pack(entry[2:]),))))
+                else:
+                    keep.append(entry)
+            if outbox:
+                queue = tuple(keep)
+                post_init = Message.__post_init__
+                for message in outbox:
+                    post_init(message)
         halt = round_no >= self.last_round
         return (pid, round_no + 1, queue, host), outbox, halt
 
@@ -404,8 +405,11 @@ def execute_schedule(sched: Schedule, payloads: dict[tuple[int, int, int], int],
     takes num_rounds + 1 engine rounds: the trailing round only absorbs the
     final deliveries and sends nothing, so an empty schedule takes one.
     """
-    if set(payloads) != set(sched.assignment):
+    if payloads.keys() != sched.assignment.keys():
         raise ValueError("payload keys do not match the scheduled words")
+    for key, value in payloads.items():
+        if type(value) is not int or value < 0:
+            raise ValueError(f"payload {value!r} of word {key} is not a non-negative int")
 
     if value_width is None:
         value_width = word_width(sched.n)
@@ -426,8 +430,7 @@ def execute_schedule(sched: Schedule, payloads: dict[tuple[int, int, int], int],
         if (s, q, value) not in arrived[d]:
             raise RuntimeError(
                 f"word ({s}->{d}, seq {q}) was not delivered intact")
-    total = sum(len(t) for t in delivered)
-    if total != len(payloads):
+    if sum(map(len, delivered)) != len(payloads):
         raise RuntimeError("delivered word count does not match the demand")
 
     return DeliveryRecord(run=run, delivered=tuple(delivered))

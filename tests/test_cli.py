@@ -948,6 +948,27 @@ def test_verify_refuses_a_config_machine_count_other_than_p(argv, label, machine
     assert capsys.readouterr().err == "error: malformed trace file: 'config'\n"
 
 
+@pytest.mark.parametrize("argv, label", [(RUN_CLIQUE, ""), (RUN_CONGEST, ""),
+                                         (SIM_CLIQUE, "native: "), (SIM_CONGEST, "native: ")],
+                         ids=["run-clique", "run-congest", "report-clique", "report-congest"])
+@pytest.mark.parametrize("machines", [7, True])
+def test_verify_refuses_a_config_machine_count_no_run_reads(argv, label, machines,
+                                                            graph_file, tmp_path, capsys):
+    # these commands refuse --machines and record cli.MACHINES; an edited
+    # count used to verify with exit 0
+    out = tmp_path / "out.json"
+    assert run_cli(*argv, "--graph", graph_file, "--out", str(out)) == 0
+    doc = json.loads(out.read_text())
+    assert doc["config"]["machines"] == cli.MACHINES == 4
+    doc["config"]["machines"] = machines
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("verify", "--trace", str(out)) == 2
+    assert capsys.readouterr().err == (
+        f"error: malformed trace file: {label}config field 'machines' holds"
+        f" {machines!r}, not 4\n")
+
+
 # the graph_file fixture has n = 20, so the default word width is 7 bits
 _MISSTATED_CONFIGS = [
     # the model flags must name the runs' kinds

@@ -73,9 +73,11 @@ def test_color_deterministic():
     assert a == b
 
 
-def reference_edge_color_bipartite(n_left, n_right, edges):
+def reference_edge_color_bipartite(n_left, n_right, edges, flips=None):
     """Reference: the first-fit colouring that scans the palette one color at
-    a time, with the same alternating-path flip."""
+    a time, with the same alternating-path flip, walked and then flipped in
+    a second pass.  A `flips` list, when given, collects each flipped path
+    as (its edge count, the side of its far end)."""
     deg_l = [0] * n_left
     deg_r = [0] * n_right
     for u, v in edges:
@@ -112,6 +114,8 @@ def reference_edge_color_bipartite(n_left, n_right, edges):
             node = pu if on_right else pv
             on_right = not on_right
             want = b if want == a else a
+        if flips is not None:
+            flips.append((len(path), "right" if on_right else "left"))
         for pe in path:
             pu, pv = edges[pe]
             del used_l[pu][colors[pe]]
@@ -142,18 +146,40 @@ _multigraphs = st.tuples(st.integers(1, 8), st.integers(1, 8)).flatmap(
                            st.integers(0, sides[1] - 1)), max_size=40)))
 
 
+# multigraphs that flip one alternating path each, with the (edge count,
+# far end's side) the instrumented reference records for it.  A far end on a
+# left node is one that inserting edges in source order (as plan_routing
+# does) never produces.
+_FLIP_CASES = [
+    ((3, 2, [(0, 0), (2, 1), (1, 0), (1, 1)]), (1, "left")),
+    ((3, 3, [(0, 2), (2, 2), (0, 1), (1, 0), (1, 1)]), (3, "left")),
+    ((3, 3, [(0, 1), (1, 2), (1, 0), (0, 0)]), (2, "right")),
+]
+
+
 @settings(max_examples=400, deadline=None)
 @given(_multigraphs)
 @example((1, 1, [(0, 0)] * 5))
 @example((2, 3, []))
 @example((3, 5, [(2, 4), (0, 2), (1, 2), (1, 4), (2, 0)]))
+@example(_FLIP_CASES[0][0])
+@example(_FLIP_CASES[1][0])
+@example(_FLIP_CASES[2][0])
 def test_color_matches_reference_on_multigraphs(case):
-    # parallel edges repeat entries.  In the last example the flipped path
-    # ends at a left node, which inserting edges in source order (as
-    # plan_routing does) never produces.
+    # parallel edges repeat entries; the flip examples are _FLIP_CASES
     n_left, n_right, edges = case
     colors = edge_color_bipartite(n_left, n_right, edges)
     assert colors == reference_edge_color_bipartite(n_left, n_right, edges)
+
+
+@pytest.mark.parametrize("case, flip", _FLIP_CASES,
+                         ids=["one-edge", "left-end", "right-end"])
+def test_color_flip_examples_end_where_stated(case, flip):
+    # the one-pass flip rewrites both ends' slots as it walks, so each far
+    # end and the shortest path are pinned as examples above
+    flips = []
+    reference_edge_color_bipartite(*case, flips=flips)
+    assert flips == [flip]
 
 
 _permutation_sums = st.integers(1, 8).flatmap(lambda n: st.lists(
@@ -432,6 +458,16 @@ def test_execute_payload_key_mismatch():
         execute_schedule(sched, {})
 
 
+@pytest.mark.parametrize("value", [-1, 1.5, True, "x"])
+def test_execute_refuses_a_payload_that_is_not_a_non_negative_int(value):
+    # a float used to end in an AttributeError, and True was delivered as 1
+    sched = plan_routing(DemandMatrix.from_rows([[0, 1], [0, 0]]))
+    with pytest.raises(ValueError) as info:
+        execute_schedule(sched, {(0, 1, 0): value})
+    assert str(info.value) == (
+        f"payload {value!r} of word (0, 1, 0) is not a non-negative int")
+
+
 def test_execute_rejects_word_sent_to_another_intermediate():
     # two entries for one word: the sender follows both, the relay's
     # assignment keeps the second, so the first copy reaches a node that the
@@ -482,3 +518,32 @@ def test_execute_multi_round_phases_delivery_exact():
         assert record.delivered[d] == tuple(sorted(
             (s, q, payloads[(s, d, q)])
             for s in range(n) if s != d for q in range(4)))
+    # the ledger: one-word transfers, and relayed words wait in their
+    # intermediates' queues for later phase-B rounds, metered as they wait
+    rounds = record.run.trace.rounds
+    assert {w for r in rounds for _s, _d, w in r.transfers} == {1}
+    assert tuple(len(r.transfers) for r in rounds) == (
+        30, 30, 30, 10, 30, 30, 30, 10, 0)
+    assert tuple(r.space for r in rounds) == (
+        (2,) * 6, (32,) * 6, (62,) * 6, (92,) * 6,
+        (98, 98, 92, 92, 92, 92), (98, 98, 68, 68, 68, 68),
+        (86, 86, 56, 56, 56, 56), (74, 74, 56, 56, 56, 56), (62,) * 6)
+
+
+def test_execute_uneven_two_round_demand_ledger():
+    # row sums 6, 5, 3, 4 and column sums 6, 4, 3, 5 on 4 nodes: two rounds
+    # per phase, unevenly loaded, with kept words at some intermediates
+    rows = [[0, 3, 2, 1], [1, 0, 0, 4], [2, 1, 0, 0], [3, 0, 1, 0]]
+    sched = plan_routing(DemandMatrix.from_rows(rows))
+    assert sched.phase_a_rounds == 2
+    payloads = {(s, d, q): (5 * s + d + 11 * q) % 256
+                for (s, d, q) in sched.assignment}
+    record = execute_schedule(sched, payloads, value_width=8)
+    assert record.run.clean
+    rounds = record.run.trace.rounds
+    assert {w for r in rounds for _s, _d, w in r.transfers} == {1}
+    assert tuple(len(r.transfers) for r in rounds) == (9, 4, 10, 4, 0)
+    assert tuple(r.space for r in rounds) == (
+        (2, 2, 2, 2), (17, 17, 17, 22), (20, 19, 17, 22), (21, 16, 8, 11),
+        (20, 14, 11, 17))
+    assert sum(map(len, record.delivered)) == sum(map(sum, rows)) == 18
