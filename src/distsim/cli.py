@@ -546,7 +546,8 @@ def cmd_verify(args) -> int:
         # run; every other run or report file records its absent value
         if not route:
             semi = native.params.kind == ModelKind.SEMI_MPC
-            want, machines = native.params.p if semi else MACHINES, config["machines"]
+            want = native.params.p if semi else MACHINES
+            machines = config["machines"]
             if type(machines) is not int or machines != want:
                 raise ValueError(f"config field 'machines' holds {machines!r}, not "
                                  + (f"params p = {want}" if semi else f"{want}"))
