@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 from .core import FieldCodec, Graph, Message, edge_pairs, id_width, incident_edges, round_loads
 from .engines import (
+    C_SPACE,
     ModelKind,
     ModelParams,
     NodeProgram,
@@ -218,7 +219,7 @@ class _CliqueOnSemiMpc(NodeProgram):
 
 
 def simulate_cc_on_semimpc(prog: NodeProgram, g: Graph, *,
-                           c_space: int = 4, seed: int = 0,
+                           c_space: int = C_SPACE, seed: int = 0,
                            initial_edges: list[list[tuple[int, int]]] | None = None,
                            ) -> SimulationReport:
     """Simulate a clique algorithm on semi-MPC with exactly n machines and
@@ -779,7 +780,7 @@ C_MACHINES = 2  # the default machine constant of a CONGEST -> semi-MPC simulati
 
 def simulate_congest_on_semimpc(prog: NodeProgram, g: Graph,
                                 round_budget: int | None = None, *,
-                                c_space: int = 4, c_machines: int = C_MACHINES, seed: int = 0,
+                                c_space: int = C_SPACE, c_machines: int = C_MACHINES, seed: int = 0,
                                 ) -> SimulationReport:
     """Simulate a CONGEST algorithm on semi-MPC using few machines.
 

@@ -28,8 +28,10 @@ from .adapters import (
     simulate_semimpc_on_cc,
 )
 from .algorithms import BoruvkaConnectivity, FloodMinLabel, ForestMergeConnectivity
-from .core import Graph, RoundTrace, components_oracle, gen_graph, load_graph, word_width
+from .core import (Graph, RoundTrace, components_oracle, gen_graph, load_graph, round_loads,
+                   word_width)
 from .engines import (
+    C_SPACE,
     EngineContractError,
     ModelKind,
     ModelParams,
@@ -40,7 +42,7 @@ from .engines import (
     run_congest,
     run_mpc,
 )
-from .routing import DemandMatrix, Schedule, execute_schedule, plan_routing
+from .routing import DemandMatrix, Schedule, delivered_triples, execute_schedule, plan_routing
 
 ALGORITHM_MODELS = {
     "boruvka": ModelKind.CLIQUE,
@@ -222,7 +224,7 @@ def _semi_mpc_input(args, g: Graph, constants: dict[str, int]):
     on them by the seeded shuffle."""
     params = ModelParams.semi_mpc(
         g.n, args.machines, ell=2 * g.m, word_width_bits=constants.get("word_width"),
-        c_space=constants.get("c_space", 4))
+        c_space=constants.get("c_space", C_SPACE))
     return params, distribute_edges(g, args.machines, args.seed)
 
 
@@ -292,7 +294,7 @@ def cmd_simulate(args) -> int:
     g = load_graph(Path(args.graph).read_text(encoding="utf-8"))
     prog = _make_program(args, source, g)
 
-    c_space = constants.get("c_space", 4)
+    c_space = constants.get("c_space", C_SPACE)
     if source == ModelKind.CLIQUE:
         report = simulate_cc_on_semimpc(prog, g, c_space=c_space, seed=args.seed)
     elif source == ModelKind.SEMI_MPC:
@@ -336,22 +338,24 @@ def cmd_route(args) -> int:
         raise UsageError("demand file must hold a dense square array")
     dm = DemandMatrix.from_rows(doc)
     # route takes the loads a semi-MPC machine may send or receive in a round
-    # at the default c_space: at most 4n words per node
-    limit = 4 * dm.n
-    for name, sums in (("row", dm.row_sums), ("column", dm.col_sums)):
-        for i, total in enumerate(sums):
-            if total > limit:
-                raise UsageError(f"{name} {i} demands {total} words, above {limit}")
+    # at the default c_space: at most C_SPACE * n words per node
+    limit = C_SPACE * dm.n
+    max_degree = dm.max_degree
+    if max_degree > limit:  # name the first row, else column, above it
+        for name, loads in zip(("row", "column"), round_loads(dm.cells, dm.n)):
+            for i, total in enumerate(loads):
+                if total > limit:
+                    raise UsageError(f"{name} {i} demands {total} words, above {limit}")
     sched = plan_routing(dm)
     # the replay needs only the schedule: free the demand's cells before it
-    summary = f"demand n={dm.n} words={dm.total_words} max_degree={dm.max_degree}"
+    summary = f"demand n={dm.n} words={dm.total_words} max_degree={max_degree}"
     del dm
     payloads = {(s, d, q): (s * 31 + d * 7 + q) % (1 << 8)
                 for (s, d, q) in sched.assignment}
     record = execute_schedule(sched, payloads, value_width=8)
 
     out = record.run.to_json_dict()
-    out.update(_route_fields(sched, record.run))
+    out.update(_route_fields(sched, record.delivered))
     _dump_json(out, args.out)
 
     print(summary)
@@ -440,10 +444,12 @@ def _refuse_a_misstated_config(config: dict, runs: list[RunResult]) -> None:
     """Refuse (ValueError, naming the field) a run or report file whose
     config misstates the command that wrote its runs.  The model flags (a
     run file's `model`, a report's `from` and `to`) must name the runs'
-    kinds, and `constants` may hold only constants that command reads:
-    word_width sets the native run's word width and c_space every run's,
-    each word_width(n) and 4 when absent.  The graph and the seed are not
-    checked."""
+    kinds, and `algorithm` the native model's algorithm.  `machines` is the
+    native run's p where --machines sized it (a semi-MPC run file's run or a
+    report's native run), else --machines' absent value MACHINES.
+    `constants` may hold only constants that command reads: word_width sets
+    the native run's word width and c_space every run's, each word_width(n)
+    and C_SPACE when absent.  The graph and the seed are not checked."""
     native = runs[0].params
     kinds = tuple(run.params.kind for run in runs)
     if len(runs) == 1:
@@ -456,6 +462,16 @@ def _refuse_a_misstated_config(config: dict, runs: list[RunResult]) -> None:
         if config[key] != flag:
             raise ValueError(f"config field {key!r} holds {json.dumps(config[key])},"
                              f" not {json.dumps(flag)}")
+    algorithms = {kind: name for name, kind in ALGORITHM_MODELS.items()}
+    if config["algorithm"] != algorithms[native.kind]:
+        raise ValueError(f"config field 'algorithm' holds {config['algorithm']!r}, not an"
+                         f" algorithm of the {native.kind.value} model")
+    semi = native.kind == ModelKind.SEMI_MPC
+    want = native.p if semi else MACHINES
+    machines = config["machines"]
+    if type(machines) is not int or machines != want:
+        raise ValueError(f"config field 'machines' holds {machines!r}, not "
+                         + (f"params p = {want}" if semi else f"{want}"))
     constants = config["constants"]
     held = json.dumps(constants)
     if type(constants) is not dict or not constants.keys() <= set(keys):
@@ -463,22 +479,16 @@ def _refuse_a_misstated_config(config: dict, runs: list[RunResult]) -> None:
                          f" among {', '.join(keys)}")
     stated = [("word_width_bits", native.word_width_bits,
                constants.get("word_width", word_width(native.n)))]
-    stated += [("c_space", run.params.c_space, constants.get("c_space", 4)) for run in runs]
+    stated += [("c_space", run.params.c_space, constants.get("c_space", C_SPACE)) for run in runs]
     for name, value, want in stated:
         if type(want) is not int or want != value:
             raise ValueError(f"config field 'constants' holds {held}, not params {name} = {value}")
 
 
-def _route_fields(sched: Schedule, run: RunResult) -> dict:
+def _route_fields(sched: Schedule, delivered) -> dict:
     """A route file's `routing`, the schedule, and `delivered_words`, the
-    number of (src, seq, value) triples the run's outputs deliver; outputs
-    that are not whole triples are refused (ValueError)."""
-    for v, words in enumerate(run.outputs):
-        if len(words) % 3:
-            raise ValueError(f"outputs of node {v} hold {len(words)} words,"
-                             " not (src, seq, value) triples")
-    return {"routing": sched.to_json_dict(),
-            "delivered_words": sum(len(words) // 3 for words in run.outputs)}
+    number of words `delivered` (delivered_triples) holds."""
+    return {"routing": sched.to_json_dict(), "delivered_words": sum(map(len, delivered))}
 
 
 def _difference(held, want) -> str:
@@ -507,16 +517,13 @@ def _refuse_unless_derived(held: dict, want: dict, name: str = "") -> None:
             raise ValueError(f"{field} {_difference(held[key], want[key])}")
 
 
-def _expected_outputs(algorithm, params: ModelParams, graph: Graph | None):
-    """The outputs a clean run of the algorithm writes on its graph, from
-    components_oracle: each vertex's [label] for boruvka and flood, every
-    label on machine 0 and nothing elsewhere for forest-merge.  None for a
-    run without its graph, a semi-MPC report's native run."""
+def _expected_outputs(params: ModelParams, graph: Graph | None):
+    """The outputs a clean run of the model's one algorithm writes on its
+    graph, from components_oracle: each vertex's [label] for boruvka and
+    flood, every label on machine 0 and nothing elsewhere for forest-merge.
+    None for a run without its graph, a semi-MPC report's native run."""
     if graph is None:
         return None
-    if ALGORITHM_MODELS.get(algorithm) != params.kind:
-        raise ValueError(f"config field 'algorithm' holds {algorithm!r}, not an"
-                         f" algorithm of the {params.kind.value} model")
     labels = components_oracle(graph)
     if params.kind == ModelKind.SEMI_MPC:
         return [labels] + [[]] * (params.p - 1)
@@ -531,6 +538,8 @@ def cmd_verify(args) -> int:
         report, route = "native" in doc and "simulated" in doc, "routing" in doc
         # run and report files are checked against the config their command wrote
         config = {} if route else doc["config"]
+        if type(config) is not dict:
+            raise ValueError(f"config holds {json.dumps(config)}, not an object")
         runs = [("", doc, {})]
         if report:
             runs = [("native: ", doc["native"], {"source_model": doc["source_model"]}),
@@ -542,19 +551,10 @@ def cmd_verify(args) -> int:
         # every command records its native run's graph but simulate --from semimpc
         if native.graph is None and not (report and native.params.kind == ModelKind.SEMI_MPC):
             raise KeyError("graph")
-        # --machines sized a semi-MPC run file's run or a report's native
-        # run; every other run or report file records its absent value
-        if not route:
-            semi = native.params.kind == ModelKind.SEMI_MPC
-            want = native.params.p if semi else MACHINES
-            machines = config["machines"]
-            if type(machines) is not int or machines != want:
-                raise ValueError(f"config field 'machines' holds {machines!r}, not "
-                                 + (f"params p = {want}" if semi else f"{want}"))
         label = ""
-        # a route file's outputs are (src, seq, value) triples: _route_fields
+        # a route file's outputs are (src, seq, value) triples: delivered_triples
         if native.clean and not route:
-            expected = _expected_outputs(config["algorithm"], native.params, native.graph)
+            expected = _expected_outputs(native.params, native.graph)
             if expected is not None and json.dumps(native.outputs) != json.dumps(expected):
                 wrong.append("outputs")
         derived = {}
@@ -566,7 +566,8 @@ def cmd_verify(args) -> int:
                 # the payload values are not checked
                 demand = DemandMatrix.from_transfers(
                     native.params.n, [(s, d, 1) for s, d, *_e in doc["routing"]["entries"]])
-                derived = _route_fields(plan_routing(demand), native)
+                derived = _route_fields(plan_routing(demand),
+                                        delivered_triples(native.outputs))
         _refuse_unless_derived({key: doc[key] for key in derived}, derived)
         if not route:
             _refuse_a_misstated_config(config, [run for _l, run, _w in checked])

@@ -405,12 +405,12 @@ class RoundTrace:
         return len(self.rounds)
 
     def sent_words(self, participant: int, round_no: int) -> int:
-        return sum(w for s, _, w in self.rounds[round_no - 1].transfers
-                   if s == participant)
+        sent, _recv = round_loads(self.rounds[round_no - 1].transfers, self.num_participants)
+        return sent[participant]
 
     def recv_words(self, participant: int, round_no: int) -> int:
-        return sum(w for _, d, w in self.rounds[round_no - 1].transfers
-                   if d == participant)
+        _sent, recv = round_loads(self.rounds[round_no - 1].transfers, self.num_participants)
+        return recv[participant]
 
     def max_traffic(self) -> int:
         """Largest per-participant sent or received word count in any round."""

@@ -54,6 +54,7 @@ class Violation:
         return asdict(self)
 
 
+C_SPACE = 4  # the space multiplier when none is given (ModelParams.c_space)
 C_TOTAL = 4  # the total-space law's constants (see total_space_bound)
 POLYLOG_EXP = 2
 # params files record these beside s; no rule reads c_traffic
@@ -80,7 +81,7 @@ class ModelParams:
     word_width_bits: int | None = None
     delta: float = field(init=False)
     ell: int = 0
-    c_space: int = 4
+    c_space: int = C_SPACE
     round_cap: int | None = None
 
     def __post_init__(self):

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import FieldCodec, Graph, Message, id_width, word_width
+from .core import FieldCodec, Graph, Message, id_width, round_loads, word_width
 from .engines import ModelParams, NodeProgram, RunResult, run_clique
 
 
@@ -85,29 +85,15 @@ class DemandMatrix:
         return DemandMatrix(n=n, cells=tuple(
             (s, d, count) for (s, d), count in sorted(counts.items()) if count))
 
-    @cached_property
-    def row_sums(self) -> tuple[int, ...]:
-        sums = [0] * self.n
-        for s, _d, count in self.cells:
-            sums[s] += count
-        return tuple(sums)
-
-    @cached_property
-    def col_sums(self) -> tuple[int, ...]:
-        sums = [0] * self.n
-        for _s, d, count in self.cells:
-            sums[d] += count
-        return tuple(sums)
-
     @property
     def total_words(self) -> int:
-        return sum(self.row_sums)
+        return sum(count for _s, _d, count in self.cells)
 
     @property
     def max_degree(self) -> int:
-        if not self.cells:
-            return 0
-        return max(max(self.row_sums), max(self.col_sums))
+        """The largest row or column sum: the palette plan_routing colours with."""
+        sent, recv = round_loads(self.cells, self.n)
+        return max(sent + recv, default=0)
 
     def words(self) -> list[tuple[int, int, int]]:
         """Every demanded word as (src, dst, seq), in canonical order."""
@@ -268,6 +254,17 @@ class DeliveryRecord:
     # delivered[dst] = sorted (src, seq, value) triples
 
 
+def delivered_triples(outputs) -> tuple[tuple[tuple, ...], ...]:
+    """Each node's (src, seq, value) triples, decoded from the flat words
+    _ScheduleHost.output writes; a stream that is not whole triples is
+    refused (ValueError)."""
+    for v, words in enumerate(outputs):
+        if len(words) % 3:
+            raise ValueError(f"outputs of node {v} hold {len(words)} words,"
+                             " not (src, seq, value) triples")
+    return tuple(tuple(zip(words[0::3], words[1::3], words[2::3])) for words in outputs)
+
+
 class Relay(NodeProgram):
     """Clique node that relays words along a sequence of routing episodes.
 
@@ -422,8 +419,7 @@ def execute_schedule(sched: Schedule, payloads: dict[tuple[int, int, int], int],
                      Graph(n=sched.n, edges=()), params)
     if not run.clean:
         raise RuntimeError(f"schedule replay violated the model: {run.violations[0]}")
-    delivered = [tuple(zip(words[0::3], words[1::3], words[2::3]))
-                 for words in run.outputs]
+    delivered = delivered_triples(run.outputs)
 
     arrived = [set(triples) for triples in delivered]
     for (s, d, q), value in payloads.items():
@@ -433,4 +429,4 @@ def execute_schedule(sched: Schedule, payloads: dict[tuple[int, int, int], int],
     if sum(map(len, delivered)) != len(payloads):
         raise RuntimeError("delivered word count does not match the demand")
 
-    return DeliveryRecord(run=run, delivered=tuple(delivered))
+    return DeliveryRecord(run=run, delivered=delivered)

@@ -497,6 +497,21 @@ def test_route_all_zero_demand_takes_one_engine_round(tmp_path, capsys):
     assert run_cli("verify", "--trace", str(out)) == 0
 
 
+@pytest.mark.parametrize("rows, lines", [
+    ([[0, 2, 1], [1, 0, 0], [3, 0, 0]],
+     ["demand n=3 words=7 max_degree=4", "schedule_rounds=4 engine_rounds=5 delivered=7"]),
+    ([[0, 0], [0, 0]],
+     ["demand n=2 words=0 max_degree=0", "schedule_rounds=0 engine_rounds=1 delivered=0"]),
+], ids=["column-0-heaviest", "empty"])
+def test_route_prints_its_summary(rows, lines, tmp_path, capsys):
+    # max_degree is the largest row or column sum: column 0 holds 4 words
+    demand = tmp_path / "demand.json"
+    demand.write_text(json.dumps(rows))
+    assert run_cli("route", "--demand", str(demand),
+                   "--out", str(tmp_path / "route.json")) == 0
+    assert capsys.readouterr() == ("\n".join(lines) + "\n", "")
+
+
 def test_route_rejects_oversized_demand(tmp_path, capsys):
     n = 3
     rows = [[0] * n for _ in range(n)]
@@ -922,11 +937,10 @@ def test_verify_rejects_an_ell_other_than_twice_the_edges(gnp48_file, tmp_path,
         " not 2m = 466\n")
 
 
-@pytest.mark.parametrize("argv, label", [(RUN_SEMIMPC, ""), (SIM_SEMIMPC, "native: ")],
-                         ids=["run", "report"])
+@pytest.mark.parametrize("argv", [RUN_SEMIMPC, SIM_SEMIMPC], ids=["run", "report"])
 @pytest.mark.parametrize("machines", [7, 4.0, "4"])
-def test_verify_refuses_a_config_machine_count_other_than_p(argv, label, machines,
-                                                            graph_file, tmp_path, capsys):
+def test_verify_refuses_a_config_machine_count_other_than_p(argv, machines, graph_file,
+                                                            tmp_path, capsys):
     # --machines sized the semi-MPC run; an edited count used to verify with
     # exit 0
     out = tmp_path / "out.json"
@@ -939,7 +953,7 @@ def test_verify_refuses_a_config_machine_count_other_than_p(argv, label, machine
     capsys.readouterr()
     assert run_cli("verify", "--trace", str(out)) == 2
     assert capsys.readouterr().err == (
-        f"error: malformed trace file: {label}config field 'machines' holds"
+        "error: malformed trace file: config field 'machines' holds"
         f" {machines!r}, not params p = 4\n")
     # a file saved without its config is refused, not left unchecked
     del doc["config"]
@@ -948,12 +962,11 @@ def test_verify_refuses_a_config_machine_count_other_than_p(argv, label, machine
     assert capsys.readouterr().err == "error: malformed trace file: 'config'\n"
 
 
-@pytest.mark.parametrize("argv, label", [(RUN_CLIQUE, ""), (RUN_CONGEST, ""),
-                                         (SIM_CLIQUE, "native: "), (SIM_CONGEST, "native: ")],
+@pytest.mark.parametrize("argv", [RUN_CLIQUE, RUN_CONGEST, SIM_CLIQUE, SIM_CONGEST],
                          ids=["run-clique", "run-congest", "report-clique", "report-congest"])
 @pytest.mark.parametrize("machines", [7, True])
-def test_verify_refuses_a_config_machine_count_no_run_reads(argv, label, machines,
-                                                            graph_file, tmp_path, capsys):
+def test_verify_refuses_a_config_machine_count_no_run_reads(argv, machines, graph_file,
+                                                            tmp_path, capsys):
     # these commands refuse --machines and record cli.MACHINES; an edited
     # count used to verify with exit 0
     out = tmp_path / "out.json"
@@ -965,7 +978,7 @@ def test_verify_refuses_a_config_machine_count_no_run_reads(argv, label, machine
     capsys.readouterr()
     assert run_cli("verify", "--trace", str(out)) == 2
     assert capsys.readouterr().err == (
-        f"error: malformed trace file: {label}config field 'machines' holds"
+        "error: malformed trace file: config field 'machines' holds"
         f" {machines!r}, not 4\n")
 
 
@@ -1450,6 +1463,45 @@ def test_verify_refuses_an_algorithm_of_another_model(graph_file, tmp_path, caps
     assert capsys.readouterr().err == (
         "error: malformed trace file: config field 'algorithm' holds 'flood',"
         " not an algorithm of the CLIQUE model\n")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (SIM_DIRECTIONS["semimpc"], 0),
+    # semi-MPC machines of 20 words each: the run ends on a violation
+    (RUN_SEMIMPC + ("--constants", "c_space=1"), 1),
+], ids=["report-semimpc", "run-semimpc-violation"])
+@pytest.mark.parametrize("algorithm", ["boruvka", "nonsense", None])
+def test_verify_checks_the_algorithm_of_every_file(argv, code, algorithm, graph_file,
+                                                   tmp_path, capsys):
+    # neither file has outputs verify compares with the graph's components:
+    # each edit used to verify with the file's own exit code
+    out = tmp_path / "out.json"
+    assert run_cli(*argv, "--graph", graph_file, "--out", str(out)) == code
+    doc = json.loads(out.read_text())
+    doc["config"]["algorithm"] = algorithm
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("verify", "--trace", str(out)) == 2
+    assert capsys.readouterr() == ("", (
+        f"error: malformed trace file: config field 'algorithm' holds {algorithm!r},"
+        " not an algorithm of the SEMI_MPC model\n"))
+
+
+@pytest.mark.parametrize("argv", [RUN_CLIQUE, SIM_CONGEST], ids=["run", "report"])
+@pytest.mark.parametrize("config", [None, [], "x"], ids=["null", "list", "string"])
+def test_verify_refuses_a_config_that_is_not_an_object(argv, config, graph_file, tmp_path,
+                                                       capsys):
+    # each used to exit 2 with Python's own text, such as "'NoneType' object
+    # is not subscriptable"
+    out = tmp_path / "out.json"
+    assert run_cli(*argv, "--graph", graph_file, "--out", str(out)) == 0
+    doc = json.loads(out.read_text())
+    doc["config"] = config
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("verify", "--trace", str(out)) == 2
+    assert capsys.readouterr() == ("", (
+        f"error: malformed trace file: config holds {json.dumps(config)}, not an object\n"))
 
 
 @pytest.mark.parametrize("argv", [RUN_CLIQUE, RUN_CONGEST, RUN_SEMIMPC])

@@ -10,6 +10,7 @@ from distsim import (
     execute_schedule,
     plan_routing,
 )
+from distsim.core import round_loads
 from distsim.routing import Schedule
 
 from conftest import coloring_is_proper
@@ -228,7 +229,7 @@ def dense_words(n, counts):
 
 def dense_col_sums(n, counts):
     """Reference: column sums by indexing every cell."""
-    return tuple(sum(counts[s][d] for s in range(n)) for d in range(n))
+    return [sum(counts[s][d] for s in range(n)) for d in range(n)]
 
 
 _sparse_rows = st.integers(0, 6).flatmap(lambda n: st.lists(
@@ -246,8 +247,7 @@ def test_demand_matrix_matches_dense_scan(rows):
     n = len(rows)
     dm = DemandMatrix.from_rows(rows)
     assert dm.words() == dense_words(n, rows)
-    assert dm.row_sums == tuple(sum(row) for row in rows)
-    assert dm.col_sums == dense_col_sums(n, rows)
+    assert round_loads(dm.cells, n) == ([sum(row) for row in rows], dense_col_sums(n, rows))
     assert dm.total_words == sum(map(sum, rows))
 
 
@@ -274,7 +274,7 @@ def test_demand_matrix_rejects_negative_counts(rows):
 def test_empty_demand_matrix_constructs():
     dm = DemandMatrix(n=0, cells=())
     assert dm.words() == []
-    assert dm.row_sums == dm.col_sums == ()
+    assert round_loads(dm.cells, 0) == ([], [])
     assert dm.max_degree == 0
 
 
@@ -331,8 +331,8 @@ def test_from_transfers_matches_dense_rows(ledger):
     dense = DemandMatrix.from_rows(dense_sum(n, transfers))
     assert sparse == dense
     assert sparse.cells == dense.cells
-    assert sparse.row_sums == dense.row_sums
-    assert sparse.col_sums == dense.col_sums
+    rows = dense_sum(n, transfers)
+    assert round_loads(sparse.cells, n) == ([sum(row) for row in rows], dense_col_sums(n, rows))
     assert sparse.total_words == dense.total_words
     assert sparse.max_degree == dense.max_degree
     assert sparse.words() == dense.words() == dense_words(n, dense_sum(n, transfers))
