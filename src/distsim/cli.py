@@ -441,48 +441,35 @@ def _rederived_report(config: dict, native: RunResult, simulated: RunResult):
 
 
 def _refuse_a_misstated_config(config: dict, runs: list[RunResult]) -> None:
-    """Refuse (ValueError, naming the field) a run or report file whose
-    config misstates the command that wrote its runs.  The model flags (a
-    run file's `model`, a report's `from` and `to`) must name the runs'
-    kinds, and `algorithm` the native model's algorithm.  `machines` is the
-    native run's p where --machines sized it (a semi-MPC run file's run or a
-    report's native run), else --machines' absent value MACHINES.
-    `constants` may hold only constants that command reads: word_width sets
-    the native run's word width and c_space every run's, each word_width(n)
-    and C_SPACE when absent.  The graph and the seed are not checked."""
+    """Refuse (ValueError, see _refuse_unless_derived) a run or report file
+    whose config is not the one its command writes for its runs.  They fix
+    the model flags, `algorithm`, `machines` (the native p where --machines
+    sized it, else MACHINES) and the constants the command reads: word_width
+    (the native run's) and c_space (every run's), present where the file
+    gives them or the runs hold other than word_width(n) and C_SPACE.
+    c_machines, the graph, the seed and the round budget are the file's."""
     native = runs[0].params
     kinds = tuple(run.params.kind for run in runs)
     if len(runs) == 1:
         named, keys = {"model": native.kind}, RUN_CONSTANTS[native.kind]
     else:
         named, keys = dict(zip(("from", "to"), kinds)), SIMULATE_CONSTANTS.get(kinds, ())
+    given = config.get("constants")
+    constants = {key: given[key] for key in keys if key in given} if type(given) is dict else {}
+    for key, values, default in (("word_width", {native.word_width_bits}, word_width(native.n)),
+                                 ("c_space", {run.params.c_space for run in runs}, C_SPACE)):
+        if key not in keys:  # the command sets it to its default in every run
+            values.add(default)
+        if len(values) > 1:
+            raise ValueError(f"no one config sets {key} {' and '.join(map(str, sorted(values)))}")
+        if key in constants or default not in values:
+            constants[key] = values.pop()
     flags = {kind: flag for flag, kind in MODEL_FLAGS.items()}
-    for key, kind in named.items():
-        flag = flags[kind]
-        if config[key] != flag:
-            raise ValueError(f"config field {key!r} holds {json.dumps(config[key])},"
-                             f" not {json.dumps(flag)}")
     algorithms = {kind: name for name, kind in ALGORITHM_MODELS.items()}
-    if config["algorithm"] != algorithms[native.kind]:
-        raise ValueError(f"config field 'algorithm' holds {config['algorithm']!r}, not an"
-                         f" algorithm of the {native.kind.value} model")
-    semi = native.kind == ModelKind.SEMI_MPC
-    want = native.p if semi else MACHINES
-    machines = config["machines"]
-    if type(machines) is not int or machines != want:
-        raise ValueError(f"config field 'machines' holds {machines!r}, not "
-                         + (f"params p = {want}" if semi else f"{want}"))
-    constants = config["constants"]
-    held = json.dumps(constants)
-    if type(constants) is not dict or not constants.keys() <= set(keys):
-        raise ValueError(f"config field 'constants' holds {held}, not constants"
-                         f" among {', '.join(keys)}")
-    stated = [("word_width_bits", native.word_width_bits,
-               constants.get("word_width", word_width(native.n)))]
-    stated += [("c_space", run.params.c_space, constants.get("c_space", C_SPACE)) for run in runs]
-    for name, value, want in stated:
-        if type(want) is not int or want != value:
-            raise ValueError(f"config field 'constants' holds {held}, not params {name} = {value}")
+    want = {**config, **{key: flags[kind] for key, kind in named.items()},
+            "algorithm": algorithms[native.kind], "constants": constants,
+            "machines": native.p if native.kind == ModelKind.SEMI_MPC else MACHINES}
+    _refuse_unless_derived(config, want, "config")
 
 
 def _route_fields(sched: Schedule, delivered) -> dict:

@@ -954,7 +954,7 @@ def test_verify_refuses_a_config_machine_count_other_than_p(argv, machines, grap
     assert run_cli("verify", "--trace", str(out)) == 2
     assert capsys.readouterr().err == (
         "error: malformed trace file: config field 'machines' holds"
-        f" {machines!r}, not params p = 4\n")
+        f" {json.dumps(machines)}, not 4\n")
     # a file saved without its config is refused, not left unchecked
     del doc["config"]
     out.write_text(json.dumps(doc))
@@ -979,7 +979,7 @@ def test_verify_refuses_a_config_machine_count_no_run_reads(argv, machines, grap
     assert run_cli("verify", "--trace", str(out)) == 2
     assert capsys.readouterr().err == (
         "error: malformed trace file: config field 'machines' holds"
-        f" {machines!r}, not 4\n")
+        f" {json.dumps(machines)}, not 4\n")
 
 
 # the graph_file fixture has n = 20, so the default word width is 7 bits
@@ -999,23 +999,22 @@ _MISSTATED_CONFIGS = [
      "config field 'from' holds \"congest\", not \"semimpc\""),
     # word_width sets the native run's word width, c_space every run's
     ("run-clique-word-width", RUN_CLIQUE, "constants", {"word_width": 30},
-     "config field 'constants' holds {\"word_width\": 30}, not params word_width_bits = 7"),
+     "constants field 'word_width' holds 30, not 7"),
     ("run-congest-word-width-float", RUN_CONGEST, "constants", {"word_width": 7.0},
-     "config field 'constants' holds {\"word_width\": 7.0}, not params word_width_bits = 7"),
+     "constants field 'word_width' holds 7.0, not 7"),
     ("run-semimpc-c-space", RUN_SEMIMPC, "constants", {"c_space": 8},
-     "config field 'constants' holds {\"c_space\": 8}, not params c_space = 4"),
+     "constants field 'c_space' holds 8, not 4"),
     ("report-congest-c-space", SIM_CONGEST, "constants", {"c_space": 3, "c_machines": 2},
-     "config field 'constants' holds {\"c_space\": 3, \"c_machines\": 2}, not params"
-     " c_space = 4"),
+     "constants field 'c_space' holds 3, not 4"),
     ("report-semimpc-c-space-bool", SIM_SEMIMPC, "constants", {"c_space": True},
-     "config field 'constants' holds {\"c_space\": true}, not params c_space = 4"),
+     "constants field 'c_space' holds true, not 4"),
     # only constants the command reads
     ("run-clique-c-space", RUN_CLIQUE, "constants", {"c_space": 4},
-     "config field 'constants' holds {\"c_space\": 4}, not constants among word_width"),
+     "constants field 'c_space' is unknown"),
     ("report-clique-word-width", SIM_CLIQUE, "constants", {"word_width": 5},
-     "config field 'constants' holds {\"word_width\": 5}, not constants among c_space"),
+     "constants field 'word_width' is unknown"),
     ("run-semimpc-list", RUN_SEMIMPC, "constants", [],
-     "config field 'constants' holds [], not constants among c_space, word_width"),
+     "config field 'constants' holds [], not {}"),
 ]
 
 
@@ -1035,6 +1034,30 @@ def test_verify_refuses_a_config_that_misstates_its_command(argv, key, value, me
     capsys.readouterr()
     assert run_cli("verify", "--trace", str(out)) == 2
     assert capsys.readouterr() == ("", f"error: malformed trace file: {message}\n")
+
+
+@pytest.mark.parametrize("argv, run, edit, stated, message", [
+    # one --constants c_space sets both runs of a report
+    (SIM_CLIQUE, "simulated", {"c_space": 5, "s": 100}, {"c_space": 5}, "c_space 4 and 5"),
+    # a command that reads no such constant leaves it at its default
+    (RUN_CLIQUE, None, {"c_space": 8}, {"c_space": 8}, "c_space 4 and 8"),
+    (SIM_CLIQUE, "native", {"word_width_bits": 9}, {"word_width": 9}, "word_width 7 and 9"),
+], ids=["report-c-space", "run-clique-c-space", "report-word-width"])
+def test_verify_refuses_runs_no_one_config_writes(argv, run, edit, stated, message,
+                                                  graph_file, tmp_path, capsys):
+    # the config a command writes sets one value of each constant, whatever
+    # the file's config states
+    out = tmp_path / "out.json"
+    assert run_cli(*argv, "--graph", graph_file, "--out", str(out)) == 0
+    doc = json.loads(out.read_text())
+    (doc[run] if run else doc)["params"].update(edit)
+    for constants in ({}, stated):
+        doc["config"]["constants"] = constants
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli("verify", "--trace", str(out)) == 2
+        assert capsys.readouterr() == (
+            "", f"error: malformed trace file: no one config sets {message}\n")
 
 
 @pytest.mark.parametrize("argv, constants", [
@@ -1461,8 +1484,8 @@ def test_verify_refuses_an_algorithm_of_another_model(graph_file, tmp_path, caps
     capsys.readouterr()
     assert run_cli("verify", "--trace", str(out)) == 2
     assert capsys.readouterr().err == (
-        "error: malformed trace file: config field 'algorithm' holds 'flood',"
-        " not an algorithm of the CLIQUE model\n")
+        "error: malformed trace file: config field 'algorithm' holds \"flood\","
+        " not \"boruvka\"\n")
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -1483,8 +1506,8 @@ def test_verify_checks_the_algorithm_of_every_file(argv, code, algorithm, graph_
     capsys.readouterr()
     assert run_cli("verify", "--trace", str(out)) == 2
     assert capsys.readouterr() == ("", (
-        f"error: malformed trace file: config field 'algorithm' holds {algorithm!r},"
-        " not an algorithm of the SEMI_MPC model\n"))
+        f"error: malformed trace file: config field 'algorithm' holds {json.dumps(algorithm)},"
+        " not \"forest-merge\"\n"))
 
 
 @pytest.mark.parametrize("argv", [RUN_CLIQUE, SIM_CONGEST], ids=["run", "report"])
