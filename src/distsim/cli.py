@@ -390,6 +390,9 @@ def _recheck_run(doc: dict, report_models: dict):
     (see _expected_outputs), and the names of the misstated fields."""
     params = ModelParams.from_json_dict(doc["params"])
     trace = RoundTrace.from_per_round_json(params.p, doc["per_round"])
+    cap = params.effective_round_cap()  # the engine runs no round past it
+    if trace.num_rounds > cap:
+        raise ValueError(f"per_round holds {trace.num_rounds} rounds, above the round cap {cap}")
     graph = None
     if doc.get("graph") is not None:
         graph = _graph_from_json(doc["graph"])
@@ -504,6 +507,17 @@ def _refuse_unless_derived(held: dict, want: dict, name: str = "") -> None:
             raise ValueError(f"{field} {_difference(held[key], want[key])}")
 
 
+_JSON_TYPES = {list: "an array", str: "a string", int: "a number", float: "a number",
+               bool: "a boolean", type(None): "null"}
+
+
+def _refuse_unless_object(value, name: str) -> None:
+    """Refuse (ValueError) a value that is not a JSON object, naming its JSON
+    type and not the value, which may be a long array."""
+    if type(value) is not dict:
+        raise ValueError(f"{name} holds {_JSON_TYPES[type(value)]}, not an object")
+
+
 def _expected_outputs(params: ModelParams, graph: Graph | None):
     """The outputs a clean run of the model's one algorithm writes on its
     graph, from components_oracle: each vertex's [label] for boruvka and
@@ -522,13 +536,15 @@ def cmd_verify(args) -> int:
     label = ""
     try:
         doc = json.loads(Path(args.trace).read_text(encoding="utf-8"))
+        _refuse_unless_object(doc, "file")
         report, route = "native" in doc and "simulated" in doc, "routing" in doc
         # run and report files are checked against the config their command wrote
         config = {} if route else doc["config"]
-        if type(config) is not dict:
-            raise ValueError(f"config holds {json.dumps(config)}, not an object")
+        _refuse_unless_object(config, "config")
         runs = [("", doc, {})]
         if report:
+            for key in ("native", "simulated"):
+                _refuse_unless_object(doc[key], key)
             runs = [("native: ", doc["native"], {"source_model": doc["source_model"]}),
                     ("simulated: ", doc["simulated"], {"target_model": doc["target_model"]})]
         checked = []

@@ -93,6 +93,9 @@ class ModelParams:
             raise ValueError("word width must be >= 1 bit")
         if self.kind != ModelKind.SEMI_MPC and self.p != self.n:
             raise ValueError(f"{self.kind.value} requires one participant per vertex")
+        if self.kind != ModelKind.SEMI_MPC and self.ell != 0:
+            raise ValueError(f"{self.kind.value} reads no input size ell: it must be 0,"
+                             f" not {self.ell}")
         object.__setattr__(self, "s", self.c_space * self.n
                            if self.kind == ModelKind.SEMI_MPC else 0)
         # delta: 0 if the law holds at 0, else the law's bound solved for it

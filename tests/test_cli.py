@@ -937,6 +937,62 @@ def test_verify_rejects_an_ell_other_than_twice_the_edges(gnp48_file, tmp_path,
         " not 2m = 466\n")
 
 
+@pytest.mark.parametrize("argv", [RUN_CLIQUE, RUN_CONGEST], ids=["clique", "congest"])
+def test_verify_rejects_an_ell_where_only_semi_mpc_reads_it(argv, tmp_path, capsys):
+    # an edited ell used to verify with exit 0
+    graph, out = tmp_path / "g.txt", tmp_path / "run.json"
+    assert run_cli("gen", "--kind", "gnp", "--n", "20", "--p", "0.2", "--seed", "1",
+                   "--out", str(graph)) == 0
+    assert run_cli(*argv, "--graph", str(graph), "--out", str(out)) == 0
+    doc = json.loads(out.read_text())
+    assert doc["params"]["ell"] == 0
+    doc["params"]["ell"] = 5
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("verify", "--trace", str(out)) == 2
+    assert capsys.readouterr().err == (
+        f"error: malformed trace file: {doc['params']['kind']} reads no input size ell:"
+        " it must be 0, not 5\n")
+
+
+@pytest.mark.parametrize("argv, run", [(RUN_CLIQUE, None), (SIM_CLIQUE, "simulated")],
+                         ids=["run", "report"])
+def test_verify_rejects_a_ledger_longer_than_its_round_cap(argv, run, graph_file, tmp_path,
+                                                           capsys):
+    # the engine runs no round past the cap; a file edited to a lower cap
+    # used to verify with exit 0
+    out = tmp_path / "out.json"
+    assert run_cli(*argv, "--graph", graph_file, "--out", str(out)) == 0
+    doc = json.loads(out.read_text())
+    params = (doc[run] if run else doc)["params"]
+    rounds = (doc[run] if run else doc)["rounds"]
+    label = f"{run}: " if run else ""
+    for cap, code in ((rounds, 0), (rounds - 1, 2), (1, 2)):
+        params["round_cap"] = cap
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli("verify", "--trace", str(out)) == code
+        assert capsys.readouterr().err == ("" if code == 0 else (
+            f"error: malformed trace file: {label}per_round holds {rounds} rounds,"
+            f" above the round cap {cap}\n"))
+
+
+def test_verify_rejects_a_report_of_a_pair_no_adapter_simulates(tmp_path, capsys):
+    # a clique -> semi-MPC report whose simulated run is restated as a clique
+    # run: each run is well formed, but no adapter writes such a report
+    graph, out = tmp_path / "g.txt", tmp_path / "report.json"
+    assert run_cli("gen", "--kind", "path", "--n", "4", "--out", str(graph)) == 0
+    assert run_cli(*SIM_CLIQUE, "--graph", str(graph), "--out", str(out)) == 0
+    doc = json.loads(out.read_text())
+    doc["simulated"]["params"].update(kind="CLIQUE", s=0, delta=0.0, ell=0)
+    doc["simulated"]["model"] = doc["target_model"] = "CLIQUE"
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("verify", "--trace", str(out)) == 2
+    assert capsys.readouterr().err == (
+        "error: malformed trace file: no adapter simulates CLIQUE on CLIQUE\n")
+
+
 @pytest.mark.parametrize("argv", [RUN_SEMIMPC, SIM_SEMIMPC], ids=["run", "report"])
 @pytest.mark.parametrize("machines", [7, 4.0, "4"])
 def test_verify_refuses_a_config_machine_count_other_than_p(argv, machines, graph_file,
@@ -1510,10 +1566,13 @@ def test_verify_checks_the_algorithm_of_every_file(argv, code, algorithm, graph_
         " not \"forest-merge\"\n"))
 
 
+NOT_OBJECTS = [(None, "null"), ([], "an array"), ("x", "a string")]
+
+
 @pytest.mark.parametrize("argv", [RUN_CLIQUE, SIM_CONGEST], ids=["run", "report"])
-@pytest.mark.parametrize("config", [None, [], "x"], ids=["null", "list", "string"])
-def test_verify_refuses_a_config_that_is_not_an_object(argv, config, graph_file, tmp_path,
-                                                       capsys):
+@pytest.mark.parametrize("config, kind", NOT_OBJECTS, ids=["null", "list", "string"])
+def test_verify_refuses_a_config_that_is_not_an_object(argv, config, kind, graph_file,
+                                                       tmp_path, capsys):
     # each used to exit 2 with Python's own text, such as "'NoneType' object
     # is not subscriptable"
     out = tmp_path / "out.json"
@@ -1524,7 +1583,38 @@ def test_verify_refuses_a_config_that_is_not_an_object(argv, config, graph_file,
     capsys.readouterr()
     assert run_cli("verify", "--trace", str(out)) == 2
     assert capsys.readouterr() == ("", (
-        f"error: malformed trace file: config holds {json.dumps(config)}, not an object\n"))
+        f"error: malformed trace file: config holds {kind}, not an object\n"))
+
+
+@pytest.mark.parametrize("run", ["native", "simulated"])
+@pytest.mark.parametrize("value, kind", NOT_OBJECTS + [(list(range(10 ** 5)), "an array")],
+                         ids=["null", "list", "string", "long-list"])
+def test_verify_refuses_a_report_run_that_is_not_an_object(run, value, kind, graph_file,
+                                                           tmp_path, capsys):
+    # each used to exit 2 with Python's own text, such as "native: list
+    # indices must be integers or slices, not str"; the value is not printed
+    out = tmp_path / "out.json"
+    assert run_cli(*SIM_CLIQUE, "--graph", graph_file, "--out", str(out)) == 0
+    doc = json.loads(out.read_text())
+    doc[run] = value
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("verify", "--trace", str(out)) == 2
+    assert capsys.readouterr() == (
+        "", f"error: malformed trace file: {run} holds {kind}, not an object\n")
+
+
+@pytest.mark.parametrize("value, kind", NOT_OBJECTS + [(3, "a number"), (2.5, "a number"),
+                                                       (True, "a boolean")],
+                         ids=["null", "list", "string", "int", "float", "bool"])
+def test_verify_refuses_a_file_that_is_not_an_object(value, kind, tmp_path, capsys):
+    # each used to exit 2 with Python's own text, such as "list indices must
+    # be integers or slices, not str"
+    out = tmp_path / "out.json"
+    out.write_text(json.dumps(value))
+    assert run_cli("verify", "--trace", str(out)) == 2
+    assert capsys.readouterr() == (
+        "", f"error: malformed trace file: file holds {kind}, not an object\n")
 
 
 @pytest.mark.parametrize("argv", [RUN_CLIQUE, RUN_CONGEST, RUN_SEMIMPC])

@@ -633,6 +633,14 @@ def test_params_refuse_an_impossible_participant_count(kind, p, n, message):
         ModelParams(kind=kind, p=p, n=n)
 
 
+@pytest.mark.parametrize("kind", [ModelKind.CLIQUE, ModelKind.CONGEST])
+def test_params_refuse_an_ell_that_only_semi_mpc_reads(kind):
+    with pytest.raises(ValueError, match=f"^{kind.value} reads no input size ell: it must be"
+                                         " 0, not 5$"):
+        ModelParams(kind=kind, p=4, n=4, ell=5)
+    assert ModelParams(kind=ModelKind.SEMI_MPC, p=4, n=4, ell=5).ell == 5
+
+
 @pytest.mark.parametrize("n", [1, 2, 5, 64, 1000])
 def test_an_omitted_word_width_is_the_vertex_ids_width(n):
     # the class and its three factories share one default; the class used
