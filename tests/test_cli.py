@@ -964,11 +964,10 @@ def test_verify_rejects_a_ledger_longer_than_its_round_cap(argv, run, graph_file
     out = tmp_path / "out.json"
     assert run_cli(*argv, "--graph", graph_file, "--out", str(out)) == 0
     doc = json.loads(out.read_text())
-    params = (doc[run] if run else doc)["params"]
-    rounds = (doc[run] if run else doc)["rounds"]
-    label = f"{run}: " if run else ""
+    edited = doc[run] if run else doc
+    rounds, label = edited["rounds"], f"{run}: " if run else ""
     for cap, code in ((rounds, 0), (rounds - 1, 2), (1, 2)):
-        params["round_cap"] = cap
+        edited["params"]["round_cap"] = cap
         out.write_text(json.dumps(doc))
         capsys.readouterr()
         assert run_cli("verify", "--trace", str(out)) == code
