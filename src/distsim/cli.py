@@ -258,14 +258,7 @@ def cmd_run(args) -> int:
         result = run(prog, g, params)
 
     doc = result.to_json_dict()
-    doc["config"] = {
-        "algorithm": args.algorithm,
-        "model": args.model,
-        "graph": str(args.graph),
-        "machines": args.machines,
-        "seed": args.seed,
-        "constants": constants,
-    }
+    doc["config"] = _config([result], str(args.graph), args.seed, constants)
     _dump_json(doc, args.out)
 
     print(f"model={args.model} algorithm={args.algorithm} n={g.n} m={g.m}")
@@ -306,16 +299,8 @@ def cmd_simulate(args) -> int:
             c_machines=constants.get("c_machines", C_MACHINES), seed=args.seed)
 
     doc = report.to_json_dict()
-    doc["config"] = {
-        "algorithm": args.algorithm,
-        "from": args.source,
-        "to": args.target,
-        "graph": str(args.graph),
-        "machines": args.machines,
-        "round_budget": args.round_budget,
-        "seed": args.seed,
-        "constants": constants,
-    }
+    doc["config"] = _config([report.native, report.simulated], str(args.graph), args.seed,
+                            constants, args.round_budget)
     _dump_json(doc, args.out)
 
     print(f"simulate {args.source} -> {args.target} "
@@ -443,21 +428,28 @@ def _rederived_report(config: dict, native: RunResult, simulated: RunResult):
     return congest_on_semimpc_report(native, simulated, budget, c_machines)
 
 
-def _refuse_a_misstated_config(config: dict, runs: list[RunResult]) -> None:
-    """Refuse (ValueError, see _refuse_unless_derived) a run or report file
-    whose config is not the one its command writes for its runs.  They fix
-    the model flags, `algorithm`, `machines` (the native p where --machines
-    sized it, else MACHINES) and the constants the command reads: word_width
-    (the native run's) and c_space (every run's), present where the file
-    gives them or the runs hold other than word_width(n) and C_SPACE.
-    c_machines, the graph, the seed and the round budget are the file's."""
+def _config(runs: list[RunResult], graph, seed, given, round_budget=None) -> dict:
+    """The config that `run` (one run) or `simulate` (its native and
+    simulated run) writes for its runs on the graph file, seed and constants
+    `given`.  The runs fix the model flags, `algorithm`, `machines` (the
+    native p where --machines sized it, else MACHINES) and the constants the
+    command reads: word_width (the native run's) and c_space (every run's),
+    present where `given` holds them or the runs hold other than
+    word_width(n) and C_SPACE; c_machines is given's.  A report's
+    round_budget is null unless its source is CONGEST.  Runs that no one
+    config writes are refused (ValueError)."""
     native = runs[0].params
     kinds = tuple(run.params.kind for run in runs)
+    flags = {kind: flag for flag, kind in MODEL_FLAGS.items()}
+    algorithms = {kind: name for name, kind in ALGORITHM_MODELS.items()}
+    config = {"algorithm": algorithms[native.kind], "graph": graph, "seed": seed,
+              "machines": native.p if native.kind == ModelKind.SEMI_MPC else MACHINES}
     if len(runs) == 1:
-        named, keys = {"model": native.kind}, RUN_CONSTANTS[native.kind]
+        config["model"], keys = flags[native.kind], RUN_CONSTANTS[native.kind]
     else:
-        named, keys = dict(zip(("from", "to"), kinds)), SIMULATE_CONSTANTS.get(kinds, ())
-    given = config.get("constants")
+        config.update(zip(("from", "to"), map(flags.get, kinds)))
+        config["round_budget"] = round_budget if native.kind == ModelKind.CONGEST else None
+        keys = SIMULATE_CONSTANTS.get(kinds, ())
     constants = {key: given[key] for key in keys if key in given} if type(given) is dict else {}
     for key, values, default in (("word_width", {native.word_width_bits}, word_width(native.n)),
                                  ("c_space", {run.params.c_space for run in runs}, C_SPACE)):
@@ -467,12 +459,8 @@ def _refuse_a_misstated_config(config: dict, runs: list[RunResult]) -> None:
             raise ValueError(f"no one config sets {key} {' and '.join(map(str, sorted(values)))}")
         if key in constants or default not in values:
             constants[key] = values.pop()
-    flags = {kind: flag for flag, kind in MODEL_FLAGS.items()}
-    algorithms = {kind: name for name, kind in ALGORITHM_MODELS.items()}
-    want = {**config, **{key: flags[kind] for key, kind in named.items()},
-            "algorithm": algorithms[native.kind], "constants": constants,
-            "machines": native.p if native.kind == ModelKind.SEMI_MPC else MACHINES}
-    _refuse_unless_derived(config, want, "config")
+    config["constants"] = constants
+    return config
 
 
 def _route_fields(sched: Schedule, delivered) -> dict:
@@ -573,7 +561,9 @@ def cmd_verify(args) -> int:
                                         delivered_triples(native.outputs))
         _refuse_unless_derived({key: doc[key] for key in derived}, derived)
         if not route:
-            _refuse_a_misstated_config(config, [run for _l, run, _w in checked])
+            _refuse_unless_derived(config, _config(
+                [run for _l, run, _w in checked], config.get("graph"), config.get("seed"),
+                config.get("constants"), config.get("round_budget")), "config")
     except (LookupError, TypeError, ValueError) as exc:
         # LookupError covers KeyError and IndexError, ValueError JSONDecodeError
         print(f"error: malformed trace file: {label}{exc}", file=sys.stderr)
