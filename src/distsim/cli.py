@@ -373,6 +373,7 @@ def _recheck_run(doc: dict, report_models: dict):
     `report_models` field (source_model or target_model): each must name
     the params' model kind.  Returns the run, with the file's `outputs`
     (see _expected_outputs), and the names of the misstated fields."""
+    _refuse_unless_object(doc["params"], "params")
     params = ModelParams.from_json_dict(doc["params"])
     trace = RoundTrace.from_per_round_json(params.p, doc["per_round"])
     cap = params.effective_round_cap()  # the engine runs no round past it
@@ -380,6 +381,7 @@ def _recheck_run(doc: dict, report_models: dict):
         raise ValueError(f"per_round holds {trace.num_rounds} rounds, above the round cap {cap}")
     graph = None
     if doc.get("graph") is not None:
+        _refuse_unless_object(doc["graph"], "graph")
         graph = _graph_from_json(doc["graph"])
         if graph.n != params.n:
             raise ValueError(f"graph field 'n' holds {graph.n!r}, not params n = {params.n}")
@@ -526,9 +528,11 @@ def cmd_verify(args) -> int:
         doc = json.loads(Path(args.trace).read_text(encoding="utf-8"))
         _refuse_unless_object(doc, "file")
         report, route = "native" in doc and "simulated" in doc, "routing" in doc
-        # run and report files are checked against the config their command wrote
+        # run and report files are checked against the config their command
+        # wrote, a route file against its schedule
+        name = "routing" if route else "config"
+        _refuse_unless_object(doc[name], name)
         config = {} if route else doc["config"]
-        _refuse_unless_object(config, "config")
         runs = [("", doc, {})]
         if report:
             for key in ("native", "simulated"):

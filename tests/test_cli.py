@@ -1616,6 +1616,37 @@ def test_verify_refuses_a_file_that_is_not_an_object(value, kind, tmp_path, caps
         "", f"error: malformed trace file: file holds {kind}, not an object\n")
 
 
+@pytest.mark.parametrize("argv, run, key", [
+    (RUN_CLIQUE, None, "params"),
+    (RUN_CONGEST, None, "graph"),
+    (SIM_CLIQUE, "native", "params"),
+    (SIM_CONGEST, "native", "graph"),
+    (("route",), None, "routing"),
+], ids=["run-params", "run-graph", "report-params", "report-graph", "route-routing"])
+@pytest.mark.parametrize("value, kind", [([1], "an array"), (7, "a number"), ("x", "a string")],
+                         ids=["list", "int", "string"])
+def test_verify_refuses_a_run_field_that_is_not_an_object(argv, run, key, value, kind,
+                                                          graph_file, tmp_path, capsys):
+    # each used to exit 2 with Python's own text, such as "list indices must
+    # be integers or slices, not str" or "native: 'int' object is not
+    # subscriptable"
+    out = tmp_path / "out.json"
+    if argv[0] == "route":
+        (tmp_path / "demand.json").write_text("[[0, 1, 0], [0, 0, 2], [1, 0, 0]]")
+        argv += ("--demand", str(tmp_path / "demand.json"))
+    else:
+        argv += ("--graph", graph_file)
+    assert run_cli(*argv, "--out", str(out)) == 0
+    doc = json.loads(out.read_text())
+    (doc[run] if run else doc)[key] = value
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("verify", "--trace", str(out)) == 2
+    label = f"{run}: " if run else ""
+    assert capsys.readouterr() == (
+        "", f"error: malformed trace file: {label}{key} holds {kind}, not an object\n")
+
+
 @pytest.mark.parametrize("argv", [RUN_CLIQUE, RUN_CONGEST, RUN_SEMIMPC])
 @pytest.mark.parametrize("key,value,message", [
     ("m", 999, "graph field 'm' holds 999, not its {m} edges"),
