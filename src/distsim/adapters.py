@@ -228,7 +228,8 @@ def simulate_cc_on_semimpc(prog: NodeProgram, g: Graph, *,
     The native run must be clean and stay within c_space*n words of local
     memory per node (the hypothesis that makes machine space sufficient);
     otherwise the simulation is refused.  Edges may start on any machine as
-    long as each machine holds at most c_space*n words.
+    long as each machine holds at most c_space*n - 2 words: its first state
+    adds its id and round counter to the stored words.
     """
     n = g.n
     native = _run_native(run_clique, "clique", prog, g,
@@ -244,9 +245,9 @@ def simulate_cc_on_semimpc(prog: NodeProgram, g: Graph, *,
 
     inputs = _initial_inputs(g, n, seed, initial_edges)
     for i, words in enumerate(inputs):
-        if len(words) > space_budget:
+        if len(words) > space_budget - 2:
             raise SimulationRefused(
-                f"machine {i} starts with {len(words)} words, above {space_budget}")
+                f"machine {i} starts with {len(words)} words, above {space_budget - 2}")
 
     semi = ModelParams.semi_mpc(
         n, p=n, ell=2 * g.m, word_width_bits=native.params.word_width_bits,

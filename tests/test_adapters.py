@@ -254,6 +254,33 @@ def test_cc_sim_refuses_oversized_placement():
                                initial_edges=placement)
 
 
+def _k8_placement(edges_on_0):
+    """K8's 28 edges: the first edges_on_0 on machine 0, the rest dealt
+    over machines 1-7."""
+    edges = gen_graph("complete", 8).edges
+    rest = edges[edges_on_0:]
+    return [list(edges[:edges_on_0])] + [list(rest[i::7]) for i in range(7)]
+
+
+def test_cc_sim_refuses_a_placement_its_first_state_cannot_hold():
+    # s = 32 on K8, and a first state holds the stored words plus its id and
+    # round counter: 16 edges (32 words) on machine 0 used to pass the
+    # placement check and stop in round 1 with space-budget, 34 against 32
+    with pytest.raises(SimulationRefused,
+                       match="^machine 0 starts with 32 words, above 30$"):
+        simulate_cc_on_semimpc(BoruvkaConnectivity(8), gen_graph("complete", 8),
+                               initial_edges=_k8_placement(16))
+
+
+def test_cc_sim_runs_a_placement_at_its_first_state_bound():
+    # 15 edges (30 words = s - 2) on machine 0 fit its first state
+    report = simulate_cc_on_semimpc(BoruvkaConnectivity(8), gen_graph("complete", 8),
+                                    initial_edges=_k8_placement(15))
+    assert report.simulated.clean
+    assert max(report.simulated.trace.space_high_water()) == 32
+    assert all(report.bound_checks.values())
+
+
 def test_cc_sim_refuses_a_placement_for_another_machine_count():
     g = gen_graph("path", 6)
     with pytest.raises(SimulationRefused,
