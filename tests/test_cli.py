@@ -1143,6 +1143,81 @@ def test_verify_accepts_the_constants_a_command_was_given(argv, constants, graph
             assert run_cli("verify", "--trace", str(out)) == 2, key
 
 
+# a file of each command kind, and the constants its command reads
+_CONFIG_FILES = {
+    "run-clique": (RUN_CLIQUE, ("word_width",)),
+    "run-congest": (RUN_CONGEST, ("word_width",)),
+    "run-semimpc": (RUN_SEMIMPC, ("c_space", "word_width")),
+    "run-word-width": (RUN_CLIQUE + ("--constants", "word_width=9"), ("word_width",)),
+    "report-clique": (SIM_CLIQUE + ("--constants", "c_space=5"), ("c_space",)),
+    "report-semimpc": (SIM_SEMIMPC, ("c_space",)),
+    "report-congest": (SIM_CONGEST + ("--round-budget", "40", "--constants", "c_machines=1"),
+                       ("c_space", "c_machines")),
+}
+_DEFAULTS = {"word_width": 7, "c_space": 4, "c_machines": 2}  # word_width(20) = 7
+_DELETED = object()
+
+
+def _config_edits(config: dict):
+    """Every single edit of a config, as (path, value): each key of it or of
+    its constants deleted or set to another of a few JSON values, an unknown
+    key added to each, and each constant the constants lack added at 5 and
+    at its default."""
+    for path, held in [((key,), config[key]) for key in config] + [
+            (("constants", key), value) for key, value in config["constants"].items()]:
+        yield path, _DELETED
+        for value in (None, 5, "x", {}):
+            if json.dumps(value) != json.dumps(held):
+                yield path, value
+    yield ("extra",), 1
+    yield ("constants", "extra"), 1
+    for key, default in _DEFAULTS.items():
+        if key not in config["constants"]:
+            yield ("constants", key), 5
+            yield ("constants", key), default
+
+
+def _free_edit(path, value, reads) -> bool:
+    """Whether the runs leave this config edit free: a new graph or seed
+    (the file's own, until verify replays the command), a c_machines that
+    leaves machines_ok as it was (any positive one: on this graph the
+    machine count caps at n = 20 from c_machines = 1 on), and a constant the
+    command reads added at its default, which --constants writes too."""
+    if path in (("graph",), ("seed",)):
+        return value is not _DELETED
+    if "c_machines" in reads:
+        if path == ("constants",):
+            return value == {}  # the default c_machines
+        if path == ("constants", "c_machines"):
+            return value is _DELETED or (type(value) is int and value > 0)
+    return len(path) == 2 and path[1] in reads and value == _DEFAULTS[path[1]]
+
+
+@pytest.mark.parametrize("kind", sorted(_CONFIG_FILES))
+def test_verify_refuses_every_config_edit_the_runs_fix(kind, graph_file, tmp_path, capsys):
+    # the config is the one its command writes for the file's runs; an
+    # unknown key, a deleted graph or seed, and a round budget other than
+    # null in a clique or semi-MPC report used to verify with exit 0
+    argv, reads = _CONFIG_FILES[kind]
+    out = tmp_path / "out.json"
+    assert run_cli(*argv, "--graph", graph_file, "--out", str(out)) == 0
+    doc = json.loads(out.read_text())
+    codes, want = {}, {}
+    for path, value in _config_edits(doc["config"]):
+        config = json.loads(json.dumps(doc["config"]))
+        held = config["constants"] if len(path) == 2 else config
+        if value is _DELETED:
+            del held[path[-1]]
+        else:
+            held[path[-1]] = value
+        out.write_text(json.dumps({**doc, "config": config}))
+        edit = (".".join(path), "deleted" if value is _DELETED else json.dumps(value))
+        codes[edit] = run_cli("verify", "--trace", str(out))
+        want[edit] = 0 if _free_edit(path, value, reads) else 2
+    capsys.readouterr()
+    assert codes == want
+
+
 ROUND_BUDGET = ("measured_constants", "round_budget")
 
 
