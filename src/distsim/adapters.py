@@ -25,6 +25,7 @@ is refused rather than approximated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .core import FieldCodec, Graph, Message, edge_pairs, id_width, incident_edges, round_loads
 from .engines import (
@@ -465,7 +466,7 @@ def simulate_semimpc_on_cc(prog: NodeProgram, inputs: list[list[int]],
 
     # the ledger names each round's senders; each takes its next recording
     recorded = {src: iter(rounds) for src, rounds in recorder.sent.items()}
-    sent = [{src: next(recorded[src]) for src in dict.fromkeys(s for s, _d, _w in rec.transfers)}
+    sent = [{src: next(recorded[src]) for src in dict.fromkeys(rec.src)}
             for rec in native.trace.rounds]
     episodes = plan_episodes(native)
     # the most words one pair exchanges in a round: a word's seq counts from 0
@@ -484,8 +485,8 @@ def plan_episodes(native: RunResult) -> list[tuple[int, Schedule]]:
     """The routing episode of each native round that has transfers: (native
     round, the schedule planned from that round's ledger demand)."""
     n = native.params.n
-    return [(r, plan_routing(DemandMatrix.from_transfers(n, rec.transfers)))
-            for r, rec in enumerate(native.trace.rounds, 1) if rec.transfers]
+    return [(r, plan_routing(DemandMatrix.from_transfers(n, rec.src, rec.dst, rec.words)))
+            for r, rec in enumerate(native.trace.rounds, 1) if rec.src]
 
 
 def semimpc_on_cc_report(native: RunResult, sim: RunResult,
@@ -762,7 +763,10 @@ def _congest_memory_hypothesis(native: RunResult, g: Graph, c_space: int) -> Non
     own edge list): high-water <= c_space * (received + degree) + 8 words.
     Otherwise the simulation is refused, naming the node of largest ratio."""
     worst_ratio, worst_v, ok = 0.0, -1, True
-    recv = round_loads((t for rec in native.trace.rounds for t in rec.transfers), g.n)[1]
+    rounds = native.trace.rounds
+    recv = round_loads(chain.from_iterable(rec.src for rec in rounds),
+                       chain.from_iterable(rec.dst for rec in rounds),
+                       chain.from_iterable(rec.words for rec in rounds), g.n)[1]
     peaks = native.trace.space_high_water()
     for v in range(g.n):
         allowed = c_space * (recv[v] + g.degrees[v]) + 8
@@ -782,6 +786,7 @@ C_MACHINES = 2  # the default machine constant of a CONGEST -> semi-MPC simulati
 def simulate_congest_on_semimpc(prog: NodeProgram, g: Graph,
                                 round_budget: int | None = None, *,
                                 c_space: int = C_SPACE, c_machines: int = C_MACHINES, seed: int = 0,
+                                initial_edges: list[list[tuple[int, int]]] | None = None,
                                 ) -> SimulationReport:
     """Simulate a CONGEST algorithm on semi-MPC using few machines.
 
@@ -790,7 +795,8 @@ def simulate_congest_on_semimpc(prog: NodeProgram, g: Graph,
     count).  Refused when the program's native memory use is not linear in
     what each node receives, since machine space could then overflow.
     The simulation takes at most T + 3 rounds: three setup rounds plus the
-    replay.
+    replay.  Edges start where initial_edges places them, one list per
+    machine, else dealt by the seeded shuffle (distribute_edges).
     """
     n = g.n
     native = _run_native(run_congest, "CONGEST", prog, g,
@@ -804,7 +810,7 @@ def simulate_congest_on_semimpc(prog: NodeProgram, g: Graph,
     _congest_memory_hypothesis(native, g, c_space)
     machines = congest_machine_count(c_machines, t_budget, g)
 
-    inputs = distribute_edges(g, machines, seed)
+    inputs = _initial_inputs(g, machines, seed, initial_edges)
 
     widths = (2, id_width(n), id_width(n), native.params.word_width_bits)
     semi = ModelParams.semi_mpc(

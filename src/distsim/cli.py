@@ -28,7 +28,7 @@ from .adapters import (
     simulate_semimpc_on_cc,
 )
 from .algorithms import BoruvkaConnectivity, FloodMinLabel, ForestMergeConnectivity
-from .core import (Graph, RoundTrace, components_oracle, gen_graph, load_graph, round_loads,
+from .core import (Graph, RoundRecord, RoundTrace, components_oracle, gen_graph, load_graph,
                    word_width)
 from .engines import (
     C_SPACE,
@@ -83,29 +83,19 @@ _encode_scalar = json.JSONEncoder().encode
 _CHUNK_ROWS = 4096
 
 
-def _table_text(rows, lead: str, inner: str, spelled: dict) -> str | None:
-    """A chunk of ledger table rows (lists or tuples of one non-zero length
-    whose cells are all exact ints, such as the transfers) as json.dumps
-    indents them at the depth `inner`, after `lead`, or None if the chunk is
-    not such a table.  Each cell is spelled from one of the depth's two
-    dicts in `spelled`, which map a value to its digits together with the
-    separators and brackets before it: `head` for a row's first cell, which
-    also closes the row before, and `rest` for every other cell; a value is
-    spelled once per dict and file."""
-    if not set(map(type, rows)) <= {list, tuple}:
-        return None
-    lengths = set(map(len, rows))
-    width = lengths.pop()
-    if lengths or not width:
-        return None
-    cells = list(chain.from_iterable(rows))
-    if set(map(type, cells)) != {int}:
-        return None
+def _table_text(columns, lead: str, inner: str, spelled: dict) -> str:
+    """A chunk of table rows given by its columns (one or more sequences of
+    exact ints, of one non-zero length, such as a ledger's src, dst and
+    words) as json.dumps indents the rows at the depth `inner`, after
+    `lead`.  Each cell is spelled from one of the depth's two dicts in
+    `spelled`, which map a value to its digits together with the separators
+    and brackets before it: `head` for a row's first cell, which also closes
+    the row before, and `rest` for every other cell; a value is spelled once
+    per dict and file."""
     if inner not in spelled:
         spelled[inner] = ({}, {})
     head, rest = spelled[inner]
     row = inner + "  "
-    columns = [cells[k::width] for k in range(width)]
     for v in set(columns[0]).difference(head):
         head[v] = f"{inner}],{inner}[{row}{v}"
     for v in set(chain.from_iterable(columns[1:])).difference(rest):
@@ -118,12 +108,38 @@ def _table_text(rows, lead: str, inner: str, spelled: dict) -> str | None:
     return "".join(parts)
 
 
+def _chunks(obj):
+    """(rows, columns) of each _CHUNK_ROWS rows of a list or tuple, or of a
+    RoundRecord's transfers ([src, dst, words] rows): columns are the
+    chunk's columns if it is a table, else None.  A ledger chunk is a table
+    when each of its three column slices holds only exact ints; a chunk of
+    a list is a table when its rows are lists or tuples of one non-zero
+    length whose cells are all exact ints."""
+    if type(obj) is RoundRecord:
+        for start in range(0, len(obj.src), _CHUNK_ROWS):
+            columns = [c[start:start + _CHUNK_ROWS] for c in (obj.src, obj.dst, obj.words)]
+            exact = all(list(map(type, c)).count(int) == len(c) for c in columns)
+            yield zip(*columns), columns if exact else None
+        return
+    for start in range(0, len(obj), _CHUNK_ROWS):
+        rows = obj[start:start + _CHUNK_ROWS]
+        columns = None
+        if set(map(type, rows)) <= {list, tuple}:
+            lengths = set(map(len, rows))
+            width = lengths.pop()
+            cells = list(chain.from_iterable(rows)) if width and not lengths else ()
+            if set(map(type, cells)) == {int}:
+                columns = [cells[k::width] for k in range(width)]
+        yield rows, columns
+
+
 def _write_json(obj, pad: str, write, spelled: dict) -> None:
     """Pass exactly the text of json.dumps(obj, indent=2, sort_keys=True),
     nested at the depth whose line prefix is `pad` (a newline plus spaces),
-    to `write` piece by piece: a list in chunks of _CHUNK_ROWS rows, each
-    written at once if it is a ledger table (_table_text, which spells its
-    cells from `spelled`), else row by row."""
+    to `write` piece by piece.  A RoundRecord stands for its transfers, the
+    [src, dst, words] rows.  A list, a tuple and a ledger go in chunks of
+    _CHUNK_ROWS rows (_chunks), each written at once if it is a table
+    (_table_text, which spells its cells from `spelled`), else row by row."""
     inner = pad + "  "
     kind = type(obj)
     if kind is dict and all(type(key) is str for key in obj):
@@ -133,23 +149,21 @@ def _write_json(obj, pad: str, write, spelled: dict) -> None:
             _write_json(obj[key], inner, write, spelled)
             lead = "," + inner
         write(pad + "}" if obj else "{}")
-    elif kind is list or kind is tuple:
-        if obj and all(type(x) is int for x in obj):
+    elif kind is list or kind is tuple or kind is RoundRecord:
+        if kind is not RoundRecord and obj and all(type(x) is int for x in obj):
             write("[" + inner + ("," + inner).join(map(str, obj)) + pad + "]")
             return
-        lead = "[" + inner
-        for start in range(0, len(obj), _CHUNK_ROWS):
-            rows = obj[start:start + _CHUNK_ROWS]
-            text = _table_text(rows, lead, inner, spelled)
-            if text is None:
+        first = lead = "[" + inner
+        for rows, columns in _chunks(obj):
+            if columns is None:
                 for x in rows:
                     write(lead)
                     _write_json(x, inner, write, spelled)
                     lead = "," + inner
             else:
-                write(text)
+                write(_table_text(columns, lead, inner, spelled))
                 lead = "," + inner
-        write(pad + "]" if obj else "[]")
+        write("[]" if lead is first else pad + "]")
     elif kind in (str, int, float, bool) or obj is None:
         write(_encode_scalar(obj))
     else:
@@ -327,7 +341,7 @@ def cmd_route(args) -> int:
     limit = C_SPACE * dm.n
     max_degree = dm.max_degree
     if max_degree > limit:  # name the first row, else column, above it
-        for name, loads in zip(("row", "column"), round_loads(dm.cells, dm.n)):
+        for name, loads in zip(("row", "column"), dm.loads()):
             for i, total in enumerate(loads):
                 if total > limit:
                     raise UsageError(f"{name} {i} demands {total} words, above {limit}")
@@ -559,8 +573,9 @@ def cmd_verify(args) -> int:
             elif route:
                 # re-planned from the file's own entries' (src, dst) pairs;
                 # the payload values are not checked
-                demand = DemandMatrix.from_transfers(
-                    native.params.n, [(s, d, 1) for s, d, *_e in doc["routing"]["entries"]])
+                pairs = [(s, d) for s, d, *_e in doc["routing"]["entries"]]
+                demand = DemandMatrix.from_transfers(native.params.n, [s for s, _d in pairs],
+                                                     [d for _s, d in pairs], [1] * len(pairs))
                 derived = _route_fields(plan_routing(demand),
                                         delivered_triples(native.outputs))
         _refuse_unless_derived({key: doc[key] for key in derived}, derived)

@@ -373,11 +373,12 @@ class Message(tuple):
     payload = property(itemgetter(2), doc="The words, as a tuple of ints.")
 
 
-def round_loads(transfers, participants: int) -> tuple[list[int], list[int]]:
-    """Words each participant sent and received in one round's transfers."""
+def round_loads(src, dst, words, participants: int) -> tuple[list[int], list[int]]:
+    """Words each participant sent and received in one round's transfers,
+    given as their src, dst and words columns."""
     sent = [0] * participants
     recv = [0] * participants
-    for s, d, w in transfers:
+    for s, d, w in zip(src, dst, words):
         sent[s] += w
         recv[d] += w
     return sent, recv
@@ -385,17 +386,26 @@ def round_loads(transfers, participants: int) -> tuple[list[int], list[int]]:
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """Ledger for one round: transfers as (src, dst, words) plus the
-    per-participant space high-water mark in words."""
+    """Ledger for one round: its transfers as three int columns of equal
+    length in emission order (transfer k moves words[k] words from src[k]
+    to dst[k]), plus the per-participant space high-water mark in words."""
 
-    transfers: tuple[tuple[int, int, int], ...]
+    src: tuple[int, ...]
+    dst: tuple[int, ...]
+    words: tuple[int, ...]
     space: tuple[int, ...]
+
+    @property
+    def transfers(self) -> tuple[tuple[int, int, int], ...]:
+        """The transfers as (src, dst, words) rows, built on each call."""
+        return tuple(zip(self.src, self.dst, self.words))
 
 
 @dataclass(frozen=True)
 class RoundTrace:
     """Per-round ledger of every transfer; the evidence carrier every bound
-    check reads.  Round r (1-based) lives at rounds[r-1]."""
+    check reads.  Round r (1-based) lives at rounds[r-1], and each round
+    holds its transfers as src, dst and words columns (RoundRecord)."""
 
     num_participants: int
     rounds: tuple[RoundRecord, ...]
@@ -405,18 +415,18 @@ class RoundTrace:
         return len(self.rounds)
 
     def sent_words(self, participant: int, round_no: int) -> int:
-        sent, _recv = round_loads(self.rounds[round_no - 1].transfers, self.num_participants)
-        return sent[participant]
+        rec = self.rounds[round_no - 1]
+        return round_loads(rec.src, rec.dst, rec.words, self.num_participants)[0][participant]
 
     def recv_words(self, participant: int, round_no: int) -> int:
-        _sent, recv = round_loads(self.rounds[round_no - 1].transfers, self.num_participants)
-        return recv[participant]
+        rec = self.rounds[round_no - 1]
+        return round_loads(rec.src, rec.dst, rec.words, self.num_participants)[1][participant]
 
     def max_traffic(self) -> int:
         """Largest per-participant sent or received word count in any round."""
         worst = 0
         for rec in self.rounds:
-            sent, recv = round_loads(rec.transfers, self.num_participants)
+            sent, recv = round_loads(rec.src, rec.dst, rec.words, self.num_participants)
             worst = max([worst, *sent, *recv])
         return worst
 
@@ -430,23 +440,24 @@ class RoundTrace:
         return tuple(peaks)
 
     def to_per_round_json(self) -> list[dict]:
-        # the transfer tuples go to the writer as they are: JSON spells a
-        # tuple as a list
-        return [{"transfers": rec.transfers, "space": list(rec.space)}
-                for rec in self.rounds]
+        # each round's transfers entry is its record, whose columns the
+        # file writer (cli._dump_json) spells as [src, dst, words] rows
+        return [{"transfers": rec, "space": list(rec.space)} for rec in self.rounds]
 
     @staticmethod
     def from_per_round_json(num_participants: int, per_round: list[dict]) -> "RoundTrace":
-        """Inverse of to_per_round_json.  Every round must carry one space
-        entry per participant: a missing entry is not read as zero words.  A
-        transfer must move at least one word between two distinct
-        participants in [0, num_participants), as every engine transfer does,
-        and no participant may hold negative space.  Every value must be an
-        int (not a bool, float or string): nothing is coerced, so a
-        fractional word count cannot pass as a whole one."""
+        """Inverse of to_per_round_json, from the rows the file holds: each
+        round's [src, dst, words] transfer rows become its three columns.
+        Every round must carry one space entry per participant: a missing
+        entry is not read as zero words.  A transfer must move at least one
+        word between two distinct participants in [0, num_participants), as
+        every engine transfer does, and no participant may hold negative
+        space.  Every value must be an int (not a bool, float or string):
+        nothing is coerced, so a fractional word count cannot pass as a
+        whole one."""
         rounds = []
         for round_no, rec in enumerate(per_round, start=1):
-            transfers = []
+            src, dst, words = [], [], []
             for s, d, w in rec["transfers"]:
                 if not type(s) is type(d) is type(w) is int:
                     raise ValueError(
@@ -457,7 +468,9 @@ class RoundTrace:
                     raise ValueError(
                         f"round {round_no} lists an impossible transfer"
                         f" [{s}, {d}, {w}] among {num_participants} participants")
-                transfers.append((s, d, w))
+                src.append(s)
+                dst.append(d)
+                words.append(w)
             if "space" not in rec:
                 raise ValueError(f"round {round_no} has no space entry")
             space = tuple(rec["space"])
@@ -473,5 +486,5 @@ class RoundTrace:
                 raise ValueError(
                     f"round {round_no} lists negative space {space[i]}"
                     f" for participant {i}")
-            rounds.append(RoundRecord(transfers=tuple(transfers), space=space))
+            rounds.append(RoundRecord(tuple(src), tuple(dst), tuple(words), space))
         return RoundTrace(num_participants=num_participants, rounds=tuple(rounds))

@@ -19,7 +19,8 @@ import math
 import random
 from dataclasses import asdict, dataclass, field
 from enum import Enum
-from operator import itemgetter
+from itertools import repeat
+from operator import add, mul
 
 from .core import Graph, Message, RoundRecord, RoundTrace, round_loads, word_width
 
@@ -400,28 +401,28 @@ class RunResult:
 # Per-round budget checking (shared verbatim by engines and check_trace)
 # ---------------------------------------------------------------------------
 
-_words_of = itemgetter(2)
-_pair_of = itemgetter(0, 1)
-
-
-def _round_violations(round_no: int, transfers, space, params: ModelParams,
+def _round_violations(round_no: int, rec: RoundRecord, params: ModelParams,
                       graph: Graph | None) -> list[Violation]:
     out: list[Violation] = []
+    src, dst, words = rec.src, rec.dst, rec.words
     if params.kind in (ModelKind.CLIQUE, ModelKind.CONGEST):
-        # clean iff every transfer is one word, no (src, dst, 1) repeats and,
-        # under CONGEST, every distinct (src, dst) pair is an edge
-        if not transfers:
+        # clean iff every transfer is one word, no (src, dst) pair repeats
+        # and, under CONGEST, every pair is an edge
+        if not words:
             return out
-        words = list(map(_words_of, transfers))
-        if min(words) == max(words) == 1:
-            distinct = set(transfers)
-            if len(distinct) == len(transfers) and (
-                    params.kind == ModelKind.CLIQUE
-                    or set(map(_pair_of, distinct)) <= graph.arcs):
-                return out
+        if words.count(1) == len(words):
+            if params.kind == ModelKind.CLIQUE:
+                # one int per pair, equal only for equal pairs (0 <= dst < p)
+                p = params.p
+                if len(set(map(add, map(mul, src, repeat(p)), dst))) == len(src):
+                    return out
+            else:
+                pairs = set(zip(src, dst))
+                if len(pairs) == len(src) and pairs <= graph.arcs:
+                    return out
         pair_load: dict[tuple[int, int], int] = {}
         flagged: set[tuple[int, int]] = set()
-        for s, d, w in transfers:
+        for s, d, w in zip(src, dst, words):
             if params.kind == ModelKind.CONGEST and not graph.has_edge(s, d):
                 if (s, d) not in flagged:
                     flagged.add((s, d))
@@ -435,7 +436,8 @@ def _round_violations(round_no: int, transfers, space, params: ModelParams,
                 out.append(Violation(rule="pair-capacity", round=round_no,
                                      src=s, dst=d, measured=load, allowed=1))
     else:
-        sent, recv = round_loads(transfers, params.p)
+        sent, recv = round_loads(src, dst, words, params.p)
+        space = rec.space
         for i in range(params.p):
             if sent[i] > params.s:
                 out.append(Violation(rule="sent-budget", round=round_no,
@@ -463,10 +465,9 @@ def check_trace(trace: RoundTrace, params: ModelParams,
         raise ValueError("checking a CONGEST trace needs its graph")
     out = list(params.start_violations())
     for idx, rec in enumerate(trace.rounds):
-        if rec.transfers and min(map(_words_of, rec.transfers)) < 1:
+        if rec.words and min(rec.words) < 1:
             raise ValueError(f"round {idx + 1} lists a transfer of fewer than one word")
-        out.extend(_round_violations(idx + 1, rec.transfers, rec.space,
-                                     params, graph))
+        out.extend(_round_violations(idx + 1, rec, params, graph))
     return out
 
 
@@ -523,12 +524,17 @@ def _execute(prog: NodeProgram, local_inputs: list, params: ModelParams,
                 f"program did not halt within {cap} rounds")
         inboxes, pending = pending, [[] for _ in range(p)]
         inbox_words, pending_words = pending_words, [0] * p
-        transfers: list[tuple[int, int, int]] = []
+        # the round's ledger columns: a dst and a words entry per transfer,
+        # and the sender's id once per outbox
+        srcs: list[int] = []
+        dsts: list[int] = []
+        words_of: list[int] = []
         space = [0] * p
         halt = False
 
         on_round = prog.on_round
-        record = transfers.append
+        record_dst = dsts.append
+        record_words = words_of.append
 
         for i in range(p):
             old = states[i]
@@ -546,6 +552,7 @@ def _execute(prog: NodeProgram, local_inputs: list, params: ModelParams,
             # skips the checks; `unchecked` is no payload, so every outbox's
             # first payload is checked, None included
             checked = unchecked
+            before = len(dsts)
             for msg in outbox:
                 if type(msg) is not Message:
                     raise EngineContractError(
@@ -574,10 +581,14 @@ def _execute(prog: NodeProgram, local_inputs: list, params: ModelParams,
                 pending[dst].append(msg)
                 pending_words[dst] += words
                 if dst != i:  # self-messages carry state across rounds, cost-free
-                    record((i, dst, words))
+                    record_dst(dst)
+                    record_words(words)
+            if len(dsts) > before:
+                srcs += repeat(i, len(dsts) - before)
 
-        records.append(RoundRecord(transfers=tuple(transfers), space=tuple(space)))
-        bad = _round_violations(round_no, transfers, space, params, graph)
+        rec = RoundRecord(tuple(srcs), tuple(dsts), tuple(words_of), tuple(space))
+        records.append(rec)
+        bad = _round_violations(round_no, rec, params, graph)
         if bad:
             return RunResult(params=params, outputs=None, violations=bad,
                              trace=RoundTrace(p, tuple(records)), graph=graph)

@@ -76,12 +76,12 @@ class DemandMatrix:
         return DemandMatrix(n=n, cells=tuple(cells))
 
     @staticmethod
-    def from_transfers(n: int, transfers) -> "DemandMatrix":
-        """The demand of one ledger round: the words of its (src, dst, words)
-        transfers, summed per ordered pair."""
+    def from_transfers(n: int, src, dst, words) -> "DemandMatrix":
+        """The demand of one ledger round: the words of its transfers, given
+        as src, dst and words columns, summed per ordered pair."""
         counts: dict[tuple[int, int], int] = {}
-        for s, d, words in transfers:
-            counts[s, d] = counts.get((s, d), 0) + words
+        for s, d, w in zip(src, dst, words):
+            counts[s, d] = counts.get((s, d), 0) + w
         return DemandMatrix(n=n, cells=tuple(
             (s, d, count) for (s, d), count in sorted(counts.items()) if count))
 
@@ -89,10 +89,17 @@ class DemandMatrix:
     def total_words(self) -> int:
         return sum(count for _s, _d, count in self.cells)
 
+    def loads(self) -> tuple[list[int], list[int]]:
+        """The row and column sums: the words each node sends and receives
+        (core.round_loads of the cells' columns)."""
+        cells = self.cells
+        return round_loads([s for s, _d, _c in cells], [d for _s, d, _c in cells],
+                           [c for _s, _d, c in cells], self.n)
+
     @property
     def max_degree(self) -> int:
         """The largest row or column sum: the palette plan_routing colours with."""
-        sent, recv = round_loads(self.cells, self.n)
+        sent, recv = self.loads()
         return max(sent + recv, default=0)
 
     def words(self) -> list[tuple[int, int, int]]:

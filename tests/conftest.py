@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import settings
 
-from distsim import Graph, Message, NodeProgram, adapters, engines, routing
+from distsim import Graph, Message, NodeProgram, RoundRecord, adapters, engines, routing
 
 
 # `pytest --hypothesis-profile=ci` prints, with every failure, the
@@ -63,6 +63,11 @@ def random_graph(n: int, seed: int, max_extra: int | None = None) -> Graph:
         if u != v:
             edges.add((min(u, v), max(u, v)))
     return Graph(n=n, edges=tuple(sorted(edges)))
+
+
+def ledger_record(transfers, space) -> RoundRecord:
+    """The RoundRecord of one round's (src, dst, words) transfer rows."""
+    return RoundRecord(*(tuple(row[k] for row in transfers) for k in range(3)), tuple(space))
 
 
 def coloring_is_proper(edges, colors):

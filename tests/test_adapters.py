@@ -118,7 +118,7 @@ def _simulate_at_edge(direction):
 def _with_rounds(run, count):
     """The run with its trace padded by idle rounds to `count` rounds."""
     p = run.trace.num_participants
-    idle = RoundRecord(transfers=(), space=(0,) * p)
+    idle = RoundRecord((), (), (), (0,) * p)
     rounds = run.trace.rounds + (idle,) * (count - run.rounds_used)
     return replace(run, trace=RoundTrace(p, rounds))
 
@@ -145,7 +145,7 @@ _EDGES = [
      lambda run, t, over: _with_rounds(run, 2 * t + over)),
     ("clique", "machines_ok", "run_mpc", lambda run, t, over: _with_machines(run, over)),
     ("clique", "traffic_ok", "run_mpc", lambda run, t, over: _with_first_round(
-        run, transfers=((0, 1, _EDGE_SPACE + over),))),
+        run, src=(0,), dst=(1,), words=(_EDGE_SPACE + over,))),
     ("clique", "space_ok", "run_mpc", lambda run, t, over: _with_first_round(
         run, space=(_EDGE_SPACE + over,) + run.trace.rounds[0].space[1:])),
     ("semimpc", "rounds_ok", "run_clique",
@@ -1297,3 +1297,20 @@ def test_census_overruns_the_sorter_by_its_stated_volume():
     [violation] = rep.simulated.violations
     assert (violation.rule, violation.round, violation.participant,
             violation.measured, violation.allowed) == ("recv-budget", 1, 0, 224, 160)
+
+
+def test_congest_sim_overruns_machine_0_holding_every_edge():
+    # a legal placement (2m = 120 words <= s = 192) that the adapter cannot
+    # run: the sorter on machine 0 holds its stored edges, a location word
+    # per stored endpoint and every machine's vertex slice at once
+    g = gen_graph("gnp", 48, prob=2 / 48, seed=0)
+    assert g.m == 60
+    rep = simulate_congest_on_semimpc(FloodMinLabel(48), g,
+                                      initial_edges=[list(g.edges)] + [[]] * 47)
+    assert rep.measured_constants["machines"] == 48
+    [violation] = rep.simulated.violations
+    assert (violation.rule, violation.round, violation.participant,
+            violation.measured, violation.allowed) == ("space-budget", 2, 0, 216, 192)
+    assert not rep.all_ok
+    # the seeded shuffle runs the same graph clean
+    assert simulate_congest_on_semimpc(FloodMinLabel(48), g).all_ok

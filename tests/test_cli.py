@@ -7,6 +7,7 @@ import json
 import random
 import re
 import tracemalloc
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ from distsim import Graph, gen_graph
 from distsim import cli
 from distsim.cli import _CHUNK_ROWS, _dump_json, main
 
-from conftest import random_connected_graph
+from conftest import ledger_record, random_connected_graph
 
 
 def run_cli(*argv):
@@ -1814,6 +1815,22 @@ _documents = st.recursive(st.one_of(_scalars, _int_rows,
                                     _int_rows.map(lambda rows: [tuple(r) for r in rows])),
                           _containers, max_leaves=40)
 
+# ids past 2**16 and multi-word transfers; a round may have none
+_ids = st.one_of(st.integers(0, 9), st.integers(2 ** 16, 2 ** 17))
+_ledger_rows = st.lists(st.tuples(_ids, _ids, st.integers(1, 5)), max_size=6)
+# a run document's per_round, the records as the engine builds them: RoundTrace
+# hands each round's record to the writer as its transfers
+_run_documents = st.fixed_dictionaries({
+    "per_round": st.lists(st.tuples(_ledger_rows, st.lists(st.integers(0, 9), max_size=3)).map(
+        lambda r: {"space": r[1], "transfers": ledger_record(*r)}), max_size=4),
+    "outputs": _int_rows,
+})
+
+
+def _row_form(doc) -> str:
+    """json.dumps of doc with each RoundRecord as its transfer rows."""
+    return json.dumps(doc, indent=2, sort_keys=True, default=attrgetter("transfers")) + "\n"
+
 
 @pytest.fixture(scope="module")
 def dump_path(tmp_path_factory):
@@ -1821,11 +1838,10 @@ def dump_path(tmp_path_factory):
 
 
 @settings(max_examples=300, deadline=None)
-@given(doc=_documents)
+@given(doc=st.one_of(_documents, _run_documents))
 def test_dump_json_matches_json_dumps(dump_path, doc):
     _dump_json(doc, str(dump_path))
-    assert (dump_path.read_text(encoding="utf-8")
-            == json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    assert dump_path.read_text(encoding="utf-8") == _row_form(doc)
 
 
 # a file that already holds a longer text is replaced whole, not overlaid
@@ -1849,10 +1865,13 @@ def test_dump_json_writes_long_tables_in_chunks(head, late, tmp_path):
     rows = [head] + [(i, i + 1, 1) if i % 2 else [i, 2, i]
                      for i in range(1, 3 * _CHUNK_ROWS + 9)]
     rows[3 * _CHUNK_ROWS + 4:3 * _CHUNK_ROWS + 4] = late
-    doc = {"outputs": [[1]], "transfers": rows}
-    expected = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    # and a columnar ledger of more than three chunks, beside an empty one
+    ledger = [(i % 7, 2 ** 16 + i % 11, 1 + i % 3) for i in range(3 * _CHUNK_ROWS + 5)]
+    doc = {"outputs": [[1]], "transfers": rows,
+           "per_round": [{"space": [0], "transfers": ledger_record(ledger, [0])},
+                         {"space": [0], "transfers": ledger_record([], [0])}]}
     _dump_json(doc, str(tmp_path / "doc.json"))
-    assert (tmp_path / "doc.json").read_text(encoding="utf-8") == expected
+    assert (tmp_path / "doc.json").read_text(encoding="utf-8") == _row_form(doc)
 
 
 class _Level(enum.IntEnum):
@@ -1887,12 +1906,16 @@ _SHARED = [[3, 0, 1], [1, 3, 0]]
     # one-column table and in every chunk of a long table
     {"a": _SHARED, "b": {"c": _SHARED, "d": [_SHARED, [[3], [1]]]},
      "e": _SHARED * (_CHUNK_ROWS + 3), "f": [[0, 3, 1]] * (2 * _CHUNK_ROWS)},
+    # a ledger chunk whose column holds a cell that is not an exact int goes
+    # row by row, and the ledger's other chunks stay tables
+    {"t": ledger_record([(0, 1, 1)] * _CHUNK_ROWS + [(1, True, _Count(2)), (2, 0, 1.0)], ())},
+    {"t": ledger_record([(_Level.LOW, 0, 1), (1, 0, False)], ()), "u": [[1, 0, 1]]},
 ], ids=["bool", "int-enum", "int-subclass", "bool-column", "wide-ints",
-        "wide-ints-one-column", "384-columns", "700-columns", "shared-values"])
+        "wide-ints-one-column", "384-columns", "700-columns", "shared-values",
+        "ledger-odd-cells", "ledger-int-enum"])
 def test_dump_json_spells_table_cells_as_json_dumps(doc, tmp_path):
-    expected = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     _dump_json(doc, str(tmp_path / "doc.json"))
-    assert (tmp_path / "doc.json").read_text(encoding="utf-8") == expected
+    assert (tmp_path / "doc.json").read_text(encoding="utf-8") == _row_form(doc)
 
 
 class _FullDisk:
@@ -1940,10 +1963,12 @@ def test_dump_json_leaves_no_file_when_a_late_row_cannot_be_encoded(tmp_path):
     assert not path.exists()
 
 
-def test_dump_json_memory_peak_is_a_chunk_not_the_file(tmp_path):
+@pytest.mark.parametrize("columns", [False, True], ids=["rows", "columns"])
+def test_dump_json_memory_peak_is_a_chunk_not_the_file(columns, tmp_path):
     # the whole-text writer peaked at about 3.2 times the file size
     rows = [[i % 1000, i * 7 % 1000, 1 + i % 5] for i in range(200_000)]
-    doc = {"per_round": [{"space": [3, 3, 3], "transfers": rows}]}
+    doc = {"per_round": [{"space": [3, 3, 3],
+                          "transfers": ledger_record(rows, [3] * 3) if columns else rows}]}
     path = tmp_path / "ledger.json"
     tracemalloc.start()
     try:

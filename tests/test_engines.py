@@ -38,7 +38,7 @@ from distsim.engines import (
     _round_violations,
 )
 
-from conftest import FixedRoundFlood, random_graph
+from conftest import FixedRoundFlood, ledger_record, random_graph
 
 
 class SendIdToZero(NodeProgram):
@@ -833,8 +833,7 @@ def test_check_trace_flags_doctored_round():
     rec = res.trace.rounds[0]
     doctored = RoundTrace(
         num_participants=4,
-        rounds=(RoundRecord(transfers=rec.transfers + ((1, 0, 1),),
-                            space=rec.space),))
+        rounds=(replace(rec, src=rec.src + (1,), dst=rec.dst + (0,), words=rec.words + (1,)),))
     bad = check_trace(doctored, res.params, g)
     assert bad and bad[0].rule == "pair-capacity" and bad[0].round == 1
 
@@ -843,7 +842,7 @@ def test_check_trace_flags_doctored_round():
                          ids=["clique", "semi-mpc"])
 def test_check_trace_refuses_a_zero_word_transfer(params):
     # no engine records one; it used to re-check clean
-    trace = RoundTrace(3, (RoundRecord(((1, 2, 1), (0, 1, 0)), (0, 0, 0)),))
+    trace = RoundTrace(3, (RoundRecord((1, 0), (2, 1), (1, 0), (0, 0, 0)),))
     with pytest.raises(ValueError,
                        match="^round 1 lists a transfer of fewer than one word$"):
         check_trace(trace, params)
@@ -859,8 +858,8 @@ def test_check_trace_congest_requires_graph():
 
 def test_check_trace_space_boundary():
     params = ModelParams.semi_mpc(5, 2, ell=0)
-    at_budget = RoundTrace(2, (RoundRecord((), (params.s, 0)),))
-    over = RoundTrace(2, (RoundRecord((), (params.s + 1, 0)),))
+    at_budget = RoundTrace(2, (RoundRecord((), (), (), (params.s, 0)),))
+    over = RoundTrace(2, (RoundRecord((), (), (), (params.s + 1, 0)),))
     assert check_trace(at_budget, params) == []
     bad = check_trace(over, params)
     assert bad and bad[0].rule == "space-budget"
@@ -1359,7 +1358,7 @@ def _rounds(draw):
 @given(case=_rounds(), round_no=st.integers(1, 5))
 def test_round_violations_match_reference(case, round_no):
     params, graph, transfers, space = case
-    assert (_round_violations(round_no, transfers, space, params, graph)
+    assert (_round_violations(round_no, ledger_record(transfers, space), params, graph)
             == reference_round_violations(round_no, transfers, space,
                                           params, graph))
 

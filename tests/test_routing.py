@@ -10,7 +10,6 @@ from distsim import (
     execute_schedule,
     plan_routing,
 )
-from distsim.core import round_loads
 from distsim.routing import Schedule
 
 from conftest import coloring_is_proper
@@ -247,7 +246,7 @@ def test_demand_matrix_matches_dense_scan(rows):
     n = len(rows)
     dm = DemandMatrix.from_rows(rows)
     assert dm.words() == dense_words(n, rows)
-    assert round_loads(dm.cells, n) == ([sum(row) for row in rows], dense_col_sums(n, rows))
+    assert dm.loads() == ([sum(row) for row in rows], dense_col_sums(n, rows))
     assert dm.total_words == sum(map(sum, rows))
 
 
@@ -274,7 +273,7 @@ def test_demand_matrix_rejects_negative_counts(rows):
 def test_empty_demand_matrix_constructs():
     dm = DemandMatrix(n=0, cells=())
     assert dm.words() == []
-    assert round_loads(dm.cells, 0) == ([], [])
+    assert dm.loads() == ([], [])
     assert dm.max_degree == 0
 
 
@@ -327,12 +326,12 @@ _ledgers = st.integers(1, 7).flatmap(lambda n: st.tuples(st.just(n), st.lists(
 @example((3, [(2, 1, 2), (0, 1, 1), (2, 1, 1)]))
 def test_from_transfers_matches_dense_rows(ledger):
     n, transfers = ledger
-    sparse = DemandMatrix.from_transfers(n, transfers)
+    sparse = DemandMatrix.from_transfers(n, *(tuple(t[k] for t in transfers) for k in range(3)))
     dense = DemandMatrix.from_rows(dense_sum(n, transfers))
     assert sparse == dense
     assert sparse.cells == dense.cells
     rows = dense_sum(n, transfers)
-    assert round_loads(sparse.cells, n) == ([sum(row) for row in rows], dense_col_sums(n, rows))
+    assert sparse.loads() == ([sum(row) for row in rows], dense_col_sums(n, rows))
     assert sparse.total_words == dense.total_words
     assert sparse.max_degree == dense.max_degree
     assert sparse.words() == dense.words() == dense_words(n, dense_sum(n, transfers))
