@@ -786,7 +786,6 @@ C_MACHINES = 2  # the default machine constant of a CONGEST -> semi-MPC simulati
 def simulate_congest_on_semimpc(prog: NodeProgram, g: Graph,
                                 round_budget: int | None = None, *,
                                 c_space: int = C_SPACE, c_machines: int = C_MACHINES, seed: int = 0,
-                                initial_edges: list[list[tuple[int, int]]] | None = None,
                                 ) -> SimulationReport:
     """Simulate a CONGEST algorithm on semi-MPC using few machines.
 
@@ -795,8 +794,7 @@ def simulate_congest_on_semimpc(prog: NodeProgram, g: Graph,
     count).  Refused when the program's native memory use is not linear in
     what each node receives, since machine space could then overflow.
     The simulation takes at most T + 3 rounds: three setup rounds plus the
-    replay.  Edges start where initial_edges places them, one list per
-    machine, else dealt by the seeded shuffle (distribute_edges).
+    replay.
     """
     n = g.n
     native = _run_native(run_congest, "CONGEST", prog, g,
@@ -810,7 +808,7 @@ def simulate_congest_on_semimpc(prog: NodeProgram, g: Graph,
     _congest_memory_hypothesis(native, g, c_space)
     machines = congest_machine_count(c_machines, t_budget, g)
 
-    inputs = _initial_inputs(g, machines, seed, initial_edges)
+    inputs = distribute_edges(g, machines, seed)
 
     widths = (2, id_width(n), id_width(n), native.params.word_width_bits)
     semi = ModelParams.semi_mpc(

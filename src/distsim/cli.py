@@ -13,6 +13,7 @@ import gc
 import hashlib
 import json
 import sys
+from dataclasses import replace
 from itertools import chain
 from pathlib import Path
 
@@ -171,9 +172,25 @@ def _write_json(obj, pad: str, write, spelled: dict) -> None:
         write(json.dumps(obj, indent=2, sort_keys=True).replace("\n", pad))
 
 
+class _FileTrace(RoundTrace):
+    """A trace whose per_round data keeps each round's RoundRecord as its
+    transfers entry, so that a run's to_json_dict is the document
+    _write_json spells: the writer reads the rows from the columns, and
+    they are never built."""
+
+    def to_per_round_json(self) -> list[dict]:
+        return [{"transfers": rec, "space": list(rec.space)} for rec in self.rounds]
+
+
+def _file_run(run: RunResult) -> RunResult:
+    """The run with its trace as a _FileTrace."""
+    return replace(run, trace=_FileTrace(run.trace.num_participants, run.trace.rounds))
+
+
 def _dump_json(doc: dict, path: str) -> None:
-    """Write doc as json.dumps(doc, indent=2, sort_keys=True) plus a newline
-    to the file at path, streamed.  The cell spellings of its ledger tables
+    """Write doc as json.dumps(doc, indent=2, sort_keys=True) plus a newline,
+    each RoundRecord in it as its transfer rows, to the file at path,
+    streamed.  The cell spellings of its ledger tables
     (see _table_text) live for this call alone.  A write that fails part-way
     leaves no file behind."""
     spelled: dict = {}
@@ -271,7 +288,7 @@ def cmd_run(args) -> int:
         params = factory(g.n, word_width_bits=constants.get("word_width"))
         result = run(prog, g, params)
 
-    doc = result.to_json_dict()
+    doc = _file_run(result).to_json_dict()
     doc["config"] = _config([result], str(args.graph), args.seed, constants)
     _dump_json(doc, args.out)
 
@@ -312,7 +329,8 @@ def cmd_simulate(args) -> int:
             prog, g, round_budget=args.round_budget, c_space=c_space,
             c_machines=constants.get("c_machines", C_MACHINES), seed=args.seed)
 
-    doc = report.to_json_dict()
+    doc = replace(report, native=_file_run(report.native),
+                  simulated=_file_run(report.simulated)).to_json_dict()
     doc["config"] = _config([report.native, report.simulated], str(args.graph), args.seed,
                             constants, args.round_budget)
     _dump_json(doc, args.out)
@@ -353,7 +371,7 @@ def cmd_route(args) -> int:
                 for (s, d, q) in sched.assignment}
     record = execute_schedule(sched, payloads, value_width=8)
 
-    out = record.run.to_json_dict()
+    out = _file_run(record.run).to_json_dict()
     out.update(_route_fields(sched, record.delivered))
     _dump_json(out, args.out)
 
@@ -405,7 +423,7 @@ def _recheck_run(doc: dict, report_models: dict):
                              f" 2m = {2 * graph.m}")
     run = RunResult(params, doc["outputs"], trace, check_trace(trace, params, graph), graph)
     # the fields as the writer derives them for this run
-    written = run.to_json_dict()
+    written = _file_run(run).to_json_dict()
     written.update(dict.fromkeys(report_models, written["model"]))
     claimed = {**doc, **report_models}
     # compared as JSON text, so neither 7.0 nor true can stand for an int

@@ -395,6 +395,12 @@ class RoundRecord:
     words: tuple[int, ...]
     space: tuple[int, ...]
 
+    def __post_init__(self):
+        # every reader zips the columns, which would drop a longer one's tail
+        if not len(self.src) == len(self.dst) == len(self.words):
+            raise ValueError(f"ledger columns of unequal length: {len(self.src)} src,"
+                             f" {len(self.dst)} dst, {len(self.words)} words")
+
     @property
     def transfers(self) -> tuple[tuple[int, int, int], ...]:
         """The transfers as (src, dst, words) rows, built on each call."""
@@ -440,14 +446,15 @@ class RoundTrace:
         return tuple(peaks)
 
     def to_per_round_json(self) -> list[dict]:
-        # each round's transfers entry is its record, whose columns the
-        # file writer (cli._dump_json) spells as [src, dst, words] rows
-        return [{"transfers": rec, "space": list(rec.space)} for rec in self.rounds]
+        """Each round as JSON data: its transfers as (src, dst, words) rows
+        and its space entries.  The file writer spells the rows from the
+        columns instead (cli._FileTrace)."""
+        return [{"transfers": rec.transfers, "space": list(rec.space)} for rec in self.rounds]
 
     @staticmethod
     def from_per_round_json(num_participants: int, per_round: list[dict]) -> "RoundTrace":
-        """Inverse of to_per_round_json, from the rows the file holds: each
-        round's [src, dst, words] transfer rows become its three columns.
+        """Inverse of to_per_round_json: each round's (src, dst, words)
+        transfer rows, as a file holds them, become its three columns.
         Every round must carry one space entry per participant: a missing
         entry is not read as zero words.  A transfer must move at least one
         word between two distinct participants in [0, num_participants), as

@@ -38,6 +38,7 @@ from distsim.adapters import (
     _CongestOnSemiMpc,
     load_bound_ok,
 )
+from distsim.core import id_width
 from distsim.engines import EngineContractError, run_mpc
 
 from conftest import FixedRoundFlood, random_connected_graph, random_graph
@@ -1302,15 +1303,25 @@ def test_census_overruns_the_sorter_by_its_stated_volume():
 def test_congest_sim_overruns_machine_0_holding_every_edge():
     # a legal placement (2m = 120 words <= s = 192) that the adapter cannot
     # run: the sorter on machine 0 holds its stored edges, a location word
-    # per stored endpoint and every machine's vertex slice at once
+    # per stored endpoint and every machine's vertex slice at once.  The
+    # adapter deals edges by a seeded shuffle, so the placement is run here
+    # as simulate_congest_on_semimpc builds its machines and params.
     g = gen_graph("gnp", 48, prob=2 / 48, seed=0)
     assert g.m == 60
-    rep = simulate_congest_on_semimpc(FloodMinLabel(48), g,
-                                      initial_edges=[list(g.edges)] + [[]] * 47)
-    assert rep.measured_constants["machines"] == 48
-    [violation] = rep.simulated.violations
+    flood = FloodMinLabel(48)
+    native = run_congest(flood, g, ModelParams.congest(48))
+    machines = adapters.congest_machine_count(adapters.C_MACHINES, native.rounds_used, g)
+    assert machines == 48
+    widths = (2, id_width(48), id_width(48), native.params.word_width_bits)
+    semi = ModelParams.semi_mpc(48, p=machines, ell=2 * g.m, word_width_bits=sum(widths),
+                                round_cap=native.rounds_used + 10)
+    inputs = [[w for edge in g.edges for w in edge]] + [[]] * (machines - 1)
+    sim = run_mpc(_CongestOnSemiMpc(flood, 48, machines, widths), inputs, semi)
+    [violation] = sim.violations
     assert (violation.rule, violation.round, violation.participant,
             violation.measured, violation.allowed) == ("space-budget", 2, 0, 216, 192)
-    assert not rep.all_ok
+    report = adapters.congest_on_semimpc_report(native, sim, native.rounds_used,
+                                                adapters.C_MACHINES)
+    assert not report.all_ok
     # the seeded shuffle runs the same graph clean
-    assert simulate_congest_on_semimpc(FloodMinLabel(48), g).all_ok
+    assert simulate_congest_on_semimpc(flood, g).all_ok

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distsim import Graph, gen_graph
+from distsim import (BoruvkaConnectivity, Graph, ModelParams, gen_graph, load_graph, run_clique,
+                     simulate_cc_on_semimpc)
 from distsim import cli
 from distsim.cli import _CHUNK_ROWS, _dump_json, main
 
@@ -339,6 +340,22 @@ def test_simulate_cc_to_semimpc(graph_file, tmp_path):
     doc = json.loads(out.read_text())
     assert all(doc["bound_checks"].values())
     assert doc["simulated"]["rounds"] == doc["native"]["rounds"] + 1
+
+
+def test_files_are_json_dumps_of_the_public_dicts(graph_file, tmp_path):
+    # the writer spells the ledgers from their columns; the public
+    # to_json_dict gives the same rows as JSON data
+    g = load_graph(Path(graph_file).read_text())
+    run = run_clique(BoruvkaConnectivity(g.n), g, ModelParams.clique(g.n))
+    report = simulate_cc_on_semimpc(BoruvkaConnectivity(g.n), g)
+    for doc, argv in [(run.to_json_dict(), ("run", "--model", "clique")),
+                      (report.to_json_dict(), ("simulate", "--from", "clique", "--to", "semimpc"))]:
+        out = tmp_path / "out.json"
+        assert run_cli(*argv, "--algorithm", "boruvka", "--graph", graph_file,
+                       "--out", str(out)) == 0
+        text = out.read_text()
+        doc["config"] = json.loads(text)["config"]
+        assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def test_simulate_congest_to_semimpc(graph_file, tmp_path):
@@ -1818,8 +1835,8 @@ _documents = st.recursive(st.one_of(_scalars, _int_rows,
 # ids past 2**16 and multi-word transfers; a round may have none
 _ids = st.one_of(st.integers(0, 9), st.integers(2 ** 16, 2 ** 17))
 _ledger_rows = st.lists(st.tuples(_ids, _ids, st.integers(1, 5)), max_size=6)
-# a run document's per_round, the records as the engine builds them: RoundTrace
-# hands each round's record to the writer as its transfers
+# a run document's per_round, the records as the engine builds them: the
+# CLI's _FileTrace hands each round's record to the writer as its transfers
 _run_documents = st.fixed_dictionaries({
     "per_round": st.lists(st.tuples(_ledger_rows, st.lists(st.integers(0, 9), max_size=3)).map(
         lambda r: {"space": r[1], "transfers": ledger_record(*r)}), max_size=4),

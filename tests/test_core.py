@@ -1,6 +1,5 @@
 import json
 import random
-from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +18,7 @@ from distsim import (
 )
 from distsim.core import (
     FieldCodec,
+    RoundRecord,
     components_by_bfs,
     components_by_union_find,
     edge_pairs,
@@ -430,8 +430,17 @@ def test_per_round_json_reader_matches_reference(data, p):
     got = _read(RoundTrace.from_per_round_json, p, per_round)
     assert got == _read(reference_from_per_round_json, p, per_round)
     if isinstance(got, RoundTrace):  # the rows written back read the same
-        text = json.dumps(got.to_per_round_json(), default=attrgetter("transfers"))
+        assert RoundTrace.from_per_round_json(p, got.to_per_round_json()) == got
+        text = json.dumps(got.to_per_round_json())
         assert RoundTrace.from_per_round_json(p, json.loads(text)) == got
+
+
+@pytest.mark.parametrize("columns", [((0,), (1, 2), (1, 1)), ((0, 1), (1, 0), (1,)),
+                                     ((), (1,), ())])
+def test_round_record_refuses_columns_of_unequal_length(columns):
+    # a reader zips the columns: a longer one's tail would go unread
+    with pytest.raises(ValueError, match="ledger columns of unequal length"):
+        RoundRecord(*columns, (0, 0, 0))
 
 
 # -- per-round loads against a per-participant reference ----------------------
