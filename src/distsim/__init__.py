@@ -30,7 +30,6 @@ from .engines import (
     words_in,
 )
 from .routing import (
-    DeliveryRecord,
     DemandMatrix,
     Schedule,
     edge_color_bipartite,
@@ -58,8 +57,8 @@ __all__ = [
     "EngineContractError", "ModelKind", "ModelParams", "NodeProgram",
     "RoundLimitError", "RunResult", "Violation", "check_trace",
     "distribute_edges", "run_clique", "run_congest", "run_mpc", "words_in",
-    "DeliveryRecord", "DemandMatrix", "Schedule", "edge_color_bipartite",
-    "execute_schedule", "plan_routing",
+    "DemandMatrix", "Schedule", "edge_color_bipartite", "execute_schedule",
+    "plan_routing",
     "Assignment", "SimulationRefused", "SimulationReport",
     "compute_node_assignment", "simulate_cc_on_semimpc",
     "simulate_congest_on_semimpc", "simulate_semimpc_on_cc",

@@ -338,15 +338,15 @@ class _SemiMpcOnClique(Relay):
     starts instead of its placeholder-graph input).
     """
 
-    def __init__(self, inner: NodeProgram, p: int,
+    def __init__(self, inner: NodeProgram, params: ModelParams,
                  episodes: list[tuple[int, Schedule]],
-                 sent: list[dict[int, tuple[Message, ...]]],
-                 widths: tuple[int, int, int, int], machine_inputs: list):
+                 sent: list[dict[int, tuple[Message, ...]]], machine_inputs: list):
         # episode = (native round, schedule); sent[r - 1] maps each machine
         # to its native cross-machine messages of round r
-        super().__init__([sched for _r, sched in episodes], widths)
+        super().__init__(params.n, [sched for _r, sched in episodes],
+                         (params.word_width_bits, 1))
         self.inner = inner
-        self.p = p
+        self.p = params.p
         self.sent = sent
         self.native_round_of = [r for r, _s in episodes]
         self.machine_inputs = [tuple(words) for words in machine_inputs]
@@ -469,13 +469,9 @@ def simulate_semimpc_on_cc(prog: NodeProgram, inputs: list[list[int]],
     sent = [{src: next(recorded[src]) for src in dict.fromkeys(rec.src)}
             for rec in native.trace.rounds]
     episodes = plan_episodes(native)
-    # the most words one pair exchanges in a round: a word's seq counts from 0
-    max_count = max([1] + [e[2] + 1 for _r, sched in episodes for e in sched.entries])
-
-    widths = (id_width(n), id_width(max_count), params.word_width_bits, 1)
-    wrapper = _SemiMpcOnClique(prog, p, episodes, sent, widths, inputs)
+    wrapper = _SemiMpcOnClique(prog, params, episodes, sent, inputs)
     clique_params = ModelParams.clique(
-        n, word_width_bits=sum(widths),
+        n, word_width_bits=wrapper.word_width,
         c_space=params.c_space, round_cap=wrapper.last_round + 5)
     sim = run_clique(wrapper, Graph(n=n, edges=()), clique_params)
     return semimpc_on_cc_report(native, sim, episodes)

@@ -369,17 +369,17 @@ def cmd_route(args) -> int:
     del dm
     payloads = {(s, d, q): (s * 31 + d * 7 + q) % (1 << 8)
                 for (s, d, q) in sched.assignment}
-    record = execute_schedule(sched, payloads, value_width=8)
+    run = execute_schedule(sched, payloads)
 
-    out = _file_run(record.run).to_json_dict()
-    out.update(_route_fields(sched, record.delivered))
+    out = _file_run(run).to_json_dict()
+    out.update(_route_fields(sched, run.outputs))
     _dump_json(out, args.out)
 
     print(summary)
     print(f"schedule_rounds={sched.num_rounds} "
-          f"engine_rounds={record.run.rounds_used} "
+          f"engine_rounds={run.rounds_used} "
           f"delivered={out['delivered_words']}")
-    return 0 if record.run.clean else 1
+    return 0
 
 
 def _graph_from_json(doc: dict) -> Graph:
@@ -497,10 +497,12 @@ def _config(runs: list[RunResult], graph, seed, given, round_budget=None) -> dic
     return config
 
 
-def _route_fields(sched: Schedule, delivered) -> dict:
+def _route_fields(sched: Schedule, outputs) -> dict:
     """A route file's `routing`, the schedule, and `delivered_words`, the
-    number of words `delivered` (delivered_triples) holds."""
-    return {"routing": sched.to_json_dict(), "delivered_words": sum(map(len, delivered))}
+    number of (src, seq, value) triples the replay's outputs hold
+    (delivered_triples)."""
+    return {"routing": sched.to_json_dict(),
+            "delivered_words": sum(map(len, delivered_triples(outputs)))}
 
 
 def _difference(held, want) -> str:
@@ -594,8 +596,7 @@ def cmd_verify(args) -> int:
                 pairs = [(s, d) for s, d, *_e in doc["routing"]["entries"]]
                 demand = DemandMatrix.from_transfers(native.params.n, [s for s, _d in pairs],
                                                      [d for _s, d in pairs], [1] * len(pairs))
-                derived = _route_fields(plan_routing(demand),
-                                        delivered_triples(native.outputs))
+                derived = _route_fields(plan_routing(demand), native.outputs)
         _refuse_unless_derived({key: doc[key] for key in derived}, derived)
         if not route:
             _refuse_unless_derived(config, _config(

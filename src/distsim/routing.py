@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import FieldCodec, Graph, Message, id_width, round_loads, word_width
+from .core import FieldCodec, Graph, Message, id_width, round_loads
 from .engines import ModelParams, NodeProgram, RunResult, run_clique
 
 
@@ -252,15 +252,6 @@ def plan_routing(dm: DemandMatrix) -> Schedule:
 # Replaying a schedule through the clique engine
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DeliveryRecord:
-    """What a schedule replay actually delivered, plus the engine evidence."""
-
-    run: RunResult
-    delivered: tuple[tuple[tuple[int, int, int], ...], ...]
-    # delivered[dst] = sorted (src, seq, value) triples
-
-
 def delivered_triples(outputs) -> tuple[tuple[tuple, ...], ...]:
     """Each node's (src, seq, value) triples, decoded from the flat words
     _ScheduleHost.output writes; a stream that is not whole triples is
@@ -279,8 +270,11 @@ class Relay(NodeProgram):
     runs in engine round base + k - 1, where base is 1 plus the rounds of
     the episodes before i (`episodes` holds the (base, schedule) pairs).
     Every relayed word packs (counterpart, seq, *fields) into one engine
-    word; the counterpart is the final destination in phase A and the
-    original source in phase B.  One extra receive-only round after the
+    word of `word_width` bits, first field most significant: the
+    counterpart, the final destination in phase A and the original source
+    in phase B, in id_width(n) bits; the word's seq in id_width(1 + the
+    largest seq of any schedule) bits; then the host's fields, as wide as
+    `fields` says.  One extra receive-only round after the
     last episode absorbs the final deliveries; without episodes that round
     is the whole run, and every relay halts in round 1 without sending.
 
@@ -294,8 +288,10 @@ class Relay(NodeProgram):
     A queued entry is (engine round, next hop, counterpart, seq, *fields).
     """
 
-    def __init__(self, schedules: list[Schedule], widths: tuple[int, ...]):
-        self.codec = FieldCodec(widths)
+    def __init__(self, n: int, schedules: list[Schedule], fields: tuple[int, ...]):
+        max_seq = max((e[2] for sched in schedules for e in sched.entries), default=0)
+        self.codec = FieldCodec((id_width(n), id_width(max_seq + 1), *fields))
+        self.word_width = sum(self.codec.widths)
         self.episodes: list[tuple[int, Schedule]] = []
         # engine round -> (episode index, whether it is a phase-A round)
         self.phase_of: dict[int, tuple[int, bool]] = {}
@@ -372,13 +368,14 @@ class Relay(NodeProgram):
 class _ScheduleHost(Relay):
     """Plays a single schedule: each source sends its payload words in their
     phase-A rounds and each destination keeps the sorted (src, seq, value)
-    triples it received.  Pending payloads live on the program (`outgoing`,
-    fixed before the run), so only the words due in a round enter the node
-    state."""
+    triples it received.  A relayed word's one host field is its value, as
+    wide as the largest payload (at least 1 bit).  Pending payloads live on
+    the program (`outgoing`, fixed before the run), so only the words due in
+    a round enter the node state."""
 
-    def __init__(self, schedule: Schedule, payloads: dict,
-                 widths: tuple[int, int, int]):
-        super().__init__([schedule], widths)
+    def __init__(self, schedule: Schedule, payloads: dict):
+        value_bits = max(max(payloads.values(), default=0).bit_length(), 1)
+        super().__init__(schedule.n, [schedule], (value_bits,))
         # (source, round_a) -> entries due then, canonically ordered
         self.outgoing: dict[tuple[int, int], list[tuple]] = {}
         for s, d, q, mid, ra, _rb in sorted(schedule.entries):
@@ -398,9 +395,10 @@ class _ScheduleHost(Relay):
         return [w for triple in state[3] for w in triple]
 
 
-def execute_schedule(sched: Schedule, payloads: dict[tuple[int, int, int], int],
-                     *, value_width: int | None = None) -> DeliveryRecord:
-    """Replay a schedule on the constraint-checked clique engine.
+def execute_schedule(sched: Schedule, payloads: dict[tuple[int, int, int], int]) -> RunResult:
+    """Replay a schedule on the constraint-checked clique engine and return
+    the run, whose outputs are the (src, seq, value) triples each node
+    received (delivered_triples).
 
     payloads maps each scheduled (src, dst, seq) to its value word.  Every
     word must arrive at its destination tagged with the original source and
@@ -415,15 +413,9 @@ def execute_schedule(sched: Schedule, payloads: dict[tuple[int, int, int], int],
         if type(value) is not int or value < 0:
             raise ValueError(f"payload {value!r} of word {key} is not a non-negative int")
 
-    if value_width is None:
-        value_width = word_width(sched.n)
-    max_seq = max((q for _s, _d, q in sched.assignment), default=0)
-    max_val = max(payloads.values(), default=0)
-    widths = (id_width(sched.n), id_width(max_seq + 1),
-              max(value_width, max_val.bit_length(), 1))
-    params = ModelParams.clique(sched.n, word_width_bits=sum(widths))
-    run = run_clique(_ScheduleHost(sched, payloads, widths),
-                     Graph(n=sched.n, edges=()), params)
+    host = _ScheduleHost(sched, payloads)
+    run = run_clique(host, Graph(n=sched.n, edges=()),
+                     ModelParams.clique(sched.n, word_width_bits=host.word_width))
     if not run.clean:
         raise RuntimeError(f"schedule replay violated the model: {run.violations[0]}")
     delivered = delivered_triples(run.outputs)
@@ -436,4 +428,4 @@ def execute_schedule(sched: Schedule, payloads: dict[tuple[int, int, int], int],
     if sum(map(len, delivered)) != len(payloads):
         raise RuntimeError("delivered word count does not match the demand")
 
-    return DeliveryRecord(run=run, delivered=delivered)
+    return run

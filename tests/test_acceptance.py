@@ -26,6 +26,7 @@ from distsim import (
     ForestMergeConnectivity,
 )
 from distsim.cli import main as cli_main
+from distsim.routing import delivered_triples
 
 from conftest import coloring_is_proper, random_connected_graph, random_graph
 
@@ -116,11 +117,11 @@ def test_acceptance_3_routing_contract():
 
         payloads = {(s, d, q): (s * 131 + d * 17 + q) % 256
                     for (s, d, q) in sched.assignment}
-        record = execute_schedule(sched, payloads, value_width=8)
-        assert record.run.clean
+        run = execute_schedule(sched, payloads)
+        assert run.clean
         delivered = sorted(
             (src, dst, value)
-            for dst, triples in enumerate(record.delivered)
+            for dst, triples in enumerate(delivered_triples(run.outputs))
             for src, _seq, value in triples)
         demanded = sorted((s, d, payloads[(s, d, q)])
                           for (s, d, q) in sched.assignment)

@@ -443,8 +443,8 @@ def test_mpc_sim_refuses_more_machines_than_clique_nodes():
 def test_mpc_sim_host_refuses_words_held_for_a_later_round(host):
     # a hosted machine's held words always feed its next native round; words
     # due in any other round used to sit in the host state for good
-    wrapper = adapters._SemiMpcOnClique(SilentMachine(), 2, [], [{}], (3, 1, 4, 1),
-                                        [[], []])
+    wrapper = adapters._SemiMpcOnClique(SilentMachine(), ModelParams.semi_mpc(2, 2, ell=0),
+                                        [], [{}], [[], []])
     with pytest.raises(RuntimeError,
                        match="^machine 0 holds words for a round other than 1$"):
         wrapper._advance(0, host, 1, None)

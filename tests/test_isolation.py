@@ -119,4 +119,4 @@ def test_congest_adapter_is_isolated_with_several_vertices_per_machine(
 def test_execute_schedule_is_isolated(rows, isolation_audit):
     sched = plan_routing(DemandMatrix.from_rows(rows))
     payloads = {(s, d, q): (s + 2 * d + q) % 8 for (s, d, q) in sched.assignment}
-    assert execute_schedule(sched, payloads, value_width=3).run.clean
+    assert execute_schedule(sched, payloads).clean

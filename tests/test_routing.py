@@ -10,7 +10,7 @@ from distsim import (
     execute_schedule,
     plan_routing,
 )
-from distsim.routing import Schedule
+from distsim.routing import Schedule, delivered_triples
 
 from conftest import coloring_is_proper
 
@@ -421,10 +421,11 @@ def test_execute_permutation_delivery():
         rows[s][d] = 1
     sched = plan_routing(DemandMatrix.from_rows(rows))
     payloads = {(s, d, q): 10 + s for (s, d, q) in sched.assignment}
-    record = execute_schedule(sched, payloads)
+    run = execute_schedule(sched, payloads)
+    delivered = delivered_triples(run.outputs)
     for s, d in enumerate(perm):
-        assert record.delivered[d] == ((s, 0, 10 + s),)
-    assert record.run.clean
+        assert delivered[d] == ((s, 0, 10 + s),)
+    assert run.clean
 
 
 def test_execute_star_delivery():
@@ -434,19 +435,19 @@ def test_execute_star_delivery():
         rows[s][0] = 1
     sched = plan_routing(DemandMatrix.from_rows(rows))
     payloads = {(s, d, q): 5 * s for (s, d, q) in sched.assignment}
-    record = execute_schedule(sched, payloads)
-    assert record.delivered[0] == tuple((s, 0, 5 * s) for s in range(n))
+    run = execute_schedule(sched, payloads)
+    assert delivered_triples(run.outputs)[0] == tuple((s, 0, 5 * s) for s in range(n))
 
 
 def test_execute_empty_schedule_takes_one_round():
     # the replay is num_rounds + 1 engine rounds even with nothing to route:
     # every relay halts in the absorb round without sending
     sched = plan_routing(DemandMatrix.from_rows([[0] * 3 for _ in range(3)]))
-    record = execute_schedule(sched, {})
-    assert record.run.clean
-    assert record.run.rounds_used == sched.num_rounds + 1 == 1
-    assert record.run.trace.rounds[0].transfers == ()
-    assert record.delivered == ((), (), ())
+    run = execute_schedule(sched, {})
+    assert run.clean
+    assert run.rounds_used == sched.num_rounds + 1 == 1
+    assert run.trace.rounds[0].transfers == ()
+    assert delivered_triples(run.outputs) == ((), (), ())
 
 
 def test_execute_payload_key_mismatch():
@@ -485,19 +486,19 @@ def test_execute_random_demands_delivery_exact():
         sched = plan_routing(dm)
         payloads = {(s, d, q): (s * 131 + d * 17 + q) % 256
                     for (s, d, q) in sched.assignment}
-        record = execute_schedule(sched, payloads, value_width=8)
-        assert record.run.clean
+        run = execute_schedule(sched, payloads)
+        assert run.clean
         # delivered multiset equals demanded multiset
         delivered = sorted(
             (src, dst, value)
-            for dst, triples in enumerate(record.delivered)
+            for dst, triples in enumerate(delivered_triples(run.outputs))
             for src, _seq, value in triples)
         demanded = sorted(
             (s, d, payloads[(s, d, q)]) for (s, d, q) in sched.assignment)
         assert delivered == demanded
         if dm.total_words:
             # replay takes the two schedule rounds plus the absorb round
-            assert record.run.rounds_used == sched.num_rounds + 1
+            assert run.rounds_used == sched.num_rounds + 1
 
 
 def test_execute_multi_round_phases_delivery_exact():
@@ -510,16 +511,17 @@ def test_execute_multi_round_phases_delivery_exact():
     _assert_schedule_capacity(sched)
     payloads = {(s, d, q): (7 * s + 3 * d + q) % 256
                 for (s, d, q) in sched.assignment}
-    record = execute_schedule(sched, payloads, value_width=8)
-    assert record.run.clean
-    assert record.run.rounds_used == 9  # 4 + 4 schedule rounds + absorb
+    run = execute_schedule(sched, payloads)
+    assert run.clean
+    assert run.rounds_used == 9  # 4 + 4 schedule rounds + absorb
+    delivered = delivered_triples(run.outputs)
     for d in range(n):
-        assert record.delivered[d] == tuple(sorted(
+        assert delivered[d] == tuple(sorted(
             (s, q, payloads[(s, d, q)])
             for s in range(n) if s != d for q in range(4)))
     # the ledger: one-word transfers, and relayed words wait in their
     # intermediates' queues for later phase-B rounds, metered as they wait
-    rounds = record.run.trace.rounds
+    rounds = run.trace.rounds
     assert {w for r in rounds for _s, _d, w in r.transfers} == {1}
     assert tuple(len(r.transfers) for r in rounds) == (
         30, 30, 30, 10, 30, 30, 30, 10, 0)
@@ -537,12 +539,12 @@ def test_execute_uneven_two_round_demand_ledger():
     assert sched.phase_a_rounds == 2
     payloads = {(s, d, q): (5 * s + d + 11 * q) % 256
                 for (s, d, q) in sched.assignment}
-    record = execute_schedule(sched, payloads, value_width=8)
-    assert record.run.clean
-    rounds = record.run.trace.rounds
+    run = execute_schedule(sched, payloads)
+    assert run.clean
+    rounds = run.trace.rounds
     assert {w for r in rounds for _s, _d, w in r.transfers} == {1}
     assert tuple(len(r.transfers) for r in rounds) == (9, 4, 10, 4, 0)
     assert tuple(r.space for r in rounds) == (
         (2, 2, 2, 2), (17, 17, 17, 22), (20, 19, 17, 22), (21, 16, 8, 11),
         (20, 14, 11, 17))
-    assert sum(map(len, record.delivered)) == sum(map(sum, rows)) == 18
+    assert sum(map(len, delivered_triples(run.outputs))) == sum(map(sum, rows)) == 18
