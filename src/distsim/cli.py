@@ -398,13 +398,16 @@ def _graph_from_json(doc: dict) -> Graph:
     return Graph(n=doc["n"], edges=tuple(edges))
 
 
-def _recheck_run(doc: dict, report_models: dict):
+def _recheck_run(doc: dict, report_models: dict, file_keys: tuple[str, ...]):
     """Re-check the run a document records from its params, ledger and graph
     alone: its params, trace, violations, and the summary fields the
     document misstates, among them `model` and, in a report, the
     `report_models` field (source_model or target_model): each must name
-    the params' model kind.  Returns the run, with the file's `outputs`
-    (see _expected_outputs), and the names of the misstated fields."""
+    the params' model kind.  A key that neither the run's writer nor
+    `file_keys` (the file's own fields beside the run) sets is refused, in
+    the document, its params and its graph.  Returns the run, with the
+    file's `outputs` (see _expected_outputs), and the names of the
+    misstated fields."""
     _refuse_unless_object(doc["params"], "params")
     params = ModelParams.from_json_dict(doc["params"])
     trace = RoundTrace.from_per_round_json(params.p, doc["per_round"])
@@ -424,6 +427,7 @@ def _recheck_run(doc: dict, report_models: dict):
     run = RunResult(params, doc["outputs"], trace, check_trace(trace, params, graph), graph)
     # the fields as the writer derives them for this run
     written = _file_run(run).to_json_dict()
+    _refuse_unknown_keys(doc, {**written, **dict.fromkeys(file_keys)})
     written.update(dict.fromkeys(report_models, written["model"]))
     claimed = {**doc, **report_models}
     # compared as JSON text, so neither 7.0 nor true can stand for an int
@@ -531,6 +535,18 @@ def _refuse_unless_derived(held: dict, want: dict, name: str = "") -> None:
             raise ValueError(f"{field} {_difference(held[key], want[key])}")
 
 
+def _refuse_unknown_keys(held: dict, written: dict, name: str = "") -> None:
+    """Refuse (ValueError) a key of held that written lacks, named as
+    _refuse_unless_derived names it, in held and in each object that both
+    hold under one key.  Only keys are compared."""
+    unknown = sorted(held.keys() - written.keys())
+    if unknown:
+        raise ValueError(f"{name} field {unknown[0]!r} is unknown".lstrip())
+    for key, value in held.items():
+        if type(value) is dict and type(written[key]) is dict:
+            _refuse_unknown_keys(value, written[key], key)
+
+
 _JSON_TYPES = {list: "an array", str: "a string", int: "a number", float: "a number",
                bool: "a boolean", type(None): "null"}
 
@@ -567,15 +583,15 @@ def cmd_verify(args) -> int:
         name = "routing" if route else "config"
         _refuse_unless_object(doc[name], name)
         config = {} if route else doc["config"]
-        runs = [("", doc, {})]
+        runs = [("", doc, {}, ("routing", "delivered_words") if route else ("config",))]
         if report:
             for key in ("native", "simulated"):
                 _refuse_unless_object(doc[key], key)
-            runs = [("native: ", doc["native"], {"source_model": doc["source_model"]}),
-                    ("simulated: ", doc["simulated"], {"target_model": doc["target_model"]})]
+            runs = [("native: ", doc["native"], {"source_model": doc["source_model"]}, ()),
+                    ("simulated: ", doc["simulated"], {"target_model": doc["target_model"]}, ())]
         checked = []
-        for label, run, report_models in runs:
-            checked.append((label, *_recheck_run(run, report_models)))
+        for label, run, report_models, file_keys in runs:
+            checked.append((label, *_recheck_run(run, report_models, file_keys)))
         label, native, wrong = checked[0]
         # every command records its native run's graph but simulate --from semimpc
         if native.graph is None and not (report and native.params.kind == ModelKind.SEMI_MPC):
@@ -590,6 +606,8 @@ def cmd_verify(args) -> int:
         if native.clean and not any(misstated for _l, _r, misstated in checked):
             if report:
                 derived = _rederived_report(config, native, checked[1][1]).derived_fields()
+                _refuse_unknown_keys(doc, {**derived, **dict.fromkeys((
+                    "source_model", "target_model", "native", "simulated", "config"))})
             elif route:
                 # re-planned from the file's own entries' (src, dst) pairs;
                 # the payload values are not checked

@@ -456,7 +456,8 @@ class RoundTrace:
         """Inverse of to_per_round_json: each round's (src, dst, words)
         transfer rows, as a file holds them, become its three columns.
         Every round must carry one space entry per participant: a missing
-        entry is not read as zero words.  A transfer must move at least one
+        entry is not read as zero words.  A round may hold no field but its
+        transfers and space.  A transfer must move at least one
         word between two distinct participants in [0, num_participants), as
         every engine transfer does, and no participant may hold negative
         space.  Every value must be an int (not a bool, float or string):
@@ -480,6 +481,9 @@ class RoundTrace:
                 words.append(w)
             if "space" not in rec:
                 raise ValueError(f"round {round_no} has no space entry")
+            if len(rec) > 2:
+                unknown = min(rec.keys() - {"transfers", "space"})
+                raise ValueError(f"round {round_no} field {unknown!r} is unknown")
             space = tuple(rec["space"])
             if len(space) != num_participants:
                 raise ValueError(

@@ -383,6 +383,51 @@ def test_mpc_sim_round_above_4n_words_plans_a_longer_episode():
                                 "outputs_ok": True}
 
 
+class RingShipper(NodeProgram):
+    """Each machine sends k words (values below 8) to machine pid + 1 mod p
+    in each of rounds 1-3 and halts in round 3."""
+
+    def __init__(self, p, k):
+        self.p = p
+        self.k = k
+
+    def init(self, pid, local_input):
+        return (pid, 1)
+
+    def on_round(self, state, inbox):
+        pid, r = state
+        words = tuple((pid + r + j) % 8 for j in range(self.k))
+        return (pid, r + 1), [Message(pid, (pid + 1) % self.p, words)], r == 3
+
+    def output(self, state):
+        return []
+
+
+@pytest.mark.parametrize("k, episode, rounds, word_bits", [
+    (30, 4, 13, 4 + 5 + 6 + 1),
+    (60, 8, 25, 4 + 6 + 6 + 1),
+])
+def test_mpc_sim_rounds_above_2n_words_exceed_the_budget_at_default_c_space(
+        k, episode, rounds, word_bits):
+    # at the default c_space = 4 a clean machine may send 4n words per
+    # round; k > n words take 2 * ceil(k / n) clique rounds per native round,
+    # above the (2 + 2) * T = 12 that rounds_ok allows
+    n = 16
+    params = ModelParams.semi_mpc(n, n, ell=0)
+    assert params.c_space == 4
+    rep = simulate_semimpc_on_cc(RingShipper(n, k), [[]] * n, params)
+    assert rep.native.clean and rep.native.rounds_used == 3
+    assert rep.extra["episode_rounds"] == [[1, episode], [2, episode], [3, episode]]
+    assert rep.simulated.rounds_used == rounds
+    assert rep.measured_constants["allowed_rounds"] == 12
+    # a relayed word: counterpart id_width(n), seq id_width(k), the native
+    # word width and the message-start flag
+    assert rep.simulated.params.word_width_bits == word_bits
+    assert rep.bound_checks == {"rounds_ok": False, "machines_ok": True,
+                                "traffic_ok": True, "space_ok": True,
+                                "outputs_ok": True}
+
+
 def test_mpc_sim_message_free_program_uses_one_round():
     # no episode to route: the clique run is the relays' one absorb round
     params = ModelParams.semi_mpc(8, 4, ell=0)

@@ -503,6 +503,19 @@ def test_route_demand(tmp_path):
     assert doc["violations"] == []
 
 
+def test_route_value_field_is_as_wide_as_the_largest_payload(tmp_path):
+    # one word, payload 7: a 1-bit node id, a 1-bit seq and a 3-bit value;
+    # the value field used to take at least 8 bits
+    demand = tmp_path / "demand.json"
+    demand.write_text("[[0, 1], [0, 0]]")
+    out = tmp_path / "route.json"
+    assert run_cli("route", "--demand", str(demand), "--out", str(out)) == 0
+    doc = json.loads(out.read_text())
+    assert doc["outputs"] == [[], [0, 0, 7]]
+    assert doc["params"]["word_width_bits"] == 1 + 1 + 3
+    assert run_cli("verify", "--trace", str(out)) == 0
+
+
 def test_route_all_zero_demand_takes_one_engine_round(tmp_path, capsys):
     # nothing to route still replays the absorb round, and the file verifies
     demand = tmp_path / "demand.json"
@@ -1738,6 +1751,40 @@ def test_verify_refuses_a_run_field_that_is_not_an_object(argv, run, key, value,
     label = f"{run}: " if run else ""
     assert capsys.readouterr() == (
         "", f"error: malformed trace file: {label}{key} holds {kind}, not an object\n")
+
+
+@pytest.mark.parametrize("argv, path, key, message", [
+    (RUN_CLIQUE, (), "max_traffic", "field 'max_traffic' is unknown"),
+    (SIM_CLIQUE, (), "max_traffic_words", "field 'max_traffic_words' is unknown"),
+    (SIM_CLIQUE, ("native",), "max_traffic", "native: field 'max_traffic' is unknown"),
+    (SIM_CLIQUE, ("native", "params"), "c_load", "native: params field 'c_load' is unknown"),
+    (RUN_CLIQUE, ("params",), "c_load", "params field 'c_load' is unknown"),
+    (RUN_CLIQUE, ("per_round", 0), "max_load", "round 1 field 'max_load' is unknown"),
+    (RUN_CLIQUE, ("graph",), "diameter", "graph field 'diameter' is unknown"),
+    (("route",), (), "max_traffic", "field 'max_traffic' is unknown"),
+], ids=["run", "report", "report-native", "report-native-params", "run-params",
+        "run-round", "run-graph", "route"])
+def test_verify_refuses_a_key_no_writer_sets(argv, path, key, message, graph_file,
+                                             tmp_path, capsys):
+    # each edited file used to verify with exit 0, although no command
+    # writes the key, and a max_traffic key claims a value the file does not
+    # hold
+    if argv[0] == "route":
+        out, doc = _shift_route(tmp_path)
+    else:
+        out = tmp_path / "out.json"
+        assert run_cli(*argv, "--graph", graph_file, "--out", str(out)) == 0
+        doc = json.loads(out.read_text())
+    capsys.readouterr()
+    assert run_cli("verify", "--trace", str(out)) == 0
+    part = doc
+    for step in path:
+        part = part[step]
+    part[key] = 1
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("verify", "--trace", str(out)) == 2
+    assert capsys.readouterr() == ("", f"error: malformed trace file: {message}\n")
 
 
 @pytest.mark.parametrize("argv", [RUN_CLIQUE, RUN_CONGEST, RUN_SEMIMPC])

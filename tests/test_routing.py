@@ -450,6 +450,21 @@ def test_execute_empty_schedule_takes_one_round():
     assert delivered_triples(run.outputs) == ((), (), ())
 
 
+@pytest.mark.parametrize("value, word_bits", [
+    (0, 1 + 1 + 1),
+    (7, 1 + 1 + 3),
+    (255, 1 + 1 + 8),
+])
+def test_execute_sizes_the_value_field_by_the_largest_payload(value, word_bits):
+    # a relayed word on 2 nodes: a 1-bit node id, a 1-bit seq, then a value
+    # field as wide as the largest payload and at least 1 bit; it used to be
+    # at least word_width(n) bits wide
+    sched = plan_routing(DemandMatrix.from_rows([[0, 1], [0, 0]]))
+    run = execute_schedule(sched, {(0, 1, 0): value})
+    assert run.clean and run.params.word_width_bits == word_bits
+    assert delivered_triples(run.outputs) == ((), ((0, 0, value),))
+
+
 def test_execute_payload_key_mismatch():
     n = 2
     rows = [[0, 1], [0, 0]]
