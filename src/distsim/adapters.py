@@ -457,8 +457,7 @@ def simulate_semimpc_on_cc(prog: NodeProgram, inputs: list[list[int]],
     if params.kind != ModelKind.SEMI_MPC:
         raise SimulationRefused("source program must run under SEMI_MPC params")
     n = params.n
-    p = params.p
-    if p > n:
+    if params.p > n:
         raise SimulationRefused("need p <= n to map machines onto clique nodes")
 
     recorder = _RecordingProgram(prog)

@@ -291,7 +291,6 @@ class Relay(NodeProgram):
     def __init__(self, n: int, schedules: list[Schedule], fields: tuple[int, ...]):
         max_seq = max((e[2] for sched in schedules for e in sched.entries), default=0)
         self.codec = FieldCodec((id_width(n), id_width(max_seq + 1), *fields))
-        self.word_width = sum(self.codec.widths)
         self.episodes: list[tuple[int, Schedule]] = []
         # engine round -> (episode index, whether it is a phase-A round)
         self.phase_of: dict[int, tuple[int, bool]] = {}
@@ -303,6 +302,10 @@ class Relay(NodeProgram):
             base += sched.num_rounds
         # the receive-only absorb round after the last episode
         self.last_round = base if schedules else 0
+
+    @property
+    def word_width(self) -> int:
+        return sum(self.codec.widths)
 
     def init(self, pid: int, local_input):
         # state: (pid, this round number, queued entries, host state)
