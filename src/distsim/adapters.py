@@ -497,15 +497,12 @@ def semimpc_on_cc_report(native: RunResult, sim: RunResult,
     # surcharge of 2 for the bookkeeping a distributed schedule computation
     # would add
     allowed = (2 + 2) * t_native
-    outputs_ok = (sim.outputs is not None
-                  and sim.outputs[:p] == native.outputs
-                  and all(not o for o in sim.outputs[p:]))
     bound_checks = {
         "rounds_ok": sim.rounds_used <= allowed,
         "machines_ok": sim.params.p == n,
         "traffic_ok": sim.clean,
         "space_ok": sim.clean,
-        "outputs_ok": outputs_ok,
+        "outputs_ok": sim.outputs == native.outputs + [[]] * (n - p),
     }
     measured = {
         "native_rounds": t_native,
@@ -553,25 +550,33 @@ class _CongestOnSemiMpc(NodeProgram):
     one-word edge messages to the owning machines (same-machine traffic stays
     internal and costs nothing).  One method, _replay, runs every replay
     round, the edgeless branch's included.
+
+    Every word packs one of the tagged layouts above into word_width bits:
+    the tag in 2 bits, the next two fields in id_width(n) bits each, and the
+    last in the native word width.
     """
 
-    def __init__(self, inner: NodeProgram, n: int, machines: int,
-                 widths: tuple[int, int, int, int], edgeless: bool = False):
+    def __init__(self, inner: NodeProgram, n: int, machines: int, native_width: int):
         self.inner = inner
         self.n = n
         self.machines = machines
-        self.codec = FieldCodec(widths)
-        # No edges: nothing to count or ship, and one machine replays every
-        # vertex.  The general path cannot take this case: besides the node
-        # states it keeps every vertex id twice (in the machine's vertex list
-        # and as node-state keys), which breaks the c_space * n budget at
-        # small n (flood on 5 isolated vertices holds 27 words against 20 in
-        # round 4).
-        self.edgeless = edgeless
+        self.codec = FieldCodec((2, id_width(n), id_width(n), native_width))
+
+    @property
+    def word_width(self) -> int:
+        return sum(self.codec.widths)
 
     def init(self, pid, input_words):
-        if self.edgeless:
-            # replay-only state: (per-vertex node states, internal messages)
+        if self.machines == 1 and not input_words:
+            # No edges (one machine holds all 2m input words): nothing to
+            # count or ship, and the machine replays every vertex.  The
+            # general path cannot take this case: besides the node states it
+            # keeps every vertex id twice (in the machine's vertex list and
+            # as node-state keys), which breaks the c_space * n budget at
+            # small n (flood on 5 isolated vertices holds 27 words against
+            # 20 in round 4).  Replay-only state, told apart from the
+            # general one by its length: (per-vertex node states, internal
+            # messages)
             return (tuple(self.inner.init(v, ()) for v in range(self.n)), ())
         # state: (pid, engine round, stored edges, my vertices, packed
         #         locations, (my vertex, node state) pairs aligned with my
@@ -599,7 +604,7 @@ class _CongestOnSemiMpc(NodeProgram):
                 yield (src, *fields)
 
     def on_round(self, state, inbox):
-        if self.edgeless:
+        if len(state) == 2:
             return self._on_round_edgeless(state, inbox)
 
         (pid, round_no, stored, mine, location, node_states, internal) = state
@@ -743,7 +748,7 @@ class _CongestOnSemiMpc(NodeProgram):
 
     def output(self, state):
         # (vertex, node state) pairs
-        items = enumerate(state[0]) if self.edgeless else state[5]
+        items = enumerate(state[0]) if len(state) == 2 else state[5]
         out: list[int] = []
         for v, nstate in items:
             words = self.inner.output(nstate)
@@ -805,12 +810,10 @@ def simulate_congest_on_semimpc(prog: NodeProgram, g: Graph,
 
     inputs = distribute_edges(g, machines, seed)
 
-    widths = (2, id_width(n), id_width(n), native.params.word_width_bits)
+    wrapper = _CongestOnSemiMpc(prog, n, machines, native.params.word_width_bits)
     semi = ModelParams.semi_mpc(
-        n, p=machines, ell=2 * g.m, word_width_bits=sum(widths),
+        n, p=machines, ell=2 * g.m, word_width_bits=wrapper.word_width,
         c_space=c_space, round_cap=t_native + 10)
-
-    wrapper = _CongestOnSemiMpc(prog, n, machines, widths, edgeless=g.m == 0)
     return congest_on_semimpc_report(native, run_mpc(wrapper, inputs, semi), t_budget, c_machines)
 
 
@@ -828,24 +831,12 @@ def congest_on_semimpc_report(native: RunResult, sim: RunResult,
     n = g.n
     t_native = native.rounds_used
     machines = sim.params.p
-    # unpack per-node outputs from the per-machine word streams
-    sim_node_outputs: dict[int, list[int]] | None = None
-    if sim.outputs is not None:
-        sim_node_outputs = {}
-        for pid, words in enumerate(sim.outputs):
-            i = 0
-            while i < len(words):
-                count = words[i + 1] if i + 1 < len(words) else None
-                if type(count) is not int or not 0 <= count <= len(words) - i - 2:
-                    raise ValueError(f"simulated outputs of machine {pid} hold no"
-                                     f" (vertex, count, words) group at word {i}")
-                sim_node_outputs[words[i]] = list(words[i + 2:i + 2 + count])
-                i += 2 + count
-
     assignment = compute_node_assignment(g.degrees, machines)
     dmax = max(g.degrees, default=0)
-    outputs_ok = (sim_node_outputs is not None
-                  and sim_node_outputs == {v: native.outputs[v] for v in range(n)})
+    # each machine writes (vertex, count, words) per vertex it hosts
+    # (_CongestOnSemiMpc.output), in ascending vertex order
+    streams = [[w for v in vertices for w in (v, len(native.outputs[v]), *native.outputs[v])]
+               for vertices in assignment.machine_vertices]
     sim_peaks = sim.trace.space_high_water()
     bound_checks = {
         "rounds_ok": sim.rounds_used <= t_native + 3,
@@ -853,7 +844,7 @@ def congest_on_semimpc_report(native: RunResult, sim: RunResult,
         "load_ok": load_bound_ok(assignment, g.degrees),
         "traffic_ok": sim.clean,
         "space_ok": sim.clean and max(sim_peaks, default=0) <= native.params.c_space * n,
-        "outputs_ok": outputs_ok,
+        "outputs_ok": sim.outputs == streams,
     }
     high_degree_flag = dmax * round_budget > n
     measured = {

@@ -43,7 +43,7 @@ from .engines import (
     run_congest,
     run_mpc,
 )
-from .routing import DemandMatrix, Schedule, delivered_triples, execute_schedule, plan_routing
+from .routing import DemandMatrix, Schedule, delivered_outputs, execute_schedule, plan_routing
 
 ALGORITHM_MODELS = {
     "boruvka": ModelKind.CLIQUE,
@@ -367,12 +367,10 @@ def cmd_route(args) -> int:
     # the replay needs only the schedule: free the demand's cells before it
     summary = f"demand n={dm.n} words={dm.total_words} max_degree={max_degree}"
     del dm
-    payloads = {(s, d, q): (s * 31 + d * 7 + q) % (1 << 8)
-                for (s, d, q) in sched.assignment}
-    run = execute_schedule(sched, payloads)
+    run = execute_schedule(sched, _route_payloads(sched))
 
     out = _file_run(run).to_json_dict()
-    out.update(_route_fields(sched, run.outputs))
+    out.update(_route_fields(sched))
     _dump_json(out, args.out)
 
     print(summary)
@@ -501,12 +499,16 @@ def _config(runs: list[RunResult], graph, seed, given, round_budget=None) -> dic
     return config
 
 
-def _route_fields(sched: Schedule, outputs) -> dict:
+def _route_payloads(sched: Schedule) -> dict[tuple[int, int, int], int]:
+    """The value `route` sends as each scheduled (src, dst, seq) word."""
+    return {(s, d, q): (s * 31 + d * 7 + q) % (1 << 8) for (s, d, q) in sched.assignment}
+
+
+def _route_fields(sched: Schedule) -> dict:
     """A route file's `routing`, the schedule, and `delivered_words`, the
-    number of (src, seq, value) triples the replay's outputs hold
-    (delivered_triples)."""
-    return {"routing": sched.to_json_dict(),
-            "delivered_words": sum(map(len, delivered_triples(outputs)))}
+    number of scheduled words: execute_schedule refuses a replay that does
+    not deliver each of them once."""
+    return {"routing": sched.to_json_dict(), "delivered_words": len(sched.entries)}
 
 
 def _difference(held, want) -> str:
@@ -597,9 +599,16 @@ def cmd_verify(args) -> int:
         if native.graph is None and not (report and native.params.kind == ModelKind.SEMI_MPC):
             raise KeyError("graph")
         label = ""
-        # a route file's outputs are (src, seq, value) triples: delivered_triples
-        if native.clean and not route:
-            expected = _expected_outputs(native.params, native.graph)
+        if native.clean:
+            if route:
+                # re-planned from the file's own entries' (src, dst) pairs
+                pairs = [(s, d) for s, d, *_e in doc["routing"]["entries"]]
+                sched = plan_routing(DemandMatrix.from_transfers(
+                    native.params.n, [s for s, _d in pairs], [d for _s, d in pairs],
+                    [1] * len(pairs)))
+                expected = delivered_outputs(sched, _route_payloads(sched))
+            else:
+                expected = _expected_outputs(native.params, native.graph)
             if expected is not None and json.dumps(native.outputs) != json.dumps(expected):
                 wrong.append("outputs")
         derived = {}
@@ -609,12 +618,7 @@ def cmd_verify(args) -> int:
                 _refuse_unknown_keys(doc, {**derived, **dict.fromkeys((
                     "source_model", "target_model", "native", "simulated", "config"))})
             elif route:
-                # re-planned from the file's own entries' (src, dst) pairs;
-                # the payload values are not checked
-                pairs = [(s, d) for s, d, *_e in doc["routing"]["entries"]]
-                demand = DemandMatrix.from_transfers(native.params.n, [s for s, _d in pairs],
-                                                     [d for _s, d in pairs], [1] * len(pairs))
-                derived = _route_fields(plan_routing(demand), native.outputs)
+                derived = _route_fields(sched)
         _refuse_unless_derived({key: doc[key] for key in derived}, derived)
         if not route:
             _refuse_unless_derived(config, _config(
@@ -625,6 +629,7 @@ def cmd_verify(args) -> int:
         print(f"error: malformed trace file: {label}{exc}", file=sys.stderr)
         return 2
     code = 0
+    source = "the schedule's deliveries" if route else "the graph's components"
     for label, run, wrong in checked:
         print(f"{label}model={run.params.kind.value} rounds={run.rounds_used} "
               f"violations={len(run.violations)}")
@@ -632,7 +637,7 @@ def cmd_verify(args) -> int:
             print(f"  {v.rule} at round {v.round}: "
                   f"measured {v.measured}, allowed {v.allowed}")
         for key in wrong:
-            print("  outputs in the file differ from the graph's components" if key == "outputs"
+            print(f"  outputs in the file differ from {source}" if key == "outputs"
                   else f"  {key} in the file differs from the ledger's")
         if run.violations or wrong:
             code = 1

@@ -252,17 +252,6 @@ def plan_routing(dm: DemandMatrix) -> Schedule:
 # Replaying a schedule through the clique engine
 # ---------------------------------------------------------------------------
 
-def delivered_triples(outputs) -> tuple[tuple[tuple, ...], ...]:
-    """Each node's (src, seq, value) triples, decoded from the flat words
-    _ScheduleHost.output writes; a stream that is not whole triples is
-    refused (ValueError)."""
-    for v, words in enumerate(outputs):
-        if len(words) % 3:
-            raise ValueError(f"outputs of node {v} hold {len(words)} words,"
-                             " not (src, seq, value) triples")
-    return tuple(tuple(zip(words[0::3], words[1::3], words[2::3])) for words in outputs)
-
-
 class Relay(NodeProgram):
     """Clique node that relays words along a sequence of routing episodes.
 
@@ -398,10 +387,20 @@ class _ScheduleHost(Relay):
         return [w for triple in state[3] for w in triple]
 
 
+def delivered_outputs(sched: Schedule, payloads: dict) -> list[list[int]]:
+    """The outputs a replay of sched that delivers each payload once, intact,
+    writes (_ScheduleHost.output): each node's sorted (src, seq, value)
+    triples of the words addressed to it, flat."""
+    received: list[list[tuple]] = [[] for _ in range(sched.n)]
+    for (s, d, q), value in payloads.items():
+        received[d].append((s, q, value))
+    return [[w for triple in sorted(triples) for w in triple] for triples in received]
+
+
 def execute_schedule(sched: Schedule, payloads: dict[tuple[int, int, int], int]) -> RunResult:
     """Replay a schedule on the constraint-checked clique engine and return
     the run, whose outputs are the (src, seq, value) triples each node
-    received (delivered_triples).
+    received (delivered_outputs).
 
     payloads maps each scheduled (src, dst, seq) to its value word.  Every
     word must arrive at its destination tagged with the original source and
@@ -421,14 +420,6 @@ def execute_schedule(sched: Schedule, payloads: dict[tuple[int, int, int], int])
                      ModelParams.clique(sched.n, word_width_bits=host.word_width))
     if not run.clean:
         raise RuntimeError(f"schedule replay violated the model: {run.violations[0]}")
-    delivered = delivered_triples(run.outputs)
-
-    arrived = [set(triples) for triples in delivered]
-    for (s, d, q), value in payloads.items():
-        if (s, q, value) not in arrived[d]:
-            raise RuntimeError(
-                f"word ({s}->{d}, seq {q}) was not delivered intact")
-    if sum(map(len, delivered)) != len(payloads):
-        raise RuntimeError("delivered word count does not match the demand")
-
+    if run.outputs != delivered_outputs(sched, payloads):
+        raise RuntimeError("schedule replay did not deliver every word intact")
     return run

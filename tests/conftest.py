@@ -70,6 +70,12 @@ def ledger_record(transfers, space) -> RoundRecord:
     return RoundRecord(*(tuple(row[k] for row in transfers) for k in range(3)), tuple(space))
 
 
+def route_triples(outputs):
+    """Each node's (src, seq, value) triples, read off the flat words a
+    route replay's outputs hold."""
+    return tuple(tuple(zip(words[0::3], words[1::3], words[2::3])) for words in outputs)
+
+
 def coloring_is_proper(edges, colors):
     """No two edges with a common endpoint share a color, in O(E) time."""
     seen_l = set()

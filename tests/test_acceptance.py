@@ -26,9 +26,8 @@ from distsim import (
     ForestMergeConnectivity,
 )
 from distsim.cli import main as cli_main
-from distsim.routing import delivered_triples
 
-from conftest import coloring_is_proper, random_connected_graph, random_graph
+from conftest import coloring_is_proper, random_connected_graph, random_graph, route_triples
 
 
 def _gnp(n, prob, seed):
@@ -121,7 +120,7 @@ def test_acceptance_3_routing_contract():
         assert run.clean
         delivered = sorted(
             (src, dst, value)
-            for dst, triples in enumerate(delivered_triples(run.outputs))
+            for dst, triples in enumerate(route_triples(run.outputs))
             for src, _seq, value in triples)
         demanded = sorted((s, d, payloads[(s, d, q)])
                           for (s, d, q) in sched.assignment)

@@ -38,7 +38,6 @@ from distsim.adapters import (
     _CongestOnSemiMpc,
     load_bound_ok,
 )
-from distsim.core import id_width
 from distsim.engines import EngineContractError, run_mpc
 
 from conftest import FixedRoundFlood, random_connected_graph, random_graph
@@ -877,7 +876,7 @@ class ReferenceCongestOnSemiMpc(_CongestOnSemiMpc):
         return self.codec.pack((tag, a, b, c))
 
     def on_round(self, state, inbox):
-        if self.edgeless:
+        if len(state) == 2:  # the edgeless state init returns
             return self._on_round_edgeless(state, inbox)
         (pid, round_no, stored, mine, location, node_states, internal) = state
 
@@ -1160,7 +1159,7 @@ def test_congest_replay_counts_what_the_reference_counts(monkeypatch, program, n
 def test_congest_replay_refuses_words_it_cannot_replay(wrapper_class):
     # machine 0 hosts vertex 0 of the path 0 - 1 - 2; vertex 1 lives elsewhere
     flood = FloodMinLabel(3)
-    wrapper = wrapper_class(flood, 3, 2, (2, 2, 2, 2))
+    wrapper = wrapper_class(flood, 3, 2, 2)
     node_states = ((0, flood.init(0, ((0, 1),))),)
 
     def replay(internal, words):
@@ -1357,11 +1356,12 @@ def test_congest_sim_overruns_machine_0_holding_every_edge():
     native = run_congest(flood, g, ModelParams.congest(48))
     machines = adapters.congest_machine_count(adapters.C_MACHINES, native.rounds_used, g)
     assert machines == 48
-    widths = (2, id_width(48), id_width(48), native.params.word_width_bits)
-    semi = ModelParams.semi_mpc(48, p=machines, ell=2 * g.m, word_width_bits=sum(widths),
+    wrapper = _CongestOnSemiMpc(flood, 48, machines, native.params.word_width_bits)
+    semi = ModelParams.semi_mpc(48, p=machines, ell=2 * g.m,
+                                word_width_bits=wrapper.word_width,
                                 round_cap=native.rounds_used + 10)
     inputs = [[w for edge in g.edges for w in edge]] + [[]] * (machines - 1)
-    sim = run_mpc(_CongestOnSemiMpc(flood, 48, machines, widths), inputs, semi)
+    sim = run_mpc(wrapper, inputs, semi)
     [violation] = sim.violations
     assert (violation.rule, violation.round, violation.participant,
             violation.measured, violation.allowed) == ("space-budget", 2, 0, 216, 192)

@@ -1364,18 +1364,17 @@ def test_verify_refuses_a_report_without_a_derived_key(graph_file, tmp_path, cap
 def test_verify_refuses_simulated_outputs_it_cannot_unpack(group, graph_file, tmp_path,
                                                            capsys):
     # a CONGEST report's machine streams hold (vertex, count, words...)
-    # groups; a count of -2 once kept verify unpacking the same group forever
+    # groups; a count of -2 once kept verify unpacking the same group forever.
+    # The streams are compared whole with the ones the assignment and the
+    # native outputs fix, so no group is unpacked and outputs_ok is false
     out = tmp_path / "sim.json"
     doc = _simulate("congest", graph_file, out)
-    stream = doc["simulated"]["outputs"][0]
-    at = len(stream)
-    stream.extend(group)
+    doc["simulated"]["outputs"][0].extend(group)
     out.write_text(json.dumps(doc))
     capsys.readouterr()
     assert run_cli("verify", "--trace", str(out)) == 2
     assert capsys.readouterr().err == (
-        f"error: malformed trace file: simulated outputs of machine 0 hold no"
-        f" (vertex, count, words) group at word {at}\n")
+        "error: malformed trace file: bound_checks field 'outputs_ok' holds true, not false\n")
 
 
 def test_verify_refuses_a_report_whose_native_run_has_no_rounds(graph_file, tmp_path,
@@ -1525,25 +1524,29 @@ def _move_first_intermediate(doc):
     (_move_first_intermediate, "routing field 'entries'"),
     (lambda doc: doc.update(delivered_words=doc["delivered_words"] + 5),
      "field 'delivered_words'"),
-    # two words more leave the triple count as it was
+    # two words more: the outputs are compared whole, not read as triples
     (lambda doc: doc["outputs"][1].extend([7, 7]), None),
-], ids=["rounds", "phase-b-rounds", "intermediate", "delivered-words", "ragged-outputs"])
+    # node 1's one triple is (0, 0, value): a delivered value edited
+    (lambda doc: doc["outputs"][1].__setitem__(2, doc["outputs"][1][2] + 1), None),
+], ids=["rounds", "phase-b-rounds", "intermediate", "delivered-words", "ragged-outputs",
+        "delivered-value"])
 def test_verify_rederives_a_route_file(doctor, field, tmp_path, capsys):
-    # each edit used to verify with exit 0
+    # each edit used to verify with exit 0, the delivered value until the
+    # outputs were compared with the ones the re-planned schedule fixes
     out, doc = _shift_route(tmp_path)
     capsys.readouterr()
     assert run_cli("verify", "--trace", str(out)) == 0
-    # payload values are not checked, and the triples need no note
     assert capsys.readouterr().out.splitlines() == ["model=CLIQUE rounds=3 violations=0"]
     original = json.loads(json.dumps(doc))
     doctor(doc)
     out.write_text(json.dumps(doc))
-    assert run_cli("verify", "--trace", str(out)) == 2
-    if field is None:
-        assert capsys.readouterr().err == (
-            "error: malformed trace file: outputs of node 1 hold 5 words,"
-            " not (src, seq, value) triples\n")
+    if field is None:  # wrong outputs are named on their own line
+        assert run_cli("verify", "--trace", str(out)) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "model=CLIQUE rounds=3 violations=0",
+            "  outputs in the file differ from the schedule's deliveries"]
         return
+    assert run_cli("verify", "--trace", str(out)) == 2
     name = field.split("'")[1]
     held, want = ((doc[name], original[name]) if name == "delivered_words"
                   else (doc["routing"][name], original["routing"][name]))

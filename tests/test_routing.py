@@ -10,9 +10,9 @@ from distsim import (
     execute_schedule,
     plan_routing,
 )
-from distsim.routing import Schedule, delivered_triples
+from distsim.routing import Schedule, _ScheduleHost
 
-from conftest import coloring_is_proper
+from conftest import coloring_is_proper, route_triples
 
 
 def brute_force_proper(edges, colors):
@@ -422,7 +422,7 @@ def test_execute_permutation_delivery():
     sched = plan_routing(DemandMatrix.from_rows(rows))
     payloads = {(s, d, q): 10 + s for (s, d, q) in sched.assignment}
     run = execute_schedule(sched, payloads)
-    delivered = delivered_triples(run.outputs)
+    delivered = route_triples(run.outputs)
     for s, d in enumerate(perm):
         assert delivered[d] == ((s, 0, 10 + s),)
     assert run.clean
@@ -436,7 +436,7 @@ def test_execute_star_delivery():
     sched = plan_routing(DemandMatrix.from_rows(rows))
     payloads = {(s, d, q): 5 * s for (s, d, q) in sched.assignment}
     run = execute_schedule(sched, payloads)
-    assert delivered_triples(run.outputs)[0] == tuple((s, 0, 5 * s) for s in range(n))
+    assert route_triples(run.outputs)[0] == tuple((s, 0, 5 * s) for s in range(n))
 
 
 def test_execute_empty_schedule_takes_one_round():
@@ -447,7 +447,7 @@ def test_execute_empty_schedule_takes_one_round():
     assert run.clean
     assert run.rounds_used == sched.num_rounds + 1 == 1
     assert run.trace.rounds[0].transfers == ()
-    assert delivered_triples(run.outputs) == ((), (), ())
+    assert route_triples(run.outputs) == ((), (), ())
 
 
 @pytest.mark.parametrize("value, word_bits", [
@@ -462,7 +462,7 @@ def test_execute_sizes_the_value_field_by_the_largest_payload(value, word_bits):
     sched = plan_routing(DemandMatrix.from_rows([[0, 1], [0, 0]]))
     run = execute_schedule(sched, {(0, 1, 0): value})
     assert run.clean and run.params.word_width_bits == word_bits
-    assert delivered_triples(run.outputs) == ((), ((0, 0, value),))
+    assert route_triples(run.outputs) == ((), ((0, 0, value),))
 
 
 def test_execute_payload_key_mismatch():
@@ -493,6 +493,24 @@ def test_execute_rejects_word_sent_to_another_intermediate():
         execute_schedule(sched, {(0, 2, 0): 5})
 
 
+@pytest.mark.parametrize("tamper", [
+    lambda words: [(s, q, value + 1) for s, q, value in words],
+    lambda words: words[1:],
+    lambda words: words + words[:1],
+], ids=["wrong-value", "lost-word", "doubled-word"])
+def test_execute_raises_when_the_replay_delivers_other_words(monkeypatch, tamper):
+    # a destination that keeps other (src, seq, value) triples than the ones
+    # sent to it: its outputs are not the ones the payloads fix
+    sched = plan_routing(DemandMatrix.from_rows([[0, 2], [1, 0]]))
+    payloads = {(s, d, q): 3 + q for (s, d, q) in sched.assignment}
+    deliver = _ScheduleHost._deliver
+    monkeypatch.setattr(_ScheduleHost, "_deliver",
+                        lambda self, host, words, episode:
+                        deliver(self, host, tamper(words), episode))
+    with pytest.raises(RuntimeError, match="did not deliver every word intact"):
+        execute_schedule(sched, payloads)
+
+
 def test_execute_random_demands_delivery_exact():
     rng = random.Random(11)
     for _ in range(200):
@@ -506,7 +524,7 @@ def test_execute_random_demands_delivery_exact():
         # delivered multiset equals demanded multiset
         delivered = sorted(
             (src, dst, value)
-            for dst, triples in enumerate(delivered_triples(run.outputs))
+            for dst, triples in enumerate(route_triples(run.outputs))
             for src, _seq, value in triples)
         demanded = sorted(
             (s, d, payloads[(s, d, q)]) for (s, d, q) in sched.assignment)
@@ -529,7 +547,7 @@ def test_execute_multi_round_phases_delivery_exact():
     run = execute_schedule(sched, payloads)
     assert run.clean
     assert run.rounds_used == 9  # 4 + 4 schedule rounds + absorb
-    delivered = delivered_triples(run.outputs)
+    delivered = route_triples(run.outputs)
     for d in range(n):
         assert delivered[d] == tuple(sorted(
             (s, q, payloads[(s, d, q)])
@@ -562,4 +580,4 @@ def test_execute_uneven_two_round_demand_ledger():
     assert tuple(r.space for r in rounds) == (
         (2, 2, 2, 2), (17, 17, 17, 22), (20, 19, 17, 22), (21, 16, 8, 11),
         (20, 14, 11, 17))
-    assert sum(map(len, delivered_triples(run.outputs))) == sum(map(sum, rows)) == 18
+    assert sum(map(len, route_triples(run.outputs))) == sum(map(sum, rows)) == 18
