@@ -226,29 +226,27 @@ def simulate_cc_on_semimpc(prog: NodeProgram, g: Graph, *,
     """Simulate a clique algorithm on semi-MPC with exactly n machines and
     one extra round.
 
-    The native run must be clean and stay within c_space*n words of local
-    memory per node (the hypothesis that makes machine space sufficient);
-    otherwise the simulation is refused.  Edges may start on any machine as
-    long as each machine holds at most c_space*n - 2 words: its first state
-    adds its id and round counter to the stored words.
+    A machine's state adds its id and round counter to what it stores, so
+    the native run must be clean and stay within c_space*n - 2 words of
+    local memory per node (the hypothesis that makes machine space
+    sufficient), and edges may start on any machine as long as each machine
+    holds at most c_space*n - 2 words; otherwise the simulation is refused.
     """
     n = g.n
     native = _run_native(run_clique, "clique", prog, g,
                          ModelParams.clique(n, c_space=c_space))
 
-    space_budget = c_space * n
-    peaks = native.trace.space_high_water()
-    worst = max(peaks, default=0)
-    if worst > space_budget:
+    limit = c_space * n - 2
+    worst = max(native.trace.space_high_water(), default=0)
+    if worst > limit:
         raise SimulationRefused(
-            f"native node memory {worst} words exceeds the {space_budget}-word"
+            f"native node memory {worst} words exceeds the {limit}-word"
             " hypothesis; simulation refused")
 
     inputs = _initial_inputs(g, n, seed, initial_edges)
     for i, words in enumerate(inputs):
-        if len(words) > space_budget - 2:
-            raise SimulationRefused(
-                f"machine {i} starts with {len(words)} words, above {space_budget - 2}")
+        if len(words) > limit:
+            raise SimulationRefused(f"machine {i} starts with {len(words)} words, above {limit}")
 
     semi = ModelParams.semi_mpc(
         n, p=n, ell=2 * g.m, word_width_bits=native.params.word_width_bits,
@@ -749,34 +747,29 @@ class _CongestOnSemiMpc(NodeProgram):
     def output(self, state):
         # (vertex, node state) pairs
         items = enumerate(state[0]) if len(state) == 2 else state[5]
-        out: list[int] = []
-        for v, nstate in items:
-            words = self.inner.output(nstate)
-            out.append(v)
-            out.append(len(words))
-            out.extend(words)
-        return out
+        return _machine_stream((v, self.inner.output(nstate)) for v, nstate in items)
+
+
+def _machine_stream(hosted) -> list[int]:
+    """A CONGEST -> semi-MPC machine's outputs: (vertex, count, words...)
+    for each (vertex, output words) pair it hosts, in the given order."""
+    return [w for v, words in hosted for w in (v, len(words), *words)]
 
 
 def _congest_memory_hypothesis(native: RunResult, g: Graph, c_space: int) -> None:
     """Per-node memory must stay linear in what the node receives (plus its
     own edge list): high-water <= c_space * (received + degree) + 8 words.
-    Otherwise the simulation is refused, naming the node of largest ratio."""
-    worst_ratio, worst_v, ok = 0.0, -1, True
+    Otherwise the simulation is refused, naming the first node of largest ratio."""
     rounds = native.trace.rounds
     recv = round_loads(chain.from_iterable(rec.src for rec in rounds),
                        chain.from_iterable(rec.dst for rec in rounds),
                        chain.from_iterable(rec.words for rec in rounds), g.n)[1]
     peaks = native.trace.space_high_water()
-    for v in range(g.n):
-        allowed = c_space * (recv[v] + g.degrees[v]) + 8
-        ratio = peaks[v] / allowed if allowed else 0.0
-        if ratio > worst_ratio:
-            worst_ratio, worst_v = ratio, v
-        ok = ok and peaks[v] <= allowed
-    if not ok:
+    ratios = [peaks[v] / (c_space * (recv[v] + g.degrees[v]) + 8) for v in range(g.n)]
+    worst = max(ratios)
+    if worst > 1:
         raise SimulationRefused(
-            f"node {worst_v} uses memory {worst_ratio:.2f}x beyond linear in"
+            f"node {ratios.index(worst)} uses memory {worst:.2f}x beyond linear in"
             " its received words; simulation refused")
 
 
@@ -833,9 +826,8 @@ def congest_on_semimpc_report(native: RunResult, sim: RunResult,
     machines = sim.params.p
     assignment = compute_node_assignment(g.degrees, machines)
     dmax = max(g.degrees, default=0)
-    # each machine writes (vertex, count, words) per vertex it hosts
-    # (_CongestOnSemiMpc.output), in ascending vertex order
-    streams = [[w for v in vertices for w in (v, len(native.outputs[v]), *native.outputs[v])]
+    # each machine hosts its vertices in ascending order
+    streams = [_machine_stream((v, native.outputs[v]) for v in vertices)
                for vertices in assignment.machine_vertices]
     sim_peaks = sim.trace.space_high_water()
     bound_checks = {

@@ -163,11 +163,10 @@ class ForestMergeConnectivity(NodeProgram):
 
     def on_round(self, state, inbox: list[Message]):
         pid, round_no, forest = state
-        gathered = list(forest)
-        for _src, _dst, payload in inbox:
-            gathered.extend(edge_pairs(payload))
-        if gathered != list(forest):
-            forest = spanning_forest(self.n, gathered)
+        # every message carries at least one edge
+        if inbox:
+            forest = spanning_forest(self.n, chain(
+                forest, *(edge_pairs(payload) for _src, _dst, payload in inbox)))
         outbox = []
         if round_no <= self.merge_steps \
                 and pid % (1 << round_no) == (1 << (round_no - 1)) and forest:

@@ -112,15 +112,13 @@ def _table_text(columns, lead: str, inner: str, spelled: dict) -> str:
 def _chunks(obj):
     """(rows, columns) of each _CHUNK_ROWS rows of a list or tuple, or of a
     RoundRecord's transfers ([src, dst, words] rows): columns are the
-    chunk's columns if it is a table, else None.  A ledger chunk is a table
-    when each of its three column slices holds only exact ints; a chunk of
-    a list is a table when its rows are lists or tuples of one non-zero
-    length whose cells are all exact ints."""
+    chunk's columns if it is a table, else None.  A ledger chunk is always
+    a table of its three column slices (RoundRecord holds exact ints); a
+    chunk of a list is a table when its rows are lists or tuples of one
+    non-zero length whose cells are all exact ints."""
     if type(obj) is RoundRecord:
         for start in range(0, len(obj.src), _CHUNK_ROWS):
-            columns = [c[start:start + _CHUNK_ROWS] for c in (obj.src, obj.dst, obj.words)]
-            exact = all(list(map(type, c)).count(int) == len(c) for c in columns)
-            yield zip(*columns), columns if exact else None
+            yield None, [c[start:start + _CHUNK_ROWS] for c in (obj.src, obj.dst, obj.words)]
         return
     for start in range(0, len(obj), _CHUNK_ROWS):
         rows = obj[start:start + _CHUNK_ROWS]

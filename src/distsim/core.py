@@ -388,7 +388,9 @@ def round_loads(src, dst, words, participants: int) -> tuple[list[int], list[int
 class RoundRecord:
     """Ledger for one round: its transfers as three int columns of equal
     length in emission order (transfer k moves words[k] words from src[k]
-    to dst[k]), plus the per-participant space high-water mark in words."""
+    to dst[k]), plus the per-participant space high-water mark in words.
+    Every cell is an exact int, which the file writer relies on: _execute
+    records ids and payload lengths; from_per_round_json refuses the rest."""
 
     src: tuple[int, ...]
     dst: tuple[int, ...]

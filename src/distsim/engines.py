@@ -92,6 +92,8 @@ class ModelParams:
             object.__setattr__(self, "word_width_bits", word_width(self.n))
         if self.word_width_bits < 1:
             raise ValueError("word width must be >= 1 bit")
+        if self.c_space < 1:
+            raise ValueError("c_space must be >= 1")
         if self.kind != ModelKind.SEMI_MPC and self.p != self.n:
             raise ValueError(f"{self.kind.value} requires one participant per vertex")
         if self.kind != ModelKind.SEMI_MPC and self.ell != 0:

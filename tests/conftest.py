@@ -3,6 +3,7 @@ import random
 
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from distsim import Graph, Message, NodeProgram, RoundRecord, adapters, engines, routing
 
@@ -63,6 +64,43 @@ def random_graph(n: int, seed: int, max_extra: int | None = None) -> Graph:
         if u != v:
             edges.add((min(u, v), max(u, v)))
     return Graph(n=n, edges=tuple(sorted(edges)))
+
+
+PLACEMENT_FAMILIES = ("round-robin", "blocks", "fill-from-first", "fill-from-last",
+                      "one-machine", "hub-heavy")
+
+
+@st.composite
+def placements(draw, g: Graph, p: int, s: int):
+    """An initial placement of g's edges on p machines of s words each, as
+    p edge lists, from one of PLACEMENT_FAMILIES: dealt round-robin in
+    sorted order; in p contiguous blocks; filled to s - 2 words (two per
+    edge) from machine 0 up or from machine p - 1 down, the last machine
+    taking any rest; every edge on one machine; or hub-heavy, each edge on
+    the machine of its endpoint of larger degree (the smaller id on a tie),
+    so a hub's machine holds all of the hub's edges."""
+    family = draw(st.sampled_from(PLACEMENT_FAMILIES))
+    edges = g.edges
+    out = [[] for _ in range(p)]
+    if family == "one-machine":
+        out[draw(st.integers(0, p - 1))] = list(edges)
+        return out
+    if family == "round-robin":
+        machines = [i % p for i in range(len(edges))]
+    elif family == "blocks":
+        block = max(1, -(-len(edges) // p))
+        machines = [i // block for i in range(len(edges))]
+    elif family == "hub-heavy":
+        degrees = g.degrees
+        machines = [min((u, v), key=lambda x: (-degrees[x], x)) % p for u, v in edges]
+    else:
+        per = max(1, (s - 2) // 2)
+        machines = [min(i // per, p - 1) for i in range(len(edges))]
+        if family == "fill-from-last":
+            machines = [p - 1 - i for i in machines]
+    for machine, edge in zip(machines, edges):
+        out[machine].append(edge)
+    return out
 
 
 def ledger_record(transfers, space) -> RoundRecord:

@@ -38,9 +38,9 @@ from distsim.adapters import (
     _CongestOnSemiMpc,
     load_bound_ok,
 )
-from distsim.engines import EngineContractError, run_mpc
+from distsim.engines import C_SPACE, EngineContractError, run_mpc
 
-from conftest import FixedRoundFlood, random_connected_graph, random_graph
+from conftest import FixedRoundFlood, placements, random_connected_graph, random_graph
 
 
 # -- node assignment ------------------------------------------------------------
@@ -281,6 +281,41 @@ def test_cc_sim_runs_a_placement_at_its_first_state_bound():
     assert all(report.bound_checks.values())
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(3, 9), prob=st.sampled_from([0.2, 0.5, 1.0]),
+       seed=st.integers(0, 99))
+def test_cc_sim_runs_or_refuses_every_placement(data, n, prob, seed):
+    # a legal placement either runs with every check True and the native
+    # outputs, or is refused for a machine above its first state's s - 2
+    # words, or for a native node above them (K3)
+    g = gen_graph("gnp", n, prob=prob, seed=seed)
+    placement = data.draw(placements(g, n, C_SPACE * n))
+    try:
+        report = simulate_cc_on_semimpc(BoruvkaConnectivity(n), g, initial_edges=placement)
+    except SimulationRefused as refusal:
+        assert "starts with" in str(refusal) or "-word hypothesis" in str(refusal)
+        return
+    assert all(report.bound_checks.values()), report.bound_checks
+    assert report.simulated.outputs == report.native.outputs
+
+
+def test_cc_sim_refuses_a_native_node_above_s_minus_2_words():
+    # Borůvka's K3 nodes peak at 11 words, within s = 12; their machines
+    # add 2 words and used to stop in round 4 with space-budget, 13 against 12
+    with pytest.raises(SimulationRefused, match=(
+            "^native node memory 11 words exceeds the 10-word hypothesis;"
+            " simulation refused$")):
+        simulate_cc_on_semimpc(BoruvkaConnectivity(3), gen_graph("complete", 3))
+
+
+def test_cc_sim_runs_a_native_node_at_s_minus_2_words():
+    # K4's nodes peak at 14 = s - 2 words, and their machines at s
+    report = simulate_cc_on_semimpc(BoruvkaConnectivity(4), gen_graph("complete", 4))
+    assert max(report.native.trace.space_high_water()) == 14
+    assert max(report.simulated.trace.space_high_water()) == 16
+    assert all(report.bound_checks.values())
+
+
 def test_cc_sim_refuses_a_placement_for_another_machine_count():
     g = gen_graph("path", 6)
     with pytest.raises(SimulationRefused,
@@ -465,6 +500,35 @@ def test_mpc_sim_every_pair_carries_at_most_one_word():
             assert w == 1
             assert (s, d) not in seen
             seen.add((s, d))
+
+
+def _drop_a_first_word(words):
+    # a seq-0 word: its source's later words then arrive without it
+    firsts = [k for k, (_src, seq, *_rest) in enumerate(words) if seq == 0]
+    return words[:firsts[0]] + words[firsts[0] + 1:] if firsts else None
+
+
+@pytest.mark.parametrize("tamper", [_drop_a_first_word, lambda words: words + words[:1]],
+                         ids=["lost-word", "doubled-word"])
+def test_mpc_sim_refuses_a_lost_or_doubled_relayed_word(monkeypatch, tamper):
+    # one phase-B delivery loses or repeats a word: the hosted machine's
+    # inbox cannot be reassembled (every ForestMerge message has 2+ words)
+    deliver = adapters._SemiMpcOnClique._deliver
+    tampered = []
+
+    def deliver_once_tampered(self, host, words, episode):
+        changed = None if tampered else tamper(words)
+        if changed is not None:
+            tampered.append(words)
+            words = changed
+        return deliver(self, host, words, episode)
+
+    monkeypatch.setattr(adapters._SemiMpcOnClique, "_deliver", deliver_once_tampered)
+    g = gen_graph("gnp", 16, prob=0.3, seed=2)
+    with pytest.raises(RuntimeError, match="^routing lost or duplicated a word$"):
+        simulate_semimpc_on_cc(ForestMergeConnectivity(16, 4), distribute_edges(g, 4, 0),
+                               _semi_params(16, 4, g.m))
+    assert tampered
 
 
 def test_mpc_sim_requires_semi_mpc_params():
@@ -797,6 +861,36 @@ def test_congest_sim_refuses_memory_hog():
     g = gen_graph("path", 8)
     with pytest.raises(SimulationRefused, match="memory"):
         simulate_congest_on_semimpc(CongestHog(8), g)
+
+
+def test_congest_sim_memory_refusal_names_the_node_and_its_ratio():
+    # 128 words against 4 * (0 received + degree 1) + 8 = 12 at either end
+    # of the path: both ends share the largest ratio, and node 0 is named
+    with pytest.raises(SimulationRefused, match=(
+            r"^node 0 uses memory 10\.67x beyond linear in its received words;"
+            r" simulation refused$")):
+        simulate_congest_on_semimpc(CongestHog(8), gen_graph("path", 8))
+
+
+class TwoEqualHogs(NodeProgram):
+    """On a path, node 1 holds 20 words (1.25x its allowance of 16) and
+    nodes 3 and 5 hold 64 (4x); every other node holds one."""
+
+    def init(self, pid, local_input):
+        return (0,) * {1: 20, 3: 64, 5: 64}.get(pid, 1)
+
+    def on_round(self, state, inbox):
+        return state, [], True
+
+    def output(self, state):
+        return []
+
+
+def test_congest_sim_memory_refusal_names_the_first_node_of_largest_ratio():
+    with pytest.raises(SimulationRefused, match=(
+            r"^node 3 uses memory 4\.00x beyond linear in its received words;"
+            r" simulation refused$")):
+        simulate_congest_on_semimpc(TwoEqualHogs(), gen_graph("path", 8))
 
 
 def test_congest_sim_refuses_small_round_budget():

@@ -1973,13 +1973,8 @@ _SHARED = [[3, 0, 1], [1, 3, 0]]
     # one-column table and in every chunk of a long table
     {"a": _SHARED, "b": {"c": _SHARED, "d": [_SHARED, [[3], [1]]]},
      "e": _SHARED * (_CHUNK_ROWS + 3), "f": [[0, 3, 1]] * (2 * _CHUNK_ROWS)},
-    # a ledger chunk whose column holds a cell that is not an exact int goes
-    # row by row, and the ledger's other chunks stay tables
-    {"t": ledger_record([(0, 1, 1)] * _CHUNK_ROWS + [(1, True, _Count(2)), (2, 0, 1.0)], ())},
-    {"t": ledger_record([(_Level.LOW, 0, 1), (1, 0, False)], ()), "u": [[1, 0, 1]]},
 ], ids=["bool", "int-enum", "int-subclass", "bool-column", "wide-ints",
-        "wide-ints-one-column", "384-columns", "700-columns", "shared-values",
-        "ledger-odd-cells", "ledger-int-enum"])
+        "wide-ints-one-column", "384-columns", "700-columns", "shared-values"])
 def test_dump_json_spells_table_cells_as_json_dumps(doc, tmp_path):
     _dump_json(doc, str(tmp_path / "doc.json"))
     assert (tmp_path / "doc.json").read_text(encoding="utf-8") == _row_form(doc)

@@ -633,6 +633,16 @@ def test_params_refuse_an_impossible_participant_count(kind, p, n, message):
         ModelParams(kind=kind, p=p, n=n)
 
 
+@pytest.mark.parametrize("kind", list(ModelKind))
+@pytest.mark.parametrize("c_space", [0, -1])
+def test_params_refuse_a_c_space_below_1(kind, c_space):
+    # no machine has space then, and at c_space = -1 the CONGEST -> semi-MPC
+    # allowance c_space * (received + degree) + 8 is 0 for a node whose
+    # received words and degree sum to 8
+    with pytest.raises(ValueError, match="^c_space must be >= 1$"):
+        ModelParams(kind=kind, p=4, n=4, c_space=c_space)
+
+
 @pytest.mark.parametrize("kind", [ModelKind.CLIQUE, ModelKind.CONGEST])
 def test_params_refuse_an_ell_that_only_semi_mpc_reads(kind):
     with pytest.raises(ValueError, match=f"^{kind.value} reads no input size ell: it must be"
@@ -1444,6 +1454,9 @@ def test_the_engine_refuses_or_charges_every_outbox(run):
         res = run_clique(prog, graph)
     except EngineContractError:
         return
+    # the file writer spells every ledger column as a table of exact ints
+    for rec in res.trace.rounds:
+        assert set(map(type, chain(rec.src, rec.dst, rec.words))) <= {int}
     limit = 1 << res.params.word_width_bits
     delivered = list(chain.from_iterable(prog.inboxes.values()))
     for _src, _dst, payload in delivered:
